@@ -35,6 +35,7 @@ from .diagnostics import (
     lsc_gap,
     run_verification,
     summarize,
+    validate_checks,
     verification_to_json,
 )
 from .dist import (
@@ -54,6 +55,7 @@ from .engine import (
     trace_to_json,
 )
 from .errors import DAError, DistributionError, PositivityViolation
+from .metrics import encode
 from .sampler import DEFAULT_BUDGET, consistency_report, draws_to_csv, run_chains
 
 EXIT_OK = 0
@@ -69,11 +71,6 @@ RUN_EPS_DEFAULT = 1e-10
 # near rounding level
 VERIFY_EPS_DEFAULT = 1e-16
 MAX_STEPS_DEFAULT = 10_000
-
-HYPOTHESIS_MESSAGE = (
-    "hypothesis violation: the starting density has infinite divergence to "
-    "the target (the convergence theorem assumes D(p0 || target) < inf)"
-)
 
 
 def _parse_gen_spec(spec: str) -> tuple[int, int, int, float]:
@@ -158,8 +155,23 @@ def _effective_budget(flag_value: int | None) -> int:
     return base
 
 
-def _final_d_text(trace: DATrace) -> str:
-    return str(trace.records[-1].d_to_target)
+def _require_finite_start(trace: DATrace) -> None:
+    if trace.stop_reason is StopReason.INFINITE_INITIAL_DIVERGENCE:
+        raise PositivityViolation(
+            "the starting density has infinite divergence to the target "
+            "(the convergence theorem assumes D(p0 || target) < inf)"
+        )
+
+
+def _emit(out_prefix: str | None, kind: str, doc: str, summary: str) -> None:
+    """Write `doc` to `<out_prefix>.<kind>.json` and print `summary`, or write
+    `doc` to stdout when no prefix is given."""
+    if out_prefix:
+        path = f"{out_prefix}.{kind}.json"
+        atomic_write_text(path, doc)
+        print(f"{summary} out={path}")
+    else:
+        sys.stdout.write(doc)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -191,11 +203,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     final = trace.records[-1]
     print(
         f"stop_reason={trace.stop_reason.value} half_steps={trace.last_t} "
-        f"final_d={_final_d_text(trace)} final_tv={final.tv_to_target!r}{out_note}"
+        f"final_d={encode(final.d_to_target)} final_tv={encode(final.tv_to_target)}{out_note}"
     )
-    if trace.stop_reason is StopReason.INFINITE_INITIAL_DIVERGENCE:
-        print(HYPOTHESIS_MESSAGE, file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    _require_finite_start(trace)
     return EXIT_OK if trace.converged else EXIT_CHECK_FAILURE
 
 
@@ -205,58 +215,58 @@ def _parse_checks(spec: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in spec.split(",") if s.strip())
     if not names:
         raise DistributionError("--checks wants a comma-separated list or 'all'")
-    unknown = [n for n in names if n not in DEFAULT_CHECKS]
-    if unknown:
-        raise DistributionError(f"unknown checks {unknown}; valid: {list(DEFAULT_CHECKS)}")
+    validate_checks(names)
     return names
+
+
+def _parse_selection(args: argparse.Namespace) -> tuple[str, ...]:
+    """Parse --checks and vet --t/--n, so a bad selection is refused before
+    the trace is built."""
+    checks = _parse_checks(args.checks)
+    if args.t is None:
+        return checks
+    if len(checks) != 1:
+        raise DistributionError("--t needs exactly one check selected via --checks")
+    name = checks[0]
+    if name == "cauchy":
+        raise DistributionError("cauchy sweeps retained times; it does not take --t")
+    if name not in ("lemma1", "lemma2", "lemma3", "lsc"):
+        raise DistributionError(f"--t applies to lemma1, lemma2, lemma3, or lsc, not {name!r}")
+    if name in ("lemma2", "lemma3") and args.n is None:
+        raise DistributionError(f"{name} with --t also needs --n")
+    return checks
 
 
 def _single_check(trace: DATrace, name: str, t: int, n: int | None) -> list:
     if name == "lemma1":
         return [lemma1_check(trace, t)]
     if name == "lemma2":
-        if n is None:
-            raise DistributionError("lemma2 with --t also needs --n")
         return [lemma2_check(trace, t, n)]
     if name == "lemma3":
-        if n is None:
-            raise DistributionError("lemma3 with --t also needs --n")
         return [lemma3_check(trace, t, n)]
-    if name == "lsc":
-        horizon = (trace.last_t - t) if n is None else n
-        return [lsc_gap(trace, t, horizon)]
-    if name == "cauchy":
-        raise DistributionError("cauchy sweeps retained times; it does not take --t")
-    raise DistributionError(f"--t applies to lemma1, lemma2, lemma3, or lsc, not {name!r}")
+    return [lsc_gap(trace, t, (trace.last_t - t) if n is None else n)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    checks = _parse_selection(args)
     target = _resolve_target(args)
     p0 = _resolve_p0(args.p0, target)
     trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=_parse_retain(args.retain))
-    if trace.stop_reason is StopReason.INFINITE_INITIAL_DIVERGENCE:
-        print(HYPOTHESIS_MESSAGE, file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    _require_finite_start(trace)
 
-    checks = _parse_checks(args.checks)
     if args.t is not None:
-        if len(checks) != 1:
-            raise DistributionError("--t needs exactly one check selected via --checks")
         reports = _single_check(trace, checks[0], args.t, args.n)
     else:
         reports = run_verification(trace, checks)
 
-    doc = verification_to_json(reports)
     summary = summarize(reports)
-    if args.out_prefix:
-        path = f"{args.out_prefix}.verify.json"
-        atomic_write_text(path, doc)
-        print(
-            f"checks_run={summary['checks_run']} passes={summary['passes']} "
-            f"failures={summary['failures']} out={path}"
-        )
-    else:
-        sys.stdout.write(doc)
+    _emit(
+        args.out_prefix,
+        "verify",
+        verification_to_json(reports),
+        f"checks_run={summary['checks_run']} passes={summary['passes']} "
+        f"failures={summary['failures']}",
+    )
     return EXIT_OK if summary["failures"] == 0 else EXIT_CHECK_FAILURE
 
 
@@ -287,9 +297,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         eps=1e-300,
         retain=RetainPolicy.all(),
     )
-    if trace.stop_reason is StopReason.INFINITE_INITIAL_DIVERGENCE:
-        print(HYPOTHESIS_MESSAGE, file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    _require_finite_start(trace)
 
     draws = run_chains(
         target,
@@ -303,16 +311,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
         atomic_write_text(args.draws_out, draws_to_csv(draws))
 
     report = consistency_report(draws, trace, times, clamp_to_converged_tail=True)
-    doc = json.dumps(report, indent=1) + "\n"
-    if args.out_prefix:
-        path = f"{args.out_prefix}.consistency.json"
-        atomic_write_text(path, doc)
-        print(
-            f"replicas={args.replicas} half_steps={half_steps} "
-            f"all_within_bound={str(report['all_within_bound']).lower()} out={path}"
-        )
-    else:
-        sys.stdout.write(doc)
+    _emit(
+        args.out_prefix,
+        "consistency",
+        json.dumps(report, indent=1) + "\n",
+        f"replicas={args.replicas} half_steps={half_steps} "
+        f"all_within_bound={str(report['all_within_bound']).lower()}",
+    )
     return EXIT_OK if report["all_within_bound"] else EXIT_CHECK_FAILURE
 
 

@@ -56,7 +56,7 @@ from .errors import (
     TargetNotPositive,
     ZeroConditional,
 )
-from .metrics import ExtReal, relative_entropy, total_variation
+from .metrics import ExtReal, encode, relative_entropy, total_variation
 
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-10
@@ -115,11 +115,7 @@ class LemmaReport:
     def __post_init__(self) -> None:
         if math.isnan(self.residual_or_slack):
             raise DistributionError("report residual must not be NaN")
-        if _CHECK_KIND[self.name] == "identity":
-            expected = abs(self.residual_or_slack) <= self.tolerance
-        else:
-            expected = self.residual_or_slack >= -self.tolerance
-        if self.passed != expected:
+        if self.passed != _verdict(self.name, self.residual_or_slack, self.tolerance):
             raise DistributionError(
                 f"{self.name.value} report verdict {self.passed} contradicts "
                 f"residual {self.residual_or_slack!r} at tolerance {self.tolerance!r}"
@@ -421,6 +417,13 @@ LEMMA2_DEFAULT_TS = (1, 2, 3)
 LEMMA2_DEFAULT_NS = tuple(range(1, 9))
 
 
+def validate_checks(checks: tuple[str, ...]) -> None:
+    """Reject check names outside DEFAULT_CHECKS before any work is done."""
+    unknown = [c for c in checks if c not in DEFAULT_CHECKS]
+    if unknown:
+        raise DistributionError(f"unknown checks {unknown}; valid: {list(DEFAULT_CHECKS)}")
+
+
 def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -> list[LemmaReport]:
     """Run the selected checks over a trace, adapting to its retained states.
 
@@ -428,9 +431,7 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
     check with no runnable instance raises :class:`StateNotRetained`, since
     a silent skip would turn a config mistake into a vacuous pass.
     """
-    unknown = [c for c in checks if c not in DEFAULT_CHECKS]
-    if unknown:
-        raise DistributionError(f"unknown checks {unknown}; valid: {list(DEFAULT_CHECKS)}")
+    validate_checks(checks)
     retained = set(trace.retained_times)
     last = trace.last_t
     reports: list[LemmaReport] = []
@@ -477,7 +478,12 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
 
 
 def summarize(reports: list[LemmaReport]) -> dict:
-    """Aggregate counts and the worst residual or slack per check name."""
+    """Aggregate counts and the worst residual or slack per check name.
+
+    The worst values are in exported form (see `metrics.encode`), so an
+    infinite residual or slack appears as "inf" or "-inf", never as a float
+    infinity that strict JSON cannot carry.
+    """
     worst: dict[str, float] = {}
     for r in reports:
         key = r.name.value
@@ -490,12 +496,8 @@ def summarize(reports: list[LemmaReport]) -> dict:
         "checks_run": len(reports),
         "passes": sum(r.passed for r in reports),
         "failures": sum(not r.passed for r in reports),
-        "worst_residual_by_lemma": worst,
+        "worst_residual_by_lemma": {k: encode(v) for k, v in worst.items()},
     }
-
-
-def _ext_json(x: ExtReal) -> float | str:
-    return "inf" if not x.is_finite else x.value
 
 
 def report_to_json_dict(report: LemmaReport) -> dict:
@@ -503,13 +505,9 @@ def report_to_json_dict(report: LemmaReport) -> dict:
         "name": report.name.value,
         "t": report.t,
         "n": report.n,
-        "lhs": _ext_json(report.lhs),
-        "rhs": _ext_json(report.rhs),
-        "residual_or_slack": (
-            ("inf" if report.residual_or_slack > 0 else "-inf")
-            if math.isinf(report.residual_or_slack)
-            else report.residual_or_slack
-        ),
+        "lhs": encode(report.lhs),
+        "rhs": encode(report.rhs),
+        "residual_or_slack": encode(report.residual_or_slack),
         "pass": report.passed,
         "tolerance": report.tolerance,
         "note": report.note,

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dist import Axis, JointDensity, Target, compose_with_drift, marginal
 from .errors import DimensionMismatch, DistributionError, StateNotRetained, TargetNotPositive
-from .metrics import ExtReal, relative_entropy, total_variation
+from .metrics import ExtReal, encode, relative_entropy, total_variation
 
 
 class UpdateKind(enum.Enum):
@@ -277,15 +277,12 @@ def fixed_point_residual(target: Target) -> float:
 
 # --- trace export ------------------------------------------------------------
 
-CSV_HEADER = "t,d_to_target,tv_to_target,d_step,lemma1_residual,renorm_drift"
+_FIELDS = tuple(f.name for f in fields(TraceRecord))
+CSV_HEADER = ",".join(_FIELDS)
 
 
-def _cell(x: ExtReal | float | None) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, ExtReal):
-        return "inf" if not x.is_finite else repr(x.value)
-    return repr(float(x))
+def _encoded(r: TraceRecord) -> list[float | int | str | None]:
+    return [encode(getattr(r, name)) for name in _FIELDS]
 
 
 def trace_to_csv(trace: DATrace) -> str:
@@ -297,27 +294,8 @@ def trace_to_csv(trace: DATrace) -> str:
     """
     lines = [CSV_HEADER]
     for r in trace.records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.t),
-                    _cell(r.d_to_target),
-                    _cell(r.tv_to_target),
-                    _cell(r.d_step),
-                    _cell(r.lemma1_residual),
-                    _cell(r.renorm_drift),
-                )
-            )
-        )
+        lines.append(",".join("" if v is None else str(v) for v in _encoded(r)))
     return "\n".join(lines) + "\n"
-
-
-def _json_value(x: ExtReal | float | None) -> float | str | None:
-    if x is None:
-        return None
-    if isinstance(x, ExtReal):
-        return "inf" if not x.is_finite else x.value
-    return float(x)
 
 
 def trace_to_json_dict(trace: DATrace) -> dict:
@@ -332,17 +310,7 @@ def trace_to_json_dict(trace: DATrace) -> dict:
         "stop_reason": trace.stop_reason.value,
         "half_steps": trace.last_t,
         "retained_times": trace.retained_times,
-        "records": [
-            {
-                "t": r.t,
-                "d_to_target": _json_value(r.d_to_target),
-                "tv_to_target": _json_value(r.tv_to_target),
-                "d_step": _json_value(r.d_step),
-                "lemma1_residual": _json_value(r.lemma1_residual),
-                "renorm_drift": _json_value(r.renorm_drift),
-            }
-            for r in trace.records
-        ],
+        "records": [dict(zip(_FIELDS, _encoded(r))) for r in trace.records],
     }
 
 

@@ -12,6 +12,10 @@ Total variation here is the L1 distance ``sum |p - q|``, which lives in
 
 All sums are accumulated with error-free compensated summation in a fixed
 row-major order, so repeated runs on the same inputs are bit-identical.
+
+`encode` fixes how an exported number is written. The trace CSV and JSON,
+the verify JSON and `run`'s stdout line all go through it, so an infinity
+reads "inf" everywhere.
 """
 
 from __future__ import annotations
@@ -81,7 +85,25 @@ class ExtReal:
         return self.value < other.value
 
     def __str__(self) -> str:
-        return "inf" if not self.is_finite else repr(self.value)
+        return str(encode(self))
+
+
+def encode(x: ExtReal | float | int | None) -> float | int | str | None:
+    """The exported form of a value, shared by the trace, verify and stdout writers.
+
+    None and ints pass through, +-infinity become the strings "inf" and
+    "-inf" (strict JSON has no infinity literal), and other reals become
+    floats, so ``str`` of the result is the shortest round-trip notation.
+    """
+    if type(x) is ExtReal:
+        x = x.value
+    elif x is None or isinstance(x, int):
+        return x
+    else:
+        x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 def _rel_entropy_raw(p: np.ndarray, q: np.ndarray, what: str) -> ExtReal:

@@ -148,6 +148,24 @@ class TestVerify:
     def test_unknown_check_is_usage_error(self):
         assert main(["verify", "--gen", "4,4,2", "--checks", "lemma9"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["--checks", "lemma9"],
+            ["--checks", "lemma1,lemma2", "--t", "2"],
+            ["--checks", "cauchy", "--t", "2"],
+            ["--checks", "balance", "--t", "2"],
+            ["--checks", "lemma3", "--t", "2"],
+        ],
+    )
+    def test_bad_selection_refused_before_run(self, monkeypatch, capsys, selection):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the trace was built before the selection was checked")
+
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        assert main(["verify", "--gen", "4,4,2", *selection]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_zero_cell_target_exits_hypothesis(self, zero_cell_target):
         assert main(["verify", "--target", zero_cell_target]) == EXIT_HYPOTHESIS
 

@@ -417,3 +417,23 @@ class TestReportPlumbing:
         obj = report_to_json_dict(r)
         assert obj["lhs"] == "inf" and obj["rhs"] == "inf"
         json.dumps(obj)
+
+    def test_summary_infinities_are_strict_json(self):
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        reports = [
+            LemmaReport(
+                CheckName.LEMMA1, 0, None,
+                ExtReal.pos_infinity(), ExtReal.finite(1.0),
+                math.inf, False, 1e-10, "exactly one side infinite",
+            ),
+            LemmaReport(
+                CheckName.LEMMA3, 1, 1,
+                ExtReal.pos_infinity(), ExtReal.finite(0.5),
+                -math.inf, False, 1e-10, "left side infinite with finite right side",
+            ),
+        ]
+        doc = json.loads(verification_to_json(reports), parse_constant=reject)
+        assert doc["summary"]["worst_residual_by_lemma"] == {"Lemma1": "inf", "Lemma3": "-inf"}
+        assert [r["residual_or_slack"] for r in doc["reports"]] == ["inf", "-inf"]

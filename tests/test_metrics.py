@@ -13,6 +13,7 @@ from daflow.dist import Axis, JointDensity, MarginalDensity, marginal
 from daflow.errors import DimensionMismatch, DistributionError
 from daflow.metrics import (
     ExtReal,
+    encode,
     marginal_relative_entropy,
     marginal_total_variation,
     pinsker_gap,
@@ -53,6 +54,25 @@ class TestExtReal:
     def test_str_renders_inf_without_nan(self):
         assert str(ExtReal.pos_infinity()) == "inf"
         assert "0.5" in str(ExtReal.finite(0.5))
+
+
+class TestEncode:
+    @pytest.mark.parametrize(
+        "value, exported",
+        [
+            (None, None),
+            (7, 7),
+            (0.1, 0.1),
+            (np.float64(0.1), 0.1),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (ExtReal.finite(0.25), 0.25),
+            (ExtReal.pos_infinity(), "inf"),
+        ],
+    )
+    def test_exported_forms(self, value, exported):
+        out = encode(value)
+        assert out == exported and type(out) is type(exported)
 
 
 class TestRelativeEntropy:
