@@ -54,9 +54,15 @@ from .engine import (
     trace_to_csv,
     trace_to_json,
 )
-from .errors import DAError, DistributionError, PositivityViolation
+from .errors import DAError, DistributionError, PositivityViolation, StateNotRetained
 from .metrics import encode
-from .sampler import DEFAULT_BUDGET, consistency_report, draws_to_csv, run_chains
+from .sampler import (
+    DEFAULT_BUDGET,
+    check_chain_request,
+    consistency_report,
+    draws_to_csv,
+    run_chains,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -219,10 +225,25 @@ def _parse_checks(spec: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_selection(args: argparse.Namespace) -> tuple[str, ...]:
-    """Parse --checks and vet --t/--n, so a bad selection is refused before
-    the trace is built."""
+# checks that read a state before the final one, so `--retain none` (which
+# keeps only the final state) can never run them: in the sweep, and as a
+# single instance at --t; lemma3 and lsc at --t still run at the final time
+# with n=0
+SWEEP_NEEDS_HISTORY = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc")
+SINGLE_NEEDS_HISTORY = ("lemma1", "lemma2")
+
+
+def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[str, ...]:
+    """Parse --checks and vet --retain and --t/--n against them, so a bad
+    selection is refused before the trace is built."""
     checks = _parse_checks(args.checks)
+    if retain.kind == "none":
+        needy = SWEEP_NEEDS_HISTORY if args.t is None else SINGLE_NEEDS_HISTORY
+        blocked = [c for c in checks if c in needy]
+        if blocked:
+            raise StateNotRetained(
+                f"{', '.join(blocked)} cannot run under --retain none, which keeps only the final state"
+            )
     if args.t is None:
         return checks
     if len(checks) != 1:
@@ -248,10 +269,11 @@ def _single_check(trace: DATrace, name: str, t: int, n: int | None) -> list:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = _parse_selection(args)
+    retain = _parse_retain(args.retain)
+    checks = _parse_selection(args, retain)
     target = _resolve_target(args)
     p0 = _resolve_p0(args.p0, target)
-    trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=_parse_retain(args.retain))
+    trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=retain)
     _require_finite_start(trace)
 
     if args.t is not None:
@@ -263,7 +285,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(
         args.out_prefix,
         "verify",
-        verification_to_json(reports),
+        verification_to_json(reports, summary),
         f"checks_run={summary['checks_run']} passes={summary['passes']} "
         f"failures={summary['failures']}",
     )
@@ -290,6 +312,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
             f"--half-steps {half_steps} does not cover the latest requested time {max(times)}"
         )
 
+    budget = _effective_budget(args.budget)
+    check_chain_request(args.replicas, half_steps, args.seed, budget)
+
     trace = run(
         p0,
         target,
@@ -305,7 +330,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         half_steps=half_steps,
         seed=args.seed,
-        budget=_effective_budget(args.budget),
+        budget=budget,
     )
     if args.draws_out:
         atomic_write_text(args.draws_out, draws_to_csv(draws))

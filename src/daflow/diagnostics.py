@@ -514,9 +514,14 @@ def report_to_json_dict(report: LemmaReport) -> dict:
     }
 
 
-def verification_to_json(reports: list[LemmaReport]) -> str:
+def verification_to_json(reports: list[LemmaReport], summary: dict | None = None) -> str:
+    """The reports and their summary as strict JSON.
+
+    A caller that already holds ``summarize(reports)`` passes it as
+    `summary`, so the reports are not walked a second time.
+    """
     doc = {
         "reports": [report_to_json_dict(r) for r in reports],
-        "summary": summarize(reports),
+        "summary": summarize(reports) if summary is None else summary,
     }
     return json.dumps(doc, indent=1) + "\n"

@@ -254,13 +254,11 @@ def conditional(p: JointDensity, direction: Direction) -> ConditionalKernel:
     return ConditionalKernel(direction, k, defined)
 
 
-def compose_with_drift(m: MarginalDensity, k: ConditionalKernel) -> tuple[JointDensity, float]:
-    """Multiply a marginal into a kernel and renormalize.
+def compose_raw(m: MarginalDensity, k: ConditionalKernel) -> np.ndarray:
+    """The weight matrix m * k, not renormalized and not validated.
 
-    Returns the joint together with the renormalization drift, the absolute
-    deviation of the raw product's total mass from 1. The drift is pure
-    floating residue (at most a few ulps per entry) but is reported so long
-    iterations can record it.
+    Its total mass is 1 up to a few ulps per entry, because m and every
+    kernel slice are pmfs.
     """
     if m.axis is not k.direction.conditioning_axis:
         raise DimensionMismatch(
@@ -271,9 +269,19 @@ def compose_with_drift(m: MarginalDensity, k: ConditionalKernel) -> tuple[JointD
             f"marginal length {len(m)} does not match kernel slice count {k.n_slices}"
         )
     if k.direction is Direction.X_GIVEN_Y:
-        raw = k.k * m.v[None, :]
-    else:
-        raw = k.k * m.v[:, None]
+        return k.k * m.v[None, :]
+    return k.k * m.v[:, None]
+
+
+def compose_with_drift(m: MarginalDensity, k: ConditionalKernel) -> tuple[JointDensity, float]:
+    """Multiply a marginal into a kernel and renormalize.
+
+    Returns the joint together with the renormalization drift, the absolute
+    deviation of the raw product's total mass from 1. The drift is pure
+    floating residue (at most a few ulps per entry) but is reported so long
+    iterations can record it.
+    """
+    raw = compose_raw(m, k)
     total = stable_sum(raw)
     drift = abs(total - 1.0)
     return JointDensity(raw / total), drift

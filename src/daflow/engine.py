@@ -15,20 +15,54 @@ to the target nonincreasing and the chain of certification identities in
 `run` iterates half-steps from a starting density, recording per-step
 divergence and distance to the target, the one-step divergence, the
 projection-identity residual, and the renormalization drift, until the
-divergence falls to `eps` or the step budget runs out. Densities themselves
-are retained according to a :class:`RetainPolicy` so long traces stay
-memory-bounded.
+divergence falls to `eps` or the step budget runs out.
+
+Every iterate after t=0 is a target conditional times one marginal, so `run`
+carries that one marginal vector from half-step to half-step, renormalized
+by its own correctly rounded sum. By the chain rule, D(p_(t+1) || target)
+and V(p_(t+1), target) equal the divergence and L1 distance of that marginal
+to the target's marginal on the same axis, which costs O(n). Only the
+one-step divergence D(p_t || p_(t+1)) is summed over the joints: deriving it
+from the marginals would assume the projection identity that `diagnostics`
+certifies. The starting density is arbitrary, so t=0 is measured on the
+joint.
+
+Densities are retained according to a :class:`RetainPolicy` so long traces
+stay memory-bounded. A retained state after t=0 keeps only its marginal; its
+validated joint is built, from the same product the one-step divergence
+used, on the first lookup. `da_half_step` is the joint-based reference
+half-step.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
 
-from .dist import Axis, JointDensity, Target, compose_with_drift, marginal
+import numpy as np
+
+from ._numeric import stable_sum
+from .dist import (
+    Axis,
+    JointDensity,
+    MarginalDensity,
+    Target,
+    compose_raw,
+    compose_with_drift,
+    marginal,
+)
 from .errors import DimensionMismatch, DistributionError, StateNotRetained, TargetNotPositive
-from .metrics import ExtReal, encode, relative_entropy, total_variation
+from .metrics import (
+    ExtReal,
+    _rel_entropy_raw,
+    encode,
+    marginal_relative_entropy,
+    marginal_total_variation,
+    relative_entropy,
+    total_variation,
+)
 
 
 class UpdateKind(enum.Enum):
@@ -37,6 +71,13 @@ class UpdateKind(enum.Enum):
     NONE = "None"
     REFRESH_X = "RefreshX"
     REFRESH_Y = "RefreshY"
+
+
+def _update_at(t: int) -> UpdateKind:
+    """The refresh that produces the state at time t >= 0."""
+    if t == 0:
+        return UpdateKind.NONE
+    return UpdateKind.REFRESH_X if t % 2 == 1 else UpdateKind.REFRESH_Y
 
 
 class StopReason(enum.Enum):
@@ -61,14 +102,11 @@ class DAState:
     def __post_init__(self) -> None:
         if self.t < 0:
             raise DistributionError(f"state time must be nonnegative, got {self.t}")
-        if (self.t == 0) != (self.last_update is UpdateKind.NONE):
-            raise DistributionError("last_update must be NONE exactly at t=0")
-        if self.t >= 1:
-            expected = UpdateKind.REFRESH_X if self.t % 2 == 1 else UpdateKind.REFRESH_Y
-            if self.last_update is not expected:
-                raise DistributionError(
-                    f"t={self.t} requires last_update={expected.value}, got {self.last_update.value}"
-                )
+        expected = _update_at(self.t)
+        if self.last_update is not expected:
+            raise DistributionError(
+                f"t={self.t} requires last_update={expected.value}, got {self.last_update.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,18 +166,59 @@ class RetainPolicy:
         return t % self.k == 0
 
 
+def _composed(target: Target, m: MarginalDensity) -> np.ndarray:
+    """The weights of the iterate that refreshes the coordinate m does not
+    live on: m times the target conditional given m's axis."""
+    kernel = target.cond_x_given_y if m.axis is Axis.Y else target.cond_y_given_x
+    return compose_raw(m, kernel)
+
+
+class _RetainedStates(Mapping[int, DAState]):
+    """Retained states keyed by time, each stored as what determines it: the
+    starting density at t=0, the marginal composed into the target's
+    conditional after that.
+
+    A lookup builds the validated state on first use and caches it. Length,
+    iteration and membership build nothing. Two threads racing on a first
+    lookup may both build the state; they build equal values.
+    """
+
+    def __init__(self, target: Target, sources: dict[int, JointDensity | MarginalDensity]) -> None:
+        self._target = target
+        self._sources = sources
+        self._built: dict[int, DAState] = {}
+
+    def __getitem__(self, t: int) -> DAState:
+        state = self._built.get(t)
+        if state is None:
+            src = self._sources[t]
+            density = src if isinstance(src, JointDensity) else JointDensity(_composed(self._target, src))
+            state = self._built[t] = DAState(t, density, _update_at(t))
+        return state
+
+    def __contains__(self, t: object) -> bool:
+        return t in self._sources
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
 @dataclass(frozen=True, eq=False)
 class DATrace:
     """A completed run: the target, one record per visited time, retained
     states keyed by time, and why iteration stopped.
 
     Records are contiguous from t=0; states hold whatever the retain policy
-    kept plus the final state.
+    kept plus the final state. `run` returns a read-only mapping whose
+    states are built on first lookup.
     """
 
     target: Target
     records: tuple[TraceRecord, ...]
-    states: dict[int, DAState]
+    states: Mapping[int, DAState]
     stop_reason: StopReason
 
     @property
@@ -182,11 +261,9 @@ def half_step_with_drift(s: DAState, target: Target) -> tuple[DAState, float]:
         raise TargetNotPositive("cannot iterate toward a target with zero cells")
     if s.t % 2 == 0:
         density, drift = compose_with_drift(marginal(s.density, Axis.Y), target.cond_x_given_y)
-        update = UpdateKind.REFRESH_X
     else:
         density, drift = compose_with_drift(marginal(s.density, Axis.X), target.cond_y_given_x)
-        update = UpdateKind.REFRESH_Y
-    return DAState(s.t + 1, density, update), drift
+    return DAState(s.t + 1, density, _update_at(s.t + 1)), drift
 
 
 def da_half_step(s: DAState, target: Target) -> DAState:
@@ -202,6 +279,14 @@ def da_half_step(s: DAState, target: Target) -> DAState:
 
 def initial_state(p0: JointDensity) -> DAState:
     return DAState(0, p0, UpdateKind.NONE)
+
+
+def _renormalized_marginal(w: np.ndarray, axis: Axis) -> tuple[MarginalDensity, float]:
+    """The `axis` marginal of the weights w divided by its correctly rounded
+    sum, and that sum's distance from 1."""
+    v = w.sum(axis=1) if axis is Axis.X else w.sum(axis=0)
+    total = stable_sum(v)
+    return MarginalDensity(axis, v / total), abs(total - 1.0)
 
 
 def run(
@@ -227,39 +312,45 @@ def run(
     if p0.shape != target.shape:
         raise DimensionMismatch(f"p0 is {p0.shape}, target is {target.shape}")
 
-    state = initial_state(p0)
     d_cur = relative_entropy(p0, target.joint)
     tv_cur = total_variation(p0, target.joint)
-    drift_cur = 0.0
 
     if not d_cur.is_finite:
         record = TraceRecord(0, d_cur, tv_cur, None, None, 0.0)
-        return DATrace(target, (record,), {0: state}, StopReason.INFINITE_INITIAL_DIVERGENCE)
+        return DATrace(target, (record,), {0: initial_state(p0)}, StopReason.INFINITE_INITIAL_DIVERGENCE)
     if not target.strictly_positive:
         raise TargetNotPositive("cannot iterate toward a target with zero cells")
 
+    target_marginal = {Axis.X: target.marg_x, Axis.Y: target.marg_y}
     records: list[TraceRecord] = []
-    states: dict[int, DAState] = {}
+    sources: dict[int, JointDensity | MarginalDensity] = {}
+    # p_t is determined by `src` and has weights `w`; `m` is the marginal
+    # the half-step from t composes into the target's conditional
+    t, src, w, drift_cur = 0, p0, p0.w, 0.0
+    m, _ = _renormalized_marginal(w, Axis.Y)
     while True:
         if d_cur.value <= eps:
             stop = StopReason.CONVERGED
             break
-        if state.t >= max_half_steps:
+        if t >= max_half_steps:
             stop = StopReason.MAX_ITERS
             break
-        nxt, drift_next = half_step_with_drift(state, target)
-        d_next = relative_entropy(nxt.density, target.joint)
-        tv_next = total_variation(nxt.density, target.joint)
-        d_step = relative_entropy(state.density, nxt.density)
+        w_next = _composed(target, m)
+        d_next = marginal_relative_entropy(m, target_marginal[m.axis])
+        tv_next = marginal_total_variation(m, target_marginal[m.axis])
+        d_step = _rel_entropy_raw(w, w_next, "relative_entropy")
         residual = abs(d_cur.value - d_step.value - d_next.value)
-        records.append(TraceRecord(state.t, d_cur, tv_cur, d_step, residual, drift_cur))
-        if retain.keeps(state.t):
-            states[state.t] = state
-        state, d_cur, tv_cur, drift_cur = nxt, d_next, tv_next, drift_next
+        records.append(TraceRecord(t, d_cur, tv_cur, d_step, residual, drift_cur))
+        if retain.keeps(t):
+            sources[t] = src
+        other = Axis.X if m.axis is Axis.Y else Axis.Y
+        t, src, w = t + 1, m, w_next
+        m, drift_cur = _renormalized_marginal(w, other)
+        d_cur, tv_cur = d_next, tv_next
 
-    records.append(TraceRecord(state.t, d_cur, tv_cur, None, None, drift_cur))
-    states[state.t] = state
-    return DATrace(target, tuple(records), states, stop)
+    records.append(TraceRecord(t, d_cur, tv_cur, None, None, drift_cur))
+    sources[t] = src
+    return DATrace(target, tuple(records), _RetainedStates(target, sources), stop)
 
 
 def fixed_point_residual(target: Target) -> float:

@@ -116,6 +116,26 @@ def _categorical_rows(cum_rows: np.ndarray, u: np.ndarray, n_cats: int) -> np.nd
     return np.minimum(idx, n_cats - 1)
 
 
+def check_chain_request(replicas: int, half_steps: int, seed: int, budget: int | None = None) -> None:
+    """Refuse a chain request whose sizes or seed `run_chains` would refuse,
+    so a caller can vet it before doing other work.
+
+    The product replicas * half_steps must stay within the budget (the
+    module default, unless one is passed).
+    """
+    if replicas < 1:
+        raise DistributionError(f"replicas must be >= 1, got {replicas}")
+    if half_steps < 0:
+        raise DistributionError(f"half_steps must be >= 0, got {half_steps}")
+    if seed < 0:
+        raise DistributionError(f"seed must be nonnegative, got {seed}")
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if replicas * half_steps > cap:
+        raise BudgetExceeded(
+            f"replicas * half_steps = {replicas * half_steps} exceeds budget {cap}"
+        )
+
+
 def run_chains(
     target: Target,
     p0: JointDensity,
@@ -128,25 +148,14 @@ def run_chains(
 
     Every chain starts from a cell drawn from p0 and alternates conditional
     draws in the engine's parity: the update into odd t redraws X from the
-    target's X-given-Y kernel, the update into even t redraws Y. The product
-    replicas * half_steps must stay within the budget (the module default,
-    unless one is passed).
+    target's X-given-Y kernel, the update into even t redraws Y. The request
+    is vetted by `check_chain_request`.
     """
     if not target.strictly_positive:
         raise TargetNotPositive("chain draws need a strictly positive target")
     if p0.shape != target.shape:
         raise DimensionMismatch(f"p0 is {p0.shape}, target is {target.shape}")
-    if replicas < 1:
-        raise DistributionError(f"replicas must be >= 1, got {replicas}")
-    if half_steps < 0:
-        raise DistributionError(f"half_steps must be >= 0, got {half_steps}")
-    if seed < 0:
-        raise DistributionError(f"seed must be nonnegative, got {seed}")
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if replicas * half_steps > cap:
-        raise BudgetExceeded(
-            f"replicas * half_steps = {replicas * half_steps} exceeds budget {cap}"
-        )
+    check_chain_request(replicas, half_steps, seed, budget)
 
     nx, ny = target.shape
     u = _replica_uniforms(seed, replicas, half_steps + 1)

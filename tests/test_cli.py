@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from daflow.cli import (
@@ -11,13 +12,21 @@ from daflow.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_STEPS_DEFAULT,
+    VERIFY_EPS_DEFAULT,
     main,
 )
+from daflow.dist import JointDensity, random_positive_target
+from daflow.engine import RetainPolicy, run
 
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("the trace was built before the request was checked")
 
 
 @pytest.fixture
@@ -166,6 +175,51 @@ class TestVerify:
         assert main(["verify", "--gen", "4,4,2", *selection]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["--checks", "lemma1"],
+            ["--checks", "lemma2"],
+            ["--checks", "lemma3"],
+            ["--checks", "cauchy"],
+            ["--checks", "lsc"],
+            ["--checks", "all"],
+            ["--checks", "lemma1", "--t", "0"],
+            ["--checks", "lemma2", "--t", "1", "--n", "1"],
+        ],
+    )
+    def test_retain_none_gap_refused_before_run(self, monkeypatch, capsys, selection):
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        assert main(["verify", "--gen", "4,4,2", "--retain", "none", *selection]) == EXIT_USAGE
+        assert "--retain none" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["lemma3", "lsc"])
+    def test_final_time_instance_runs_under_retain_none(self, capsys, check):
+        p0 = JointDensity(np.full((4, 4), 1 / 16))
+        trace = run(p0, random_positive_target(4, 4, 2), MAX_STEPS_DEFAULT, VERIFY_EPS_DEFAULT, RetainPolicy.none())
+        code = main([
+            "verify", "--gen", "4,4,2", "--retain", "none",
+            "--checks", check, "--t", str(trace.last_t), "--n", "0",
+        ])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["reports"][0]["t"] == trace.last_t
+
+    def test_reports_are_summarized_once(self, monkeypatch):
+        import daflow.cli
+        import daflow.diagnostics
+
+        calls = []
+        original = daflow.diagnostics.summarize
+
+        def counted(reports):
+            calls.append(len(reports))
+            return original(reports)
+
+        monkeypatch.setattr(daflow.cli, "summarize", counted)
+        monkeypatch.setattr(daflow.diagnostics, "summarize", counted)
+        assert main(["verify", "--gen", "3,3,9", "--checks", "balance,reconstruction"]) == EXIT_OK
+        assert calls == [3]
+
     def test_zero_cell_target_exits_hypothesis(self, zero_cell_target):
         assert main(["verify", "--target", zero_cell_target]) == EXIT_HYPOTHESIS
 
@@ -212,6 +266,24 @@ class TestSample:
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_within_bound"] is True
+
+    @pytest.mark.parametrize(
+        "request_args, env_budget",
+        [
+            (["--replicas", "1000", "--budget", "100"], None),
+            (["--replicas", "1000"], "100"),
+            (["--replicas", "10"], "lots"),
+            (["--replicas", "0"], None),
+            (["--replicas", "10", "--seed", "-1"], None),
+        ],
+    )
+    def test_bad_request_refused_before_run(self, monkeypatch, capsys, request_args, env_budget):
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        if env_budget is not None:
+            monkeypatch.setenv("DA_ENTROPY_BUDGET", env_budget)
+        code = main(["sample", "--gen", "2,2,1", "--times", "0,2", *request_args])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_half_steps_must_cover_times(self):
         code = main([

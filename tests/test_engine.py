@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -29,6 +30,7 @@ from daflow.engine import (
     UpdateKind,
     da_half_step,
     fixed_point_residual,
+    half_step_with_drift,
     initial_state,
     run,
     trace_to_csv,
@@ -41,6 +43,7 @@ from daflow.errors import (
     StateNotRetained,
     TargetNotPositive,
 )
+from daflow.metrics import relative_entropy, total_variation
 
 DIAG22 = JointDensity(np.array([[0.4, 0.1], [0.1, 0.4]]))
 
@@ -67,6 +70,21 @@ def brute_force_iterates(w0: np.ndarray, wpi: np.ndarray, n: int) -> list[np.nda
         w = new
         out.append(w.copy())
     return out
+
+
+def noisy_banded_target(n: int, beta: float, seed: int):
+    """A slowly mixing target, w[i, j] proportional to
+    exp(-beta |i - j| + 0.1 z[i, j]) with z seeded standard normal."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n)
+    w = np.exp(-beta * np.abs(i[:, None] - i[None, :]) + 0.1 * rng.standard_normal((n, n)))
+    return make_target(JointDensity(w / w.sum()))
+
+
+def degenerate(nx: int, ny: int, i: int, j: int) -> JointDensity:
+    w = np.zeros((nx, ny))
+    w[i, j] = 1.0
+    return JointDensity(w)
 
 
 def brute_force_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -380,3 +398,119 @@ class TestRecordInvariants:
         trace = run(p0, target, max_half_steps=60, eps=1e-300)
         assert trace.records[0].renorm_drift == 0.0
         assert max(r.renorm_drift for r in trace.records) <= 1e-12
+
+
+def reference_trace(p0: JointDensity, target, steps: int):
+    """Record tuples and states of `steps` half-steps on the joint reference
+    path: `half_step_with_drift` plus joint divergences and distances."""
+    states, drifts = [initial_state(p0)], [0.0]
+    for _ in range(steps):
+        state, drift = half_step_with_drift(states[-1], target)
+        states.append(state)
+        drifts.append(drift)
+    ds = [relative_entropy(s.density, target.joint).value for s in states]
+    records = []
+    for t, s in enumerate(states):
+        d_step = residual = None
+        if t < steps:
+            d_step = relative_entropy(s.density, states[t + 1].density).value
+            residual = abs(ds[t] - d_step - ds[t + 1])
+        tv = total_variation(s.density, target.joint)
+        records.append((t, ds[t], tv, d_step, residual, drifts[t]))
+    return records, states
+
+
+def _zero_cell_start() -> JointDensity:
+    w = gamma_weights(4, 5, seed=91)
+    w[1, :] = 0.0
+    w[:, 2] = 0.0
+    return JointDensity(w / w.sum())
+
+
+class TestMarginalStateRun:
+    """`run` carries one marginal per half-step; the joint half-step is the
+    reference it must agree with."""
+
+    @pytest.mark.parametrize(
+        "target, p0",
+        [
+            (random_positive_target(5, 4, seed=61), JointDensity(gamma_weights(5, 4, seed=62))),
+            (noisy_banded_target(12, 1.0, seed=63), degenerate(12, 12, 4, 11)),
+            (random_positive_target(1, 6, seed=64), JointDensity(gamma_weights(1, 6, seed=65))),
+            (random_positive_target(6, 1, seed=66), JointDensity(gamma_weights(6, 1, seed=67))),
+            (random_positive_target(4, 5, seed=68), _zero_cell_start()),
+        ],
+        ids=["random5x4", "banded12-degenerate", "nx1", "ny1", "p0-zero-cells"],
+    )
+    def test_agrees_with_joint_reference(self, target, p0):
+        trace = run(p0, target, max_half_steps=40, eps=1e-300)
+        expected, states = reference_trace(p0, target, trace.last_t)
+        assert len(trace.records) == len(expected)
+        for r, ref in zip(trace.records, expected):
+            got = (
+                r.t,
+                r.d_to_target.value,
+                r.tv_to_target,
+                None if r.d_step is None else r.d_step.value,
+                r.lemma1_residual,
+                r.renorm_drift,
+            )
+            assert got[0] == ref[0]
+            for a, b in zip(got[1:], ref[1:]):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert abs(a - b) <= 1e-13
+        assert trace.retained_times == list(range(trace.last_t + 1))
+        for t in trace.retained_times:
+            state = trace.state_at(t)
+            assert state.t == t and state.last_update is states[t].last_update
+            assert trace.state_at(t) is state
+            npt.assert_allclose(state.density.w, states[t].density.w, atol=1e-15, rtol=0)
+        for r in trace.records[:-1]:
+            between = relative_entropy(
+                trace.state_at(r.t).density, trace.state_at(r.t + 1).density
+            )
+            assert abs(r.d_step.value - between.value) <= 1e-15
+
+
+class _FsumCounter:
+    """Stands in for the `math` module of `daflow._numeric`, counting the
+    elements every correctly rounded sum sees."""
+
+    def __init__(self) -> None:
+        self.elements = 0
+
+    def fsum(self, values):
+        self.elements += len(values)
+        return math.fsum(values)
+
+
+class TestRunCost:
+    @pytest.mark.parametrize("n, steps", [(6, 20), (20, 50)])
+    def test_one_joint_sum_per_half_step(self, monkeypatch, n, steps):
+        target = noisy_banded_target(n, 1.0, seed=n)
+        p0 = degenerate(n, n, 0, n - 1)
+        counter = _FsumCounter()
+        with monkeypatch.context() as m:
+            m.setattr("daflow._numeric.math", counter)
+            trace = run(p0, target, max_half_steps=steps, eps=1e-300, retain=RetainPolicy.all())
+        assert trace.last_t == steps
+        assert counter.elements <= steps * (n * n + 8 * n) + 4 * n * n
+
+    def test_retained_states_are_built_on_lookup(self):
+        n, steps = 60, 400
+        target = noisy_banded_target(n, 1.0, seed=60)
+        p0 = degenerate(n, n, 0, 0)
+        joints_bytes = steps * n * n * 8
+        tracemalloc.start()
+        try:
+            trace = run(p0, target, max_half_steps=steps, eps=1e-300, retain=RetainPolicy.all())
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert len(trace.states) == steps + 1
+            assert trace.retained_times == list(range(steps + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < joints_bytes / 10
+        assert peak - held < n * n * 8
