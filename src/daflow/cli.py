@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._fsio import atomic_write_text
+from ._fsio import atomic_write_chunks, atomic_write_text
 from .diagnostics import (
     DEFAULT_CHECKS,
     lemma1_check,
@@ -60,7 +60,7 @@ from .sampler import (
     DEFAULT_BUDGET,
     check_chain_request,
     consistency_report,
-    draws_to_csv,
+    draws_csv_blocks,
     run_chains,
 )
 
@@ -333,7 +333,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         budget=budget,
     )
     if args.draws_out:
-        atomic_write_text(args.draws_out, draws_to_csv(draws))
+        atomic_write_chunks(args.draws_out, draws_csv_blocks(draws))
 
     report = consistency_report(draws, trace, times, clamp_to_converged_tail=True)
     _emit(

@@ -8,17 +8,22 @@ with the exact iterate densities up to multinomial noise, which is what
 `consistency_report` quantifies against the reference scale
 sqrt(nx * ny / replicas).
 
-Reproducibility is absolute: replica r consumes its own substream derived
-from (seed, r), so draws are bit-identical across runs, independent of
-execution order, and stable under changing the replica count (the first r
-replicas of a larger run equal a smaller run). Categorical draws use
-inverse-CDF lookup against cumulative tables in fixed row-major cell order,
-which keeps the stream platform-independent.
+Reproducibility is absolute: the uniform that replica r consumes at time t
+is a counter-based hash u = f(seed, r, t) (SplitMix64 mixing in 64-bit
+unsigned arithmetic), so draws are bit-identical across runs, independent of
+execution order, and stable under changing the replica count or the number
+of half-steps (the first r replicas and the first t + 1 times of a larger
+run equal a smaller run). Categorical draws use inverse-CDF lookup against
+cumulative tables in fixed row-major cell order: the drawn index is the
+number of cumulative values below u, capped at the last category, found by
+a binary search per replica, which keeps the stream platform-independent
+and the memory proportional to replicas plus the table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,19 +106,74 @@ class EmpiricalDensity:
         return JointDensity(self.counts / self.n)
 
 
+_MASK64 = (1 << 64) - 1
+# SplitMix64 increment and finalizer multipliers (Steele, Lea & Flood, OOPSLA 2014)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, a bijection on uint64, applied in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _stream_key(seed: int) -> int:
+    """Fold every 64-bit limb of a nonnegative seed, low limb first, into one
+    64-bit key; seeds below 2**64 map to distinct keys."""
+    key = 0
+    while True:
+        limb = np.array([((key + _GOLDEN) & _MASK64) ^ (seed & _MASK64)], dtype=np.uint64)
+        key = int(_mix64(limb)[0])
+        seed >>= 64
+        if not seed:
+            return key
+
+
 def _replica_uniforms(seed: int, replicas: int, draws_each: int) -> np.ndarray:
-    """One independent uniform substream per replica, keyed by (seed, r)."""
-    u = np.empty((replicas, draws_each))
-    for r in range(replicas):
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r])))
-        u[r] = gen.random(draws_each)
-    return u
+    """Uniforms on [0, 1): entry (r, t) is a hash of (seed, r, t) alone.
+
+    Replica r's key is the SplitMix64 output at counter r + 1 of the seed's
+    key; its t-th uniform is the top 53 bits of the SplitMix64 output at
+    counter t + 1 of the replica key.
+    """
+    golden = np.uint64(_GOLDEN)
+    replica_keys = np.arange(1, replicas + 1, dtype=np.uint64)
+    replica_keys *= golden
+    replica_keys += np.uint64(_stream_key(seed))
+    _mix64(replica_keys)
+    z = replica_keys[:, None] + np.arange(1, draws_each + 1, dtype=np.uint64) * golden
+    _mix64(z)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * 2.0**-53
 
 
-def _categorical_rows(cum_rows: np.ndarray, u: np.ndarray, n_cats: int) -> np.ndarray:
-    """Inverse-CDF draw per row: cum_rows[i] is a cumulative pmf, u[i] its uniform."""
-    idx = (cum_rows < u[:, None]).sum(axis=1)
-    return np.minimum(idx, n_cats - 1)
+def _categorical_rows(cum_table: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per replica from row rows[i] of a cumulative table.
+
+    The index is min((cum_table[rows[i]] < u[i]).sum(), n - 1), found by a
+    branchless binary search over each nondecreasing row, so memory stays
+    O(replicas + table) and every comparison is the exact float comparison.
+    """
+    n = cum_table.shape[1]
+    flat = cum_table.ravel()
+    # flat index of cum_table[rows[i], c - 1] is before_row[i] + c
+    before_row = rows * n - 1
+    below = np.zeros(u.shape, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        # grow `below` by `step` where the entry at the grown count is still < u
+        grown = below + step
+        fits = grown <= n
+        fits &= flat[before_row + np.minimum(grown, n)] < u
+        below += step * fits
+        step >>= 1
+    return np.minimum(below, n - 1)
 
 
 def check_chain_request(replicas: int, half_steps: int, seed: int, budget: int | None = None) -> None:
@@ -164,8 +224,8 @@ def run_chains(
     ys = np.empty((replicas, half_steps + 1), dtype=np.int64)
 
     # initial cell from p0, flattened row-major
-    cum0 = np.cumsum(p0.w.ravel())
-    flat = _categorical_rows(np.broadcast_to(cum0, (replicas, nx * ny)), u[:, 0], nx * ny)
+    cum0 = np.cumsum(p0.w.ravel())[None, :]
+    flat = _categorical_rows(cum0, u[:, 0], np.zeros(replicas, dtype=np.intp))
     xs[:, 0] = flat // ny
     ys[:, 0] = flat % ny
 
@@ -176,9 +236,9 @@ def run_chains(
     x, y = xs[:, 0], ys[:, 0]
     for s in range(1, half_steps + 1):
         if (s - 1) % 2 == 0:
-            x = _categorical_rows(cum_x_given_y[y], u[:, s], nx)
+            x = _categorical_rows(cum_x_given_y, u[:, s], y)
         else:
-            y = _categorical_rows(cum_y_given_x[x], u[:, s], ny)
+            y = _categorical_rows(cum_y_given_x, u[:, s], x)
         xs[:, s] = x
         ys[:, s] = y
 
@@ -240,12 +300,26 @@ def consistency_report(
 
 
 DRAWS_CSV_HEADER = "replica,t,x,y"
+# rows formatted per block of the streamed draws CSV
+DRAWS_CSV_BLOCK_ROWS = 4096
+_DRAWS_CSV_ROW = "%d,%d,%d,%d\n"
+
+
+def draws_csv_blocks(draws: ChainDraws) -> Iterator[str]:
+    """The draws CSV as consecutive text blocks: the header line, then rows
+    (replica, t, x, y) in replica-major order, DRAWS_CSV_BLOCK_ROWS per block,
+    so a writer can stream the file without holding all of it."""
+    yield DRAWS_CSV_HEADER + "\n"
+    steps = draws.half_steps + 1
+    total = draws.replicas * steps
+    xs, ys = draws.xs.ravel(), draws.ys.ravel()
+    for start in range(0, total, DRAWS_CSV_BLOCK_ROWS):
+        stop = min(start + DRAWS_CSV_BLOCK_ROWS, total)
+        r, t = np.divmod(np.arange(start, stop), steps)
+        rows = np.column_stack((r, t, xs[start:stop], ys[start:stop]))
+        yield _DRAWS_CSV_ROW * (stop - start) % tuple(rows.ravel().tolist())
 
 
 def draws_to_csv(draws: ChainDraws) -> str:
     """All draws as CSV, one row per (replica, time)."""
-    lines = [DRAWS_CSV_HEADER]
-    for r in range(draws.replicas):
-        for t in range(draws.half_steps + 1):
-            lines.append(f"{r},{t},{draws.xs[r, t]},{draws.ys[r, t]}")
-    return "\n".join(lines) + "\n"
+    return "".join(draws_csv_blocks(draws))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from daflow.cli import (
 )
 from daflow.dist import JointDensity, random_positive_target
 from daflow.engine import RetainPolicy, run
+from daflow.sampler import DRAWS_CSV_BLOCK_ROWS, draws_to_csv, run_chains
 
 
 def write_json(path, obj):
@@ -247,6 +249,26 @@ class TestSample:
         lines = draws_path.read_text().strip().split("\n")
         assert lines[0] == "replica,t,x,y"
         assert len(lines) == 1 + 50 * 3
+
+    @pytest.mark.parametrize("replicas", [DRAWS_CSV_BLOCK_ROWS - 1, DRAWS_CSV_BLOCK_ROWS, DRAWS_CSV_BLOCK_ROWS + 1])
+    def test_streamed_draws_equal_draws_to_csv(self, tmp_path, capsys, replicas):
+        draws_path = tmp_path / "draws.csv"
+        code = main([
+            "sample", "--gen", "2,3,9", "--replicas", str(replicas), "--times", "0",
+            "--seed", "5", "--draws-out", str(draws_path),
+        ])
+        assert code == EXIT_OK
+        target = random_positive_target(2, 3, 9)
+        p0 = JointDensity(np.full((2, 3), 1.0 / 6))
+        expected = draws_to_csv(run_chains(target, p0, replicas=replicas, half_steps=0, seed=5))
+        assert draws_path.read_bytes() == expected.encode("utf-8")
+        assert sorted(os.listdir(tmp_path)) == ["draws.csv"]
+
+    def test_seed_beyond_64_bits_runs(self, capsys):
+        code = main(["sample", "--gen", "2,2,1", "--replicas", "100", "--times", "0,2",
+                     "--seed", str(2**64)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64
 
     def test_budget_flag_enforced(self):
         code = main([

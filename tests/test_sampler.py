@@ -4,6 +4,7 @@ the exact density evolution up to multinomial noise."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -23,16 +24,47 @@ from daflow.errors import (
 )
 from daflow.metrics import total_variation
 from daflow.sampler import (
+    DRAWS_CSV_BLOCK_ROWS,
     DRAWS_CSV_HEADER,
     ChainDraws,
     EmpiricalDensity,
+    _categorical_rows,
+    _replica_uniforms,
     consistency_report,
+    draws_csv_blocks,
     draws_to_csv,
     empirical_at,
     run_chains,
 )
 
 DIAG22 = JointDensity(np.array([[0.4, 0.1], [0.1, 0.4]]))
+
+MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64_reference(z: int) -> int:
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def uniform_reference(seed: int, r: int, t: int) -> float:
+    """The stream's uniform at (seed, r, t) in plain integers mod 2**64."""
+    key = 0
+    while True:
+        key = mix64_reference(((key + GOLDEN) & MASK64) ^ (seed & MASK64))
+        seed >>= 64
+        if not seed:
+            break
+    replica_key = mix64_reference((key + (r + 1) * GOLDEN) & MASK64)
+    return (mix64_reference((replica_key + (t + 1) * GOLDEN) & MASK64) >> 11) / 2.0**53
+
+
+def uniform_at(seed: int, r: int, t: int) -> float:
+    return float(_replica_uniforms(seed, r + 1, t + 1)[r, t])
 
 
 class TestDeterminism:
@@ -60,6 +92,112 @@ class TestDeterminism:
         large = run_chains(target, p0, replicas=200, half_steps=5, seed=4)
         npt.assert_array_equal(small.xs, large.xs[:50])
         npt.assert_array_equal(small.ys, large.ys[:50])
+
+    def test_half_step_prefix_stable(self):
+        # u depends on (seed, r, t) only, so a longer run extends a shorter one
+        target = random_positive_target(3, 4, seed=50)
+        p0 = JointDensity(gamma_weights(3, 4, seed=51))
+        short = run_chains(target, p0, replicas=300, half_steps=5, seed=4)
+        long = run_chains(target, p0, replicas=300, half_steps=9, seed=4)
+        npt.assert_array_equal(short.xs, long.xs[:, :6])
+        npt.assert_array_equal(short.ys, long.ys[:, :6])
+
+    @pytest.mark.parametrize("seed", [0, 2**64, 2**64 + 1])
+    def test_seeds_of_any_size_run(self, seed):
+        target = random_positive_target(3, 4, seed=50)
+        d = run_chains(target, JointDensity(gamma_weights(3, 4, seed=51)), 200, 4, seed=seed)
+        assert d.seed == seed and d.xs.shape == (200, 5)
+
+    def test_seed_limbs_give_distinct_streams(self):
+        # 2**64 and 0 share their low limb; 2**64 + 1 differs from 2**64 only there
+        streams = [_replica_uniforms(seed, 20, 5) for seed in (0, 2**64, 2**64 + 1)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert not np.any(streams[i] == streams[j])
+
+
+class TestCounterStream:
+    @pytest.mark.parametrize(
+        "seed, r, t",
+        [(0, 0, 0), (1, 0, 7), (12345, 9, 3), (2**63, 4, 0), (2**64, 2, 1), (2**64 + 1, 2, 1), (3**90, 5, 6)],
+    )
+    def test_matches_integer_reference(self, seed, r, t):
+        assert uniform_at(seed, r, t) == uniform_reference(seed, r, t)
+
+    @pytest.mark.parametrize(
+        "seed, r, t, golden",
+        [
+            (0, 0, 0, "0x1.1c13ade1c7e5cp-3"),
+            (5, 3, 2, "0x1.d3f79978a4c41p-1"),
+            (2**64, 1, 4, "0x1.96fb5d7a540f0p-2"),
+            (2**64 + 1, 1, 4, "0x1.2cfaa72a6415cp-1"),
+        ],
+    )
+    def test_golden_values(self, seed, r, t, golden):
+        # pins the stream: changing it changes every draw and every report
+        assert uniform_at(seed, r, t) == float.fromhex(golden)
+
+    def test_range_mean_and_variance(self):
+        u = _replica_uniforms(7, 1000, 1000)
+        n = u.size
+        assert u.min() >= 0.0 and u.max() < 1.0
+        assert abs(u.mean() - 0.5) <= 5.0 * math.sqrt(1.0 / (12.0 * n))
+        # Var((U - 1/2)^2) = 1/80 - 1/144 = 1/180 for U uniform on [0, 1)
+        assert abs(u.var() - 1.0 / 12.0) <= 5.0 * math.sqrt(1.0 / (180.0 * n))
+
+    def test_neighbours_uncorrelated(self):
+        u = _replica_uniforms(11, 1000, 1000)
+        for a, b in ((u[:, :-1], u[:, 1:]), (u[:-1], u[1:]), (u[:-1, :-1], u[1:, 1:])):
+            corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+            assert abs(corr) <= 5.0 / math.sqrt(a.size)
+
+
+class TestCategoricalRows:
+    @staticmethod
+    def reference(cum_table, u, rows):
+        n = cum_table.shape[1]
+        return np.array([min(int((cum_table[row] < v).sum()), n - 1) for row, v in zip(rows, u)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 64, 100])
+    def test_matches_comparison_count(self, n):
+        rng = np.random.default_rng(n)
+        k = 5
+        w = rng.gamma(0.5, size=(k, n))
+        w[0, : n // 2] = 0.0  # leading zero-mass cells
+        w[1, n // 2 :] = 0.0  # trailing zero-mass cells
+        w[1, 0] = 1.0
+        cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+        rows = rng.integers(k, size=600)
+        u = rng.random(600)
+        # uniforms exactly on a cumulative value, at 0, just above and past the end
+        cols = rng.integers(n, size=200)
+        u[:200] = cum[rows[:200], cols]
+        u[200:250] = np.nextafter(u[:50], 2.0)
+        u[250:260] = 0.0
+        u[260:270] = np.nextafter(1.0, 0.0)
+        u[270:280] = cum[rows[270:280], -1]
+        got = _categorical_rows(cum, u, rows)
+        npt.assert_array_equal(got, self.reference(cum, u, rows))
+
+    def test_single_row_table(self):
+        cum = np.cumsum(np.full(2500, 1.0 / 2500))[None, :]
+        u = np.linspace(0.0, 1.0, 1001, endpoint=False)
+        rows = np.zeros(u.size, dtype=np.intp)
+        npt.assert_array_equal(_categorical_rows(cum, u, rows), self.reference(cum, u, rows))
+
+    def test_memory_linear_in_replicas(self):
+        # the p0 draw over 2,500 cells used to compare every uniform with
+        # every cell: a 263 MB peak at this size
+        n, replicas, half_steps = 50, 100_000, 4
+        target = random_positive_target(n, n, seed=3)
+        p0 = JointDensity(np.full((n, n), 1.0 / n**2))
+        tracemalloc.start()
+        try:
+            run_chains(target, p0, replicas=replicas, half_steps=half_steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * replicas * (half_steps + 1) + 8 * 4 * n**2
 
 
 class TestChainStructure:
@@ -240,3 +378,27 @@ class TestDrawsCsv:
         a = draws_to_csv(run_chains(target, DIAG22, replicas=4, half_steps=2, seed=6))
         b = draws_to_csv(run_chains(target, DIAG22, replicas=4, half_steps=2, seed=6))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "replicas, half_steps",
+        [
+            (DRAWS_CSV_BLOCK_ROWS - 1, 0),
+            (DRAWS_CSV_BLOCK_ROWS, 0),
+            (DRAWS_CSV_BLOCK_ROWS + 1, 0),
+            (2 * DRAWS_CSV_BLOCK_ROWS, 0),
+            (DRAWS_CSV_BLOCK_ROWS // 3 + 1, 2),
+        ],
+    )
+    def test_blocks_match_row_by_row_text(self, replicas, half_steps):
+        target = random_positive_target(3, 4, seed=40)
+        d = run_chains(target, target.joint, replicas=replicas, half_steps=half_steps, seed=2)
+        lines = [DRAWS_CSV_HEADER]
+        for r in range(d.replicas):
+            for t in range(d.half_steps + 1):
+                lines.append(f"{r},{t},{d.xs[r, t]},{d.ys[r, t]}")
+        blocks = list(draws_csv_blocks(d))
+        assert draws_to_csv(d) == "".join(blocks) == "\n".join(lines) + "\n"
+        assert blocks[0] == DRAWS_CSV_HEADER + "\n"
+        rows = [b.count("\n") for b in blocks[1:]]
+        assert sum(rows) == replicas * (half_steps + 1)
+        assert all(r == DRAWS_CSV_BLOCK_ROWS for r in rows[:-1]) and 1 <= rows[-1] <= DRAWS_CSV_BLOCK_ROWS
