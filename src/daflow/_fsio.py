@@ -1,7 +1,9 @@
-"""Atomic text-file output."""
+"""Text output: atomic file writes and the indent-1 JSON writer."""
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 import tempfile
 from collections.abc import Iterable
@@ -36,3 +38,52 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to `path` atomically (see `atomic_write_chunks`)."""
     atomic_write_chunks(path, (text,))
+
+
+# members of these exact types are never containers; a container holding
+# anything else is walked member by member, which writes the same text
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C-accelerated encoder for containers at `depth`: its item
+    separator ends a line and indents the next member."""
+    return json.JSONEncoder(separators=(",\n" + " " * (depth + 1), ": "))
+
+
+def dumps_indent1(obj) -> str:
+    """``json.dumps(obj, indent=1)``, byte for byte.
+
+    With `indent` set, CPython encodes in pure Python. Here a dict, list or
+    tuple with no container among its members is written by one call to the
+    C encoder, whose item separator already carries the newline and
+    indentation, and only the containers that nest others are walked in
+    Python.
+    """
+    parts: list[str] = []
+    _dump(obj, 0, parts)
+    return "".join(parts)
+
+
+def _dump(obj, depth: int, parts: list[str]) -> None:
+    enc = _encoder(depth)
+    is_dict = isinstance(obj, dict)
+    members = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else None
+    if not members or _SCALARS.issuperset(map(type, members)):
+        text = enc.encode(obj)
+        if members:
+            # "{a,<sep>b}" -> "{<newline, indent>a,<sep>b<newline, outer indent>}"
+            text = f"{text[0]}{enc.item_separator[1:]}{text[1:-1]}\n{' ' * depth}{text[-1]}"
+        parts.append(text)
+        return
+    separator = enc.item_separator[1:]
+    parts.append("{" if is_dict else "[")
+    for key, member in obj.items() if is_dict else enumerate(obj):
+        parts.append(separator)
+        separator = enc.item_separator
+        if is_dict:
+            # the key as the encoder writes it, including json's key coercions
+            parts.append(enc.encode({key: 0})[1:-2])
+        _dump(member, depth + 1, parts)
+    parts.append(f"\n{' ' * depth}{'}' if is_dict else ']'}")

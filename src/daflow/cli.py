@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._fsio import atomic_write_chunks, atomic_write_text
+from ._fsio import atomic_write_chunks, atomic_write_text, dumps_indent1
 from .diagnostics import (
     DEFAULT_CHECKS,
     lemma1_check,
@@ -339,7 +339,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _emit(
         args.out_prefix,
         "consistency",
-        json.dumps(report, indent=1) + "\n",
+        dumps_indent1(report) + "\n",
         f"replicas={args.replicas} half_steps={half_steps} "
         f"all_within_bound={str(report['all_within_bound']).lower()}",
     )

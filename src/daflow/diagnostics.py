@@ -23,6 +23,16 @@ Checks consume retained states only and never recompute iterates: the
 engine stays the single source of truth, and a missing state is reported as
 `StateNotRetained` rather than silently filled in.
 
+The pairwise families are evaluated as rows. lemma3's D(p_t || p_k) and
+cauchy's V(p_t, p_k) are formed for one t against a block of stacked later
+densities in single NumPy operations, with one correctly rounded sum per
+pair, so every value equals `relative_entropy` or `total_variation` on that
+pair exactly and the JSON output is the same as pair by pair. A block holds
+at most a fixed number of values, whatever the number of retained times.
+A sweep evaluates D(p_t || target) once per time and lemma1, lemma3 and lsc
+share it. The lemma3 grid still covers every pair of retained times, so its
+cost is O(T^2) in their number T.
+
 Every check returns a :class:`LemmaReport`; identities pass when the
 absolute residual is at most the tolerance, inequalities when the slack is
 no lower than minus the tolerance.
@@ -31,12 +41,13 @@ no lower than minus the tolerance.
 from __future__ import annotations
 
 import enum
-import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fsio import dumps_indent1
 from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
@@ -56,7 +67,14 @@ from .errors import (
     TargetNotPositive,
     ZeroConditional,
 )
-from .metrics import ExtReal, encode, relative_entropy, total_variation
+from .metrics import (
+    ExtReal,
+    _l1_rows,
+    _rel_entropy_rows,
+    encode,
+    relative_entropy,
+    total_variation,
+)
 
 IDENTITY_TOL = 1e-10
 INEQUALITY_TOL = 1e-10
@@ -145,6 +163,36 @@ def _density(trace: DATrace, t: int) -> JointDensity:
     return trace.state_at(t).density
 
 
+class _ToTarget(dict):
+    """D(p_t || target) on the joint, keyed by t and computed on first use,
+    so a sweep evaluates it once per time whichever families read it."""
+
+    def __init__(self, trace: DATrace) -> None:
+        super().__init__()
+        self._trace = trace
+
+    def __missing__(self, t: int) -> ExtReal:
+        d = self[t] = relative_entropy(_density(self._trace, t), self._trace.target.joint)
+        return d
+
+
+# the pairwise sweeps stack later densities at most this many values at a
+# time (512 KiB of float64), whatever the number of retained times
+_BLOCK_VALUES = 1 << 16
+
+
+def _stacked_rows(
+    rows: Callable[[np.ndarray, np.ndarray], list], p: np.ndarray, qs: list[np.ndarray]
+) -> list:
+    """rows(p, stack) over the weight arrays qs in order, stacked in blocks of
+    at most _BLOCK_VALUES values: one value per q."""
+    per_block = max(1, _BLOCK_VALUES // p.size)
+    out = []
+    for lo in range(0, len(qs), per_block):
+        out.extend(rows(p, np.stack(qs[lo : lo + per_block])))
+    return out
+
+
 def _identity_value(lhs: ExtReal, rhs: ExtReal) -> tuple[float, str]:
     """Residual of an extended-real identity lhs = rhs.
 
@@ -164,11 +212,14 @@ def lemma1_check(trace: DATrace, t: int) -> LemmaReport:
     D(p_t || target) = D(p_t || p_(t+1)) + D(p_(t+1) || target)."""
     if t < 0:
         raise DistributionError(f"lemma1_check needs t >= 0, got {t}")
+    return _lemma1(trace, t, _ToTarget(trace))
+
+
+def _lemma1(trace: DATrace, t: int, d: _ToTarget) -> LemmaReport:
     p_t = _density(trace, t)
     p_next = _density(trace, t + 1)
-    pi = trace.target.joint
-    lhs = relative_entropy(p_t, pi)
-    rhs = relative_entropy(p_t, p_next) + relative_entropy(p_next, pi)
+    lhs = d[t]
+    rhs = relative_entropy(p_t, p_next) + d[t + 1]
     value, note = _identity_value(lhs, rhs)
     return _report(CheckName.LEMMA1, t, None, lhs, rhs, value, IDENTITY_TOL, note)
 
@@ -206,33 +257,40 @@ def lemma3_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     D(p_t || p_(t+n)) <= D(p_t || target) - D(p_(t+n) || target)."""
     if t < 1 or n < 0:
         raise DistributionError(f"lemma3_check needs t >= 1 and n >= 0, got t={t}, n={n}")
-    p_t = _density(trace, t)
-    p_tn = _density(trace, t + n)
-    pi = trace.target.joint
-    d_t = relative_entropy(p_t, pi)
-    d_tn = relative_entropy(p_tn, pi)
-    if not (d_t.is_finite and d_tn.is_finite):
+    return _lemma3_row(trace, t, [t + n], _ToTarget(trace))[0]
+
+
+def _lemma3_row(trace: DATrace, t: int, later: list[int], d: _ToTarget) -> list[LemmaReport]:
+    """The lemma3 reports at t against each time k in `later`, with the
+    divergences D(p_t || p_k) evaluated as one row."""
+    p_t = _density(trace, t).w
+    p_later = [_density(trace, k).w for k in later]
+    if not (d[t].is_finite and all(d[k].is_finite for k in later)):
         raise DistributionError("lemma3_check needs finite divergences to the target")
-    lhs = relative_entropy(p_t, p_tn)
-    rhs = ExtReal.finite(d_t.value - d_tn.value)
-    if not lhs.is_finite:
-        return _report(
-            CheckName.LEMMA3, t, n, lhs, rhs, -math.inf, INEQUALITY_TOL,
-            "left side infinite with finite right side",
-        )
-    slack = rhs.value - lhs.value
-    return _report(CheckName.LEMMA3, t, n, lhs, rhs, slack, INEQUALITY_TOL)
+    reports = []
+    for k, lhs in zip(later, _stacked_rows(_rel_entropy_rows, p_t, p_later)):
+        rhs = ExtReal.finite(d[t].value - d[k].value)
+        if not lhs.is_finite:
+            reports.append(_report(
+                CheckName.LEMMA3, t, k - t, lhs, rhs, -math.inf, INEQUALITY_TOL,
+                "left side infinite with finite right side",
+            ))
+            continue
+        slack = rhs.value - lhs.value
+        reports.append(_report(CheckName.LEMMA3, t, k - t, lhs, rhs, slack, INEQUALITY_TOL))
+    return reports
 
 
 def cauchy_matrix(trace: DATrace, times: list[int]) -> np.ndarray:
-    """Pairwise L1 distances V(p_t, p_k) for the listed retained times."""
-    densities = [_density(trace, t) for t in times]
+    """Pairwise L1 distances V(p_t, p_k) for the listed retained times, each
+    row of later times evaluated as one stack."""
+    weights = [_density(trace, t).w for t in times]
     m = len(times)
     out = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            v = total_variation(densities[a], densities[b])
-            out[a, b] = out[b, a] = v
+    for a in range(m - 1):
+        row = _stacked_rows(_l1_rows, weights[a], weights[a + 1 :])
+        out[a, a + 1 :] = row
+        out[a + 1 :, a] = row
     return readonly(out)
 
 
@@ -295,10 +353,14 @@ def lsc_gap(trace: DATrace, t: int, horizon: int) -> LemmaReport:
         raise DistributionError(f"lsc horizon must be >= 0, got {horizon}")
     if not trace.converged:
         raise NotConverged("lsc_gap needs a converged trace")
+    return _lsc(trace, t, horizon, _ToTarget(trace))
+
+
+def _lsc(trace: DATrace, t: int, horizon: int, d: _ToTarget) -> LemmaReport:
     p_t = _density(trace, t)
     p_h = _density(trace, t + horizon)
     lhs = relative_entropy(p_t, p_h)
-    rhs = relative_entropy(p_t, trace.target.joint)
+    rhs = d[t]
     d_h = trace.record_at(t + horizon).d_to_target.value
     tolerance = max(LSC_FLOOR, 10.0 * d_h)
     if not (lhs.is_finite and rhs.is_finite):
@@ -333,16 +395,18 @@ def reconstruct_from_conditionals(
         raise DimensionMismatch(f"kernel shapes {cx.shape} and {cy.shape} differ")
     if cx.k.min() <= 0.0 or cy.k.min() <= 0.0:
         raise ZeroConditional("reconstruction requires strictly positive kernels")
-    nx = cx.shape[0]
-    reconstructions = []
-    for x0 in range(nx):
+
+    def rebuilt(x0: int) -> JointDensity:
         u = cy.k[x0, :] / cx.k[x0, :]
-        m = MarginalDensity(Axis.Y, u / stable_sum(u))
-        reconstructions.append(compose(m, cx))
-    residual = max(
-        total_variation(reconstructions[x0], reconstructions[0]) for x0 in range(nx)
-    )
-    return reconstructions[0], residual
+        return compose(MarginalDensity(Axis.Y, u / stable_sum(u)), cx)
+
+    # each later reconstruction is compared with the first and dropped, so
+    # at most two joints are alive at once
+    first = rebuilt(0)
+    residual = 0.0
+    for x0 in range(1, cx.shape[0]):
+        residual = max(residual, total_variation(rebuilt(x0), first))
+    return first, residual
 
 
 def reconstruction_check(target: Target) -> LemmaReport:
@@ -435,13 +499,14 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
     retained = set(trace.retained_times)
     last = trace.last_t
     reports: list[LemmaReport] = []
+    d = _ToTarget(trace)
 
     for check in checks:
         if check == "lemma1":
             instances = [t for t in sorted(retained) if t + 1 in retained]
             if not instances:
                 raise StateNotRetained("lemma1 needs a retained consecutive pair")
-            reports.extend(lemma1_check(trace, t) for t in instances)
+            reports.extend(_lemma1(trace, t, d) for t in instances)
         elif check == "lemma2":
             ran = False
             for t in LEMMA2_DEFAULT_TS:
@@ -455,10 +520,10 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
                 raise StateNotRetained("lemma2 found no runnable (t, n) instance")
         elif check == "lemma3":
             times = [t for t in sorted(retained) if t >= 1]
-            pairs = [(t, k - t) for i, t in enumerate(times) for k in times[i + 1 :]]
-            if not pairs:
+            if len(times) < 2:
                 raise StateNotRetained("lemma3 needs two retained times with t >= 1")
-            reports.extend(lemma3_check(trace, t, n) for t, n in pairs)
+            for i, t in enumerate(times[:-1]):
+                reports.extend(_lemma3_row(trace, t, times[i + 1 :], d))
         elif check == "cauchy":
             reports.append(cauchy_check(trace))
         elif check == "lsc":
@@ -468,7 +533,7 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
             if not anchors:
                 raise StateNotRetained("lsc needs a retained time t >= 1 before the final state")
             t = anchors[0]
-            reports.append(lsc_gap(trace, t, last - t))
+            reports.append(_lsc(trace, t, last - t, d))
         elif check == "balance":
             reports.append(balance_check(trace.target, Axis.X))
             reports.append(balance_check(trace.target, Axis.Y))
@@ -524,4 +589,4 @@ def verification_to_json(reports: list[LemmaReport], summary: dict | None = None
         "reports": [report_to_json_dict(r) for r in reports],
         "summary": summarize(reports) if summary is None else summary,
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return dumps_indent1(doc) + "\n"

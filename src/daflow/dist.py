@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fsio import atomic_write_text
+from ._fsio import atomic_write_text, dumps_indent1
 from ._numeric import readonly, stable_sum
 from .errors import DimensionMismatch, DistributionError, PositivityViolation
 
@@ -391,7 +391,8 @@ def joint_from_json_dict(obj: dict) -> JointDensity:
 
 def save_joint(path: str, p: JointDensity) -> None:
     """Write a joint density as JSON, atomically."""
-    atomic_write_text(path, json.dumps(joint_to_json_dict(p), sort_keys=True, indent=1) + "\n")
+    doc = dict(sorted(joint_to_json_dict(p).items()))
+    atomic_write_text(path, dumps_indent1(doc) + "\n")
 
 
 def load_joint(path: str) -> JointDensity:

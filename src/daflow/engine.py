@@ -37,12 +37,12 @@ half-step.
 from __future__ import annotations
 
 import enum
-import json
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._fsio import dumps_indent1
 from ._numeric import stable_sum
 from .dist import (
     Axis,
@@ -406,4 +406,4 @@ def trace_to_json_dict(trace: DATrace) -> dict:
 
 
 def trace_to_json(trace: DATrace) -> str:
-    return json.dumps(trace_to_json_dict(trace), indent=1) + "\n"
+    return dumps_indent1(trace_to_json_dict(trace)) + "\n"

@@ -11,7 +11,10 @@ Total variation here is the L1 distance ``sum |p - q|``, which lives in
 ``D(p||q) >= V(p, q)^2 / 2`` with D in nats.
 
 All sums are accumulated with error-free compensated summation in a fixed
-row-major order, so repeated runs on the same inputs are bit-identical.
+row-major order, so repeated runs on the same inputs are bit-identical. One
+pair's divergence or distance and a row of them against stacked densities go
+through the same helper, with one correctly rounded sum per pair, so a
+value does not depend on how many pairs were evaluated with it.
 
 `encode` fixes how an exported number is written. The trace CSV and JSON,
 the verify JSON and `run`'s stdout line all go through it, so an infinity
@@ -106,22 +109,52 @@ def encode(x: ExtReal | float | int | None) -> float | int | str | None:
     return x
 
 
+def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> list[ExtReal]:
+    """D(p||q) for each weight array q stacked along the first axis of qs.
+
+    The terms ``p * log(p / q)`` on the support of p are formed for the whole
+    stack in single NumPy operations, and each row gets one correctly rounded
+    sum, so a row's value does not depend on the rows stacked with it. A row
+    whose q vanishes somewhere on the support is +infinity.
+    """
+    if qs.shape[1:] != p.shape:
+        raise DimensionMismatch(f"{what}: shapes {p.shape} and {qs.shape[1:]} differ")
+    support = (p > 0.0).reshape(-1)
+    ps, q_support = p.reshape(-1), qs.reshape(len(qs), -1)
+    if not support.all():
+        # gathering is the costlier step at the grid sizes a run iterates on,
+        # and every iterate after t=0 has full support
+        ps, q_support = ps[support], q_support.compress(support, axis=1)
+    infinite = (q_support == 0.0).any(axis=1).tolist()
+    with np.errstate(divide="ignore"):
+        terms = ps / q_support
+    np.log(terms, out=terms)
+    terms *= ps
+    out = []
+    for row, row_infinite in zip(terms, infinite):
+        if row_infinite:
+            out.append(ExtReal.pos_infinity())
+            continue
+        total = stable_sum(row)
+        if total < 0.0:
+            if total < -NEGATIVE_CLIP_TOL:
+                raise DistributionError(f"{what}: divergence {total!r} is negative beyond rounding")
+            total = 0.0
+        out.append(ExtReal.finite(total))
+    return out
+
+
+def _l1_rows(p: np.ndarray, qs: np.ndarray) -> list[float]:
+    """sum |p - q| for each weight array q stacked along the first axis of qs,
+    one correctly rounded sum per row."""
+    diff = p - qs
+    np.abs(diff, out=diff)
+    return [stable_sum(row) for row in diff]
+
+
 def _rel_entropy_raw(p: np.ndarray, q: np.ndarray, what: str) -> ExtReal:
-    """D(p||q) over flattened weight arrays of identical shape."""
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"{what}: shapes {p.shape} and {q.shape} differ")
-    support = p > 0.0
-    if np.any(q[support] == 0.0):
-        return ExtReal.pos_infinity()
-    terms = np.zeros_like(p)
-    ps = p[support]
-    terms[support] = ps * np.log(ps / q[support])
-    total = stable_sum(terms)
-    if total < 0.0:
-        if total < -NEGATIVE_CLIP_TOL:
-            raise DistributionError(f"{what}: divergence {total!r} is negative beyond rounding")
-        total = 0.0
-    return ExtReal.finite(total)
+    """D(p||q) over weight arrays of identical shape."""
+    return _rel_entropy_rows(p, q[None], what)[0]
 
 
 def relative_entropy(p: JointDensity, q: JointDensity) -> ExtReal:
@@ -142,7 +175,7 @@ def total_variation(p: JointDensity, q: JointDensity) -> float:
     """L1 distance sum |p - q|, a value in [0, 2]."""
     if p.shape != q.shape:
         raise DimensionMismatch(f"total_variation: shapes {p.shape} and {q.shape} differ")
-    return stable_sum(np.abs(p.w - q.w))
+    return _l1_rows(p.w, q.w[None])[0]
 
 
 def marginal_total_variation(p: MarginalDensity, q: MarginalDensity) -> float:
@@ -153,7 +186,7 @@ def marginal_total_variation(p: MarginalDensity, q: MarginalDensity) -> float:
         )
     if len(p) != len(q):
         raise DimensionMismatch(f"total_variation: lengths {len(p)} and {len(q)} differ")
-    return stable_sum(np.abs(p.v - q.v))
+    return _l1_rows(p.v, q.v[None])[0]
 
 
 def pinsker_gap(p: JointDensity, q: JointDensity) -> ExtReal:

@@ -15,9 +15,9 @@ execution order, and stable under changing the replica count or the number
 of half-steps (the first r replicas and the first t + 1 times of a larger
 run equal a smaller run). Categorical draws use inverse-CDF lookup against
 cumulative tables in fixed row-major cell order: the drawn index is the
-number of cumulative values below u, capped at the last category, found by
-a binary search per replica, which keeps the stream platform-independent
-and the memory proportional to replicas plus the table.
+number of cumulative values at or below u, capped at the last cell of
+positive mass, found by a binary search per replica, which keeps the stream
+platform-independent and the memory proportional to replicas plus the table.
 """
 
 from __future__ import annotations
@@ -44,7 +44,16 @@ DEFAULT_BUDGET = 100_000_000
 
 
 def _frozen_indices(a: np.ndarray, bound: int, what: str) -> np.ndarray:
-    out = np.array(a, dtype=np.int64)
+    """`a` as a read-only int64 array of indices in [0, bound).
+
+    An int64 array that owns its data and is already read-only, as
+    `run_chains` hands over, is kept as it is; anything else is copied, so
+    an array the caller can still write to is never shared.
+    """
+    if a.dtype == np.int64 and a.flags.owndata and not a.flags.writeable:
+        out = a
+    else:
+        out = np.array(a, dtype=np.int64)
     if out.size and (out.min() < 0 or out.max() >= bound):
         raise DistributionError(f"{what} indices fall outside [0, {bound})")
     out.setflags(write=False)
@@ -156,9 +165,12 @@ def _replica_uniforms(seed: int, replicas: int, draws_each: int) -> np.ndarray:
 def _categorical_rows(cum_table: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per replica from row rows[i] of a cumulative table.
 
-    The index is min((cum_table[rows[i]] < u[i]).sum(), n - 1), found by a
-    branchless binary search over each nondecreasing row, so memory stays
-    O(replicas + table) and every comparison is the exact float comparison.
+    The index is (cum_table[rows[i]] <= u[i]).sum(), the first cell whose
+    cumulative value exceeds u[i], capped at the row's last cell of positive
+    mass; so no draw lands on a zero-mass cell, even at u = 0 or at a u past
+    the row's rounded total. It is found by a branchless binary search over
+    each nondecreasing row, so memory stays O(replicas + table) and every
+    comparison is the exact float comparison.
     """
     n = cum_table.shape[1]
     flat = cum_table.ravel()
@@ -167,13 +179,15 @@ def _categorical_rows(cum_table: np.ndarray, u: np.ndarray, rows: np.ndarray) ->
     below = np.zeros(u.shape, dtype=np.intp)
     step = 1 << (n.bit_length() - 1)
     while step:
-        # grow `below` by `step` where the entry at the grown count is still < u
+        # grow `below` by `step` where the entry at the grown count is still <= u
         grown = below + step
         fits = grown <= n
-        fits &= flat[before_row + np.minimum(grown, n)] < u
+        fits &= flat[before_row + np.minimum(grown, n)] <= u
         below += step * fits
         step >>= 1
-    return np.minimum(below, n - 1)
+    # a row's last positive-mass cell is the first to reach the row's total
+    last_positive = (cum_table < cum_table[:, -1:]).sum(axis=1)
+    return np.minimum(below, last_positive[rows])
 
 
 def check_chain_request(replicas: int, half_steps: int, seed: int, budget: int | None = None) -> None:
@@ -242,6 +256,8 @@ def run_chains(
         xs[:, s] = x
         ys[:, s] = y
 
+    xs.setflags(write=False)
+    ys.setflags(write=False)
     return ChainDraws(seed, replicas, half_steps, nx, ny, xs, ys)
 
 

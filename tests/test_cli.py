@@ -17,7 +17,18 @@ from daflow.cli import (
     VERIFY_EPS_DEFAULT,
     main,
 )
-from daflow.dist import JointDensity, random_positive_target
+from daflow.diagnostics import (
+    balance_check,
+    cauchy_check,
+    lemma1_check,
+    lemma2_check,
+    lemma3_check,
+    lsc_gap,
+    reconstruction_check,
+    report_to_json_dict,
+    summarize,
+)
+from daflow.dist import Axis, JointDensity, load_joint, make_target, random_positive_target
 from daflow.engine import RetainPolicy, run
 from daflow.sampler import DRAWS_CSV_BLOCK_ROWS, draws_to_csv, run_chains
 
@@ -224,6 +235,37 @@ class TestVerify:
 
     def test_zero_cell_target_exits_hypothesis(self, zero_cell_target):
         assert main(["verify", "--target", zero_cell_target]) == EXIT_HYPOTHESIS
+
+    def test_all_checks_write_the_per_pair_reports(self, tmp_path):
+        n = 8
+        i = np.arange(n)
+        w = np.exp(-0.9 * np.abs(i[:, None] - i[None, :]))
+        path = write_json(tmp_path / "band.json", {"nx": n, "ny": n, "w": (w / w.sum()).tolist()})
+        prefix = str(tmp_path / "band")
+        code = main([
+            "verify", "--target", path, "--p0", "degenerate:0,7", "--checks", "all",
+            "--eps", "1e-15", "--max-steps", "400", "--out-prefix", prefix,
+        ])
+        assert code == EXIT_OK
+
+        target = make_target(load_joint(path))
+        p0 = np.zeros((n, n))
+        p0[0, 7] = 1.0
+        trace = run(JointDensity(p0), target, 400, 1e-15, RetainPolicy.all())
+        last = trace.last_t
+        iterates = list(range(1, last + 1))
+        reports = [lemma1_check(trace, t) for t in range(last)]
+        reports += [lemma2_check(trace, t, k) for t in (1, 2, 3) for k in range(1, 9) if t + k <= last]
+        reports += [lemma3_check(trace, t, k - t) for t in iterates for k in iterates if k > t]
+        reports += [
+            cauchy_check(trace),
+            lsc_gap(trace, 1, last - 1),
+            balance_check(target, Axis.X),
+            balance_check(target, Axis.Y),
+            reconstruction_check(target),
+        ]
+        doc = {"reports": [report_to_json_dict(r) for r in reports], "summary": summarize(reports)}
+        assert (tmp_path / "band.verify.json").read_text() == json.dumps(doc, indent=1) + "\n"
 
 
 class TestSample:

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import daflow.diagnostics as diagnostics
 from conftest import gamma_weights
 from daflow.diagnostics import (
     CheckName,
@@ -48,7 +50,7 @@ from daflow.errors import (
     TargetNotPositive,
     ZeroConditional,
 )
-from daflow.metrics import ExtReal, relative_entropy, total_variation
+from daflow.metrics import ExtReal, _l1_rows, _rel_entropy_rows, relative_entropy, total_variation
 
 DIAG22 = JointDensity(np.array([[0.4, 0.1], [0.1, 0.4]]))
 
@@ -437,3 +439,111 @@ class TestReportPlumbing:
         doc = json.loads(verification_to_json(reports), parse_constant=reject)
         assert doc["summary"]["worst_residual_by_lemma"] == {"Lemma1": "inf", "Lemma3": "-inf"}
         assert [r["residual_or_slack"] for r in doc["reports"]] == ["inf", "-inf"]
+
+
+def reference_divergence(p, q):
+    """D(p||q) summed over the whole grid, one pair at a time."""
+    support = p > 0.0
+    if np.any(q[support] == 0.0):
+        return math.inf
+    terms = np.zeros_like(p)
+    terms[support] = p[support] * np.log(p[support] / q[support])
+    return max(math.fsum(terms.ravel().tolist()), 0.0)
+
+
+def degenerate_trace(nx, ny, cell, steps=12):
+    w = np.zeros((nx, ny))
+    w[cell] = 1.0
+    return run(JointDensity(w), random_positive_target(nx, ny, seed=71), max_half_steps=steps, eps=1e-300)
+
+
+ROW_CASES = {
+    "random": lambda: make_trace(6, 5, seed=3, steps=12),
+    "random-square": lambda: make_trace(4, 4, seed=8, steps=12),
+    "degenerate": lambda: degenerate_trace(5, 4, (2, 3)),
+    "nx1": lambda: make_trace(1, 6, seed=5, steps=8),
+    "ny1": lambda: make_trace(6, 1, seed=6, steps=8),
+}
+
+
+class TestPairRows:
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_rows_equal_pairwise_values_exactly(self, case, monkeypatch):
+        trace = ROW_CASES[case]()
+        # blocks of three rows, so a row spans several stacks
+        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 3 * trace.target.joint.w.size)
+        densities = [trace.state_at(t).density for t in trace.retained_times]
+        weights = [p.w for p in densities]
+        infinite = 0
+        for p in densities:
+            d_row = diagnostics._stacked_rows(_rel_entropy_rows, p.w, weights)
+            v_row = diagnostics._stacked_rows(_l1_rows, p.w, weights)
+            assert len(d_row) == len(v_row) == len(densities)
+            for q, d, v in zip(densities, d_row, v_row):
+                assert d == relative_entropy(p, q)
+                assert d.value == reference_divergence(p.w, q.w)
+                assert v == total_variation(p, q)
+                assert v == math.fsum(np.abs(p.w - q.w).ravel().tolist())
+                infinite += not d.is_finite
+        if case == "degenerate":
+            # p_1 lives on the starting column, so D(p_t || p_1) = +inf for t >= 2
+            assert infinite > 0
+
+    def test_cauchy_matrix_equals_pairwise_distances(self, monkeypatch):
+        trace = degenerate_trace(5, 4, (2, 3))
+        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 2 * trace.target.joint.w.size)
+        times = trace.retained_times
+        v = cauchy_matrix(trace, times)
+        densities = [trace.state_at(t).density for t in times]
+        for a, p in enumerate(densities):
+            for b, q in enumerate(densities):
+                assert v[a, b] == (0.0 if a == b else total_variation(p, q))
+
+    def test_sweep_allocates_one_block_of_rows(self):
+        n, steps = 60, 299
+        i = np.arange(n)
+        w = np.exp(-2.0 * np.abs(i[:, None] - i[None, :]))  # slowly mixing
+        target = make_target(JointDensity(w / w.sum()))
+        trace = run(JointDensity(np.full((n, n), 1.0 / n**2)), target, max_half_steps=steps, eps=1e-300)
+        times = trace.retained_times
+        assert len(times) == steps + 1
+        # the retained joints and their divergences to the target exist before the sweep
+        d = diagnostics._ToTarget(trace)
+        for t in times:
+            d[t]
+        later = times[2:]
+        weights = [trace.state_at(t).density.w for t in later]
+        stacked = len(later) * n * n * 8  # what stacking every later joint would take
+        block = diagnostics._BLOCK_VALUES * 8
+        for sweep in (
+            lambda: diagnostics._lemma3_row(trace, 1, later, d),
+            lambda: diagnostics._stacked_rows(_l1_rows, trace.state_at(1).density.w, weights),
+        ):
+            tracemalloc.start()
+            try:
+                result = sweep()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result) == len(later)
+            # beyond what it returns, a row sweep holds one block of stacked
+            # rows and a few block-sized elementwise temporaries
+            assert peak - current <= 4 * block
+            assert peak - current < stacked / 4
+
+    def test_divergence_to_target_once_per_time(self, monkeypatch):
+        trace = converged_trace()
+        pi = trace.target.joint
+        original = diagnostics.relative_entropy
+        seen = []
+
+        def counted(p, q):
+            if q is pi:
+                seen.append(id(p))
+            return original(p, q)
+
+        monkeypatch.setattr(diagnostics, "relative_entropy", counted)
+        reports = run_verification(trace, ("lemma1", "lemma3", "lsc"))
+        assert {r.name for r in reports} == {CheckName.LEMMA1, CheckName.LEMMA3, CheckName.LSC}
+        expected = [id(trace.state_at(t).density) for t in trace.retained_times]
+        assert sorted(seen) == sorted(expected)

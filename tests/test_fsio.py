@@ -1,12 +1,14 @@
-"""Atomic file output: whole files or nothing, also when streamed in chunks."""
+"""Text output: atomic files, whole or nothing, also when streamed in chunks,
+and the indent-1 JSON writer."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
-from daflow._fsio import atomic_write_chunks, atomic_write_text
+from daflow._fsio import atomic_write_chunks, atomic_write_text, dumps_indent1
 
 
 def _failing_chunks(n_good: int):
@@ -42,3 +44,34 @@ def test_failing_producer_keeps_previous_file(tmp_path):
         atomic_write_chunks(str(path), _failing_chunks(2))
     assert os.listdir(tmp_path) == ["out.txt"]
     assert path.read_text() == "previous\n"
+
+
+REPORT = {
+    "name": "Lemma3", "t": 1, "n": 4, "lhs": "inf", "rhs": 0.25,
+    "residual_or_slack": "-inf", "pass": False, "tolerance": 1e-10,
+    "note": 'left side "infinite" \\ with finite right side, déjà vu \u2264 \U0001d53c\n',
+}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"reports": [], "summary": {"checks_run": 0, "passes": 0, "failures": 0, "worst_residual_by_lemma": {}}},
+        {
+            "reports": [REPORT, dict(REPORT, lhs=1.5e-300, residual_or_slack=-0.0, note="")],
+            "summary": {"checks_run": 2, "worst_residual_by_lemma": {"Lemma1": "inf", "Lemma3": "-inf"}},
+        },
+        {"retained_times": list(range(12)), "records": [{"t": 0, "d_step": None}], "nested": [[1, [2, []]], {}]},
+        {"nx": 2, "ny": 3, "w": [[0.1, 0.2, 0.3], [0.4, 0.5, 1e-320]]},
+        {1: [1], 2.5: {"x": (1, 2)}, None: [], True: "t", "inf": float("inf")},
+        [], {}, [[]], [{}], 7, "déjà", None,
+    ],
+)
+def test_writer_matches_json_dumps_indent_1(obj):
+    assert dumps_indent1(obj) == json.dumps(obj, indent=1)
+
+
+def test_writer_rejects_what_json_rejects():
+    for obj in ({"a": [object()]}, {(1, 2): [1]}):
+        with pytest.raises(TypeError):
+            dumps_indent1(obj)

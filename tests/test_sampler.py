@@ -155,8 +155,15 @@ class TestCounterStream:
 class TestCategoricalRows:
     @staticmethod
     def reference(cum_table, u, rows):
-        n = cum_table.shape[1]
-        return np.array([min(int((cum_table[row] < v).sum()), n - 1) for row, v in zip(rows, u)])
+        # the first cell whose cumulative value exceeds u, capped at the last
+        # cell whose cumulative value rises above its predecessor's
+        def last_positive(cum):
+            rises = [j for j in range(len(cum)) if cum[j] > (cum[j - 1] if j else 0.0)]
+            return rises[-1] if rises else 0
+
+        return np.array(
+            [min(int((cum_table[row] <= v).sum()), last_positive(cum_table[row])) for row, v in zip(rows, u)]
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 64, 100])
     def test_matches_comparison_count(self, n):
@@ -199,6 +206,27 @@ class TestCategoricalRows:
             tracemalloc.stop()
         assert peak <= 64 * replicas * (half_steps + 1) + 8 * 4 * n**2
 
+    def test_zero_mass_cells_never_drawn(self):
+        # leading and trailing zero-mass cells; only cells 2 and 4 carry mass
+        cum = np.cumsum(np.array([[0.0, 0.0, 0.3, 0.0, 0.7, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]]), axis=1)
+        u = np.array([0.0, np.nextafter(0.3, 0.0), 0.3, 0.999, cum[0, -1], np.nextafter(cum[0, -1], 2.0), 1.5])
+        npt.assert_array_equal(_categorical_rows(cum, u, np.zeros(u.size, dtype=np.intp)), [2, 2, 4, 4, 4, 4, 4])
+        npt.assert_array_equal(_categorical_rows(cum, u, np.ones(u.size, dtype=np.intp)), [0, 0, 0, 1, 1, 1, 1])
+
+    def test_memory_without_index_copies(self):
+        # the parent's ChainDraws copied both index arrays: a 22.5 MB peak here
+        n, replicas, half_steps = 50, 100_000, 4
+        target = random_positive_target(n, n, seed=3)
+        p0 = JointDensity(np.full((n, n), 1.0 / n**2))
+        tracemalloc.start()
+        try:
+            run_chains(target, p0, replicas=replicas, half_steps=half_steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # xs, ys and the uniforms, plus the search's per-replica temporaries
+        assert peak <= 24 * replicas * (half_steps + 1) + 80 * replicas + 8 * 4 * n**2
+
 
 class TestChainStructure:
     def test_alternation_holds_exactly(self):
@@ -237,6 +265,14 @@ class TestChainStructure:
         d = run_chains(target, DIAG22, replicas=10, half_steps=2, seed=1)
         with pytest.raises(ValueError):
             d.xs[0, 0] = 0
+
+    def test_caller_arrays_are_never_shared(self):
+        xs = np.zeros((3, 2), dtype=np.int64)
+        view = xs.view()
+        view.setflags(write=False)
+        d = ChainDraws(1, 3, 1, 2, 2, xs, view)
+        xs[0, 0] = 1
+        assert d.xs[0, 0] == 0 and d.ys[0, 0] == 0
 
 
 class TestValidation:
