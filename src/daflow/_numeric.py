@@ -6,15 +6,56 @@ import math
 
 import numpy as np
 
+# arrays with fewer entries are summed by math.fsum directly: below this size
+# its per-entry cost is lower than the binned sum's fixed cost of about ten
+# NumPy calls (tools/bench_layers.py measures the crossover)
+BINNED_MIN_ENTRIES = 1024
+# a bin of fewer than 2**26 entries keeps its sums of integer parts (each
+# below 2**27) and of remainders (each below 2**26 units) under 2**53
+BINNED_MAX_ENTRIES = 1 << 26
+# with entries below 2**990 no bin, and no sum of at most 2**26 entries,
+# can overflow
+BINNED_MAX_MAGNITUDE = 2.0**990
+
 
 def stable_sum(a: np.ndarray) -> float:
-    """Error-free sum of an array, accumulated in row-major order.
+    """Correctly rounded sum of an array: equal to ``math.fsum`` over its
+    entries in row-major order, for every input.
 
-    ``math.fsum`` tracks all intermediate rounding, so the result is the
-    correctly rounded sum and is reproducible bit for bit across runs,
-    which keeps regression traces stable.
+    On finite entries the result is the exact sum rounded once, half to
+    even, so it does not depend on the order of the entries and repeats bit
+    for bit across runs, which keeps regression traces stable.
+
+    Arrays of at least ``BINNED_MIN_ENTRIES`` entries are summed exactly by
+    exponent: ``np.frexp`` writes each entry as m * 2**e with 0.5 <= |m| < 1,
+    so m * 2**27 splits exactly into an integer part below 2**27 and a
+    remainder that is a multiple of 2**-26 below 1. Two ``np.bincount``
+    calls sum the parts per exponent e. A bin of fewer than 2**26 entries
+    stays below 2**53 units, so every addition is exact. Each bin total,
+    scaled back by 2**(e - 27), is an exact double, and one ``math.fsum``
+    over those few values rounds the exact total (Shewchuk 1997, with the
+    exponent-binned accumulation of Demmel & Hida 2003). Smaller arrays,
+    arrays of 2**26 or more entries, and arrays with a non-finite entry or
+    one of magnitude 2**990 or more go to ``math.fsum`` over all entries, so
+    NaN, infinities, ``ValueError`` and ``OverflowError`` are its own.
     """
-    return math.fsum(np.ascontiguousarray(a, dtype=np.float64).ravel().tolist())
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    if (
+        not BINNED_MIN_ENTRIES <= a.size < BINNED_MAX_ENTRIES
+        or not np.abs(a).max() < BINNED_MAX_MAGNITUDE
+    ):
+        return math.fsum(a.tolist())
+    m, e = np.frexp(a)
+    m *= 2.0**27
+    whole = np.trunc(m)
+    m -= whole
+    low = int(e.min())
+    e -= low
+    whole_bins = np.bincount(e, weights=whole)
+    scale = np.arange(low - 27, low - 27 + len(whole_bins))
+    return math.fsum(
+        np.ldexp(whole_bins, scale).tolist() + np.ldexp(np.bincount(e, weights=m), scale).tolist()
+    )
 
 
 def readonly(a: np.ndarray) -> np.ndarray:

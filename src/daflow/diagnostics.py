@@ -308,20 +308,23 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
     if min(times) < 1:
         raise DistributionError("cauchy_check applies to iterate times t >= 1 only")
     v = cauchy_matrix(trace, times)
-    d = [trace.record_at(t).d_to_target.value for t in times]
+    d = np.array([trace.record_at(t).d_to_target.value for t in times])
+    a, b = np.triu_indices(len(times), 1)
+    vab = v[a, b]
+    lhs = 0.5 * vab * vab
+    with np.errstate(invalid="ignore"):  # inf - inf, a NaN slack
+        rhs = np.abs(d[a] - d[b])
+    slack = rhs - lhs
+    # the pairs in row-major order, so the first smallest slack is the
+    # tightest pair; a NaN or +inf slack is never the tightest
+    k = int(np.argmin(np.where(np.isnan(slack), math.inf, slack)))
     worst = math.inf
     worst_pair = (times[0], times[1])
     worst_sides = (0.0, 0.0)
-    for a in range(len(times)):
-        for b in range(a + 1, len(times)):
-            vab = float(v[a, b])
-            lhs = 0.5 * vab * vab
-            rhs = abs(d[a] - d[b])
-            slack = rhs - lhs
-            if slack < worst:
-                worst = slack
-                worst_pair = (times[a], times[b])
-                worst_sides = (lhs, rhs)
+    if slack[k] < math.inf:
+        worst = float(slack[k])
+        worst_pair = (times[a[k]], times[b[k]])
+        worst_sides = (float(lhs[k]), float(rhs[k]))
     return _report(
         CheckName.CAUCHY,
         worst_pair[0],
@@ -493,9 +496,13 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
 
     Instance grids (which t, which n) follow the retained times; a selected
     check with no runnable instance raises :class:`StateNotRetained`, since
-    a silent skip would turn a config mistake into a vacuous pass.
+    a silent skip would turn a config mistake into a vacuous pass. An
+    unconverged trace is refused up front when lsc is selected, before any
+    other family spends its work.
     """
     validate_checks(checks)
+    if "lsc" in checks and not trace.converged:
+        raise NotConverged("lsc check needs a converged trace")
     retained = set(trace.retained_times)
     last = trace.last_t
     reports: list[LemmaReport] = []
@@ -527,8 +534,6 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
         elif check == "cauchy":
             reports.append(cauchy_check(trace))
         elif check == "lsc":
-            if not trace.converged:
-                raise NotConverged("lsc check needs a converged trace")
             anchors = [t for t in sorted(retained) if t >= 1 and t < last]
             if not anchors:
                 raise StateNotRetained("lsc needs a retained time t >= 1 before the final state")

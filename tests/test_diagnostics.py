@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -547,3 +548,106 @@ class TestPairRows:
         assert {r.name for r in reports} == {CheckName.LEMMA1, CheckName.LEMMA3, CheckName.LSC}
         expected = [id(trace.state_at(t).density) for t in trace.retained_times]
         assert sorted(seen) == sorted(expected)
+
+
+def cauchy_loop_reference(trace, times=None) -> LemmaReport:
+    """The tightest Cauchy pair found by a strict `<` scan over every pair in
+    row-major order, one pair at a time."""
+    if times is None:
+        times = [t for t in trace.retained_times if t >= 1]
+    v = diagnostics.cauchy_matrix(trace, times)
+    d = [trace.record_at(t).d_to_target.value for t in times]
+    worst, worst_pair, worst_sides = math.inf, (times[0], times[1]), (0.0, 0.0)
+    for a in range(len(times)):
+        for b in range(a + 1, len(times)):
+            vab = float(v[a, b])
+            lhs = 0.5 * vab * vab
+            rhs = abs(d[a] - d[b])
+            if rhs - lhs < worst:
+                worst, worst_pair, worst_sides = rhs - lhs, (times[a], times[b]), (lhs, rhs)
+    return diagnostics._report(
+        CheckName.CAUCHY, worst_pair[0], worst_pair[1] - worst_pair[0],
+        ExtReal.finite(worst_sides[0]), ExtReal.finite(worst_sides[1]), worst,
+        diagnostics.INEQUALITY_TOL,
+        f"tightest pair (t={worst_pair[0]}, k={worst_pair[1]}) of {len(times)} times",
+    )
+
+
+def stub_trace(d: list[float]):
+    """A trace with retained times 1..len(d) whose divergences to the target
+    are `d`; only what cauchy_check reads besides the distance matrix."""
+    records = {t: SimpleNamespace(d_to_target=ExtReal(x)) for t, x in enumerate(d, start=1)}
+    return SimpleNamespace(retained_times=sorted(records), record_at=records.__getitem__)
+
+
+def assert_same_report(got: LemmaReport, want: LemmaReport) -> None:
+    assert got == want
+    assert json.dumps(report_to_json_dict(got)) == json.dumps(report_to_json_dict(want))
+
+
+class TestCauchyScan:
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_real_traces(self, case):
+        trace = ROW_CASES[case]()
+        if len([t for t in trace.retained_times if t >= 1]) < 2:
+            pytest.skip("fewer than two iterate times")
+        assert_same_report(cauchy_check(trace), cauchy_loop_reference(trace))
+        times = [t for t in trace.retained_times if t >= 1][::2]
+        if len(times) >= 2:
+            assert_same_report(cauchy_check(trace, times), cauchy_loop_reference(trace, times))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tied_slacks(self, seed, monkeypatch):
+        # dyadic distances and divergences from small sets, so many pairs
+        # share the smallest slack exactly
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 9))
+        v = rng.choice([0.0, 0.25, 0.5, 1.0], size=(m, m))
+        v = np.triu(v, 1) + np.triu(v, 1).T
+        d = rng.choice([0.0, 0.03125, 0.5, 1.0], size=m).tolist()
+        if seed % 4 == 3:
+            d[: int(rng.integers(1, m + 1))] = [math.inf] * int(rng.integers(1, m + 1))
+            d = d[:m]
+        monkeypatch.setattr(diagnostics, "cauchy_matrix", lambda trace, times: v)
+        trace = stub_trace(d)
+        assert_same_report(cauchy_check(trace), cauchy_loop_reference(trace))
+
+    def test_all_pairs_infinite_keep_the_default_pair(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "cauchy_matrix", lambda trace, times: np.zeros((3, 3)))
+        trace = stub_trace([math.inf, math.inf, math.inf])
+        report = cauchy_check(trace)
+        assert_same_report(report, cauchy_loop_reference(trace))
+        assert (report.t, report.n, report.residual_or_slack) == (1, 1, math.inf)
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("a check family ran before the unconverged trace was refused")
+
+
+class TestEarlyLscRefusal:
+    def test_unconverged_trace_refused_before_any_family(self, monkeypatch):
+        trace = make_trace(steps=6, eps=1e-300)
+        assert not trace.converged
+        for name in ("_lemma1", "lemma2_check", "_lemma3_row", "cauchy_check", "_lsc", "balance_check",
+                     "reconstruction_check"):
+            monkeypatch.setattr(diagnostics, name, fail_if_called)
+        with pytest.raises(NotConverged, match="lsc check needs a converged trace"):
+            run_verification(trace, DEFAULT_CHECKS)
+        with pytest.raises(NotConverged):
+            run_verification(trace, ("cauchy", "lemma3", "lsc"))
+
+    def test_without_lsc_an_unconverged_trace_still_runs(self):
+        trace = make_trace(steps=6, eps=1e-300)
+        checks = tuple(c for c in DEFAULT_CHECKS if c != "lsc")
+        reports = run_verification(trace, checks)
+        assert CheckName.CAUCHY in {r.name for r in reports}
+
+    def test_cli_exits_usage_without_running_the_sweep(self, monkeypatch, capsys):
+        from daflow.cli import EXIT_USAGE, main
+
+        monkeypatch.setattr(diagnostics, "_lemma3_row", fail_if_called)
+        monkeypatch.setattr(diagnostics, "cauchy_check", fail_if_called)
+        assert main(["verify", "--gen", "1,5,3", "--max-steps", "400"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lsc check needs a converged trace\n"
