@@ -39,9 +39,10 @@ def stable_sum(a: np.ndarray) -> float:
     one of magnitude 2**990 or more go to ``math.fsum`` over all entries, so
     NaN, infinities, ``ValueError`` and ``OverflowError`` are its own.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    a = np.ascontiguousarray(a, dtype=np.float64).ravel()
     if (
-        not BINNED_MIN_ENTRIES <= a.size < BINNED_MAX_ENTRIES
+        a.size < BINNED_MIN_ENTRIES
+        or a.size >= BINNED_MAX_ENTRIES
         or not np.abs(a).max() < BINNED_MAX_MAGNITUDE
     ):
         return math.fsum(a.tolist())

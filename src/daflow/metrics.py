@@ -10,8 +10,9 @@ Total variation here is the L1 distance ``sum |p - q|``, which lives in
 ``[0, 2]``. The matching form of Pinsker's inequality is
 ``D(p||q) >= V(p, q)^2 / 2`` with D in nats.
 
-All sums are accumulated with error-free compensated summation in a fixed
-row-major order, so repeated runs on the same inputs are bit-identical. One
+All sums are correctly rounded (`_numeric.stable_sum`), so they do not
+depend on the order of their terms and repeated runs on the same inputs are
+bit-identical. One
 pair's divergence or distance and a row of them against stacked densities go
 through the same helper, with one correctly rounded sum per pair, so a
 value does not depend on how many pairs were evaluated with it.

@@ -172,12 +172,16 @@ class TestStableSumMatchesFsum:
             [BINNED_MAX_MAGNITUDE, 1.0],
             [-BINNED_MAX_MAGNITUDE, 2.0**-1074],
             [1e308] * 3,
+            [2.0**1022] * 4,
+            [2.0**1022] * 3 + [-(2.0**1000)],
         ):
             assert_matches_fsum(pad(values, size))
         with pytest.raises(ValueError):
             stable_sum(pad([math.inf, -math.inf], size))
         with pytest.raises(OverflowError):
             stable_sum(pad([2.0**1023, 2.0**1023, -(2.0**1023)], size))
+        with pytest.raises(OverflowError):
+            stable_sum(pad([2.0**1022] * 4, size))
 
 
 class TestRouting:
