@@ -3,8 +3,11 @@ exceptions, and byte-identical CLI outputs when either one does the summing."""
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,7 +153,8 @@ class TestStableSumMatchesFsum:
 
     def test_non_contiguous_two_dimensional(self):
         rng = np.random.default_rng(3)
-        base = rng.standard_normal((2 * BINNED_MIN_ENTRIES, 7)) * 2.0 ** rng.integers(-60, 60, (2 * BINNED_MIN_ENTRIES, 7))
+        shape = (2 * BINNED_MIN_ENTRIES, 7)
+        base = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
         for view in (base[::2, ::3], base.T, base[1:, 1:], np.asfortranarray(base)):
             assert view.size >= BINNED_MIN_ENTRIES
             assert_matches_fsum(view)
@@ -234,7 +238,8 @@ def cli_outputs(workdir, monkeypatch, capsys) -> dict:
             for fmt in ("csv", "json"):
                 prefix = f"r{n}"
                 out[f"run{n}{fmt}"] = main(
-                    ["run", "--target", target, "--p0", "degenerate:0,0", "--format", fmt, "--out-prefix", prefix]
+                    ["run", "--target", target, "--p0", "degenerate:0,0", "--format", fmt,
+                     "--out-prefix", prefix]
                 )
         else:
             out[f"verify{n}"] = main(
@@ -263,7 +268,8 @@ class TestDifferentialOutputs:
             name for name, module in sorted(sys.modules.items())
             if name.startswith("daflow") and getattr(module, "stable_sum", None) is stable_sum
         ]
-        assert {"daflow._numeric", "daflow.dist", "daflow.engine", "daflow.metrics", "daflow.diagnostics"} <= set(users)
+        expected = {"daflow._numeric", "daflow.dist", "daflow.engine", "daflow.metrics", "daflow.diagnostics"}
+        assert expected <= set(users)
         for name in users:
             monkeypatch.setattr(sys.modules[name], "stable_sum", fsum_body)
         reference = cli_outputs(tmp_path / "fsum", monkeypatch, capsys)
@@ -276,10 +282,6 @@ class TestDifferentialOutputs:
 
 
 def test_layer_timing_script_writes_its_document(tmp_path):
-    import importlib.util
-    import json
-    from pathlib import Path
-
     path = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)
     bench = importlib.util.module_from_spec(spec)
