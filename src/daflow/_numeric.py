@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 
-# arrays with fewer entries are summed by math.fsum directly: below this size
-# its per-entry cost is lower than the binned sum's fixed cost of about ten
-# NumPy calls (tools/bench_layers.py measures the crossover)
+# arrays with fewer entries are summed by math.fsum directly. Binning first
+# beats fsum near 512 entries, where its fixed cost of about ten NumPy calls
+# is paid back; this is the first measured size where it wins by at least
+# 1.7x on both kinds of data in BENCH_6.json (tools/bench_layers.py), and it
+# keeps on fsum the sums of at most 784 entries (grids up to 28x28) that the
+# converge, certify and sample benchmark workloads make
 BINNED_MIN_ENTRIES = 1024
 # a bin of fewer than 2**26 entries keeps its sums of integer parts (each
 # below 2**27) and of remainders (each below 2**26 units) under 2**53

@@ -309,22 +309,25 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
         raise DistributionError("cauchy_check applies to iterate times t >= 1 only")
     v = cauchy_matrix(trace, times)
     d = np.array([trace.record_at(t).d_to_target.value for t in times])
-    a, b = np.triu_indices(len(times), 1)
-    vab = v[a, b]
-    lhs = 0.5 * vab * vab
-    with np.errstate(invalid="ignore"):  # inf - inf, a NaN slack
-        rhs = np.abs(d[a] - d[b])
-    slack = rhs - lhs
-    # the pairs in row-major order, so the first smallest slack is the
-    # tightest pair; a NaN or +inf slack is never the tightest
-    k = int(np.argmin(np.where(np.isnan(slack), math.inf, slack)))
     worst = math.inf
     worst_pair = (times[0], times[1])
     worst_sides = (0.0, 0.0)
-    if slack[k] < math.inf:
-        worst = float(slack[k])
-        worst_pair = (times[a[k]], times[b[k]])
-        worst_sides = (float(lhs[k]), float(rhs[k]))
+    # one row of later times at a time, keeping a row's first smallest slack
+    # only when it is strictly below the best so far: the pair a strict `<`
+    # scan over every pair in row-major order picks, with O(T) extra memory;
+    # a NaN slack (inf - inf divergences) is never the tightest
+    for a in range(len(times) - 1):
+        vab = v[a, a + 1 :]
+        lhs = 0.5 * vab * vab
+        with np.errstate(invalid="ignore"):
+            rhs = np.abs(d[a] - d[a + 1 :])
+        slack = rhs - lhs
+        slack[np.isnan(slack)] = math.inf
+        j = int(np.argmin(slack))
+        if slack[j] < worst:
+            worst = float(slack[j])
+            worst_pair = (times[a], times[a + 1 + j])
+            worst_sides = (float(lhs[j]), float(rhs[j]))
     return _report(
         CheckName.CAUCHY,
         worst_pair[0],

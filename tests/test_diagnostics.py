@@ -606,8 +606,8 @@ class TestCauchyScan:
         v = np.triu(v, 1) + np.triu(v, 1).T
         d = rng.choice([0.0, 0.03125, 0.5, 1.0], size=m).tolist()
         if seed % 4 == 3:
-            d[: int(rng.integers(1, m + 1))] = [math.inf] * int(rng.integers(1, m + 1))
-            d = d[:m]
+            k = int(rng.integers(1, m + 1))
+            d[:k] = [math.inf] * k
         monkeypatch.setattr(diagnostics, "cauchy_matrix", lambda trace, times: v)
         trace = stub_trace(d)
         assert_same_report(cauchy_check(trace), cauchy_loop_reference(trace))
@@ -618,6 +618,25 @@ class TestCauchyScan:
         report = cauchy_check(trace)
         assert_same_report(report, cauchy_loop_reference(trace))
         assert (report.t, report.n, report.residual_or_slack) == (1, 1, math.inf)
+
+    def test_scan_memory_is_linear_in_the_times(self, monkeypatch):
+        m = 1200
+        rng = np.random.default_rng(5)
+        v = rng.random((m, m))
+        v = np.triu(v, 1) + np.triu(v, 1).T
+        d = np.sort(rng.random(m))[::-1].tolist()
+        monkeypatch.setattr(diagnostics, "cauchy_matrix", lambda trace, times: v)
+        trace = stub_trace(d)
+        tracemalloc.start()
+        try:
+            report = cauchy_check(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_report(report, cauchy_loop_reference(trace))
+        # a few rows of temporaries and the divergence list, not arrays over
+        # all m(m-1)/2 pairs (5.8 MB each here)
+        assert peak < 40 * m * 8
 
 
 def fail_if_called(*args, **kwargs):

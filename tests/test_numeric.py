@@ -6,7 +6,6 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +20,22 @@ from daflow.cli import main
 EDGE_SIZES = (BINNED_MIN_ENTRIES - 1, BINNED_MIN_ENTRIES, BINNED_MIN_ENTRIES + 1)
 
 
-def fsum_reference(a) -> float:
-    """The summation `stable_sum` must reproduce: fsum over the entries in
-    row-major order."""
-    return math.fsum(np.ascontiguousarray(a, dtype=np.float64).ravel().tolist())
+def load_bench_layers():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# its fsum_body is the summation stable_sum must reproduce: fsum over the
+# entries in row-major order, as stable_sum did before binning
+bench = load_bench_layers()
 
 
 def assert_matches_fsum(a) -> None:
     try:
-        expected = fsum_reference(a)
+        expected = bench.fsum_body(a)
     except (ValueError, OverflowError) as e:
         with pytest.raises(type(e)):
             stable_sum(a)
@@ -262,17 +268,13 @@ class TestDifferentialOutputs:
 
         def fsum_body(a):
             sizes.append(np.size(a))
-            return fsum_reference(a)
+            return bench.fsum_body(a)
 
-        users = [
-            name for name, module in sorted(sys.modules.items())
-            if name.startswith("daflow") and getattr(module, "stable_sum", None) is stable_sum
-        ]
+        with bench.stable_sum_replaced(fsum_body) as users:
+            reference = cli_outputs(tmp_path / "fsum", monkeypatch, capsys)
         expected = {"daflow._numeric", "daflow.dist", "daflow.engine", "daflow.metrics", "daflow.diagnostics"}
         assert expected <= set(users)
-        for name in users:
-            monkeypatch.setattr(sys.modules[name], "stable_sum", fsum_body)
-        reference = cli_outputs(tmp_path / "fsum", monkeypatch, capsys)
+        assert numeric.stable_sum is stable_sum
         assert max(sizes) == 120 * 120 and sum(s >= BINNED_MIN_ENTRIES for s in sizes) > 500
         assert binned.keys() == reference.keys()
         for key in binned:
@@ -281,15 +283,13 @@ class TestDifferentialOutputs:
         assert binned["run50csv"] == 0
 
 
-def test_layer_timing_script_writes_its_document(tmp_path):
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
-    spec = importlib.util.spec_from_file_location("bench_layers", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def test_layer_timing_script_writes_its_document(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "SUM_SIZES", (64, 2048))
+    monkeypatch.setattr(bench, "RECONSTRUCTION_SIDES", (6,))
+    monkeypatch.setattr(bench, "MIN_TIME", 0.001)
+    monkeypatch.setattr(bench, "REPEATS", 1)
     out = tmp_path / "bench.json"
-    doc = bench.main(
-        ["--out", str(out), "--sizes", "64,2048", "--sides", "6", "--min-time", "0.001", "--repeats", "1"]
-    )
+    doc = bench.main(["--out", str(out)])
     assert json.loads(out.read_text()) == doc
     assert [(r["entries"], r["data"]) for r in doc["stable_sum"]] == [
         (64, "pmf"), (64, "terms"), (2048, "pmf"), (2048, "terms")

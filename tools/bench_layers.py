@@ -15,8 +15,8 @@ which binning wins at every larger size. It then times
 package's summation and with every module's ``stable_sum`` swapped for the
 fsum body, and records the tracemalloc peak of one binned call.
 
-Each value is the median over ``--repeats`` rounds of a loop sized to run
-at least ``--min-time`` seconds. The results, with the interpreter, NumPy
+Each value is the median over ``REPEATS`` rounds of a loop sized to run at
+least ``MIN_TIME`` seconds. The results, with the interpreter, NumPy
 and core count, go to the ``--out`` JSON file and to stdout.
 """
 
@@ -44,6 +44,8 @@ from daflow.dist import random_positive_target  # noqa: E402
 
 SUM_SIZES = (64, 256, 512, 784, 1024, 1280, 1600, 2048, 4096, 13_225, 40_000, 250_000)
 RECONSTRUCTION_SIDES = (50, 120, 200)
+MIN_TIME = 0.05
+REPEATS = 7
 
 
 def fsum_body(a: np.ndarray) -> float:
@@ -82,20 +84,21 @@ def binned_from(min_entries: int):
 
 
 @contextlib.contextmanager
-def fsum_everywhere():
-    """Every daflow module's stable_sum replaced by the fsum body."""
+def stable_sum_replaced(body):
+    """Every imported daflow module's stable_sum replaced by `body`; yields
+    the names of the modules changed."""
     users = [
-        m for name, m in sorted(sys.modules.items())
+        name for name, m in sorted(sys.modules.items())
         if name.startswith("daflow") and getattr(m, "stable_sum", None) is numeric.stable_sum
     ]
     original = numeric.stable_sum
-    for m in users:
-        m.stable_sum = fsum_body
+    for name in users:
+        sys.modules[name].stable_sum = body
     try:
-        yield
+        yield users
     finally:
-        for m in users:
-            m.stable_sum = original
+        for name in users:
+            sys.modules[name].stable_sum = original
 
 
 def sample_data(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -148,7 +151,7 @@ def time_reconstruction(sides, min_time: float, repeats: int) -> list[dict]:
         target = random_positive_target(n, n, seed=n)
         binned_report = reconstruction_check(target)
         binned = per_call_s(lambda: reconstruction_check(target), min_time, repeats)
-        with fsum_everywhere():
+        with stable_sum_replaced(fsum_body):
             if reconstruction_check(target) != binned_report:
                 raise SystemExit(f"reconstruction_check differs under fsum at {n}x{n}")
             fsum = per_call_s(lambda: reconstruction_check(target), min_time, repeats)
@@ -172,16 +175,8 @@ def time_reconstruction(sides, min_time: float, repeats: int) -> list[dict]:
 def main(argv: list[str] | None = None) -> dict:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="write the results here as JSON")
-    p.add_argument("--min-time", type=float, default=0.05, help="seconds per timing round")
-    p.add_argument("--repeats", type=int, default=7, help="timing rounds per value")
-    p.add_argument("--sizes", default=",".join(map(str, SUM_SIZES)), help="array sizes to sum")
-    p.add_argument(
-        "--sides", default=",".join(map(str, RECONSTRUCTION_SIDES)), help="reconstruction grid sides"
-    )
     args = p.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    sides = [int(s) for s in args.sides.split(",") if s]
-    sums = time_sums(sizes, args.min_time, args.repeats)
+    sums = time_sums(SUM_SIZES, MIN_TIME, REPEATS)
     doc = {
         "machine": {
             "python": platform.python_version(),
@@ -189,13 +184,13 @@ def main(argv: list[str] | None = None) -> dict:
             "cpus": os.cpu_count(),
             "platform": platform.platform(terse=True),
         },
-        "timing": f"median of {args.repeats} rounds of at least {args.min_time} s",
+        "timing": f"median of {REPEATS} rounds of at least {MIN_TIME} s",
         "stable_sum": sums,
         "threshold": {
             "BINNED_MIN_ENTRIES": numeric.BINNED_MIN_ENTRIES,
             "measured_crossover_entries": crossover(sums),
         },
-        "reconstruction_check": time_reconstruction(sides, args.min_time, args.repeats),
+        "reconstruction_check": time_reconstruction(RECONSTRUCTION_SIDES, MIN_TIME, REPEATS),
     }
     text = json.dumps(doc, indent=1) + "\n"
     Path(args.out).write_text(text)
