@@ -9,10 +9,18 @@ import numpy as np
 # arrays with fewer entries are summed by math.fsum directly. Binning first
 # beats fsum near 512 entries, where its fixed cost of about ten NumPy calls
 # is paid back; this is the first measured size where it wins by at least
-# 1.7x on both kinds of data in BENCH_6.json (tools/bench_layers.py), and it
-# keeps on fsum the sums of at most 784 entries (grids up to 28x28) that the
-# converge, certify and sample benchmark workloads make
+# 1.7x on both kinds of data in BENCH_6.json (tools/bench_layers.py). A
+# single sum of at most 784 entries (grids up to 28x28) stays on fsum; the
+# one-step divergences of `run`, stacked over a block of half-steps, are
+# binned together by stable_row_sums
 BINNED_MIN_ENTRIES = 1024
+# rows of a stack with fewer entries are summed by math.fsum one by one: at
+# 16 rows, binning them together first wins at 128 entries a row (1.1x) and
+# by 1.7x at 192 in BENCH_7.json (tools/bench_layers.py)
+ROW_BINNED_MIN_ENTRIES = 128
+# the binned pass over a stack's rows takes about this many entries at a
+# time, so its temporaries stay bounded whatever the stack's size
+ROW_BINNED_PASS_ENTRIES = 1 << 13
 # a bin of fewer than 2**26 entries keeps its sums of integer parts (each
 # below 2**27) and of remainders (each below 2**26 units) under 2**53
 BINNED_MAX_ENTRIES = 1 << 26
@@ -60,6 +68,60 @@ def stable_sum(a: np.ndarray) -> float:
     return math.fsum(
         np.ldexp(whole_bins, scale).tolist() + np.ldexp(np.bincount(e, weights=m), scale).tolist()
     )
+
+
+def stable_row_sums(a: np.ndarray) -> list[float]:
+    """``[stable_sum(row) for row in a]`` for a 2-D array: the same floats and
+    the same first exception.
+
+    A single row, and rows too long for two of them to share a pass of
+    ``ROW_BINNED_PASS_ENTRIES`` entries, go to ``stable_sum`` one by one.
+    Rows shorter than ``ROW_BINNED_MIN_ENTRIES``, and stacks of fewer than
+    ``BINNED_MIN_ENTRIES`` entries, take one ``tolist()`` and a ``math.fsum``
+    per row. Other stacks are binned a pass at a time, with bins keyed by
+    (row, exponent): a bin holds one row's entries only, so each row keeps
+    ``stable_sum``'s exactness argument, and one ``math.fsum`` over a row's
+    bin totals rounds that row's exact sum. A row with a non-finite
+    entry or one of magnitude ``BINNED_MAX_MAGNITUDE`` or more leaves the
+    binned pass and gets ``math.fsum``'s own result or exception.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    rows, n = a.shape
+    per_pass = ROW_BINNED_PASS_ENTRIES // max(n, 1)
+    if rows == 1 or per_pass < 2:
+        return [stable_sum(row) for row in a]
+    if n < ROW_BINNED_MIN_ENTRIES or a.size < BINNED_MIN_ENTRIES:
+        return [math.fsum(row) for row in a.tolist()]
+    out: list[float] = []
+    for lo in range(0, rows, per_pass):
+        block = a[lo : lo + per_pass]
+        binnable = (block.max(axis=1) < BINNED_MAX_MAGNITUDE) & (block.min(axis=1) > -BINNED_MAX_MAGNITUDE)
+        sums = iter(_binned_row_sums(block if binnable.all() else block[binnable]))
+        out.extend(next(sums) if ok else math.fsum(row.tolist()) for ok, row in zip(binnable.tolist(), block))
+    return out
+
+
+def _binned_row_sums(a: np.ndarray) -> list[float]:
+    """The exact sum of each row of a finite 2-D array with entries below
+    ``BINNED_MAX_MAGNITUDE``, rounded once: ``stable_sum``'s binning with one
+    set of exponent bins per row."""
+    rows = len(a)
+    if rows == 0:
+        return []
+    m, e = np.frexp(a)
+    m *= 2.0**27
+    whole = np.trunc(m)
+    m -= whole
+    low = int(e.min())
+    span = int(e.max()) - low + 1
+    e += np.arange(-low, rows * span - low, span, dtype=e.dtype)[:, None]
+    key = e.ravel()
+    scale = np.arange(low - 27, low - 27 + span)
+    whole_bins, part_bins = (
+        np.ldexp(np.bincount(key, weights=x.ravel(), minlength=rows * span).reshape(rows, span), scale).tolist()
+        for x in (whole, m)
+    )
+    return [math.fsum(w + r) for w, r in zip(whole_bins, part_bins)]
 
 
 def readonly(a: np.ndarray) -> np.ndarray:

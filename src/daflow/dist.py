@@ -254,8 +254,9 @@ def conditional(p: JointDensity, direction: Direction) -> ConditionalKernel:
     return ConditionalKernel(direction, k, defined)
 
 
-def compose_raw(m: MarginalDensity, k: ConditionalKernel) -> np.ndarray:
-    """The weight matrix m * k, not renormalized and not validated.
+def compose_raw(m: MarginalDensity, k: ConditionalKernel, out: np.ndarray | None = None) -> np.ndarray:
+    """The weight matrix m * k, not renormalized and not validated, written
+    into `out` when one is given.
 
     Its total mass is 1 up to a few ulps per entry, because m and every
     kernel slice are pmfs.
@@ -269,8 +270,8 @@ def compose_raw(m: MarginalDensity, k: ConditionalKernel) -> np.ndarray:
             f"marginal length {len(m)} does not match kernel slice count {k.n_slices}"
         )
     if k.direction is Direction.X_GIVEN_Y:
-        return k.k * m.v[None, :]
-    return k.k * m.v[:, None]
+        return np.multiply(k.k, m.v[None, :], out=out)
+    return np.multiply(k.k, m.v[:, None], out=out)
 
 
 def compose_with_drift(m: MarginalDensity, k: ConditionalKernel) -> tuple[JointDensity, float]:

@@ -27,6 +27,18 @@ from the marginals would assume the projection identity that `diagnostics`
 certifies. The starting density is arbitrary, so t=0 is measured on the
 joint.
 
+Only the recursion itself runs one half-step at a time: compose, axis sum,
+renormalize and validate the next marginal. Everything that only reads the
+iterates is evaluated once per block of half-steps, in stacked NumPy
+operations: the one-step divergences over the stacked joints, and the
+divergences and distances of the stacked marginals to the target's. Each
+row still gets its own correctly rounded sum (`_numeric.stable_row_sums`),
+so every recorded value equals the one a single half-step would give. A
+block starts at one half-step and doubles up to a cap set by the grid
+size, so a run computes at most about twice the half-steps it records,
+and an error in a half-step computed ahead surfaces only if the run
+reaches that step.
+
 Densities are retained according to a :class:`RetainPolicy` so long traces
 stay memory-bounded. A retained state after t=0 keeps only its marginal; its
 validated joint is built, from the same product the one-step divergence
@@ -56,10 +68,9 @@ from .dist import (
 from .errors import DimensionMismatch, DistributionError, StateNotRetained, TargetNotPositive
 from .metrics import (
     ExtReal,
-    _rel_entropy_raw,
+    _l1_rows,
+    _rel_entropy_rows,
     encode,
-    marginal_relative_entropy,
-    marginal_total_variation,
     relative_entropy,
     total_variation,
 )
@@ -166,11 +177,12 @@ class RetainPolicy:
         return t % self.k == 0
 
 
-def _composed(target: Target, m: MarginalDensity) -> np.ndarray:
+def _composed(target: Target, m: MarginalDensity, out: np.ndarray | None = None) -> np.ndarray:
     """The weights of the iterate that refreshes the coordinate m does not
-    live on: m times the target conditional given m's axis."""
+    live on: m times the target conditional given m's axis, written into
+    `out` when one is given."""
     kernel = target.cond_x_given_y if m.axis is Axis.Y else target.cond_y_given_x
-    return compose_raw(m, kernel)
+    return compose_raw(m, kernel, out)
 
 
 class _RetainedStates(Mapping[int, DAState]):
@@ -289,6 +301,79 @@ def _renormalized_marginal(w: np.ndarray, axis: Axis) -> tuple[MarginalDensity, 
     return MarginalDensity(axis, v / total), abs(total - 1.0)
 
 
+# a block of half-steps stacks at most this many joint values (64 KiB of
+# float64) and at most this many half-steps
+_BLOCK_VALUES = 1 << 13
+_BLOCK_ROWS = 64
+
+
+def _measured(joints: np.ndarray, ms: list[MarginalDensity], targets: dict[Axis, np.ndarray]) -> list[tuple]:
+    """(D(p_t || p_(t+1)), D(p_(t+1) || target), V(p_(t+1), target)) for
+    consecutive half-steps, where joints stacks the weights of p_t, ...,
+    p_(t+k), ms holds the k marginals composed between them, and targets
+    repeats each axis's target marginal over at least the rows of ms.
+
+    Each quantity is one stacked row evaluation: the one-step divergences
+    pair the stacked joints, and the distances to the target pair each axis's
+    marginals with that axis's target marginal, which by the chain rule
+    gives the joints' values.
+    """
+    d_next, tv_next = [None] * len(ms), [None] * len(ms)
+    for first in range(min(2, len(ms))):
+        stack = np.array([m.v for m in ms[first::2]])
+        q = targets[ms[first].axis][: len(stack)]
+        d_next[first::2] = _rel_entropy_rows(stack, q, "marginal_relative_entropy")
+        tv_next[first::2] = _l1_rows(stack, q)
+    d_step = _rel_entropy_rows(joints[:-1], joints[1:])
+    return list(zip(d_step, d_next, tv_next))
+
+
+def _half_steps(
+    target: Target, w: np.ndarray, m: MarginalDensity, budget: int
+) -> Iterator[tuple[ExtReal, ExtReal, float, MarginalDensity, float]]:
+    """Yield, for each half-step from the state with weights w whose
+    marginal m is composed next, at most `budget` of them: the one-step
+    divergence, the successor's divergence and distance to the target, the
+    marginal composed into it, and the drift of the marginal it passes on.
+
+    Only the recursion is computed step by step: compose, axis sum and the
+    validated, renormalized marginal. The joints of a block are composed
+    into one reused stack and measured once per block (`_measured`). A
+    block grows from one half-step by doubling up to a cap set by the grid
+    size, so the steps computed past the last one consumed never outnumber
+    those consumed. An exception in a step computed ahead, or in a block's
+    measurements, is raised only when the consumer reaches that step, after
+    the steps before it.
+    """
+    rows_cap = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // w.size))
+    joints = np.empty((rows_cap + 1, *w.shape))
+    joints[0] = w
+    targets = {q.axis: np.broadcast_to(q.v, (rows_cap, len(q))) for q in (target.marg_x, target.marg_y)}
+    ms, block = [m], 1
+    while budget > 0:
+        drifts, failure = [], None
+        for steps in range(1, min(block, budget) + 1):
+            _composed(target, ms[-1], joints[steps])
+            try:
+                m, drift = _renormalized_marginal(joints[steps], Axis.X if m.axis is Axis.Y else Axis.Y)
+            except Exception as e:  # raised below if the consumer gets this far
+                failure = e
+                break
+            ms.append(m)
+            drifts.append(drift)
+        try:
+            rows = _measured(joints[: steps + 1], ms[:steps], targets)
+        except Exception:  # measured again step by step, raising where reached
+            rows = None
+        for j in range(steps):
+            row = rows[j] if rows is not None else _measured(joints[j : j + 2], ms[j : j + 1], targets)[0]
+            if j == len(drifts):
+                raise failure
+            yield (*row, ms[j], drifts[j])
+        joints[0] = joints[steps]
+        ms, budget, block = ms[-1:], budget - steps, min(2 * block, rows_cap)
+
+
 def run(
     p0: JointDensity,
     target: Target,
@@ -321,13 +406,13 @@ def run(
     if not target.strictly_positive:
         raise TargetNotPositive("cannot iterate toward a target with zero cells")
 
-    target_marginal = {Axis.X: target.marg_x, Axis.Y: target.marg_y}
     records: list[TraceRecord] = []
     sources: dict[int, JointDensity | MarginalDensity] = {}
-    # p_t is determined by `src` and has weights `w`; `m` is the marginal
-    # the half-step from t composes into the target's conditional
-    t, src, w, drift_cur = 0, p0, p0.w, 0.0
-    m, _ = _renormalized_marginal(w, Axis.Y)
+    # p_t is determined by `src`; `steps` yields the measurements of the
+    # half-step from t and the source of p_(t+1)
+    t, src, drift_cur = 0, p0, 0.0
+    m, _ = _renormalized_marginal(p0.w, Axis.Y)
+    steps = _half_steps(target, p0.w, m, max_half_steps)
     while True:
         if d_cur.value <= eps:
             stop = StopReason.CONVERGED
@@ -335,17 +420,12 @@ def run(
         if t >= max_half_steps:
             stop = StopReason.MAX_ITERS
             break
-        w_next = _composed(target, m)
-        d_next = marginal_relative_entropy(m, target_marginal[m.axis])
-        tv_next = marginal_total_variation(m, target_marginal[m.axis])
-        d_step = _rel_entropy_raw(w, w_next, "relative_entropy")
+        d_step, d_next, tv_next, src_next, drift_next = next(steps)
         residual = abs(d_cur.value - d_step.value - d_next.value)
         records.append(TraceRecord(t, d_cur, tv_cur, d_step, residual, drift_cur))
         if retain.keeps(t):
             sources[t] = src
-        other = Axis.X if m.axis is Axis.Y else Axis.Y
-        t, src, w = t + 1, m, w_next
-        m, drift_cur = _renormalized_marginal(w, other)
+        t, src, drift_cur = t + 1, src_next, drift_next
         d_cur, tv_cur = d_next, tv_next
 
     records.append(TraceRecord(t, d_cur, tv_cur, None, None, drift_cur))

@@ -10,12 +10,13 @@ Total variation here is the L1 distance ``sum |p - q|``, which lives in
 ``[0, 2]``. The matching form of Pinsker's inequality is
 ``D(p||q) >= V(p, q)^2 / 2`` with D in nats.
 
-All sums are correctly rounded (`_numeric.stable_sum`), so they do not
-depend on the order of their terms and repeated runs on the same inputs are
-bit-identical. One
-pair's divergence or distance and a row of them against stacked densities go
-through the same helper, with one correctly rounded sum per pair, so a
-value does not depend on how many pairs were evaluated with it.
+All sums are correctly rounded (`_numeric.stable_row_sums`, which equals
+`_numeric.stable_sum` row by row), so they do not depend on the order of
+their terms and repeated runs on the same inputs are bit-identical. One
+pair's divergence or distance, a row of them against stacked densities and
+a stack of pairs go through the same helper, with one correctly rounded sum
+per pair, so a value does not depend on how many pairs were evaluated with
+it.
 
 `encode` fixes how an exported number is written. The trace CSV and JSON,
 the verify JSON and `run`'s stdout line all go through it, so an infinity
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import stable_sum
+from ._numeric import stable_row_sums
 from .errors import DimensionMismatch, DistributionError
 from .dist import Axis, JointDensity, MarginalDensity
 
@@ -111,32 +112,47 @@ def encode(x: ExtReal | float | int | None) -> float | int | str | None:
 
 
 def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> list[ExtReal]:
-    """D(p||q) for each weight array q stacked along the first axis of qs.
+    """D(p||q) for each weight array q stacked along the first axis of qs,
+    where p is one weight array compared with every q or a stack of them
+    paired with qs row by row.
 
-    The terms ``p * log(p / q)`` on the support of p are formed for the whole
-    stack in single NumPy operations, and each row gets one correctly rounded
-    sum, so a row's value does not depend on the rows stacked with it. A row
-    whose q vanishes somewhere on the support is +infinity.
+    The terms ``p * log(p / q)`` are formed for the whole stack in single
+    NumPy operations, and each row gets one correctly rounded sum
+    (`stable_row_sums`), so a row's value does not depend on the rows stacked
+    with it. Cells outside the support of every p are dropped, and terms
+    outside one row's support are set to -0.0; neither changes a sum. A row
+    whose q vanishes somewhere on its support is +infinity and is not
+    summed.
     """
-    if qs.shape[1:] != p.shape:
+    if qs.shape[1:] != p.shape and qs.shape != p.shape:
         raise DimensionMismatch(f"{what}: shapes {p.shape} and {qs.shape[1:]} differ")
-    support = (p > 0.0).reshape(-1)
-    ps, q_support = p.reshape(-1), qs.reshape(len(qs), -1)
+    rows = len(qs)
+    ps = p.reshape(rows, -1) if p.ndim == qs.ndim else p.reshape(-1)
+    qs = qs.reshape(rows, -1)
+    support = ps > 0.0
     if not support.all():
-        # gathering is the costlier step at the grid sizes a run iterates on,
-        # and every iterate after t=0 has full support
-        ps, q_support = ps[support], q_support.compress(support, axis=1)
-    infinite = (q_support == 0.0).any(axis=1).tolist()
-    with np.errstate(divide="ignore"):
-        terms = ps / q_support
-    np.log(terms, out=terms)
-    terms *= ps
+        # cells outside every p's support carry no terms; at a degenerate
+        # start they are all but a few cells of the grid
+        cells = support if support.ndim == 1 else support.any(axis=0)
+        ps, qs, support = (a.compress(cells, axis=-1) for a in (ps, qs, support))
+    full = support.all()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = ps / qs
+        np.log(terms, out=terms)
+        terms *= ps
+    vanishing = qs == 0.0
+    if not full:
+        np.copyto(terms, -0.0, where=~support)
+        vanishing &= support
+    infinite = vanishing.any(axis=1)
+    finite = ~infinite
+    sums = iter(stable_row_sums(terms if finite.all() else terms[finite]))
     out = []
-    for row, row_infinite in zip(terms, infinite):
+    for row_infinite in infinite.tolist():
         if row_infinite:
             out.append(ExtReal.pos_infinity())
             continue
-        total = stable_sum(row)
+        total = next(sums)
         if total < 0.0:
             if total < -NEGATIVE_CLIP_TOL:
                 raise DistributionError(f"{what}: divergence {total!r} is negative beyond rounding")
@@ -147,10 +163,11 @@ def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entro
 
 def _l1_rows(p: np.ndarray, qs: np.ndarray) -> list[float]:
     """sum |p - q| for each weight array q stacked along the first axis of qs,
-    one correctly rounded sum per row."""
+    p one weight array or a stack paired with qs row by row; one correctly
+    rounded sum per row."""
     diff = p - qs
     np.abs(diff, out=diff)
-    return [stable_sum(row) for row in diff]
+    return stable_row_sums(diff.reshape(len(qs), -1))
 
 
 def _rel_entropy_raw(p: np.ndarray, q: np.ndarray, what: str) -> ExtReal:

@@ -21,9 +21,11 @@ from daflow.dist import (
     make_target,
     random_positive_target,
 )
+import daflow.engine as engine
 from daflow.engine import (
     CSV_HEADER,
     DAState,
+    DATrace,
     RetainPolicy,
     StopReason,
     TraceRecord,
@@ -43,7 +45,13 @@ from daflow.errors import (
     StateNotRetained,
     TargetNotPositive,
 )
-from daflow.metrics import relative_entropy, total_variation
+from daflow.metrics import (
+    _rel_entropy_raw,
+    marginal_relative_entropy,
+    marginal_total_variation,
+    relative_entropy,
+    total_variation,
+)
 
 DIAG22 = JointDensity(np.array([[0.4, 0.1], [0.1, 0.4]]))
 
@@ -497,6 +505,32 @@ class TestRunCost:
         assert trace.last_t == steps
         assert counter.elements <= steps * (n * n + 8 * n) + 4 * n * n
 
+    def test_degenerate_start_sums_only_the_support(self, monkeypatch):
+        # p_0 has one cell and p_1 one column, so their one-step divergences
+        # sum 1 and n terms; only the distance at t=0 sums the whole grid
+        n = 30
+        target, p0 = noisy_banded_target(n, 1.0, seed=n), degenerate(n, n, 3, 0)
+        counter = _FsumCounter()
+        with monkeypatch.context() as m:
+            m.setattr("daflow._numeric.math", counter)
+            trace = run(p0, target, 2, 1e-300)
+        assert trace.last_t == 2
+        assert counter.elements <= n * n + 20 * n
+
+    @pytest.mark.parametrize("n", [12, 28, 60])
+    def test_block_scratch_is_bounded(self, n):
+        # a block stacks at most engine._BLOCK_VALUES joint values on any grid
+        # that fits several joints in a block
+        target, p0 = noisy_banded_target(n, 1.0, seed=n), degenerate(n, n, 0, n - 1)
+        tracemalloc.start()
+        try:
+            trace = run(p0, target, 200, 1e-300, RetainPolicy.none())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.last_t == 200
+        assert peak - held < 8 * engine._BLOCK_VALUES * 8
+
     def test_retained_states_are_built_on_lookup(self):
         n, steps = 60, 400
         target = noisy_banded_target(n, 1.0, seed=60)
@@ -514,3 +548,192 @@ class TestRunCost:
             tracemalloc.stop()
         assert held < joints_bytes / 10
         assert peak - held < n * n * 8
+
+
+def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, retain=RetainPolicy.all()) -> DATrace:
+    """`run` with every measurement taken one half-step at a time: the
+    reference that the block evaluation must reproduce exactly."""
+    d_cur = relative_entropy(p0, target.joint)
+    tv_cur = total_variation(p0, target.joint)
+    target_marginal = {Axis.X: target.marg_x, Axis.Y: target.marg_y}
+    records, sources = [], {}
+    t, src, w, drift_cur = 0, p0, p0.w, 0.0
+    m, _ = engine._renormalized_marginal(w, Axis.Y)
+    while True:
+        if d_cur.value <= eps:
+            stop = StopReason.CONVERGED
+            break
+        if t >= max_half_steps:
+            stop = StopReason.MAX_ITERS
+            break
+        w_next = engine._composed(target, m)
+        d_next = marginal_relative_entropy(m, target_marginal[m.axis])
+        tv_next = marginal_total_variation(m, target_marginal[m.axis])
+        d_step = _rel_entropy_raw(w, w_next, "relative_entropy")
+        residual = abs(d_cur.value - d_step.value - d_next.value)
+        records.append(TraceRecord(t, d_cur, tv_cur, d_step, residual, drift_cur))
+        if retain.keeps(t):
+            sources[t] = src
+        other = Axis.X if m.axis is Axis.Y else Axis.Y
+        t, src, w = t + 1, m, w_next
+        m, drift_cur = engine._renormalized_marginal(w, other)
+        d_cur, tv_cur = d_next, tv_next
+    records.append(TraceRecord(t, d_cur, tv_cur, None, None, drift_cur))
+    sources[t] = src
+    return DATrace(target, tuple(records), engine._RetainedStates(target, sources), stop)
+
+
+def assert_same_trace(got: DATrace, expected: DATrace) -> None:
+    assert got.stop_reason is expected.stop_reason
+    assert got.retained_times == expected.retained_times
+    assert got.records == expected.records
+    # == cannot tell 0.0 from -0.0; repr can
+    assert [repr(r) for r in got.records] == [repr(r) for r in expected.records]
+    for t in got.retained_times:
+        assert np.array_equal(got.state_at(t).density.w, expected.state_at(t).density.w)
+
+
+def _degenerate_banded(n: int, i: int, j: int):
+    return noisy_banded_target(n, 1.0, seed=n), degenerate(n, n, i, j)
+
+
+# (target, p0, max_half_steps, eps, retain); the block sizes run 1, 2, 4, ...
+# up to a cap, so the first blocks end after half-steps 1, 3, 7, 15, ...
+BLOCK_CASES = {
+    "stop-mid-block": (*_degenerate_banded(12, 3, 11), 500, 1e-9, RetainPolicy.all()),
+    "max-steps-mid-block": (*_degenerate_banded(9, 0, 0), 21, 1e-300, RetainPolicy.all()),
+    "degenerate-first-column": (*_degenerate_banded(7, 6, 0), 400, 1e-13, RetainPolicy.all()),
+    "p0-zero-cells": (random_positive_target(4, 5, seed=68), _zero_cell_start(), 400, 1e-14, RetainPolicy.all()),
+    "nx-ne-ny": (random_positive_target(7, 3, seed=70), degenerate(7, 3, 2, 1), 400, 1e-14, RetainPolicy.all()),
+    "nx1": (random_positive_target(1, 6, seed=64), JointDensity(gamma_weights(1, 6, seed=65)), 50, 1e-300, RetainPolicy.all()),
+    "ny1": (random_positive_target(6, 1, seed=66), JointDensity(gamma_weights(6, 1, seed=67)), 50, 1e-300, RetainPolicy.all()),
+    "thin": (*_degenerate_banded(10, 4, 9), 300, 1e-300, RetainPolicy.thin(7)),
+    "thin-stop": (*_degenerate_banded(10, 4, 0), 500, 1e-10, RetainPolicy.thin(3)),
+    "none": (random_positive_target(5, 6, seed=71), JointDensity(gamma_weights(5, 6, seed=72)), 500, 1e-12, RetainPolicy.none()),
+    "grid-60": (noisy_banded_target(60, 1.0, seed=73), degenerate(60, 60, 0, 59), 40, 1e-300, RetainPolicy.all()),
+}
+
+
+def run_case(case: str) -> DATrace:
+    target, p0, max_half_steps, eps, retain = BLOCK_CASES[case]
+    return run(p0, target, max_half_steps, eps, retain)
+
+
+class TestBlockRun:
+    """`run` measures blocks of half-steps in stacked operations; every
+    record, retained time and stop reason equals the per-step loop's."""
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_equals_the_per_step_loop(self, case):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES[case]
+        trace = run(p0, target, max_half_steps, eps, retain)
+        assert_same_trace(trace, per_step_run(p0, target, max_half_steps, eps, retain))
+
+    def test_cases_stop_where_they_claim(self, monkeypatch):
+        composed = _counting(monkeypatch, "_composed")
+        stop = run_case("stop-mid-block")
+        # half-steps computed past the stop: it fell inside a block
+        assert stop.converged and composed[0] > stop.last_t
+        capped = run_case("max-steps-mid-block")
+        assert capped.stop_reason is StopReason.MAX_ITERS and capped.last_t == 21
+        assert run_case("thin-stop").converged
+        for case in ("degenerate-first-column", "p0-zero-cells", "nx-ne-ny"):
+            trace = run_case(case)
+            assert trace.converged and trace.last_t > 7
+        start = BLOCK_CASES["degenerate-first-column"][1]
+        assert start.w.min() == 0.0
+        assert run_case("degenerate-first-column").state_at(1).density.w.min() == 0.0
+
+    def test_every_measurement_failing_in_blocks_falls_back_to_single_steps(self, monkeypatch):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
+        expected = per_step_run(p0, target, max_half_steps, eps, retain)
+        original = engine._rel_entropy_rows
+
+        def single_rows_only(p, qs, *args):
+            if len(qs) > 1:
+                raise DistributionError("stacked")
+            return original(p, qs, *args)
+
+        monkeypatch.setattr(engine, "_rel_entropy_rows", single_rows_only)
+        assert_same_trace(run(p0, target, max_half_steps, eps, retain), expected)
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    calls = [0]
+    original = getattr(engine, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+class TestLookAhead:
+    @pytest.mark.parametrize("case", ["stop-mid-block", "thin-stop", "none"])
+    def test_composes_at_most_twice_the_half_steps_run(self, monkeypatch, case):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES[case]
+        calls = _counting(monkeypatch, "_composed")
+        trace = run(p0, target, max_half_steps, eps, retain)
+        assert trace.converged
+        assert trace.last_t <= calls[0] <= 2 * trace.last_t
+
+    def test_small_grid_run_looks_ahead_by_at_most_what_it_did(self, monkeypatch):
+        # a 4x4 grid admits blocks of 64 half-steps; a run of about 15
+        # half-steps must not compute a whole one
+        target = random_positive_target(4, 4, seed=0)
+        p0 = JointDensity(gamma_weights(4, 4, seed=1))
+        calls = _counting(monkeypatch, "_composed")
+        trace = run(p0, target, 10_000, 1e-10)
+        assert trace.converged and trace.last_t < 32
+        assert calls[0] <= 2 * trace.last_t
+
+    def test_failure_past_the_stop_never_surfaces(self, monkeypatch):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
+        expected = per_step_run(p0, target, max_half_steps, eps, retain)
+        # the per-step loop renormalizes one marginal per state, t = 0..last_t
+        made = expected.last_t + 1
+        original = engine._renormalized_marginal
+        calls = [0]
+
+        def failing_after(limit):
+            def renormalized(w, axis):
+                calls[0] += 1
+                if calls[0] > limit:
+                    raise DistributionError("renormalized past the limit")
+                return original(w, axis)
+            return renormalized
+
+        monkeypatch.setattr(engine, "_renormalized_marginal", failing_after(made))
+        trace = run(p0, target, max_half_steps, eps, retain)
+        assert calls[0] == made + 1  # the run looked ahead, into the failure
+        assert_same_trace(trace, expected)
+
+        calls[0] = 0
+        monkeypatch.setattr(engine, "_renormalized_marginal", failing_after(made - 1))
+        with pytest.raises(DistributionError, match="past the limit"):
+            run(p0, target, max_half_steps, eps, retain)
+
+    def test_measurement_failure_past_the_stop_never_surfaces(self, monkeypatch):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
+        expected = per_step_run(p0, target, max_half_steps, eps, retain)
+        original = engine._rel_entropy_rows
+        one_step = [0]
+
+        def failing(p, qs, *args):
+            # stacks always fail; single one-step divergences fail from the
+            # first one the per-step loop never takes
+            if len(qs) > 1:
+                raise DistributionError("stacked")
+            if not args:
+                one_step[0] += 1
+                if one_step[0] > expected.last_t:
+                    raise DistributionError("measured past the stop")
+            return original(p, qs, *args)
+
+        monkeypatch.setattr(engine, "_rel_entropy_rows", failing)
+        assert_same_trace(run(p0, target, max_half_steps, eps, retain), expected)
+        one_step[0] = 1
+        with pytest.raises(DistributionError, match="past the stop"):
+            run(p0, target, max_half_steps, eps, retain)

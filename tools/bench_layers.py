@@ -1,4 +1,4 @@
-"""Time the summation layer and the reconstruction check, binned against fsum.
+"""Time the summation layers, the reconstruction check and `run`.
 
 Run from the repository root:
 
@@ -10,10 +10,17 @@ normalized gamma pmf, as in the mass sums, and signed p*log(p/q) terms, as in
 the divergence sums. The binned side is timed with the size threshold lowered
 to 1, so sizes below ``BINNED_MIN_ENTRIES`` show what binning them would cost;
 the crossover printed with the results is the smallest measured size from
-which binning wins at every larger size. It then times
-``diagnostics.reconstruction_check`` on n x n random targets with the
-package's summation and with every module's ``stable_sum`` swapped for the
-fsum body, and records the tracemalloc peak of one binned call.
+which binning wins at every larger size. It times
+``_numeric.stable_row_sums`` against the fsum body row by row on stacks of
+divergence terms: at 16 rows of lengths around ``ROW_BINNED_MIN_ENTRIES``,
+with that threshold lowered to 1, and at the block shapes `run` stacks on
+each grid below. It then times ``diagnostics.reconstruction_check`` on n x n
+random targets with the package's summation and with every module's
+``stable_sum`` swapped for the fsum body, and records the tracemalloc peak
+of one binned call. Last, it times ``engine.run`` per half-step from a
+corner cell of seeded banded targets, with its measurements stacked over
+blocks of half-steps and with one-half-step blocks, and checks that both
+give the same trace.
 
 Each value is the median over ``REPEATS`` rounds of a loop sized to run at
 least ``MIN_TIME`` seconds. The results, with the interpreter, NumPy
@@ -39,11 +46,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import daflow._numeric as numeric  # noqa: E402
+import daflow.engine as engine  # noqa: E402
 from daflow.diagnostics import reconstruction_check  # noqa: E402
-from daflow.dist import random_positive_target  # noqa: E402
+from daflow.dist import JointDensity, make_target, random_positive_target  # noqa: E402
 
 SUM_SIZES = (64, 256, 512, 784, 1024, 1280, 1600, 2048, 4096, 13_225, 40_000, 250_000)
+ROW_LENGTHS = (64, 96, 128, 192, 256)
 RECONSTRUCTION_SIDES = (50, 120, 200)
+# (side, beta, half-steps): the converge benchmark's grid and mixing, larger
+# grids, and a slowly mixing target that needs about 15,700 half-steps to
+# reach a divergence of 1e-16
+RUN_CASES = ((28, 0.9, 400), (50, 0.9, 200), (200, 0.9, 40), (40, 2.0, 1000))
 MIN_TIME = 0.05
 REPEATS = 7
 
@@ -74,31 +87,36 @@ def per_call_s(fn, min_time: float, repeats: int) -> float:
 
 
 @contextlib.contextmanager
-def binned_from(min_entries: int):
-    saved = numeric.BINNED_MIN_ENTRIES
-    numeric.BINNED_MIN_ENTRIES = min_entries
+def constant_set(module, name: str, value: int):
+    saved = getattr(module, name)
+    setattr(module, name, value)
     try:
         yield
     finally:
-        numeric.BINNED_MIN_ENTRIES = saved
+        setattr(module, name, saved)
 
 
 @contextlib.contextmanager
 def stable_sum_replaced(body):
-    """Every imported daflow module's stable_sum replaced by `body`; yields
-    the names of the modules changed."""
-    users = [
-        name for name, m in sorted(sys.modules.items())
-        if name.startswith("daflow") and getattr(m, "stable_sum", None) is numeric.stable_sum
-    ]
-    original = numeric.stable_sum
-    for name in users:
-        sys.modules[name].stable_sum = body
+    """Every imported daflow module's stable_sum replaced by `body`, and its
+    stable_row_sums by `body` over each row; yields the names of the modules
+    changed."""
+    replacements = {
+        numeric.stable_sum: body,
+        numeric.stable_row_sums: lambda a: [body(row) for row in a],
+    }
+    replaced = []
+    for name, m in sorted(sys.modules.items()):
+        for attr in ("stable_sum", "stable_row_sums"):
+            value = getattr(m, attr, None)
+            if name.startswith("daflow") and value in replacements:
+                replaced.append((m, attr, value))
+                setattr(m, attr, replacements[value])
     try:
-        yield users
+        yield sorted({m.__name__ for m, _, _ in replaced})
     finally:
-        for name in users:
-            sys.modules[name].stable_sum = original
+        for m, attr, value in replaced:
+            setattr(m, attr, value)
 
 
 def sample_data(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,7 +135,7 @@ def time_sums(sizes, min_time: float, repeats: int) -> list[dict]:
     for size in sizes:
         for kind in ("pmf", "terms"):
             a = sample_data(kind, size, rng)
-            with binned_from(1):
+            with constant_set(numeric, "BINNED_MIN_ENTRIES", 1):
                 if numeric.stable_sum(a) != fsum_body(a):
                     raise SystemExit(f"stable_sum differs from fsum at {size} {kind} entries")
                 binned = per_call_s(lambda: numeric.stable_sum(a), min_time, repeats)
@@ -143,6 +161,71 @@ def crossover(rows: list[dict]) -> int | None:
             break
         best = s
     return best
+
+
+def block_rows(n: int) -> int:
+    """Half-steps per block once `run`'s blocks have grown, on an n x n grid."""
+    return max(1, min(engine._BLOCK_ROWS, engine._BLOCK_VALUES // (n * n)))
+
+
+def time_row_sums(min_time: float, repeats: int) -> list[dict]:
+    rng = np.random.default_rng(1)
+    shapes = [(16, n, 1) for n in ROW_LENGTHS]
+    shapes += [(block_rows(side), side * side, numeric.ROW_BINNED_MIN_ENTRIES) for side, _, _ in RUN_CASES]
+    rows = []
+    for n_rows, entries, threshold in shapes:
+        a = np.stack([sample_data("terms", entries, rng) for _ in range(n_rows)])
+        with constant_set(numeric, "ROW_BINNED_MIN_ENTRIES", threshold):
+            if numeric.stable_row_sums(a) != [fsum_body(row) for row in a]:
+                raise SystemExit(f"stable_row_sums differs from fsum at {n_rows} x {entries}")
+            binned = per_call_s(lambda: numeric.stable_row_sums(a), min_time, repeats)
+        fsum = per_call_s(lambda: [fsum_body(row) for row in a], min_time, repeats)
+        rows.append({
+            "rows": n_rows,
+            "entries": entries,
+            "row_threshold": threshold,
+            "fsum_us_per_row": round(fsum / n_rows * 1e6, 2),
+            "row_sums_us_per_row": round(binned / n_rows * 1e6, 2),
+            "speedup": round(fsum / binned, 3),
+        })
+    return rows
+
+
+def banded_target(n: int, beta: float):
+    """The seeded target w[i, j] proportional to exp(-beta |i - j| + 0.1 z[i, j])."""
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    w = np.exp(-beta * np.abs(i[:, None] - i[None, :]) + 0.1 * rng.standard_normal((n, n)))
+    return make_target(JointDensity(w / w.sum()))
+
+
+def time_run(cases, min_time: float, repeats: int) -> list[dict]:
+    rows = []
+    for n, beta, steps in cases:
+        target = banded_target(n, beta)
+        w = np.zeros((n, n))
+        w[n // 3, n - 1] = 1.0
+        p0 = JointDensity(w)
+
+        def once():
+            return engine.run(p0, target, steps, 1e-300, engine.RetainPolicy.none())
+
+        blocked = per_call_s(once, min_time, repeats)
+        trace = once()
+        with constant_set(engine, "_BLOCK_VALUES", 0):
+            if once().records != trace.records:
+                raise SystemExit(f"run differs with one-half-step blocks at {n}x{n}")
+            single = per_call_s(once, min_time, repeats)
+        rows.append({
+            "n": n,
+            "beta": beta,
+            "half_steps": trace.last_t,
+            "block_half_steps": block_rows(n),
+            "one_step_blocks_us_per_half_step": round(single / trace.last_t * 1e6, 2),
+            "blocks_us_per_half_step": round(blocked / trace.last_t * 1e6, 2),
+            "speedup": round(single / blocked, 3),
+        })
+    return rows
 
 
 def time_reconstruction(sides, min_time: float, repeats: int) -> list[dict]:
@@ -190,7 +273,9 @@ def main(argv: list[str] | None = None) -> dict:
             "BINNED_MIN_ENTRIES": numeric.BINNED_MIN_ENTRIES,
             "measured_crossover_entries": crossover(sums),
         },
+        "stable_row_sums": time_row_sums(MIN_TIME, REPEATS),
         "reconstruction_check": time_reconstruction(RECONSTRUCTION_SIDES, MIN_TIME, REPEATS),
+        "run": time_run(RUN_CASES, MIN_TIME, REPEATS),
     }
     text = json.dumps(doc, indent=1) + "\n"
     Path(args.out).write_text(text)
