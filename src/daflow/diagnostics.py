@@ -81,7 +81,6 @@ INEQUALITY_TOL = 1e-10
 BALANCE_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 LSC_FLOOR = 1e-6
-INCOMPATIBILITY_THRESHOLD = 0.01
 
 
 class CheckName(enum.Enum):

@@ -8,7 +8,7 @@ can be shared freely across threads; every operation here is a pure function.
 
 Normalization policy, applied by every constructor:
   - entries must be finite and nonnegative (NaN, inf, and negative mass are
-    rejected outright);
+    rejected outright), with a total that does not overflow;
   - a total within 1e-12 of 1 is accepted as normalized;
   - a total off by more than 1e-12 but at most 1e-9 is silently renormalized
     (floating drift from upstream arithmetic);
@@ -56,14 +56,23 @@ class Direction(enum.Enum):
         return Axis.X if self is Direction.X_GIVEN_Y else Axis.Y
 
 
-def _validated_pmf(a: np.ndarray, what: str) -> np.ndarray:
-    """Apply the module normalization policy, returning a read-only copy."""
-    a = np.asarray(a, dtype=np.float64)
+def _mass_total(a: np.ndarray, what: str) -> float:
+    """The correctly rounded total of weights that must be finite and
+    nonnegative."""
     if not np.all(np.isfinite(a)):
         raise DistributionError(f"{what} contains NaN or infinite entries")
     if np.any(a < 0.0):
         raise DistributionError(f"{what} contains negative mass")
-    total = stable_sum(a)
+    try:
+        return stable_sum(a)
+    except OverflowError as e:
+        raise DistributionError(f"{what} has a total too large to represent") from e
+
+
+def _validated_pmf(a: np.ndarray, what: str) -> np.ndarray:
+    """Apply the module normalization policy, returning a read-only copy."""
+    a = np.asarray(a, dtype=np.float64)
+    total = _mass_total(a, what)
     if abs(total - 1.0) > RENORM_TOL:
         raise DistributionError(f"{what} sums to {total!r}, too far from 1 to renormalize")
     if abs(total - 1.0) > SUM_TOL:
@@ -354,11 +363,12 @@ def independence_target(px: MarginalDensity, py: MarginalDensity) -> Target:
 #
 # Schema: {"nx": int, "ny": int, "w": [[row-major nonnegative reals]]}.
 # Weights may arrive unnormalized; they are normalized on load and rejected
-# if the total is nonpositive or any entry is negative or non-finite.
+# if any entry is negative or non-finite or the total is nonpositive or too
+# large to represent.
 
 
 def joint_to_json_dict(p: JointDensity) -> dict:
-    return {"nx": p.nx, "ny": p.ny, "w": [[float(x) for x in row] for row in p.w]}
+    return {"nx": p.nx, "ny": p.ny, "w": p.w.tolist()}
 
 
 def joint_from_json_dict(obj: dict) -> JointDensity:
@@ -376,11 +386,7 @@ def joint_from_json_dict(obj: dict) -> JointDensity:
         raise DistributionError("the w field is not a numeric matrix") from e
     if w.shape != (nx, ny):
         raise DistributionError(f"w has shape {w.shape}, expected ({nx}, {ny})")
-    if not np.all(np.isfinite(w)):
-        raise DistributionError("w contains NaN or infinite entries")
-    if np.any(w < 0.0):
-        raise DistributionError("w contains negative entries")
-    total = stable_sum(w)
+    total = _mass_total(w, "w")
     if total <= 0.0:
         raise DistributionError("w has nonpositive total mass")
     # already-normalized weights pass through untouched so that a save/load

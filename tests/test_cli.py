@@ -132,6 +132,15 @@ class TestRun:
         )
         assert main(["run", "--gen", "3,3,1", "--p0", f"file:{p0}"]) == EXIT_USAGE
 
+    def test_overflowing_weights_are_usage_errors(self, tmp_path, capsys):
+        bad = write_json(tmp_path / "ovf.json", {"nx": 2, "ny": 2, "w": [[1e308, 1e308], [1, 1]]})
+        for argv in (["run", "--target", bad], ["run", "--gen", "2,2,1", "--p0", f"file:{bad}"]):
+            capsys.readouterr()
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_degenerate_p0_accepted(self):
         assert main(["run", "--gen", "3,4,8", "--p0", "degenerate:1,2"]) == EXIT_OK
 

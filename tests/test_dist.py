@@ -47,6 +47,11 @@ class TestJointDensityValidation:
         with pytest.raises(DistributionError):
             JointDensity(np.array([[np.inf, 0.5], [0.25, 0.25]]))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (40, 40)])
+    def test_overflowing_total_is_a_distribution_error(self, shape):
+        with pytest.raises(DistributionError, match="too large"):
+            JointDensity(np.full(shape, 1e308))
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(DistributionError):
             JointDensity(np.array([0.5, 0.5]))
@@ -236,6 +241,23 @@ class TestJsonInterchange:
     def test_load_rejects_malformed(self, obj):
         with pytest.raises(DistributionError):
             joint_from_json_dict(obj)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"nx": 2, "ny": 2, "w": [[NaN, 1.0], [1.0, 1.0]]}',
+            '{"nx": 2, "ny": 2, "w": [[Infinity, 1.0], [1.0, 1.0]]}',
+            '{"nx": 2, "ny": 2, "w": [[Infinity, 1.0], [-Infinity, 1.0]]}',
+            '{"nx": 2, "ny": 2, "w": [[1e308, 1e308], [1, 1]]}',
+            json.dumps({"nx": 40, "ny": 40, "w": [[1e308] * 40] * 40}),
+        ],
+        ids=["nan", "infinity", "both-infinities", "overflow", "overflow-40x40"],
+    )
+    def test_load_rejects_non_finite_and_overflowing_weights(self, text):
+        # json.load accepts NaN, Infinity and -Infinity, so these are real
+        # outside input
+        with pytest.raises(DistributionError):
+            joint_from_json_dict(json.loads(text))
 
     def test_file_roundtrip_is_stable(self, tmp_path):
         p = JointDensity(gamma_weights(3, 2, seed=9))
