@@ -18,20 +18,27 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
     placing the temp file next to the destination guarantees. Chunks are
     consumed one at a time, so the text never has to exist whole in memory;
     if producing one raises, the temp file is removed and `path` is left as
-    it was.
+    it was. An OSError in creating or renaming the temp file is raised
+    naming `path`, not the temp file's random name, so the message is the
+    same on every run.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise OSError(e.errno, e.strerror, path) from e
         raise
 
 

@@ -318,22 +318,60 @@ def consistency_report(
 DRAWS_CSV_HEADER = "replica,t,x,y"
 # rows formatted per block of the streamed draws CSV
 DRAWS_CSV_BLOCK_ROWS = 4096
-_DRAWS_CSV_ROW = "%d,%d,%d,%d\n"
+
+
+def _digit_fields(values: np.ndarray, width: int) -> np.ndarray:
+    """Each nonnegative value's decimal digits as ASCII, right-aligned in
+    `width` bytes behind zero bytes, one void item of that width per value."""
+    digits = np.empty((values.size, width), dtype=np.uint8)
+    rest, last = np.divmod(values, 10)
+    digits[:, -1] = last + ord("0")
+    for column in range(width - 2, -1, -1):
+        # once a value's digits run out its rest and digit are 0: a zero byte
+        written = rest > 0
+        rest, digit = np.divmod(rest, 10)
+        digits[:, column] = digit + ord("0") * written
+    return digits.view(f"V{width}").ravel()
 
 
 def draws_csv_blocks(draws: ChainDraws) -> Iterator[str]:
     """The draws CSV as consecutive text blocks: the header line, then rows
     (replica, t, x, y) in replica-major order, DRAWS_CSV_BLOCK_ROWS per block,
-    so a writer can stream the file without holding all of it."""
+    so a writer can stream the file without holding all of it.
+
+    A block is encoded as fixed-width records: each value is a field as wide
+    as its column's largest value, its digits taken from a table of the
+    values the block holds, followed by its comma or newline byte. Dropping
+    the zero bytes that pad the fields leaves the rows' text, so scratch
+    memory is O(block rows x record width + nx + ny) for any run size.
+    """
     yield DRAWS_CSV_HEADER + "\n"
     steps = draws.half_steps + 1
     total = draws.replicas * steps
     xs, ys = draws.xs.ravel(), draws.ys.ravel()
+    tops = {"replica": draws.replicas - 1, "t": steps - 1, "x": draws.nx - 1, "y": draws.ny - 1}
+    width = {column: len(str(top)) for column, top in tops.items()}
+    record = []
+    for column, w in width.items():
+        record += [(column, f"V{w}"), (column + "_end", "u1")]
+    records = np.zeros(min(DRAWS_CSV_BLOCK_ROWS, total), dtype=record)
+    for column in width:
+        records[column + "_end"] = ord(",")
+    records["y_end"] = ord("\n")
+    x_fields = _digit_fields(np.arange(draws.nx), width["x"])
+    y_fields = _digit_fields(np.arange(draws.ny), width["y"])
     for start in range(0, total, DRAWS_CSV_BLOCK_ROWS):
         stop = min(start + DRAWS_CSV_BLOCK_ROWS, total)
+        block = records[: stop - start]
         r, t = np.divmod(np.arange(start, stop), steps)
-        rows = np.column_stack((r, t, xs[start:stop], ys[start:stop]))
-        yield _DRAWS_CSV_ROW * (stop - start) % tuple(rows.ravel().tolist())
+        block["replica"] = _digit_fields(np.arange(r[0], r[-1] + 1), width["replica"])[r - r[0]]
+        # times repeat with period `steps`, so the block's first min(steps,
+        # rows) times hold each of its times once, row i's at i % steps
+        block["t"] = _digit_fields(t[:steps], width["t"])[np.arange(stop - start) % steps]
+        block["x"] = x_fields[xs[start:stop]]
+        block["y"] = y_fields[ys[start:stop]]
+        chars = block.view(np.uint8)
+        yield np.compress(chars != 0, chars).tobytes().decode("ascii")
 
 
 def draws_to_csv(draws: ChainDraws) -> str:

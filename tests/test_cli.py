@@ -368,3 +368,25 @@ class TestSample:
     def test_zero_cell_target_exits_hypothesis(self, zero_cell_target):
         code = main(["sample", "--target", zero_cell_target, "--replicas", "10", "--times", "0"])
         assert code == EXIT_HYPOTHESIS
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["gen", "--nx", "3", "--ny", "3", "--seed", "1", "--out", "{d}/t.json"], "t.json"),
+        (["run", "--gen", "3,3,1", "--out-prefix", "{d}/r"], "r.trace.csv"),
+        (
+            ["sample", "--gen", "2,2,1", "--replicas", "10", "--times", "0,2", "--draws-out", "{d}/draws.csv"],
+            "draws.csv",
+        ),
+    ],
+)
+def test_write_into_missing_directory_names_the_destination(tmp_path, capsys, argv, written):
+    missing = tmp_path / "missing"
+    errors = []
+    for _ in range(2):
+        assert main([a.format(d=missing) for a in argv]) == EXIT_USAGE
+        errors.append(capsys.readouterr().err)
+    # the same message on every run, naming the file asked for, not a temp file
+    assert errors == [f"error: [Errno 2] No such file or directory: '{missing / written}'\n"] * 2
+    assert os.listdir(tmp_path) == []

@@ -46,6 +46,23 @@ def test_failing_producer_keeps_previous_file(tmp_path):
     assert path.read_text() == "previous\n"
 
 
+def test_missing_directory_error_names_the_destination(tmp_path):
+    path = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write_chunks(path, ("text",))
+    assert info.value.filename == path and info.value.filename2 is None
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_rename_names_the_destination_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "taken"
+    path.mkdir()
+    with pytest.raises(OSError) as info:
+        atomic_write_chunks(str(path), ("text",))
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert os.listdir(tmp_path) == ["taken"] and os.listdir(path) == []
+
+
 REPORT = {
     "name": "Lemma3", "t": 1, "n": 4, "lhs": "inf", "rhs": 0.25,
     "residual_or_slack": "-inf", "pass": False, "tolerance": 1e-10,

@@ -459,6 +459,7 @@ def test_layer_timing_script_writes_its_document(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "ROW_LENGTHS", (128,))
     monkeypatch.setattr(bench, "RECONSTRUCTION_SIDES", (6,))
     monkeypatch.setattr(bench, "RUN_CASES", ((5, 1.0, 6), (30, 1.0, 3)))
+    monkeypatch.setattr(bench, "DRAWS_CSV_CASES", ((3, 2, 2),))
     monkeypatch.setattr(bench, "MIN_TIME", 0.001)
     monkeypatch.setattr(bench, "REPEATS", 1)
     out = tmp_path / "bench.json"
@@ -473,6 +474,7 @@ def test_layer_timing_script_writes_its_document(tmp_path, monkeypatch):
     ]
     assert [r["n"] for r in doc["reconstruction_check"]] == [6]
     assert [(r["n"], r["half_steps"]) for r in doc["run"]] == [(5, 6), (30, 3)]
+    assert [(r["replicas"], r["half_steps"], r["n"], r["rows"]) for r in doc["draws_csv"]] == [(3, 2, 2, 9)]
     assert numeric.stable_sum is stable_sum and numeric.BINNED_MIN_ENTRIES == BINNED_MIN_ENTRIES
     assert numeric.ROW_BINNED_MIN_ENTRIES == ROW_BINNED_MIN_ENTRIES
     assert bench.engine._BLOCK_VALUES > 0

@@ -398,6 +398,21 @@ class TestAgreementWithExactEvolution:
             assert tv <= 5.0 * math.sqrt(3 / count)
 
 
+def assert_blocks_match_row_by_row_text(d: ChainDraws) -> None:
+    """The streamed blocks equal the CSV written one f-string row at a time,
+    DRAWS_CSV_BLOCK_ROWS rows per block after the header."""
+    lines = [DRAWS_CSV_HEADER]
+    for r in range(d.replicas):
+        for t in range(d.half_steps + 1):
+            lines.append(f"{r},{t},{d.xs[r, t]},{d.ys[r, t]}")
+    blocks = list(draws_csv_blocks(d))
+    assert draws_to_csv(d) == "".join(blocks) == "\n".join(lines) + "\n"
+    assert blocks[0] == DRAWS_CSV_HEADER + "\n"
+    rows = [b.count("\n") for b in blocks[1:]]
+    assert sum(rows) == d.replicas * (d.half_steps + 1)
+    assert all(r == DRAWS_CSV_BLOCK_ROWS for r in rows[:-1]) and 1 <= rows[-1] <= DRAWS_CSV_BLOCK_ROWS
+
+
 class TestDrawsCsv:
     def test_header_and_shape(self):
         target = make_target(DIAG22)
@@ -428,13 +443,63 @@ class TestDrawsCsv:
     def test_blocks_match_row_by_row_text(self, replicas, half_steps):
         target = random_positive_target(3, 4, seed=40)
         d = run_chains(target, target.joint, replicas=replicas, half_steps=half_steps, seed=2)
-        lines = [DRAWS_CSV_HEADER]
-        for r in range(d.replicas):
-            for t in range(d.half_steps + 1):
-                lines.append(f"{r},{t},{d.xs[r, t]},{d.ys[r, t]}")
-        blocks = list(draws_csv_blocks(d))
-        assert draws_to_csv(d) == "".join(blocks) == "\n".join(lines) + "\n"
-        assert blocks[0] == DRAWS_CSV_HEADER + "\n"
-        rows = [b.count("\n") for b in blocks[1:]]
-        assert sum(rows) == replicas * (half_steps + 1)
-        assert all(r == DRAWS_CSV_BLOCK_ROWS for r in rows[:-1]) and 1 <= rows[-1] <= DRAWS_CSV_BLOCK_ROWS
+        assert_blocks_match_row_by_row_text(d)
+
+    @pytest.mark.parametrize(
+        "replicas, half_steps, nx, ny",
+        [
+            # replica counts whose last index adds a digit, one block or many
+            (10, 2, 3, 3),
+            (100, 2, 3, 3),
+            (1001, 3, 2, 2),
+            (10_001, 0, 2, 2),
+            # time counts whose last index adds a digit, within one block
+            (5, 9, 3, 3),
+            (5, 10, 3, 3),
+            (5, 99, 3, 3),
+            (5, 100, 3, 3),
+            # grid sides whose last index adds a digit, on either axis
+            (7, 1, 1, 1),
+            (7, 1, 10, 1),
+            (7, 1, 11, 10),
+            (7, 1, 101, 11),
+            (7, 1, 1, 101),
+            # 5 rows per replica: the second block starts inside replica 819
+            # and crosses 999 -> 1000 on its way to 1638
+            (3000, 4, 11, 101),
+            # t spans blocks and crosses 999 -> 1000 and 9999 -> 10000 inside them
+            (1, 3 * DRAWS_CSV_BLOCK_ROWS + 5, 2, 3),
+            # more times than a block holds, and a block that crosses replicas
+            (2, DRAWS_CSV_BLOCK_ROWS + 10, 3, 2),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_digit_width_edges_match_row_by_row_text(self, replicas, half_steps, nx, ny, dtype):
+        rng = np.random.default_rng(replicas * 7 + half_steps + nx * ny)
+        shape = (replicas, half_steps + 1)
+        xs = rng.integers(0, nx, shape).astype(dtype)
+        ys = rng.integers(0, ny, shape).astype(dtype)
+        # every column reaches its widest and its narrowest value
+        xs[0, 0], ys[-1, -1] = nx - 1, ny - 1
+        xs[-1, -1], ys[0, 0] = 0, 0
+        d = ChainDraws(seed=0, replicas=replicas, half_steps=half_steps, nx=nx, ny=ny, xs=xs, ys=ys)
+        assert_blocks_match_row_by_row_text(d)
+
+    @pytest.mark.parametrize("replicas, half_steps", [(100_000, 4), (1, 999_999)])
+    def test_block_scratch_memory_is_bounded_by_the_block(self, replicas, half_steps):
+        # a digit table over every replica or every time would cost about
+        # 5 MB and 54 MB here; one block's records and tables stay near
+        # 0.7 MB whatever the run's size
+        rng = np.random.default_rng(5)
+        shape = (replicas, half_steps + 1)
+        d = ChainDraws(0, replicas, half_steps, 50, 50, rng.integers(0, 50, shape), rng.integers(0, 50, shape))
+        tracemalloc.start()
+        try:
+            rows = 0
+            for block in draws_csv_blocks(d):
+                rows += block.count("\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == 1 + replicas * (half_steps + 1)
+        assert peak <= 256 * DRAWS_CSV_BLOCK_ROWS

@@ -1,4 +1,4 @@
-"""Time the summation layers, the reconstruction check and `run`.
+"""Time the summation layers, the reconstruction check, `run` and the draws CSV.
 
 Run from the repository root:
 
@@ -20,10 +20,14 @@ random targets with the package's summation and with every module's
 of one binned call. Last, it times ``engine.run`` per half-step from a
 corner cell of seeded banded targets, with its measurements stacked over
 blocks of half-steps and with one-half-step blocks, and checks that both
-give the same trace.
+give the same trace. Finally it times ``sampler.draws_csv_blocks`` against
+``percent_body``, the one-``%``-format-per-block body it replaced, on the
+draws of seeded chains, after checking that both write the same text.
 
 Each value is the median over ``REPEATS`` rounds of a loop sized to run at
-least ``MIN_TIME`` seconds. The results, with the interpreter, NumPy
+least ``MIN_TIME`` seconds. Where two bodies are compared on one case, their
+rounds alternate, and which goes first alternates too, so drift of the host
+between rounds reaches both alike. The results, with the interpreter, NumPy
 and core count, go to the ``--out`` JSON file and to stdout.
 """
 
@@ -49,6 +53,13 @@ import daflow._numeric as numeric  # noqa: E402
 import daflow.engine as engine  # noqa: E402
 from daflow.diagnostics import reconstruction_check  # noqa: E402
 from daflow.dist import JointDensity, make_target, random_positive_target  # noqa: E402
+from daflow.sampler import (  # noqa: E402
+    DRAWS_CSV_BLOCK_ROWS,
+    DRAWS_CSV_HEADER,
+    ChainDraws,
+    draws_csv_blocks,
+    run_chains,
+)
 
 SUM_SIZES = (64, 256, 512, 784, 1024, 1280, 1600, 2048, 4096, 13_225, 40_000, 250_000)
 ROW_LENGTHS = (64, 96, 128, 192, 256)
@@ -57,6 +68,9 @@ RECONSTRUCTION_SIDES = (50, 120, 200)
 # grids, and a slowly mixing target that needs about 15,700 half-steps to
 # reach a divergence of 1e-16
 RUN_CASES = ((28, 0.9, 400), (50, 0.9, 200), (200, 0.9, 40), (40, 2.0, 1000))
+# (replicas, half-steps, grid side): the sample benchmark's draws at its
+# smallest and largest grid, and 1e5 replicas at 50 x 50
+DRAWS_CSV_CASES = ((5000, 20, 5), (5000, 20, 20), (100_000, 4, 50))
 MIN_TIME = 0.05
 REPEATS = 7
 
@@ -66,24 +80,50 @@ def fsum_body(a: np.ndarray) -> float:
     return math.fsum(np.ascontiguousarray(a, dtype=np.float64).ravel().tolist())
 
 
+def percent_body(draws: ChainDraws):
+    """What draws_csv_blocks computed before its record encoder: each block
+    of rows through one ``%`` format."""
+    yield DRAWS_CSV_HEADER + "\n"
+    steps = draws.half_steps + 1
+    total = draws.replicas * steps
+    xs, ys = draws.xs.ravel(), draws.ys.ravel()
+    for start in range(0, total, DRAWS_CSV_BLOCK_ROWS):
+        stop = min(start + DRAWS_CSV_BLOCK_ROWS, total)
+        r, t = np.divmod(np.arange(start, stop), steps)
+        rows = np.column_stack((r, t, xs[start:stop], ys[start:stop]))
+        yield "%d,%d,%d,%d\n" * (stop - start) % tuple(rows.ravel().tolist())
+
+
 def per_call_s(fn, min_time: float, repeats: int) -> float:
     """Median seconds per call over `repeats` rounds of at least `min_time`."""
-    fn()
-    loops = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        if time.perf_counter() - start >= min_time:
-            break
-        loops *= 2
-    rounds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        rounds.append((time.perf_counter() - start) / loops)
-    return statistics.median(rounds)
+    return interleaved_per_call_s((fn,), min_time, repeats)[0]
+
+
+def interleaved_per_call_s(fns, min_time: float, repeats: int) -> list[float]:
+    """Median seconds per call of each function over `repeats` rounds of at
+    least `min_time`; the functions take their rounds in turn, in the given
+    order on even rounds and in reverse on odd ones."""
+    loops = []
+    for fn in fns:
+        fn()
+        n = 1
+        while True:
+            start = time.perf_counter()
+            for _ in range(n):
+                fn()
+            if time.perf_counter() - start >= min_time:
+                break
+            n *= 2
+        loops.append(n)
+    rounds = [[] for _ in fns]
+    order = list(range(len(fns)))
+    for k in range(repeats):
+        for i in order if k % 2 == 0 else reversed(order):
+            start = time.perf_counter()
+            for _ in range(loops[i]):
+                fns[i]()
+            rounds[i].append((time.perf_counter() - start) / loops[i])
+    return [statistics.median(r) for r in rounds]
 
 
 @contextlib.contextmanager
@@ -255,6 +295,35 @@ def time_reconstruction(sides, min_time: float, repeats: int) -> list[dict]:
     return rows
 
 
+def drain(blocks) -> None:
+    for _ in blocks:
+        pass
+
+
+def time_draws_csv(cases, min_time: float, repeats: int) -> list[dict]:
+    rows = []
+    for replicas, half_steps, n in cases:
+        target = random_positive_target(n, n, seed=n)
+        draws = run_chains(target, target.joint, replicas, half_steps, seed=1)
+        text = "".join(draws_csv_blocks(draws))
+        if text != "".join(percent_body(draws)):
+            raise SystemExit(f"draws_csv_blocks differs from the % body at {replicas} x {half_steps + 1}")
+        percent, records = interleaved_per_call_s(
+            (lambda: drain(percent_body(draws)), lambda: drain(draws_csv_blocks(draws))), min_time, repeats
+        )
+        rows.append({
+            "replicas": replicas,
+            "half_steps": half_steps,
+            "n": n,
+            "rows": replicas * (half_steps + 1),
+            "bytes": len(text),
+            "percent_ms": round(percent * 1e3, 3),
+            "records_ms": round(records * 1e3, 3),
+            "speedup": round(percent / records, 3),
+        })
+    return rows
+
+
 def main(argv: list[str] | None = None) -> dict:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="write the results here as JSON")
@@ -276,6 +345,7 @@ def main(argv: list[str] | None = None) -> dict:
         "stable_row_sums": time_row_sums(MIN_TIME, REPEATS),
         "reconstruction_check": time_reconstruction(RECONSTRUCTION_SIDES, MIN_TIME, REPEATS),
         "run": time_run(RUN_CASES, MIN_TIME, REPEATS),
+        "draws_csv": time_draws_csv(DRAWS_CSV_CASES, MIN_TIME, REPEATS),
     }
     text = json.dumps(doc, indent=1) + "\n"
     Path(args.out).write_text(text)
