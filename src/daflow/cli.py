@@ -20,6 +20,7 @@ positive, or infinite starting divergence).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -245,6 +246,8 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[st
                 f"{', '.join(blocked)} cannot run under --retain none, which keeps only the final state"
             )
     if args.t is None:
+        if args.n is not None:
+            raise DistributionError("--n needs --t: it sets the step count of the single check instance")
         return checks
     if len(checks) != 1:
         raise DistributionError("--t needs exactly one check selected via --checks")
@@ -255,6 +258,8 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[st
         raise DistributionError(f"--t applies to lemma1, lemma2, lemma3, or lsc, not {name!r}")
     if name in ("lemma2", "lemma3") and args.n is None:
         raise DistributionError(f"{name} with --t also needs --n")
+    if name == "lemma1" and args.n is not None:
+        raise DistributionError("lemma1 checks one half-step; it does not take --n")
     return checks
 
 
@@ -346,7 +351,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK if report["all_within_bound"] else EXIT_CHECK_FAILURE
 
 
-def _add_target_and_p0_flags(p: argparse.ArgumentParser, eps_default: float) -> None:
+def _add_target_and_p0_flags(p: argparse.ArgumentParser, eps_default: float | None = None) -> None:
+    """The target and p0 flags and --out-prefix; with an eps default, also
+    the flags of the run that builds the trace."""
     p.add_argument("--target", help="path to a target joint density JSON file")
     p.add_argument("--gen", help="generate the target: nx,ny,seed[,conc]")
     p.add_argument(
@@ -354,12 +361,14 @@ def _add_target_and_p0_flags(p: argparse.ArgumentParser, eps_default: float) -> 
         default="uniform",
         help="starting density: uniform | degenerate:i,j | random:seed | file:path",
     )
-    p.add_argument("--eps", type=float, default=eps_default, help="convergence threshold on divergence")
-    p.add_argument("--max-steps", type=int, default=MAX_STEPS_DEFAULT, help="half-step budget")
-    p.add_argument("--retain", default="all", help="state retention: all | none | thin:k")
+    if eps_default is not None:
+        p.add_argument("--eps", type=float, default=eps_default, help="convergence threshold on divergence")
+        p.add_argument("--max-steps", type=int, default=MAX_STEPS_DEFAULT, help="half-step budget")
+        p.add_argument("--retain", default="all", help="state retention: all | none | thin:k")
     p.add_argument("--out-prefix", help="write outputs under this path prefix")
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daflow",
@@ -393,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_sample = sub.add_parser("sample", help="simulate chains and compare to exact iterates")
-    _add_target_and_p0_flags(p_sample, RUN_EPS_DEFAULT)
+    _add_target_and_p0_flags(p_sample)
     p_sample.add_argument("--replicas", type=int, default=100_000)
     p_sample.add_argument("--seed", type=int, default=0, help="chain seed")
     p_sample.add_argument("--times", default="0,2,20", help="comparison times, comma-separated")

@@ -56,13 +56,18 @@ class Direction(enum.Enum):
         return Axis.X if self is Direction.X_GIVEN_Y else Axis.Y
 
 
-def _mass_total(a: np.ndarray, what: str) -> float:
-    """The correctly rounded total of weights that must be finite and
-    nonnegative."""
+def _check_entries(a: np.ndarray, what: str) -> None:
+    """Refuse weights that are not all finite and nonnegative."""
     if not np.all(np.isfinite(a)):
         raise DistributionError(f"{what} contains NaN or infinite entries")
     if np.any(a < 0.0):
         raise DistributionError(f"{what} contains negative mass")
+
+
+def _mass_total(a: np.ndarray, what: str) -> float:
+    """The correctly rounded total of weights that must be finite and
+    nonnegative."""
+    _check_entries(a, what)
     try:
         return stable_sum(a)
     except OverflowError as e:
@@ -153,10 +158,7 @@ class ConditionalKernel:
         k = np.asarray(self.k, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] < 1 or k.shape[1] < 1:
             raise DistributionError(f"kernel must be a nonempty 2-D matrix, got shape {k.shape}")
-        if not np.all(np.isfinite(k)):
-            raise DistributionError("kernel contains NaN or infinite entries")
-        if np.any(k < 0.0):
-            raise DistributionError("kernel contains negative mass")
+        _check_entries(k, "kernel")
         mask = np.asarray(self.defined_mask, dtype=bool)
         if mask.shape != (self.n_slices_for(k.shape),):
             raise DistributionError(

@@ -341,37 +341,35 @@ def _half_steps(
     into one reused stack and measured once per block (`_measured`). A
     block grows from one half-step by doubling up to a cap set by the grid
     size, so the steps computed past the last one consumed never outnumber
-    those consumed. An exception in a step computed ahead, or in a block's
-    measurements, is raised only when the consumer reaches that step, after
-    the steps before it.
+    those consumed. A block that raises is computed again from its start
+    one half-step at a time, and the run goes on that way, so an exception
+    is raised only when the consumer reaches the step that raises it,
+    after the steps before it.
     """
     rows_cap = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // w.size))
     joints = np.empty((rows_cap + 1, *w.shape))
     joints[0] = w
     targets = {q.axis: np.broadcast_to(q.v, (rows_cap, len(q))) for q in (target.marg_x, target.marg_y)}
-    ms, block = [m], 1
+    block = 1
     while budget > 0:
-        drifts, failure = [], None
-        for steps in range(1, min(block, budget) + 1):
-            _composed(target, ms[-1], joints[steps])
-            try:
-                m, drift = _renormalized_marginal(joints[steps], Axis.X if m.axis is Axis.Y else Axis.Y)
-            except Exception as e:  # raised below if the consumer gets this far
-                failure = e
-                break
-            ms.append(m)
-            drifts.append(drift)
+        steps = min(block, budget)
+        ms, drifts = [m], []
         try:
+            for j in range(1, steps + 1):
+                _composed(target, ms[-1], joints[j])
+                m_next, drift = _renormalized_marginal(joints[j], Axis.X if ms[-1].axis is Axis.Y else Axis.Y)
+                ms.append(m_next)
+                drifts.append(drift)
             rows = _measured(joints[: steps + 1], ms[:steps], targets)
-        except Exception:  # measured again step by step, raising where reached
-            rows = None
-        for j in range(steps):
-            row = rows[j] if rows is not None else _measured(joints[j : j + 2], ms[j : j + 1], targets)[0]
-            if j == len(drifts):
-                raise failure
-            yield (*row, ms[j], drifts[j])
+        except Exception:
+            if steps == 1:
+                raise
+            block = rows_cap = 1
+            continue
+        for row, m_j, drift in zip(rows, ms, drifts):
+            yield (*row, m_j, drift)
         joints[0] = joints[steps]
-        ms, budget, block = ms[-1:], budget - steps, min(2 * block, rows_cap)
+        m, budget, block = ms[-1], budget - steps, min(2 * block, rows_cap)
 
 
 def run(

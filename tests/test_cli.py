@@ -15,6 +15,7 @@ from daflow.cli import (
     EXIT_USAGE,
     MAX_STEPS_DEFAULT,
     VERIFY_EPS_DEFAULT,
+    build_parser,
     main,
 )
 from daflow.diagnostics import (
@@ -215,6 +216,20 @@ class TestVerify:
         assert main(["verify", "--gen", "4,4,2", "--retain", "none", *selection]) == EXIT_USAGE
         assert "--retain none" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "selection, message",
+        [
+            (["--checks", "lemma1", "--n", "3"], "--n needs --t: it sets the step count of the single check instance"),
+            (["--n", "3"], "--n needs --t: it sets the step count of the single check instance"),
+            (["--checks", "lemma1", "--t", "3", "--n", "5"], "lemma1 checks one half-step; it does not take --n"),
+        ],
+        ids=["lemma1-without-t", "sweep-without-t", "lemma1-at-t"],
+    )
+    def test_unused_n_refused_before_run(self, monkeypatch, capsys, selection, message):
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        assert main(["verify", "--gen", "4,4,1", *selection]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("check", ["lemma3", "lsc"])
     def test_final_time_instance_runs_under_retain_none(self, capsys, check):
         p0 = JointDensity(np.full((4, 4), 1 / 16))
@@ -368,6 +383,26 @@ class TestSample:
     def test_zero_cell_target_exits_hypothesis(self, zero_cell_target):
         code = main(["sample", "--target", zero_cell_target, "--replicas", "10", "--times", "0"])
         assert code == EXIT_HYPOTHESIS
+
+    @pytest.mark.parametrize("flag", [["--eps", "5"], ["--max-steps", "1"], ["--retain", "none"]])
+    def test_run_flags_are_unrecognized(self, monkeypatch, capsys, flag):
+        # the exact trace is always run to every sampled time; no flag bends it
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        code = main(["sample", "--gen", "3,3,9", "--replicas", "20", "--times", "0,2", *flag])
+        assert code == EXIT_USAGE
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused_unchanged(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["run", "--help"]) == EXIT_OK
+        assert main(["sample", "--help"]) == EXIT_OK
+        assert main(["verify", "--gen", "3,3,1", "--bogus"]) == EXIT_USAGE
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "--max-steps" in outputs[0].out and "unrecognized arguments: --bogus" in outputs[0].err
+    assert build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(

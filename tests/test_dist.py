@@ -143,6 +143,20 @@ class TestKernelValidation:
         with pytest.raises(DistributionError):
             ConditionalKernel(Direction.Y_GIVEN_X, k, np.array([True, True]))
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (np.nan, "kernel contains NaN or infinite entries"),
+            (np.inf, "kernel contains NaN or infinite entries"),
+            (-0.5, "kernel contains negative mass"),
+        ],
+    )
+    def test_rejects_bad_entries_with_their_message(self, entry, message):
+        k = np.array([[0.5, 0.5], [0.5, 0.5]])
+        k[1, 0] = entry
+        with pytest.raises(DistributionError, match=f"^{message}$"):
+            ConditionalKernel(Direction.Y_GIVEN_X, k, np.array([True, True]))
+
     def test_rejects_bad_mask_shape(self):
         k = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(DistributionError):

@@ -670,6 +670,44 @@ def _counting(monkeypatch, name: str) -> list[int]:
     return calls
 
 
+def _failing_from(monkeypatch, k: int) -> list[int]:
+    """Make `_renormalized_marginal` raise on the joint of half-step k or
+    later, however often and in whatever order joints are renormalized, and
+    return the count of raises.
+
+    A composed joint's half-step is one past that of the marginal composed
+    into it, and a marginal's is that of the joint it was taken from; the
+    starting joint, which is never composed, is half-step 0.
+    """
+    composed, renormalized = engine._composed, engine._renormalized_marginal
+    joint_t, marginal_t, raised = {}, {}, [0]
+
+    def composing(target, m, out=None):
+        w = composed(target, m, out)
+        joint_t[w.ctypes.data] = marginal_t[id(m)] + 1
+        return w
+
+    def renormalizing(w, axis):
+        t = joint_t.get(w.ctypes.data, 0)
+        if t >= k:
+            raised[0] += 1
+            raise DistributionError(f"renormalized the joint of half-step {t}")
+        m, drift = renormalized(w, axis)
+        marginal_t[id(m)] = t
+        return m, drift
+
+    monkeypatch.setattr(engine, "_composed", composing)
+    monkeypatch.setattr(engine, "_renormalized_marginal", renormalizing)
+    return raised
+
+
+def _trace_or_error(run_fn, *args) -> DATrace | str:
+    try:
+        return run_fn(*args)
+    except DistributionError as e:
+        return str(e)
+
+
 class TestLookAhead:
     @pytest.mark.parametrize("case", ["stop-mid-block", "thin-stop", "none"])
     def test_composes_at_most_twice_the_half_steps_run(self, monkeypatch, case):
@@ -692,28 +730,17 @@ class TestLookAhead:
     def test_failure_past_the_stop_never_surfaces(self, monkeypatch):
         target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
         expected = per_step_run(p0, target, max_half_steps, eps, retain)
-        # the per-step loop renormalizes one marginal per state, t = 0..last_t
-        made = expected.last_t + 1
-        original = engine._renormalized_marginal
-        calls = [0]
-
-        def failing_after(limit):
-            def renormalized(w, axis):
-                calls[0] += 1
-                if calls[0] > limit:
-                    raise DistributionError("renormalized past the limit")
-                return original(w, axis)
-            return renormalized
-
-        monkeypatch.setattr(engine, "_renormalized_marginal", failing_after(made))
-        trace = run(p0, target, max_half_steps, eps, retain)
-        assert calls[0] == made + 1  # the run looked ahead, into the failure
+        # the per-step loop renormalizes the joints of half-steps 0..last_t
+        with monkeypatch.context() as m:
+            raised = _failing_from(m, expected.last_t + 1)
+            trace = run(p0, target, max_half_steps, eps, retain)
+        assert raised[0] > 0  # the run looked ahead, into the failure
         assert_same_trace(trace, expected)
 
-        calls[0] = 0
-        monkeypatch.setattr(engine, "_renormalized_marginal", failing_after(made - 1))
-        with pytest.raises(DistributionError, match="past the limit"):
-            run(p0, target, max_half_steps, eps, retain)
+        with monkeypatch.context() as m:
+            _failing_from(m, expected.last_t)
+            with pytest.raises(DistributionError, match=f"half-step {expected.last_t}$"):
+                run(p0, target, max_half_steps, eps, retain)
 
     def test_measurement_failure_past_the_stop_never_surfaces(self, monkeypatch):
         target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
@@ -737,3 +764,21 @@ class TestLookAhead:
         one_step[0] = 1
         with pytest.raises(DistributionError, match="past the stop"):
             run(p0, target, max_half_steps, eps, retain)
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_a_failing_half_step_surfaces_as_in_the_per_step_loop(self, monkeypatch, case):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES[case]
+        last_t = per_step_run(p0, target, max_half_steps, eps, retain).last_t
+        # below the cap, blocks compose half-steps 1, 2-3, 4-7, 8-15, ...: 4
+        # starts a block, 6 and 10 sit inside one
+        for k in sorted({4, 6, 10, last_t, last_t + 1}):
+            with monkeypatch.context() as m:
+                _failing_from(m, k)
+                got = _trace_or_error(run, p0, target, max_half_steps, eps, retain)
+                expected = _trace_or_error(per_step_run, p0, target, max_half_steps, eps, retain)
+            assert type(got) is type(expected), k
+            if isinstance(expected, str):
+                assert got == expected == f"renormalized the joint of half-step {k}"
+            else:
+                assert k > last_t
+                assert_same_trace(got, expected)
