@@ -59,8 +59,9 @@ def _encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(separators=(",\n" + " " * (depth + 1), ": "))
 
 
-def dumps_indent1(obj) -> str:
-    """``json.dumps(obj, indent=1)``, byte for byte.
+def dumps_indent1(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=1)``, byte for byte; at `depth`, the text of
+    `obj` as a member nested that deep in such a document.
 
     With `indent` set, CPython encodes in pure Python. Here a dict, list or
     tuple with no container among its members is written by one call to the
@@ -69,7 +70,7 @@ def dumps_indent1(obj) -> str:
     Python.
     """
     parts: list[str] = []
-    _dump(obj, 0, parts)
+    _dump(obj, depth, parts)
     return "".join(parts)
 
 

@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -34,10 +35,11 @@ from .diagnostics import (
     lemma2_check,
     lemma3_check,
     lsc_gap,
-    run_verification,
     summarize,
     validate_checks,
-    verification_to_json,
+    validate_instance,
+    verification_chunks,
+    verification_table,
 )
 from .dist import (
     JointDensity,
@@ -170,15 +172,15 @@ def _require_finite_start(trace: DATrace) -> None:
         )
 
 
-def _emit(out_prefix: str | None, kind: str, doc: str, summary: str) -> None:
-    """Write `doc` to `<out_prefix>.<kind>.json` and print `summary`, or write
-    `doc` to stdout when no prefix is given."""
+def _emit(out_prefix: str | None, kind: str, chunks: Iterable[str], summary: str) -> None:
+    """Write the document made of `chunks` to `<out_prefix>.<kind>.json` and
+    print `summary`, or write it to stdout when no prefix is given."""
     if out_prefix:
         path = f"{out_prefix}.{kind}.json"
-        atomic_write_text(path, doc)
+        atomic_write_chunks(path, chunks)
         print(f"{summary} out={path}")
     else:
-        sys.stdout.write(doc)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -260,6 +262,7 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[st
         raise DistributionError(f"{name} with --t also needs --n")
     if name == "lemma1" and args.n is not None:
         raise DistributionError("lemma1 checks one half-step; it does not take --n")
+    validate_instance(name, args.t, args.n)
     return checks
 
 
@@ -281,16 +284,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=retain)
     _require_finite_start(trace)
 
+    # every report exists before any output is written
     if args.t is not None:
         reports = _single_check(trace, checks[0], args.t, args.n)
     else:
-        reports = run_verification(trace, checks)
+        reports = verification_table(trace, checks)
 
     summary = summarize(reports)
     _emit(
         args.out_prefix,
         "verify",
-        verification_to_json(reports, summary),
+        verification_chunks(reports, summary),
         f"checks_run={summary['checks_run']} passes={summary['passes']} "
         f"failures={summary['failures']}",
     )
@@ -344,7 +348,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _emit(
         args.out_prefix,
         "consistency",
-        dumps_indent1(report) + "\n",
+        (dumps_indent1(report) + "\n",),
         f"replicas={args.replicas} half_steps={half_steps} "
         f"all_within_bound={str(report['all_within_bound']).lower()}",
     )

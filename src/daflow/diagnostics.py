@@ -27,11 +27,18 @@ The pairwise families are evaluated as rows. lemma3's D(p_t || p_k) and
 cauchy's V(p_t, p_k) are formed for one t against a block of stacked later
 densities in single NumPy operations, with one correctly rounded sum per
 pair, so every value equals `relative_entropy` or `total_variation` on that
-pair exactly and the JSON output is the same as pair by pair. A block holds
+pair exactly and the JSON output is the same as pair by pair. A stack holds
 at most a fixed number of values, whatever the number of retained times.
 A sweep evaluates D(p_t || target) once per time and lemma1, lemma3 and lsc
 share it. The lemma3 grid still covers every pair of retained times, so its
 cost is O(T^2) in their number T.
+
+A sweep's reports are held as columns (:class:`ReportBlock`): lemma3 gives
+one block per t, its t, n, sides, slacks and verdicts as arrays with no
+object per pair, and the other families give blocks of the reports they
+return. `summarize` reduces the columns and `verification_chunks` writes the
+JSON from them, one ``%`` template per row; a list of reports is gathered
+into blocks first, so both take one path.
 
 Every check returns a :class:`LemmaReport`; identities pass when the
 absolute residual is at most the tolerance, inequalities when the slack is
@@ -41,9 +48,11 @@ no lower than minus the tolerance.
 from __future__ import annotations
 
 import enum
+import json
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -70,7 +79,7 @@ from .errors import (
 from .metrics import (
     ExtReal,
     _l1_rows,
-    _rel_entropy_rows,
+    _rel_entropy_array,
     encode,
     relative_entropy,
     total_variation,
@@ -139,7 +148,8 @@ class LemmaReport:
             )
 
 
-def _verdict(name: CheckName, value: float, tolerance: float) -> bool:
+def _verdict(name: CheckName, value, tolerance: float):
+    """The verdict on a residual or slack, or elementwise on an array of them."""
     if _CHECK_KIND[name] == "identity":
         return abs(value) <= tolerance
     return value >= -tolerance
@@ -156,6 +166,77 @@ def _report(
     note: str = "",
 ) -> LemmaReport:
     return LemmaReport(name, t, n, lhs, rhs, value, _verdict(name, value, tolerance), tolerance, note)
+
+
+@dataclass(frozen=True, eq=False)
+class ReportBlock:
+    """Consecutive reports of one check name and tolerance, as columns.
+
+    `t`, `lhs`, `rhs` and `value` (the residual or slack) hold one entry per
+    report, and `notes` one note per report; `n` does too, or is None when
+    every report carries n=None. Infinite sides are float infinities. The
+    verdicts `passed` are computed from the values, which must not be NaN.
+    """
+
+    name: CheckName
+    tolerance: float
+    t: np.ndarray
+    n: np.ndarray | None
+    lhs: np.ndarray
+    rhs: np.ndarray
+    value: np.ndarray
+    notes: tuple[str, ...]
+    passed: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        if np.isnan(self.value).any():
+            raise DistributionError("report residual must not be NaN")
+        object.__setattr__(self, "passed", _verdict(self.name, self.value, self.tolerance))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def reports(self) -> list[LemmaReport]:
+        """The block's rows as reports, in order."""
+        ns = [None] * len(self) if self.n is None else self.n.tolist()
+        columns = (self.lhs.tolist(), self.rhs.tolist(), self.value.tolist(), self.passed.tolist())
+        return [
+            LemmaReport(self.name, t, n, ExtReal(lhs), ExtReal(rhs), value, passed, self.tolerance, note)
+            for t, n, lhs, rhs, value, passed, note in zip(self.t.tolist(), ns, *columns, self.notes)
+        ]
+
+
+def _gather(reports: Iterable[LemmaReport]) -> list[ReportBlock]:
+    """The reports as blocks, one per run of consecutive reports that share a
+    name, a tolerance (as written) and whether n is None."""
+    blocks = []
+    for (name, _, no_n), run in groupby(reports, lambda r: (r.name, repr(r.tolerance), r.n is None)):
+        run = list(run)
+        t, n, lhs, rhs, value, notes = zip(
+            *((r.t, r.n, r.lhs.value, r.rhs.value, r.residual_or_slack, r.note) for r in run)
+        )
+        floats = (np.array(c, dtype=np.float64) for c in (lhs, rhs, value))
+        ints = np.array(t, dtype=np.int64), None if no_n else np.array(n, dtype=np.int64)
+        blocks.append(ReportBlock(name, run[0].tolerance, *ints, *floats, notes))
+    return blocks
+
+
+class ReportTable:
+    """Reports in order, held as blocks; iterating materializes them."""
+
+    def __init__(self, blocks: list[ReportBlock]) -> None:
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    def __iter__(self) -> Iterator[LemmaReport]:
+        for block in self.blocks:
+            yield from block.reports()
+
+
+def _table(reports: ReportTable | Iterable[LemmaReport]) -> ReportTable:
+    return reports if isinstance(reports, ReportTable) else ReportTable(_gather(reports))
 
 
 def _density(trace: DATrace, t: int) -> JointDensity:
@@ -206,11 +287,24 @@ def _identity_value(lhs: ExtReal, rhs: ExtReal) -> tuple[float, str]:
     return abs(lhs.value - rhs.value), ""
 
 
+def validate_instance(check: str, t: int, n: int | None) -> None:
+    """Refuse a single instance of lemma1, lemma2, lemma3 or lsc at (t, n)
+    outside the check's domain; lsc's n is its horizon, None for the rest
+    of the trace."""
+    if check == "lemma1" and t < 0:
+        raise DistributionError(f"lemma1_check needs t >= 0, got {t}")
+    if check == "lemma2" and (t < 1 or n < 1):
+        raise DistributionError(f"lemma2_check needs t >= 1 and n >= 1, got t={t}, n={n}")
+    if check == "lemma3" and (t < 1 or n < 0):
+        raise DistributionError(f"lemma3_check needs t >= 1 and n >= 0, got t={t}, n={n}")
+    if check == "lsc" and n is not None and n < 0:
+        raise DistributionError(f"lsc horizon must be >= 0, got {n}")
+
+
 def lemma1_check(trace: DATrace, t: int) -> LemmaReport:
     """Certify the projection identity at step t:
     D(p_t || target) = D(p_t || p_(t+1)) + D(p_(t+1) || target)."""
-    if t < 0:
-        raise DistributionError(f"lemma1_check needs t >= 0, got {t}")
+    validate_instance("lemma1", t, None)
     return _lemma1(trace, t, _ToTarget(trace))
 
 
@@ -230,8 +324,7 @@ def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     Odd n: the identity
     D(p_t || p_(t+n)) = D(p_t || p_(t+1)) + D(p_(t+1) || p_(t+n)).
     """
-    if t < 1 or n < 1:
-        raise DistributionError(f"lemma2_check needs t >= 1 and n >= 1, got t={t}, n={n}")
+    validate_instance("lemma2", t, n)
     p_t = _density(trace, t)
     p_tn = _density(trace, t + n)
     if n % 2 == 0:
@@ -254,30 +347,31 @@ def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
 def lemma3_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     """Certify the telescoped bound at t >= 1, n >= 0:
     D(p_t || p_(t+n)) <= D(p_t || target) - D(p_(t+n) || target)."""
-    if t < 1 or n < 0:
-        raise DistributionError(f"lemma3_check needs t >= 1 and n >= 0, got t={t}, n={n}")
-    return _lemma3_row(trace, t, [t + n], _ToTarget(trace))[0]
+    validate_instance("lemma3", t, n)
+    return _lemma3_row(trace, t, [t + n], _ToTarget(trace)).reports()[0]
 
 
-def _lemma3_row(trace: DATrace, t: int, later: list[int], d: _ToTarget) -> list[LemmaReport]:
-    """The lemma3 reports at t against each time k in `later`, with the
-    divergences D(p_t || p_k) evaluated as one row."""
+_LEMMA3_INFINITE_NOTE = "left side infinite with finite right side"
+
+
+def _lemma3_row(trace: DATrace, t: int, later: list[int], d: _ToTarget) -> ReportBlock:
+    """The lemma3 reports at t against each time k in `later`, as one block:
+    the divergences D(p_t || p_k) are evaluated as one row, and the right
+    sides, slacks and verdicts as arrays."""
     p_t = _density(trace, t).w
     p_later = [_density(trace, k).w for k in later]
-    if not (d[t].is_finite and all(d[k].is_finite for k in later)):
+    d_later = np.array([d[k].value for k in later])
+    if not (d[t].is_finite and np.isfinite(d_later).all()):
         raise DistributionError("lemma3_check needs finite divergences to the target")
-    reports = []
-    for k, lhs in zip(later, _stacked_rows(_rel_entropy_rows, p_t, p_later)):
-        rhs = ExtReal.finite(d[t].value - d[k].value)
-        if not lhs.is_finite:
-            reports.append(_report(
-                CheckName.LEMMA3, t, k - t, lhs, rhs, -math.inf, INEQUALITY_TOL,
-                "left side infinite with finite right side",
-            ))
-            continue
-        slack = rhs.value - lhs.value
-        reports.append(_report(CheckName.LEMMA3, t, k - t, lhs, rhs, slack, INEQUALITY_TOL))
-    return reports
+    lhs = np.array(_stacked_rows(_rel_entropy_array, p_t, p_later), dtype=np.float64)
+    rhs = d[t].value - d_later
+    if not np.isfinite(rhs).all():
+        ExtReal.finite(float(rhs[~np.isfinite(rhs)][0]))  # raises, naming the first
+    # an infinite left side against a finite right side is a slack of -inf
+    slack = rhs - lhs
+    notes = tuple(_LEMMA3_INFINITE_NOTE if inf else "" for inf in np.isinf(lhs).tolist())
+    k = np.array(later, dtype=np.int64)
+    return ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, np.full_like(k, t), k - t, lhs, rhs, slack, notes)
 
 
 def cauchy_matrix(trace: DATrace, times: list[int]) -> np.ndarray:
@@ -354,8 +448,7 @@ def lsc_gap(trace: DATrace, t: int, horizon: int) -> LemmaReport:
     to eps = 1e-10 can carry a legitimate gap above the 1e-6 floor. Run the
     trace to eps around 1e-16 before asking for this check.
     """
-    if horizon < 0:
-        raise DistributionError(f"lsc horizon must be >= 0, got {horizon}")
+    validate_instance("lsc", t, horizon)
     if not trace.converged:
         raise NotConverged("lsc_gap needs a converged trace")
     return _lsc(trace, t, horizon, _ToTarget(trace))
@@ -494,6 +587,11 @@ def validate_checks(checks: tuple[str, ...]) -> None:
 
 
 def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -> list[LemmaReport]:
+    """The reports of `verification_table`, materialized."""
+    return list(verification_table(trace, checks))
+
+
+def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -> ReportTable:
     """Run the selected checks over a trace, adapting to its retained states.
 
     Instance grids (which t, which n) follow the retained times; a selected
@@ -507,7 +605,7 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
         raise NotConverged("lsc check needs a converged trace")
     retained = set(trace.retained_times)
     last = trace.last_t
-    reports: list[LemmaReport] = []
+    blocks: list[ReportBlock] = []
     d = _ToTarget(trace)
 
     for check in checks:
@@ -515,59 +613,62 @@ def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -
             instances = [t for t in sorted(retained) if t + 1 in retained]
             if not instances:
                 raise StateNotRetained("lemma1 needs a retained consecutive pair")
-            reports.extend(_lemma1(trace, t, d) for t in instances)
+            blocks += _gather(_lemma1(trace, t, d) for t in instances)
         elif check == "lemma2":
-            ran = False
+            reports = []
             for t in LEMMA2_DEFAULT_TS:
                 for n in LEMMA2_DEFAULT_NS:
                     needed = {t, t + n} | ({t + n - 1} if n % 2 == 0 else {t + 1})
                     if t + n > last or not needed <= retained:
                         continue
                     reports.append(lemma2_check(trace, t, n))
-                    ran = True
-            if not ran:
+            if not reports:
                 raise StateNotRetained("lemma2 found no runnable (t, n) instance")
+            blocks += _gather(reports)
         elif check == "lemma3":
             times = [t for t in sorted(retained) if t >= 1]
             if len(times) < 2:
                 raise StateNotRetained("lemma3 needs two retained times with t >= 1")
-            for i, t in enumerate(times[:-1]):
-                reports.extend(_lemma3_row(trace, t, times[i + 1 :], d))
+            blocks += [_lemma3_row(trace, t, times[i + 1 :], d) for i, t in enumerate(times[:-1])]
         elif check == "cauchy":
-            reports.append(cauchy_check(trace))
+            blocks += _gather([cauchy_check(trace)])
         elif check == "lsc":
             anchors = [t for t in sorted(retained) if t >= 1 and t < last]
             if not anchors:
                 raise StateNotRetained("lsc needs a retained time t >= 1 before the final state")
             t = anchors[0]
-            reports.append(_lsc(trace, t, last - t, d))
+            blocks += _gather([_lsc(trace, t, last - t, d)])
         elif check == "balance":
-            reports.append(balance_check(trace.target, Axis.X))
-            reports.append(balance_check(trace.target, Axis.Y))
+            blocks += _gather([balance_check(trace.target, Axis.X), balance_check(trace.target, Axis.Y)])
         elif check == "reconstruction":
-            reports.append(reconstruction_check(trace.target))
-    return reports
+            blocks += _gather([reconstruction_check(trace.target)])
+    return ReportTable(blocks)
 
 
-def summarize(reports: list[LemmaReport]) -> dict:
+def summarize(reports: ReportTable | Iterable[LemmaReport]) -> dict:
     """Aggregate counts and the worst residual or slack per check name.
 
-    The worst values are in exported form (see `metrics.encode`), so an
-    infinite residual or slack appears as "inf" or "-inf", never as a float
-    infinity that strict JSON cannot carry.
+    The worst value is the largest absolute residual for an identity and
+    the smallest slack for an inequality, the first one in report order on
+    a tie, as ``max`` and ``min`` over the reports pick it. It is in
+    exported form (see `metrics.encode`), so an infinite residual or slack
+    appears as "inf" or "-inf", never as a float infinity that strict JSON
+    cannot carry.
     """
+    table = _table(reports)
     worst: dict[str, float] = {}
-    for r in reports:
-        key = r.name.value
-        if _CHECK_KIND[r.name] == "identity":
-            candidate = abs(r.residual_or_slack)
-            worst[key] = max(worst.get(key, 0.0), candidate)
+    for block in table.blocks:
+        key = block.name.value
+        if _CHECK_KIND[block.name] == "identity":
+            worst[key] = max(worst.get(key, 0.0), float(np.abs(block.value).max()))
         else:
-            worst[key] = min(worst.get(key, math.inf), r.residual_or_slack)
+            worst[key] = min(worst.get(key, math.inf), float(block.value[np.argmin(block.value)]))
+    checks_run = len(table)
+    passes = sum(int(block.passed.sum()) for block in table.blocks)
     return {
-        "checks_run": len(reports),
-        "passes": sum(r.passed for r in reports),
-        "failures": sum(not r.passed for r in reports),
+        "checks_run": checks_run,
+        "passes": passes,
+        "failures": checks_run - passes,
         "worst_residual_by_lemma": {k: encode(v) for k, v in worst.items()},
     }
 
@@ -586,14 +687,60 @@ def report_to_json_dict(report: LemmaReport) -> dict:
     }
 
 
-def verification_to_json(reports: list[LemmaReport], summary: dict | None = None) -> str:
-    """The reports and their summary as strict JSON.
+# one report as `json.dumps(doc, indent=1)` writes it inside doc["reports"]
+_REPORT_JSON = (
+    '  {\n   "name": %s,\n   "t": %s,\n   "n": %s,\n   "lhs": %s,\n   "rhs": %s,\n'
+    '   "residual_or_slack": %s,\n   "pass": %s,\n   "tolerance": %s,\n   "note": %s\n  }'
+)
+
+
+def _json_floats(a: np.ndarray) -> list:
+    """A float column as `%s` writes it into JSON: finite entries as floats,
+    whose str is their repr, and infinities as the strings "inf" and "-inf"
+    (see `metrics.encode`)."""
+    values = a.tolist()
+    for i in np.flatnonzero(np.isinf(a)).tolist():
+        values[i] = '"inf"' if values[i] > 0 else '"-inf"'
+    return values
+
+
+def _block_json(block: ReportBlock) -> str:
+    """The block's reports as `json.dumps(doc, indent=1)` writes them in
+    doc["reports"], separated by commas: one template for the block, with
+    its name, tolerance and a None n filled in, formatted once."""
+    n = "null" if block.n is None else "%s"
+    name, tolerance = json.dumps(block.name.value), json.dumps(block.tolerance)
+    row = _REPORT_JSON % (name, "%s", n, "%s", "%s", "%s", "%s", tolerance, "%s")
+    notes = {note: json.dumps(note) for note in set(block.notes)}
+    columns = [
+        block.t.tolist(),
+        *([] if block.n is None else [block.n.tolist()]),
+        _json_floats(block.lhs),
+        _json_floats(block.rhs),
+        _json_floats(block.value),
+        [("false", "true")[p] for p in block.passed.tolist()],
+        [notes[note] for note in block.notes],
+    ]
+    return ",\n".join([row] * len(block)) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def verification_chunks(reports: ReportTable | Iterable[LemmaReport], summary: dict) -> Iterator[str]:
+    """The text of `verification_to_json(reports, summary)` in chunks, one
+    per block of reports."""
+    blocks = _table(reports).blocks
+    yield '{\n "reports": [' + ("\n" if blocks else "")
+    for i, block in enumerate(blocks):
+        yield (",\n" if i else "") + _block_json(block)
+    yield ("\n ]" if blocks else "]") + ',\n "summary": ' + dumps_indent1(summary, 1) + "\n}\n"
+
+
+def verification_to_json(reports: ReportTable | Iterable[LemmaReport], summary: dict | None = None) -> str:
+    """The reports and their summary as strict JSON, byte for byte
+    ``json.dumps({"reports": [...], "summary": summary}, indent=1) + "\\n"``
+    over `report_to_json_dict` of each report.
 
     A caller that already holds ``summarize(reports)`` passes it as
     `summary`, so the reports are not walked a second time.
     """
-    doc = {
-        "reports": [report_to_json_dict(r) for r in reports],
-        "summary": summarize(reports) if summary is None else summary,
-    }
-    return dumps_indent1(doc) + "\n"
+    table = _table(reports)
+    return "".join(verification_chunks(table, summarize(table) if summary is None else summary))

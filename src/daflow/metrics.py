@@ -111,10 +111,10 @@ def encode(x: ExtReal | float | int | None) -> float | int | str | None:
     return x
 
 
-def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> list[ExtReal]:
-    """D(p||q) for each weight array q stacked along the first axis of qs,
-    where p is one weight array compared with every q or a stack of them
-    paired with qs row by row.
+def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> np.ndarray:
+    """D(p||q) as a float64 array, +inf where infinite, for each weight array
+    q stacked along the first axis of qs, where p is one weight array
+    compared with every q or a stack of them paired with qs row by row.
 
     The terms ``p * log(p / q)`` are formed for the whole stack in single
     NumPy operations, and each row gets one correctly rounded sum
@@ -122,7 +122,9 @@ def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entro
     with it. Cells outside the support of every p are dropped, and terms
     outside one row's support are set to -0.0; neither changes a sum. A row
     whose q vanishes somewhere on its support is +infinity and is not
-    summed.
+    summed. The sum of finite terms is finite (`math.fsum` raises rather
+    than overflow), and one below zero by at most `NEGATIVE_CLIP_TOL` is
+    clipped to 0.0; the first row below that raises.
     """
     if qs.shape[1:] != p.shape and qs.shape != p.shape:
         raise DimensionMismatch(f"{what}: shapes {p.shape} and {qs.shape[1:]} differ")
@@ -144,21 +146,24 @@ def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entro
     if not full:
         np.copyto(terms, -0.0, where=~support)
         vanishing &= support
-    infinite = vanishing.any(axis=1)
-    finite = ~infinite
-    sums = iter(stable_row_sums(terms if finite.all() else terms[finite]))
-    out = []
-    for row_infinite in infinite.tolist():
-        if row_infinite:
-            out.append(ExtReal.pos_infinity())
-            continue
-        total = next(sums)
-        if total < 0.0:
+    finite = ~vanishing.any(axis=1)
+    all_finite = finite.all()
+    sums = stable_row_sums(terms if all_finite else terms[finite])
+    if sums and min(sums) < 0.0:
+        for total in sums:
             if total < -NEGATIVE_CLIP_TOL:
                 raise DistributionError(f"{what}: divergence {total!r} is negative beyond rounding")
-            total = 0.0
-        out.append(ExtReal.finite(total))
+        sums = [0.0 if total < 0.0 else total for total in sums]
+    if all_finite:
+        return np.array(sums, dtype=np.float64)
+    out = np.full(rows, math.inf)
+    out[finite] = sums
     return out
+
+
+def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> list[ExtReal]:
+    """`_rel_entropy_array` as one ExtReal per row."""
+    return [ExtReal(d) for d in _rel_entropy_array(p, qs, what).tolist()]
 
 
 def _l1_rows(p: np.ndarray, qs: np.ndarray) -> list[float]:

@@ -28,9 +28,11 @@ from daflow.diagnostics import (
     reconstruction_check,
     report_to_json_dict,
     summarize,
+    validate_instance,
 )
 from daflow.dist import Axis, JointDensity, load_joint, make_target, random_positive_target
 from daflow.engine import RetainPolicy, run
+from daflow.errors import DistributionError
 from daflow.sampler import DRAWS_CSV_BLOCK_ROWS, draws_to_csv, run_chains
 
 
@@ -230,6 +232,37 @@ class TestVerify:
         assert main(["verify", "--gen", "4,4,1", *selection]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "check, t, n, message",
+        [
+            ("lemma1", -1, None, "lemma1_check needs t >= 0, got -1"),
+            ("lemma2", 0, 3, "lemma2_check needs t >= 1 and n >= 1, got t=0, n=3"),
+            ("lemma2", 2, 0, "lemma2_check needs t >= 1 and n >= 1, got t=2, n=0"),
+            ("lemma2", 2, -3, "lemma2_check needs t >= 1 and n >= 1, got t=2, n=-3"),
+            ("lemma3", 0, 3, "lemma3_check needs t >= 1 and n >= 0, got t=0, n=3"),
+            ("lemma3", 1, -1, "lemma3_check needs t >= 1 and n >= 0, got t=1, n=-1"),
+            ("lsc", 2, -2, "lsc horizon must be >= 0, got -2"),
+        ],
+    )
+    def test_instance_outside_the_domain_refused_before_run(self, monkeypatch, capsys, check, t, n, message):
+        # the message the check itself raises once the trace exists
+        with pytest.raises(DistributionError) as raised:
+            validate_instance(check, t, n)
+        assert str(raised.value) == message
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        selection = ["--checks", check, "--t", str(t), *([] if n is None else ["--n", str(n)])]
+        assert main(["verify", "--gen", "4,4,1", *selection]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "check, t, n", [("lemma1", 0, None), ("lemma2", 1, 1), ("lemma3", 1, 0), ("lsc", 1, 0), ("lsc", 1, None)]
+    )
+    def test_instance_at_the_domain_edge_runs(self, capsys, check, t, n):
+        selection = ["--checks", check, "--t", str(t), *([] if n is None else ["--n", str(n)])]
+        assert main(["verify", "--gen", "4,4,1", *selection]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert report["t"] == t and report["pass"]
+
     @pytest.mark.parametrize("check", ["lemma3", "lsc"])
     def test_final_time_instance_runs_under_retain_none(self, capsys, check):
         p0 = JointDensity(np.full((4, 4), 1 / 16))
@@ -259,6 +292,17 @@ class TestVerify:
 
     def test_zero_cell_target_exits_hypothesis(self, zero_cell_target):
         assert main(["verify", "--target", zero_cell_target]) == EXIT_HYPOTHESIS
+
+    @pytest.mark.parametrize("prefixed", [True, False])
+    def test_a_family_that_raises_leaves_no_output(self, tmp_path, capsys, prefixed):
+        # lemma1 runs, then lemma3 finds a single iterate time on a 6x1 grid
+        prefix = ["--out-prefix", str(tmp_path / "v")] if prefixed else []
+        argv = ["verify", "--gen", "6,1,3", "--checks", "lemma1,lemma3", "--eps", "1e-300", "--max-steps", "8"]
+        assert main([*argv, *prefix]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lemma3 needs two retained times with t >= 1\n"
+        assert os.listdir(tmp_path) == []
 
     def test_all_checks_write_the_per_pair_reports(self, tmp_path):
         n = 8

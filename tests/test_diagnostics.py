@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import daflow.diagnostics as diagnostics
 from conftest import gamma_weights
@@ -51,7 +53,7 @@ from daflow.errors import (
     TargetNotPositive,
     ZeroConditional,
 )
-from daflow.metrics import ExtReal, _l1_rows, _rel_entropy_rows, relative_entropy, total_variation
+from daflow.metrics import ExtReal, _l1_rows, _rel_entropy_rows, encode, relative_entropy, total_variation
 
 DIAG22 = JointDensity(np.array([[0.4, 0.1], [0.1, 0.4]]))
 
@@ -670,3 +672,156 @@ class TestEarlyLscRefusal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: lsc check needs a converged trace\n"
+
+
+def summary_reference(reports) -> dict:
+    """The summary as a loop over the reports computes it: the largest
+    absolute residual and the smallest slack, kept by ``max`` and ``min``."""
+    worst = {}
+    for r in reports:
+        key = r.name.value
+        if diagnostics._CHECK_KIND[r.name] == "identity":
+            worst[key] = max(worst.get(key, 0.0), abs(r.residual_or_slack))
+        else:
+            worst[key] = min(worst.get(key, math.inf), r.residual_or_slack)
+    return {
+        "checks_run": len(reports),
+        "passes": sum(r.passed for r in reports),
+        "failures": sum(not r.passed for r in reports),
+        "worst_residual_by_lemma": {k: encode(v) for k, v in worst.items()},
+    }
+
+
+def lemma3_pair_reference(trace, t: int, k: int, d) -> LemmaReport:
+    """The lemma3 report on one pair, built from scalars one pair at a time."""
+    lhs = relative_entropy(trace.state_at(t).density, trace.state_at(k).density)
+    rhs = ExtReal.finite(d[t].value - d[k].value)
+    if not lhs.is_finite:
+        return diagnostics._report(
+            CheckName.LEMMA3, t, k - t, lhs, rhs, -math.inf, diagnostics.INEQUALITY_TOL,
+            "left side infinite with finite right side",
+        )
+    return diagnostics._report(
+        CheckName.LEMMA3, t, k - t, lhs, rhs, rhs.value - lhs.value, diagnostics.INEQUALITY_TOL
+    )
+
+
+def assert_same_reports(got: list[LemmaReport], want: list[LemmaReport]) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_report(g, w)
+
+
+class TestReportBlocks:
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_blocks_materialize_the_per_pair_reports(self, case, monkeypatch):
+        trace = ROW_CASES[case]()
+        # blocks of three rows, so a row of later times spans several stacks
+        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 3 * trace.target.joint.w.size)
+        d = diagnostics._ToTarget(trace)
+        times = trace.retained_times
+        infinite = 0
+        for t in times[1:]:
+            # earlier times too: D(p_t || p_k) can be infinite only for k < t
+            others = [k for k in times if k != t]
+            block = diagnostics._lemma3_row(trace, t, others, d)
+            want = [lemma3_pair_reference(trace, t, k, d) for k in others]
+            assert_same_reports(block.reports(), want)
+            infinite += sum(not r.lhs.is_finite for r in want)
+        if case == "degenerate":
+            # p_1 lives on the starting column, so D(p_t || p_1) = +inf for t >= 2
+            assert infinite > 0
+        iterates = [t for t in times if t >= 1]
+        if len(iterates) < 2:
+            with pytest.raises(StateNotRetained):
+                run_verification(trace, ("lemma3",))
+            return
+        want = [lemma3_pair_reference(trace, t, k, d) for t in iterates for k in iterates if k > t]
+        got = run_verification(trace, ("lemma3",))
+        assert_same_reports(got, want)
+        assert_same_reports([lemma3_check(trace, r.t, r.n) for r in want], want)
+        table = diagnostics.verification_table(trace, ("lemma3",))
+        assert len(table.blocks) == len(iterates) - 1
+        assert json.dumps(summarize(table)) == json.dumps(summary_reference(want))
+
+    def test_summary_keeps_the_first_tied_worst_value(self):
+        def report(name, value, tolerance=1e-10):
+            return diagnostics._report(name, 1, 1, ExtReal(0.0), ExtReal(0.0), value, tolerance)
+
+        lemma3, cauchy, lemma1 = CheckName.LEMMA3, CheckName.CAUCHY, CheckName.LEMMA1
+        cases = [
+            ([report(lemma3, 0.0), report(lemma3, -0.0)], 0.0),
+            ([report(lemma3, -0.0), report(lemma3, 0.0)], -0.0),
+            # a different tolerance starts a new block
+            ([report(lemma3, 0.0), report(lemma3, -0.0, 1e-6)], 0.0),
+            ([report(lemma3, -0.0, 1e-6), report(lemma3, 0.0)], -0.0),
+            ([report(lemma3, 1.0), report(cauchy, 0.0), report(lemma3, -0.0), report(lemma3, 0.0)], -0.0),
+            ([report(lemma3, math.inf), report(lemma3, 2.0, 1e-6), report(lemma3, -math.inf)], "-inf"),
+        ]
+        for reports, lemma3_worst in cases:
+            summary = summarize(reports)
+            assert json.dumps(summary) == json.dumps(summary_reference(reports))
+            assert json.dumps(summary["worst_residual_by_lemma"]["Lemma3"]) == json.dumps(lemma3_worst)
+        identity = [report(lemma1, -0.0), report(lemma1, 0.0), report(lemma1, -1e-12)]
+        assert json.dumps(summarize(identity)) == json.dumps(summary_reference(identity))
+
+    def test_empty_report_list(self):
+        text = verification_to_json([])
+        assert text == json.dumps({"reports": [], "summary": summary_reference([])}, indent=1) + "\n"
+
+
+# values at the edges of how JSON writes a float: signed zeros, the smallest
+# subnormal, both sides of repr's switches to exponent notation at 1e-5 and
+# 1e16, and the infinities, which are written as strings
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-06, 1.0000000000000002e-05,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 1e-10, math.inf, -math.inf,
+)
+NOTES = (
+    "", "left side infinite with finite right side", 'a "quoted" note', "back\\slash and /",
+    "naïve π ≤ ∞", "tab\tnewline\n and \x00", "100% of %s",
+)
+
+
+def report_floats(allow_negative_infinity: bool) -> st.SearchStrategy[float]:
+    return st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False)).filter(
+        lambda x: allow_negative_infinity or x != -math.inf
+    )
+
+
+@st.composite
+def report_lists(draw) -> list[LemmaReport]:
+    """Runs of reports that share a name, a tolerance and whether n is None,
+    so that gathered blocks hold several rows."""
+    reports = []
+    for _ in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from(list(CheckName)))
+        tolerance = draw(st.sampled_from([1e-10, 1e-6, 0.0, 2.5, math.inf]))
+        no_n = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 4))):
+            reports.append(diagnostics._report(
+                name,
+                draw(st.integers(0, 10**6)),
+                None if no_n else draw(st.integers(-3, 10**6)),
+                ExtReal(draw(report_floats(False))),
+                ExtReal(draw(report_floats(False))),
+                draw(report_floats(True)),
+                tolerance,
+                draw(st.one_of(st.sampled_from(NOTES), st.text(max_size=8))),
+            ))
+    return reports
+
+
+class TestBlockEncoder:
+    @settings(max_examples=150, deadline=None)
+    @given(reports=report_lists())
+    def test_text_is_json_dumps_of_the_report_dicts(self, reports):
+        summary = summarize(reports)
+        assert json.dumps(summary) == json.dumps(summary_reference(reports))
+        doc = {"reports": [report_to_json_dict(r) for r in reports], "summary": summary}
+        expected = json.dumps(doc, indent=1) + "\n"
+        assert verification_to_json(reports, summary) == expected
+        assert verification_to_json(reports) == expected
+        table = diagnostics.ReportTable(diagnostics._gather(reports))
+        assert "".join(diagnostics.verification_chunks(table, summary)) == expected
+        assert_same_reports(list(table), reports)

@@ -478,3 +478,13 @@ def test_layer_timing_script_writes_its_document(tmp_path, monkeypatch):
     assert numeric.stable_sum is stable_sum and numeric.BINNED_MIN_ENTRIES == BINNED_MIN_ENTRIES
     assert numeric.ROW_BINNED_MIN_ENTRIES == ROW_BINNED_MIN_ENTRIES
     assert bench.engine._BLOCK_VALUES > 0
+
+
+def test_verify_layer_checks_and_times_both_exports():
+    [row] = bench.time_verify(((4, 1.0),), 0.001, 1)
+    assert (row["n"], row["beta"]) == (4, 1.0)
+    # every pair of iterate times 1..T
+    assert row["reports"] == row["half_steps"] * (row["half_steps"] - 1) // 2
+    assert row["bytes"] > 0
+    for key in ("sweep_blocks", "sweep_materialized", "export_dicts", "export_blocks"):
+        assert row[f"{key}_us_per_report"] > 0

@@ -1,4 +1,5 @@
-"""Time the summation layers, the reconstruction check, `run` and the draws CSV.
+"""Time the summation layers, the reconstruction check, `run`, the draws CSV
+and the verify reports.
 
 Run from the repository root:
 
@@ -22,7 +23,14 @@ corner cell of seeded banded targets, with its measurements stacked over
 blocks of half-steps and with one-half-step blocks, and checks that both
 give the same trace. Finally it times ``sampler.draws_csv_blocks`` against
 ``percent_body``, the one-``%``-format-per-block body it replaced, on the
-draws of seeded chains, after checking that both write the same text.
+draws of seeded chains, after checking that both write the same text. Then,
+on traces of seeded banded targets run to a divergence of 1e-15 with every
+state retained, it times the lemma3 sweep per report as column blocks
+(``diagnostics.verification_table``) and materialized as one ``LemmaReport``
+each (``run_verification``), and the verify JSON export per report:
+``verification_to_json`` over the blocks against ``dumps_indent1`` over one
+``report_to_json_dict`` per report, the body it replaced, after checking
+that both write the same text.
 
 Each value is the median over ``REPEATS`` rounds of a loop sized to run at
 least ``MIN_TIME`` seconds. Where two bodies are compared on one case, their
@@ -51,7 +59,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import daflow._numeric as numeric  # noqa: E402
 import daflow.engine as engine  # noqa: E402
-from daflow.diagnostics import reconstruction_check  # noqa: E402
+from daflow._fsio import dumps_indent1  # noqa: E402
+from daflow.diagnostics import (  # noqa: E402
+    reconstruction_check,
+    report_to_json_dict,
+    run_verification,
+    summarize,
+    verification_table,
+    verification_to_json,
+)
 from daflow.dist import JointDensity, make_target, random_positive_target  # noqa: E402
 from daflow.sampler import (  # noqa: E402
     DRAWS_CSV_BLOCK_ROWS,
@@ -71,6 +87,9 @@ RUN_CASES = ((28, 0.9, 400), (50, 0.9, 200), (200, 0.9, 40), (40, 2.0, 1000))
 # (replicas, half-steps, grid side): the sample benchmark's draws at its
 # smallest and largest grid, and 1e5 replicas at 50 x 50
 DRAWS_CSV_CASES = ((5000, 20, 5), (5000, 20, 20), (100_000, 4, 50))
+# (side, beta): the certify benchmark's grid and mixing, about 105 half-steps
+# and 5,460 lemma3 reports
+VERIFY_CASES = ((8, 0.9),)
 MIN_TIME = 0.05
 REPEATS = 7
 
@@ -324,6 +343,45 @@ def time_draws_csv(cases, min_time: float, repeats: int) -> list[dict]:
     return rows
 
 
+def dicts_body(reports, summary: dict) -> str:
+    """What verification_to_json computed before its block encoder: one dict
+    per report, written by dumps_indent1."""
+    return dumps_indent1({"reports": [report_to_json_dict(r) for r in reports], "summary": summary}) + "\n"
+
+
+def time_verify(cases, min_time: float, repeats: int) -> list[dict]:
+    rows = []
+    for n, beta in cases:
+        w = np.zeros((n, n))
+        w[0, n - 1] = 1.0
+        trace = engine.run(JointDensity(w), banded_target(n, beta), 5000, 1e-15, engine.RetainPolicy.all())
+        checks = ("lemma3",)
+        table = verification_table(trace, checks)
+        reports = run_verification(trace, checks)
+        summary = summarize(table)
+        text = verification_to_json(table, summary)
+        if text != dicts_body(reports, summary):
+            raise SystemExit(f"verification_to_json differs from the dict body at {n}x{n}")
+        sweeps = (lambda: verification_table(trace, checks), lambda: run_verification(trace, checks))
+        blocks, materialized = interleaved_per_call_s(sweeps, min_time, repeats)
+        exports = (lambda: dicts_body(reports, summary), lambda: verification_to_json(table, summary))
+        dicts, encoder = interleaved_per_call_s(exports, min_time, repeats)
+        per_report_us = 1e6 / len(reports)
+        rows.append({
+            "n": n,
+            "beta": beta,
+            "half_steps": trace.last_t,
+            "reports": len(reports),
+            "bytes": len(text),
+            "sweep_blocks_us_per_report": round(blocks * per_report_us, 3),
+            "sweep_materialized_us_per_report": round(materialized * per_report_us, 3),
+            "export_dicts_us_per_report": round(dicts * per_report_us, 3),
+            "export_blocks_us_per_report": round(encoder * per_report_us, 3),
+            "export_speedup": round(dicts / encoder, 3),
+        })
+    return rows
+
+
 def main(argv: list[str] | None = None) -> dict:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="write the results here as JSON")
@@ -346,6 +404,7 @@ def main(argv: list[str] | None = None) -> dict:
         "reconstruction_check": time_reconstruction(RECONSTRUCTION_SIDES, MIN_TIME, REPEATS),
         "run": time_run(RUN_CASES, MIN_TIME, REPEATS),
         "draws_csv": time_draws_csv(DRAWS_CSV_CASES, MIN_TIME, REPEATS),
+        "verify": time_verify(VERIFY_CASES, MIN_TIME, REPEATS),
     }
     text = json.dumps(doc, indent=1) + "\n"
     Path(args.out).write_text(text)
