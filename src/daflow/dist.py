@@ -30,6 +30,7 @@ from .errors import DimensionMismatch, DistributionError, PositivityViolation
 SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
 COMPOSE_TOL = 1e-12
+TARGET_MAX_VARIATES = 1 << 20
 
 
 class Axis(enum.Enum):
@@ -265,24 +266,13 @@ def conditional(p: JointDensity, direction: Direction) -> ConditionalKernel:
     return ConditionalKernel(direction, k, defined)
 
 
-def compose_raw(m: MarginalDensity, k: ConditionalKernel, out: np.ndarray | None = None) -> np.ndarray:
-    """The weight matrix m * k, not renormalized and not validated, written
-    into `out` when one is given.
+def compose_raw(v: np.ndarray, k: ConditionalKernel, out: np.ndarray | None = None) -> np.ndarray:
+    """The weight matrix v * k for v one weight per kernel slice, unchecked,
+    not renormalized and not validated, written into `out` when one is given.
 
-    Its total mass is 1 up to a few ulps per entry, because m and every
-    kernel slice are pmfs.
+    Its total mass is 1 up to a few ulps per entry when v is a pmf.
     """
-    if m.axis is not k.direction.conditioning_axis:
-        raise DimensionMismatch(
-            f"cannot compose a {m.axis.value}-marginal with a {k.direction.value} kernel"
-        )
-    if len(m) != k.n_slices:
-        raise DimensionMismatch(
-            f"marginal length {len(m)} does not match kernel slice count {k.n_slices}"
-        )
-    if k.direction is Direction.X_GIVEN_Y:
-        return np.multiply(k.k, m.v[None, :], out=out)
-    return np.multiply(k.k, m.v[:, None], out=out)
+    return np.multiply(k.k, v[None, :] if k.direction is Direction.X_GIVEN_Y else v[:, None], out=out)
 
 
 def compose_with_drift(m: MarginalDensity, k: ConditionalKernel) -> tuple[JointDensity, float]:
@@ -293,7 +283,15 @@ def compose_with_drift(m: MarginalDensity, k: ConditionalKernel) -> tuple[JointD
     floating residue (at most a few ulps per entry) but is reported so long
     iterations can record it.
     """
-    raw = compose_raw(m, k)
+    if m.axis is not k.direction.conditioning_axis:
+        raise DimensionMismatch(
+            f"cannot compose a {m.axis.value}-marginal with a {k.direction.value} kernel"
+        )
+    if len(m) != k.n_slices:
+        raise DimensionMismatch(
+            f"marginal length {len(m)} does not match kernel slice count {k.n_slices}"
+        )
+    raw = compose_raw(m.v, k)
     total = stable_sum(raw)
     drift = abs(total - 1.0)
     return JointDensity(raw / total), drift
@@ -336,20 +334,25 @@ def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1
     Cells are iid gamma variates with the given shape parameter, normalized
     to total mass 1 (jointly a symmetric Dirichlet draw). Larger
     concentration flattens the target toward uniform; smaller concentration
-    spreads the mass unevenly. The rare draw with a cell that underflows to
-    zero is rejected and redrawn from the same stream, so the result is
-    always strictly positive.
+    spreads the mass unevenly. A draw with a cell that underflows to zero is
+    redrawn from the same stream while the variates drawn stay within
+    `TARGET_MAX_VARIATES` (the first draw is always made), then refused.
     """
     if nx < 1 or ny < 1:
         raise DistributionError(f"grid must be at least 1x1, got {nx}x{ny}")
     if not (np.isfinite(concentration) and concentration > 0.0):
         raise DistributionError(f"concentration must be a positive real, got {concentration!r}")
+    if seed < 0:
+        raise DistributionError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(max(1, TARGET_MAX_VARIATES // (nx * ny))):
         w = rng.gamma(concentration, size=(nx, ny))
         total = stable_sum(w)
         if total > 0.0 and np.all(w / total > 0.0):
             return make_target(JointDensity(w / total), require_positive=True)
+    raise DistributionError(
+        f"every {nx}x{ny} draw at concentration {concentration!r} in {TARGET_MAX_VARIATES} variates had a zero cell"
+    )
 
 
 def independence_target(px: MarginalDensity, py: MarginalDensity) -> Target:

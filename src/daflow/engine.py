@@ -18,32 +18,33 @@ projection-identity residual, and the renormalization drift, until the
 divergence falls to `eps` or the step budget runs out.
 
 Every iterate after t=0 is a target conditional times one marginal, so `run`
-carries that one marginal vector from half-step to half-step, renormalized
-by its own correctly rounded sum. By the chain rule, D(p_(t+1) || target)
-and V(p_(t+1), target) equal the divergence and L1 distance of that marginal
-to the target's marginal on the same axis, which costs O(n). Only the
-one-step divergence D(p_t || p_(t+1)) is summed over the joints: deriving it
-from the marginals would assume the projection identity that `diagnostics`
-certifies. The starting density is arbitrary, so t=0 is measured on the
-joint.
+carries that one marginal, a plain vector (the Y marginal of p_t for even t,
+the X marginal for odd t), from half-step to half-step, renormalized by its
+own correctly rounded sum. By the chain rule, D(p_(t+1) || target) and
+V(p_(t+1), target) equal the divergence and L1 distance of that marginal to
+the target's marginal on the same axis, which costs O(n). Only the one-step
+divergence D(p_t || p_(t+1)) is summed over the joints: deriving it from the
+marginals would assume the projection identity that `diagnostics` certifies.
+The starting density is arbitrary, so t=0 is measured on the joint.
 
 Only the recursion itself runs one half-step at a time: compose, axis sum,
-renormalize and validate the next marginal. Everything that only reads the
-iterates is evaluated once per block of half-steps, in stacked NumPy
-operations: the one-step divergences over the stacked joints, and the
-divergences and distances of the stacked marginals to the target's. Each
-row still gets its own correctly rounded sum (`_numeric.stable_row_sums`),
-so every recorded value equals the one a single half-step would give. A
-block starts at one half-step and doubles up to a cap set by the grid
-size, so a run computes at most about twice the half-steps it records,
-and an error in a half-step computed ahead surfaces only if the run
-reaches that step.
+renormalize. Everything that only reads the iterates is evaluated once per
+block of half-steps, in stacked NumPy operations: the one-step divergences
+over the stacked joints, and the divergences and distances of the stacked
+marginals to the target's. Each row still gets its own correctly rounded
+sum (`_numeric.stable_row_sums`), so every recorded value equals the one a
+single half-step would give. A block starts at one half-step and doubles
+up to a cap set by the grid size, so a run computes at most about twice
+the half-steps it records, and an error in a half-step computed ahead
+surfaces only if the run reaches that step.
 
-Densities are retained according to a :class:`RetainPolicy` so long traces
-stay memory-bounded. A retained state after t=0 keeps only its marginal; its
-validated joint is built, from the same product the one-step divergence
-used, on the first lookup. `da_half_step` is the joint-based reference
-half-step.
+Densities are validated where they enter the recursion, p0 and the target,
+and where a retained state leaves it, on lookup. The vectors in between are
+pmfs by construction, a pmf times a validated kernel over its positive total.
+States are retained according to a :class:`RetainPolicy` so long traces stay
+memory-bounded. A retained state after t=0 keeps only its marginal; its joint
+is built, from the same product the one-step divergence used, and validated
+on the first lookup. `da_half_step` is the joint-based reference half-step.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from ._numeric import stable_sum
 from .dist import (
     Axis,
     JointDensity,
-    MarginalDensity,
     Target,
     compose_raw,
     compose_with_drift,
@@ -177,25 +177,24 @@ class RetainPolicy:
         return t % self.k == 0
 
 
-def _composed(target: Target, m: MarginalDensity, out: np.ndarray | None = None) -> np.ndarray:
-    """The weights of the iterate that refreshes the coordinate m does not
-    live on: m times the target conditional given m's axis, written into
-    `out` when one is given."""
-    kernel = target.cond_x_given_y if m.axis is Axis.Y else target.cond_y_given_x
-    return compose_raw(m, kernel, out)
+def _composed(target: Target, v: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The weights of p_t, t >= 1: the marginal v of p_(t-1) times the
+    target conditional refreshed at t, written into `out` when one is given."""
+    kernel = target.cond_x_given_y if t % 2 == 1 else target.cond_y_given_x
+    return compose_raw(v, kernel, out)
 
 
 class _RetainedStates(Mapping[int, DAState]):
     """Retained states keyed by time, each stored as what determines it: the
-    starting density at t=0, the marginal composed into the target's
+    starting density at t=0, the marginal vector composed into the target's
     conditional after that.
 
-    A lookup builds the validated state on first use and caches it. Length,
-    iteration and membership build nothing. Two threads racing on a first
-    lookup may both build the state; they build equal values.
+    A lookup builds the state, validating its joint, on first use and caches
+    it. Length, iteration and membership build nothing. Two threads racing
+    on a first lookup may both build the state; they build equal values.
     """
 
-    def __init__(self, target: Target, sources: dict[int, JointDensity | MarginalDensity]) -> None:
+    def __init__(self, target: Target, sources: dict[int, JointDensity | np.ndarray]) -> None:
         self._target = target
         self._sources = sources
         self._built: dict[int, DAState] = {}
@@ -204,7 +203,7 @@ class _RetainedStates(Mapping[int, DAState]):
         state = self._built.get(t)
         if state is None:
             src = self._sources[t]
-            density = src if isinstance(src, JointDensity) else JointDensity(_composed(self._target, src))
+            density = src if t == 0 else JointDensity(_composed(self._target, src, t))
             state = self._built[t] = DAState(t, density, _update_at(t))
         return state
 
@@ -293,12 +292,12 @@ def initial_state(p0: JointDensity) -> DAState:
     return DAState(0, p0, UpdateKind.NONE)
 
 
-def _renormalized_marginal(w: np.ndarray, axis: Axis) -> tuple[MarginalDensity, float]:
+def _renormalized_marginal(w: np.ndarray, axis: Axis) -> tuple[np.ndarray, float]:
     """The `axis` marginal of the weights w divided by its correctly rounded
-    sum, and that sum's distance from 1."""
+    sum, as a new array, and that sum's distance from 1."""
     v = w.sum(axis=1) if axis is Axis.X else w.sum(axis=0)
     total = stable_sum(v)
-    return MarginalDensity(axis, v / total), abs(total - 1.0)
+    return v / total, abs(total - 1.0)
 
 
 # a block of half-steps stacks at most this many joint values (64 KiB of
@@ -307,21 +306,20 @@ _BLOCK_VALUES = 1 << 13
 _BLOCK_ROWS = 64
 
 
-def _measured(joints: np.ndarray, ms: list[MarginalDensity], targets: dict[Axis, np.ndarray]) -> list[tuple]:
-    """(D(p_t || p_(t+1)), D(p_(t+1) || target), V(p_(t+1), target)) for
-    consecutive half-steps, where joints stacks the weights of p_t, ...,
-    p_(t+k), ms holds the k marginals composed between them, and targets
-    repeats each axis's target marginal over at least the rows of ms.
+def _measured(target: Target, joints: np.ndarray, vs: list[np.ndarray], t: int) -> list[tuple]:
+    """(D(p_s || p_(s+1)), D(p_(s+1) || target), V(p_(s+1), target)) for
+    the half-steps from s = t on, where joints stacks the weights of p_t,
+    ..., p_(t+k) and vs the k marginals composed between them.
 
     Each quantity is one stacked row evaluation: the one-step divergences
-    pair the stacked joints, and the distances to the target pair each axis's
-    marginals with that axis's target marginal, which by the chain rule
-    gives the joints' values.
+    pair the stacked joints, and the distances to the target pair every
+    other marginal, those of one axis, with that axis's target marginal,
+    which by the chain rule gives the joints' values.
     """
-    d_next, tv_next = [None] * len(ms), [None] * len(ms)
-    for first in range(min(2, len(ms))):
-        stack = np.array([m.v for m in ms[first::2]])
-        q = targets[ms[first].axis][: len(stack)]
+    d_next, tv_next = [None] * len(vs), [None] * len(vs)
+    for first in range(min(2, len(vs))):
+        stack = np.array(vs[first::2])
+        q = np.broadcast_to((target.marg_y, target.marg_x)[(t + first) % 2].v, stack.shape)
         d_next[first::2] = _rel_entropy_rows(stack, q, "marginal_relative_entropy")
         tv_next[first::2] = _l1_rows(stack, q)
     d_step = _rel_entropy_rows(joints[:-1], joints[1:])
@@ -329,47 +327,47 @@ def _measured(joints: np.ndarray, ms: list[MarginalDensity], targets: dict[Axis,
 
 
 def _half_steps(
-    target: Target, w: np.ndarray, m: MarginalDensity, budget: int
-) -> Iterator[tuple[ExtReal, ExtReal, float, MarginalDensity, float]]:
-    """Yield, for each half-step from the state with weights w whose
-    marginal m is composed next, at most `budget` of them: the one-step
-    divergence, the successor's divergence and distance to the target, the
-    marginal composed into it, and the drift of the marginal it passes on.
+    target: Target, w: np.ndarray, budget: int
+) -> Iterator[tuple[ExtReal, ExtReal, float, np.ndarray, float]]:
+    """Yield, for each half-step from the starting weights w, at most
+    `budget` of them: the one-step divergence, the successor's divergence
+    and distance to the target, the marginal composed into it, and the
+    drift of the marginal it passes on.
 
     Only the recursion is computed step by step: compose, axis sum and the
-    validated, renormalized marginal. The joints of a block are composed
-    into one reused stack and measured once per block (`_measured`). A
-    block grows from one half-step by doubling up to a cap set by the grid
-    size, so the steps computed past the last one consumed never outnumber
-    those consumed. A block that raises is computed again from its start
-    one half-step at a time, and the run goes on that way, so an exception
-    is raised only when the consumer reaches the step that raises it,
-    after the steps before it.
+    renormalized marginal, which is not validated. The joints of a block
+    are composed into one reused stack and measured once per block
+    (`_measured`). A block grows from one half-step by doubling up to a cap
+    set by the grid size, so the steps computed past the last one consumed
+    never outnumber those consumed. A block that raises is computed again
+    from its start one half-step at a time, and the run goes on that way,
+    so an exception is raised only when the consumer reaches the step that
+    raises it, after the steps before it.
     """
     rows_cap = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // w.size))
     joints = np.empty((rows_cap + 1, *w.shape))
     joints[0] = w
-    targets = {q.axis: np.broadcast_to(q.v, (rows_cap, len(q))) for q in (target.marg_x, target.marg_y)}
-    block = 1
+    v, _ = _renormalized_marginal(w, Axis.Y)
+    t, block = 0, 1
     while budget > 0:
         steps = min(block, budget)
-        ms, drifts = [m], []
+        vs, drifts = [v], []
         try:
             for j in range(1, steps + 1):
-                _composed(target, ms[-1], joints[j])
-                m_next, drift = _renormalized_marginal(joints[j], Axis.X if ms[-1].axis is Axis.Y else Axis.Y)
-                ms.append(m_next)
+                _composed(target, vs[-1], t + j, joints[j])
+                v_next, drift = _renormalized_marginal(joints[j], Axis.Y if (t + j) % 2 == 0 else Axis.X)
+                vs.append(v_next)
                 drifts.append(drift)
-            rows = _measured(joints[: steps + 1], ms[:steps], targets)
+            rows = _measured(target, joints[: steps + 1], vs[:steps], t)
         except Exception:
             if steps == 1:
                 raise
             block = rows_cap = 1
             continue
-        for row, m_j, drift in zip(rows, ms, drifts):
-            yield (*row, m_j, drift)
+        for row, v_j, drift in zip(rows, vs, drifts):
+            yield (*row, v_j, drift)
         joints[0] = joints[steps]
-        m, budget, block = ms[-1], budget - steps, min(2 * block, rows_cap)
+        v, t, budget, block = vs[-1], t + steps, budget - steps, min(2 * block, rows_cap)
 
 
 def run(
@@ -405,12 +403,11 @@ def run(
         raise TargetNotPositive("cannot iterate toward a target with zero cells")
 
     records: list[TraceRecord] = []
-    sources: dict[int, JointDensity | MarginalDensity] = {}
+    sources: dict[int, JointDensity | np.ndarray] = {}
     # p_t is determined by `src`; `steps` yields the measurements of the
     # half-step from t and the source of p_(t+1)
     t, src, drift_cur = 0, p0, 0.0
-    m, _ = _renormalized_marginal(p0.w, Axis.Y)
-    steps = _half_steps(target, p0.w, m, max_half_steps)
+    steps = _half_steps(target, p0.w, max_half_steps)
     while True:
         if d_cur.value <= eps:
             stop = StopReason.CONVERGED

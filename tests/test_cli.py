@@ -144,6 +144,27 @@ class TestRun:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--nx", "2", "--ny", "2", "--seed", "-5"], "seed must be nonnegative, got -5"),
+            (["run", "--gen", "3,3,-1"], "seed must be nonnegative, got -1"),
+            (["run", "--gen", "3,3,1", "--p0", "random:-1"], "seed must be nonnegative, got -1"),
+            (
+                ["run", "--gen", "10,10,1,0.001"],
+                "every 10x10 draw at concentration 0.001 in 1048576 variates had a zero cell",
+            ),
+        ],
+    )
+    def test_unusable_target_requests_are_usage_errors(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        argv = argv + (["--out", str(out)] if argv[0] == "gen" else ["--out-prefix", str(out)])
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
     def test_degenerate_p0_accepted(self):
         assert main(["run", "--gen", "3,4,8", "--p0", "degenerate:1,2"]) == EXIT_OK
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import gamma_weights, joint_weights_with_zeros, positive_joint_weights
+import daflow.dist as dist
 from daflow.dist import (
     Axis,
     ConditionalKernel,
@@ -205,6 +207,35 @@ class TestTarget:
             random_positive_target(0, 3, seed=1)
         with pytest.raises(DistributionError):
             random_positive_target(2, 2, seed=1, concentration=0.0)
+
+    def test_random_target_refuses_a_negative_seed(self):
+        with pytest.raises(DistributionError, match="^seed must be nonnegative, got -1$"):
+            random_positive_target(2, 2, seed=-1)
+
+    def test_random_target_redraws_keep_their_bytes(self):
+        # 6x6 at concentration 0.002, seed 1, is accepted on its 7,462nd
+        # draw; the hash is of the target drawn by the unbounded loop
+        w = random_positive_target(6, 6, seed=1, concentration=0.002).joint.w
+        assert w.min() > 0.0
+        assert hashlib.sha256(w.tobytes()).hexdigest() == (
+            "cd6dc45d685ce8ea72a8142879580c7b887a4167fe7d592d9ca759ea5d0e3fc6"
+        )
+
+    def test_random_target_redraws_stop_at_the_variate_cap(self, monkeypatch):
+        # the same request needs 7,462 draws of 36 variates
+        monkeypatch.setattr(dist, "TARGET_MAX_VARIATES", 36 * 7462)
+        random_positive_target(6, 6, seed=1, concentration=0.002)
+        monkeypatch.setattr(dist, "TARGET_MAX_VARIATES", 36 * 7462 - 1)
+        with pytest.raises(DistributionError, match=r"^every 6x6 draw at concentration 0\.002 in 268631 variates had a zero cell$"):
+            random_positive_target(6, 6, seed=1, concentration=0.002)
+        # a grid larger than the cap still gets its first draw
+        monkeypatch.setattr(dist, "TARGET_MAX_VARIATES", 3)
+        assert random_positive_target(2, 2, seed=1).strictly_positive
+
+    def test_random_target_refuses_a_hopeless_concentration(self):
+        # each 100-cell draw holds a zero cell with probability about 1 - 1e-28
+        with pytest.raises(DistributionError, match=r"^every 10x10 draw at concentration 0\.001 in 1048576 variates had a zero cell$"):
+            random_positive_target(10, 10, seed=1, concentration=0.001)
 
     def test_independence_target_is_outer_product(self):
         px = MarginalDensity(Axis.X, np.array([0.25, 0.75]))

@@ -21,6 +21,7 @@ from daflow.dist import (
     make_target,
     random_positive_target,
 )
+import daflow.dist as dist
 import daflow.engine as engine
 from daflow.engine import (
     CSV_HEADER,
@@ -318,6 +319,47 @@ class TestRetention:
             trace.record_at(21)
 
 
+class TestValidationBoundary:
+    """Densities are validated where they enter the recursion and where a
+    retained state leaves it, not on every half-step."""
+
+    def _validations(self, monkeypatch) -> list[int]:
+        calls = [0]
+        original = dist._validated_pmf
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dist, "_validated_pmf", counted)
+        return calls
+
+    def test_run_validates_independently_of_its_length(self, monkeypatch):
+        target, p0 = noisy_banded_target(16, 2.0, seed=16), degenerate(16, 16, 0, 15)
+        calls = self._validations(monkeypatch)
+        counts = {}
+        for steps in (50, 200):
+            calls[0] = 0
+            trace = run(p0, target, max_half_steps=steps, eps=1e-300, retain=RetainPolicy.all())
+            assert trace.last_t == steps
+            counts[steps] = calls[0]
+        assert counts[50] == counts[200]
+        # each lookup of a state after t=0 builds and validates its joint once
+        calls[0] = 0
+        for t in (17, 17, 200):
+            trace.state_at(t)
+        assert calls[0] == 2
+
+    def test_a_retained_lookup_validates_the_stored_marginal(self):
+        target = random_positive_target(4, 4, seed=33)
+        p0 = JointDensity(gamma_weights(4, 4, seed=34))
+        trace = run(p0, target, max_half_steps=20, eps=1e-300, retain=RetainPolicy.all())
+        trace.states._sources[7][1] = np.nan
+        with pytest.raises(DistributionError, match="^joint density contains NaN or infinite entries$"):
+            trace.state_at(7)
+        assert trace.state_at(8).density.strictly_positive
+
+
 class TestFixedPoint:
     def test_random_targets_are_stationary(self):
         for seed in (2, 8, 13):
@@ -552,13 +594,15 @@ class TestRunCost:
 
 def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, retain=RetainPolicy.all()) -> DATrace:
     """`run` with every measurement taken one half-step at a time: the
-    reference that the block evaluation must reproduce exactly."""
+    reference that the block evaluation must reproduce exactly. Each
+    marginal vector is validated as a `MarginalDensity` before it is
+    measured, so a trace equal to this one carried only pmfs."""
     d_cur = relative_entropy(p0, target.joint)
     tv_cur = total_variation(p0, target.joint)
     target_marginal = {Axis.X: target.marg_x, Axis.Y: target.marg_y}
     records, sources = [], {}
     t, src, w, drift_cur = 0, p0, p0.w, 0.0
-    m, _ = engine._renormalized_marginal(w, Axis.Y)
+    v, _ = engine._renormalized_marginal(w, Axis.Y)
     while True:
         if d_cur.value <= eps:
             stop = StopReason.CONVERGED
@@ -566,7 +610,8 @@ def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, reta
         if t >= max_half_steps:
             stop = StopReason.MAX_ITERS
             break
-        w_next = engine._composed(target, m)
+        m = MarginalDensity(Axis.Y if t % 2 == 0 else Axis.X, v)
+        w_next = engine._composed(target, v, t + 1)
         d_next = marginal_relative_entropy(m, target_marginal[m.axis])
         tv_next = marginal_total_variation(m, target_marginal[m.axis])
         d_step = _rel_entropy_raw(w, w_next, "relative_entropy")
@@ -575,8 +620,8 @@ def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, reta
         if retain.keeps(t):
             sources[t] = src
         other = Axis.X if m.axis is Axis.Y else Axis.Y
-        t, src, w = t + 1, m, w_next
-        m, drift_cur = engine._renormalized_marginal(w, other)
+        t, src, w = t + 1, v, w_next
+        v, drift_cur = engine._renormalized_marginal(w, other)
         d_cur, tv_cur = d_next, tv_next
     records.append(TraceRecord(t, d_cur, tv_cur, None, None, drift_cur))
     sources[t] = src
@@ -682,9 +727,9 @@ def _failing_from(monkeypatch, k: int) -> list[int]:
     composed, renormalized = engine._composed, engine._renormalized_marginal
     joint_t, marginal_t, raised = {}, {}, [0]
 
-    def composing(target, m, out=None):
-        w = composed(target, m, out)
-        joint_t[w.ctypes.data] = marginal_t[id(m)] + 1
+    def composing(target, v, t, out=None):
+        w = composed(target, v, t, out)
+        joint_t[w.ctypes.data] = marginal_t[id(v)] + 1
         return w
 
     def renormalizing(w, axis):
@@ -692,9 +737,9 @@ def _failing_from(monkeypatch, k: int) -> list[int]:
         if t >= k:
             raised[0] += 1
             raise DistributionError(f"renormalized the joint of half-step {t}")
-        m, drift = renormalized(w, axis)
-        marginal_t[id(m)] = t
-        return m, drift
+        v, drift = renormalized(w, axis)
+        marginal_t[id(v)] = t
+        return v, drift
 
     monkeypatch.setattr(engine, "_composed", composing)
     monkeypatch.setattr(engine, "_renormalized_marginal", renormalizing)
