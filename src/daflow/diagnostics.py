@@ -19,7 +19,8 @@ finished trace:
     single joint;
   - detailed balance of the two induced single-coordinate Markov kernels.
 
-Checks consume retained states only and never recompute iterates: the
+Checks read retained states and the trace's records and never recompute
+iterates or recorded values: lemma1 certifies the recorded `d_step`. The
 engine stays the single source of truth, and a missing state is reported as
 `StateNotRetained` rather than silently filled in.
 
@@ -63,9 +64,8 @@ from .dist import (
     ConditionalKernel,
     Direction,
     JointDensity,
-    MarginalDensity,
     Target,
-    compose,
+    compose_raw,
 )
 from .engine import DATrace
 from .errors import (
@@ -309,10 +309,8 @@ def lemma1_check(trace: DATrace, t: int) -> LemmaReport:
 
 
 def _lemma1(trace: DATrace, t: int, d: _ToTarget) -> LemmaReport:
-    p_t = _density(trace, t)
-    p_next = _density(trace, t + 1)
-    lhs = d[t]
-    rhs = relative_entropy(p_t, p_next) + d[t + 1]
+    lhs, d_next = d[t], d[t + 1]
+    rhs = trace.record_at(t).d_step + d_next
     value, note = _identity_value(lhs, rhs)
     return _report(CheckName.LEMMA1, t, None, lhs, rhs, value, IDENTITY_TOL, note)
 
@@ -482,7 +480,9 @@ def reconstruct_from_conditionals(
     residual: the largest L1 distance between reconstructions across all
     reference choices. The residual sits at rounding level when the kernels
     come from one joint and is substantially positive when they do not, so
-    it doubles as an incompatibility detector.
+    it doubles as an incompatibility detector. Each reconstruction is a
+    weight array divided by its correctly rounded total, a pmf by
+    construction; only the returned one is validated, as a `JointDensity`.
 
     Strict positivity of both kernels licenses the division; any zero entry
     raises :class:`ZeroConditional`.
@@ -494,17 +494,18 @@ def reconstruct_from_conditionals(
     if cx.k.min() <= 0.0 or cy.k.min() <= 0.0:
         raise ZeroConditional("reconstruction requires strictly positive kernels")
 
-    def rebuilt(x0: int) -> JointDensity:
+    def rebuilt(x0: int) -> np.ndarray:
         u = cy.k[x0, :] / cx.k[x0, :]
-        return compose(MarginalDensity(Axis.Y, u / stable_sum(u)), cx)
+        w = compose_raw(u / stable_sum(u), cx)
+        return w / stable_sum(w)
 
     # each later reconstruction is compared with the first and dropped, so
     # at most two joints are alive at once
     first = rebuilt(0)
     residual = 0.0
     for x0 in range(1, cx.shape[0]):
-        residual = max(residual, total_variation(rebuilt(x0), first))
-    return first, residual
+        residual = max(residual, _l1_rows(rebuilt(x0), first[None])[0])
+    return JointDensity(first), residual
 
 
 def reconstruction_check(target: Target) -> LemmaReport:

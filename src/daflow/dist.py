@@ -335,8 +335,9 @@ def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1
     to total mass 1 (jointly a symmetric Dirichlet draw). Larger
     concentration flattens the target toward uniform; smaller concentration
     spreads the mass unevenly. A draw with a cell that underflows to zero is
-    redrawn from the same stream while the variates drawn stay within
-    `TARGET_MAX_VARIATES` (the first draw is always made), then refused.
+    redrawn from the same stream, in batches of doubling size, while the
+    variates drawn stay within `TARGET_MAX_VARIATES` (the first draw is
+    always made, alone), then refused. The first draw that passes is kept.
     """
     if nx < 1 or ny < 1:
         raise DistributionError(f"grid must be at least 1x1, got {nx}x{ny}")
@@ -345,11 +346,16 @@ def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1
     if seed < 0:
         raise DistributionError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    for _ in range(max(1, TARGET_MAX_VARIATES // (nx * ny))):
-        w = rng.gamma(concentration, size=(nx, ny))
-        total = stable_sum(w)
-        if total > 0.0 and np.all(w / total > 0.0):
-            return make_target(JointDensity(w / total), require_positive=True)
+    left, batch = max(1, TARGET_MAX_VARIATES // (nx * ny)), 1
+    while left:
+        ws = rng.gamma(concentration, size=(batch, nx, ny))
+        left, batch = left - batch, min(2 * batch, left - batch)
+        # a draw holding a zero cell fails the test below whatever its total
+        for i in np.flatnonzero((ws > 0.0).all(axis=(1, 2))).tolist():
+            w = ws[i]
+            total = stable_sum(w)
+            if total > 0.0 and np.all(w / total > 0.0):
+                return make_target(JointDensity(w / total), require_positive=True)
     raise DistributionError(
         f"every {nx}x{ny} draw at concentration {concentration!r} in {TARGET_MAX_VARIATES} variates had a zero cell"
     )

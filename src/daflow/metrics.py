@@ -4,7 +4,8 @@ Relative entropy is computed in nats under the conventions
 ``0 * log(0/q) = 0`` and ``p > 0, q = 0 => +infinity``. Infinities are
 carried explicitly through :class:`ExtReal` so downstream code never meets a
 NaN: every comparison in the convergence checks is either between two finite
-numbers or decided symbolically.
+numbers or decided symbolically. A divergence is +infinity exactly when q
+vanishes somewhere on the support of p; a subnormal q gives a finite value.
 
 Total variation here is the L1 distance ``sum |p - q|``, which lives in
 ``[0, 2]``. The matching form of Pinsker's inequality is
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import stable_row_sums
+from ._numeric import stable_row_sums, stable_sum
 from .errors import DimensionMismatch, DistributionError
 from .dist import Axis, JointDensity, MarginalDensity
 
@@ -120,11 +121,13 @@ def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entr
     NumPy operations, and each row gets one correctly rounded sum
     (`stable_row_sums`), so a row's value does not depend on the rows stacked
     with it. Cells outside the support of every p are dropped, and terms
-    outside one row's support are set to -0.0; neither changes a sum. A row
-    whose q vanishes somewhere on its support is +infinity and is not
-    summed. The sum of finite terms is finite (`math.fsum` raises rather
-    than overflow), and one below zero by at most `NEGATIVE_CLIP_TOL` is
-    clipped to 0.0; the first row below that raises.
+    outside one row's support are set to -0.0; neither changes a sum. Where
+    q vanishes on a row's support a term is +infinity, and so is the sum on
+    every route of `stable_row_sums`. Where q is subnormal, p / q can
+    overflow too: a row that sums to +infinity with q > 0 on its support is
+    summed again as ``p * (log p - log q)``, which is finite. A sum below
+    zero by at most `NEGATIVE_CLIP_TOL` is clipped to 0.0; the first row
+    below that raises.
     """
     if qs.shape[1:] != p.shape and qs.shape != p.shape:
         raise DimensionMismatch(f"{what}: shapes {p.shape} and {qs.shape[1:]} differ")
@@ -137,28 +140,24 @@ def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entr
         # start they are all but a few cells of the grid
         cells = support if support.ndim == 1 else support.any(axis=0)
         ps, qs, support = (a.compress(cells, axis=-1) for a in (ps, qs, support))
-    full = support.all()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = ps / qs
         np.log(terms, out=terms)
         terms *= ps
-    vanishing = qs == 0.0
-    if not full:
+    if not support.all():
         np.copyto(terms, -0.0, where=~support)
-        vanishing &= support
-    finite = ~vanishing.any(axis=1)
-    all_finite = finite.all()
-    sums = stable_row_sums(terms if all_finite else terms[finite])
+    sums = stable_row_sums(terms)
+    if math.inf in sums:
+        for i in np.flatnonzero(np.array(sums) == math.inf).tolist():
+            p_i, on = (ps[i], support[i]) if ps.ndim == 2 else (ps, support)
+            if qs[i][on].min() > 0.0:
+                sums[i] = stable_sum(p_i[on] * (np.log(p_i[on]) - np.log(qs[i][on])))
     if sums and min(sums) < 0.0:
         for total in sums:
             if total < -NEGATIVE_CLIP_TOL:
                 raise DistributionError(f"{what}: divergence {total!r} is negative beyond rounding")
         sums = [0.0 if total < 0.0 else total for total in sums]
-    if all_finite:
-        return np.array(sums, dtype=np.float64)
-    out = np.full(rows, math.inf)
-    out[finite] = sums
-    return out
+    return np.array(sums, dtype=np.float64)
 
 
 def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> list[ExtReal]:

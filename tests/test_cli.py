@@ -165,6 +165,24 @@ class TestRun:
         assert captured.out == ""
         assert os.listdir(tmp_path) == []
 
+    def test_one_cell_refusal_keeps_its_message(self, capsys):
+        assert main(["run", "--gen", "1,1,1,1e-300"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: every 1x1 draw at concentration 1e-300 in 1048576 variates had a zero cell\n"
+        assert captured.out == ""
+
+    def test_subnormal_target_cell_gives_a_finite_start(self, tmp_path, capsys):
+        # the 6x6 target at concentration 0.002, seed 1, has a cell of 1.4e-314;
+        # D(uniform || target) is finite, and the nearly reducible target
+        # does not converge within 50 half-steps
+        prefix = str(tmp_path / "r")
+        assert main(["run", "--gen", "6,6,1,0.002", "--max-steps", "50", "--out-prefix", prefix]) == EXIT_CHECK_FAILURE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("stop_reason=MaxIters half_steps=50 ")
+        rows = (tmp_path / "r.trace.csv").read_text().splitlines()
+        assert rows[1].split(",")[1] == "243.87363224714622"
+
     def test_degenerate_p0_accepted(self):
         assert main(["run", "--gen", "3,4,8", "--p0", "degenerate:1,2"]) == EXIT_OK
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import daflow.diagnostics as diagnostics
 from conftest import gamma_weights
+from daflow._numeric import stable_sum
 from daflow.diagnostics import (
     CheckName,
     DEFAULT_CHECKS,
@@ -40,6 +41,7 @@ from daflow.dist import (
     Axis,
     JointDensity,
     MarginalDensity,
+    compose,
     independence_target,
     make_target,
     random_positive_target,
@@ -121,6 +123,12 @@ class TestLemma1:
         trace = make_trace()
         with pytest.raises(DistributionError):
             lemma1_check(trace, -1)
+
+    def test_final_time_names_the_missing_successor(self):
+        # the final record has no d_step; the successor's lookup raises first
+        trace = make_trace(steps=6)
+        with pytest.raises(StateNotRetained, match=f"^state at t={trace.last_t + 1} was not retained"):
+            lemma1_check(trace, trace.last_t)
 
 
 class TestLemma2:
@@ -297,6 +305,20 @@ class TestReconstruction:
         assert report.name is CheckName.RECONSTRUCTION
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "nx, ny, seed_x, seed_y",
+        [(5, 5, 8, 8), (4, 6, 1, 1), (6, 4, 2, 2), (1, 5, 3, 3), (5, 1, 4, 4), (40, 30, 5, 5), (3, 3, 11, 12)],
+    )
+    def test_equals_the_validated_per_row_body(self, nx, ny, seed_x, seed_y):
+        # the last case pairs the kernels of two targets, so its residual is large
+        cx = random_positive_target(nx, ny, seed=seed_x).cond_x_given_y
+        cy = random_positive_target(nx, ny, seed=seed_y).cond_y_given_x
+        got, residual = reconstruct_from_conditionals(cx, cy)
+        want, want_residual = reconstruction_reference(cx, cy)
+        assert type(got) is JointDensity
+        assert got.w.tobytes() == want.w.tobytes()
+        assert repr(residual) == repr(want_residual)
+
 
 class TestInducedKernels:
     def test_double_sum_oracle_on_diagonal_target(self):
@@ -454,6 +476,22 @@ def reference_divergence(p, q):
     return max(math.fsum(terms.ravel().tolist()), 0.0)
 
 
+def reconstruction_reference(cx, cy):
+    """reconstruct_from_conditionals as it was written before it built its
+    reference joints as plain arrays: each one a validated `compose` of a
+    validated marginal, compared by `total_variation`."""
+
+    def rebuilt(x0):
+        u = cy.k[x0, :] / cx.k[x0, :]
+        return compose(MarginalDensity(Axis.Y, u / stable_sum(u)), cx)
+
+    first = rebuilt(0)
+    residual = 0.0
+    for x0 in range(1, cx.shape[0]):
+        residual = max(residual, total_variation(rebuilt(x0), first))
+    return first, residual
+
+
 def degenerate_trace(nx, ny, cell, steps=12):
     w = np.zeros((nx, ny))
     w[cell] = 1.0
@@ -467,6 +505,23 @@ ROW_CASES = {
     "nx1": lambda: make_trace(1, 6, seed=5, steps=8),
     "ny1": lambda: make_trace(6, 1, seed=6, steps=8),
 }
+
+
+class TestLemma1Records:
+    @pytest.mark.parametrize("case", ["converged", *sorted(ROW_CASES)])
+    def test_reads_the_recorded_step_divergence(self, case):
+        # the recorded d_step is the pairwise divergence of the retained
+        # joints, so lemma1 certifies the value the trace exports
+        trace = converged_trace() if case == "converged" else ROW_CASES[case]()
+        d = diagnostics._ToTarget(trace)
+        for t in trace.retained_times[:-1]:
+            p_t, p_next = trace.state_at(t).density, trace.state_at(t + 1).density
+            d_step = trace.record_at(t).d_step
+            assert repr(d_step.value) == repr(relative_entropy(p_t, p_next).value)
+            report = diagnostics._lemma1(trace, t, d)
+            assert report.lhs == relative_entropy(p_t, trace.target.joint)
+            rhs = d_step + relative_entropy(p_next, trace.target.joint)
+            assert repr(report.rhs.value) == repr(rhs.value)
 
 
 class TestPairRows:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -231,6 +232,49 @@ class TestTarget:
         # a grid larger than the cap still gets its first draw
         monkeypatch.setattr(dist, "TARGET_MAX_VARIATES", 3)
         assert random_positive_target(2, 2, seed=1).strictly_positive
+
+    @pytest.mark.parametrize("nx, ny, seed, conc", [(4, 4, 1, 0.001), (6, 6, 1, 0.002), (4, 5, 123, 1.0)])
+    def test_random_target_equals_one_draw_at_a_time(self, nx, ny, seed, conc):
+        # 4x4 at 0.001 is accepted on draw 43,742 and 6x6 at 0.002 on draw
+        # 7,462; 4x5 at 1.0 on its first
+        rng = np.random.default_rng(seed)
+        for _ in range(max(1, dist.TARGET_MAX_VARIATES // (nx * ny))):
+            w = rng.gamma(conc, size=(nx, ny))
+            total = math.fsum(w.ravel().tolist())
+            if total > 0.0 and np.all(w / total > 0.0):
+                break
+        want = JointDensity(w / total).w
+        assert random_positive_target(nx, ny, seed, conc).joint.w.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "nx, ny, conc, batches, refused",
+        [
+            (4, 5, 1.0, [1], False),
+            # 2**20 one-cell draws in 21 calls; the last takes what is left
+            (1, 1, 1e-300, [2**k for k in range(20)] + [1], True),
+        ],
+    )
+    def test_random_target_draws_the_first_alone_then_doubling_batches(
+        self, monkeypatch, nx, ny, conc, batches, refused
+    ):
+        sizes = []
+        real = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def gamma(self, shape, size):
+                sizes.append(size)
+                return self.rng.gamma(shape, size=size)
+
+        monkeypatch.setattr(dist.np.random, "default_rng", Recorder)
+        if refused:
+            with pytest.raises(DistributionError, match="had a zero cell$"):
+                random_positive_target(nx, ny, 1, conc)
+        else:
+            assert random_positive_target(nx, ny, 1, conc).strictly_positive
+        assert sizes == [(b, nx, ny) for b in batches]
 
     def test_random_target_refuses_a_hopeless_concentration(self):
         # each 100-cell draw holds a zero cell with probability about 1 - 1e-28

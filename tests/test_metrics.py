@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import joint_weight_pairs
+from daflow._numeric import BINNED_MIN_ENTRIES, ROW_BINNED_MIN_ENTRIES
 from daflow.dist import Axis, JointDensity, MarginalDensity, marginal
 from daflow.errors import DimensionMismatch, DistributionError
 from daflow.metrics import (
     ExtReal,
+    _rel_entropy_array,
     encode,
     marginal_relative_entropy,
     marginal_total_variation,
@@ -136,6 +139,88 @@ class TestRelativeEntropy:
         for axis in (Axis.X, Axis.Y):
             d_marg = marginal_relative_entropy(marginal(p, axis), marginal(q, axis))
             assert d_marg.value <= d_joint.value + 1e-12
+
+
+def pmf_rows(rng: np.random.Generator, rows: int, n: int, zeros: float = 0.0) -> np.ndarray:
+    """Rows of gamma weights normalized to 1, each cell zero with probability
+    `zeros` and the first cell of a row always kept."""
+    w = rng.gamma(1.0, size=(rows, n))
+    w[rng.random((rows, n)) < zeros] = 0.0
+    w[:, 0] += 0.5
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def term_sum(p: np.ndarray, q: np.ndarray) -> float:
+    """math.fsum of p * log(p / q) over the support of p, +inf where q
+    vanishes on it."""
+    on = p > 0.0
+    if (q[on] == 0.0).any():
+        return math.inf
+    return math.fsum((p[on] * np.log(p[on] / q[on])).tolist())
+
+
+class TestDivergenceRows:
+    # a stack of short rows is summed row by row by fsum, a stack of longer
+    # rows in binned passes, and a single long row by the binned stable_sum
+    @pytest.mark.parametrize("rows, n", [(6, 40), (12, ROW_BINNED_MIN_ENTRIES + 8), (1, BINNED_MIN_ENTRIES + 5)])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_exactly_the_rows_where_q_vanishes_on_the_support_are_infinite(self, rows, n, paired):
+        rng = np.random.default_rng(rows * n + paired)
+        stack = max(rows, 6)
+        ps = pmf_rows(rng, stack, n, zeros=0.2)
+        qs = pmf_rows(rng, stack, n)
+        p_of = (lambda i: ps[i]) if paired else (lambda i: ps[0])
+        vanishing = {1, 4}
+        for i in range(stack):
+            support = np.flatnonzero(p_of(i) > 0.0)
+            outside = np.flatnonzero(p_of(i) == 0.0)
+            if i in vanishing:
+                qs[i, support[-1]] = 0.0
+            elif outside.size:
+                # a zero of q off the support changes nothing
+                qs[i, outside[0]] = 0.0
+        if rows == 1:
+            got = [_rel_entropy_array(ps[i : i + 1] if paired else ps[0], qs[i : i + 1])[0] for i in range(stack)]
+        else:
+            got = _rel_entropy_array(ps if paired else ps[0], qs).tolist()
+        assert {i for i, d in enumerate(got) if d == math.inf} == vanishing
+        for i, d in enumerate(got):
+            assert d == term_sum(p_of(i), qs[i])
+            assert d == _rel_entropy_array(p_of(i), qs[i][None])[0]
+
+    def test_a_subnormal_q_cell_gives_the_exact_finite_sum(self):
+        p = np.full(6, 1 / 6)
+        q = np.array([0.3, 0.2, 1e-314, 0.25, 0.15, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = _rel_entropy_array(p, q[None])[0]
+            pj, qj = JointDensity(p.reshape(2, 3)), JointDensity(q.reshape(2, 3))
+            joint = relative_entropy(pj, qj)
+        assert math.isfinite(d)
+        assert d == math.fsum((p * (np.log(p) - np.log(q))).tolist())
+        assert joint.value == math.fsum((pj.w * (np.log(pj.w) - np.log(qj.w))).ravel().tolist())
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_only_a_row_with_q_positive_on_its_support_is_summed_again(self, paired):
+        p = np.full((3, 6), 1 / 6)
+        if paired:
+            # the third row's support leaves out the subnormal cell
+            p[2] = [0.25, 0.25, 0.0, 0.25, 0.25, 0.0]
+        qs = np.array([
+            [0.3, 0.2, 1e-314, 0.25, 0.15, 0.1],
+            [0.3, 0.0, 1e-314, 0.25, 0.25, 0.2],
+            [0.3, 0.2, 1e-314, 0.25, 0.15, 0.1],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _rel_entropy_array(p if paired else p[0], qs).tolist()
+        on = p[0] > 0.0
+        assert got[0] == math.fsum((p[0][on] * (np.log(p[0][on]) - np.log(qs[0][on]))).tolist())
+        assert got[1] == math.inf
+        if paired:
+            assert got[2] == term_sum(p[2], qs[2])
+        else:
+            assert got[2] == got[0]
 
 
 class TestTotalVariation:

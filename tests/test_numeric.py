@@ -404,11 +404,11 @@ class TestRowRouting:
 
 def cli_outputs(workdir, monkeypatch, capsys) -> dict:
     """Every file, stdout, stderr and exit code of gen, verify with balance
-    and reconstruction at 60x60 and 120x120, and run at 50x50, run in
+    and reconstruction at 60x60, 90x90 and 120x120, and run at 50x50, run in
     `workdir` with relative paths."""
     monkeypatch.chdir(workdir)
     out = {}
-    for n, seed in ((60, 11), (120, 12), (50, 13)):
+    for n, seed in ((60, 11), (90, 14), (120, 12), (50, 13)):
         target = f"t{n}.json"
         out[f"gen{n}"] = main(["gen", "--nx", str(n), "--ny", str(n), "--seed", str(seed), "--out", target])
         if n == 50:
@@ -450,7 +450,7 @@ class TestDifferentialOutputs:
         assert binned.keys() == reference.keys()
         for key in binned:
             assert binned[key] == reference[key], key
-        assert all(binned[f"verify{n}"] == 0 for n in (60, 120))
+        assert all(binned[f"verify{n}"] == 0 for n in (60, 90, 120))
         assert binned["run50csv"] == 0
 
 

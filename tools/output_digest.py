@@ -1,0 +1,150 @@
+"""Print one digest line per daflow CLI command, to compare two source trees.
+
+Run from the repository root, once per source tree, and compare the two:
+
+    python3 tools/output_digest.py --src src --seeds 1,2,3 > change.txt
+    python3 tools/output_digest.py --src ../parent/src --seeds 1,2,3 > parent.txt
+    diff parent.txt change.txt
+
+The commands are every call of every job in the four benchmark workloads,
+built by ``perfbench/jobs.py``'s ``make_jobs`` at each seed (``--tiny`` takes
+its small sizes), then ``EDGE_COMMANDS``. Each runs in-process through
+``daflow.cli.main``, imported from ``--src``, with the working directory set
+to a fresh temporary directory. A line holds the command's label, its exit
+code, the sha256 of its stdout and of its stderr, with the temporary
+directory and the source path replaced by placeholders, and the sha256 over
+the names and bytes of the files the command wrote or changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = ("converge", "certify", "sample", "wide")
+
+# the README commands, retention modes, degenerate grid shapes, pinned
+# checks, a step-budget stop, a wide run, targets that need redraws or hold
+# subnormal cells, and refusals
+EDGE_COMMANDS = {
+    "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
+    "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
+    "readme-run-json": ("run", "--target", "target.json", "--format", "json", "--out-prefix", "demo"),
+    "readme-verify": ("verify", "--gen", "5,5,3", "--out-prefix", "demo"),
+    "readme-sample": ("sample", "--gen", "3,3,9", "--replicas", "20000", "--seed", "5", "--times", "0,2,10"),
+    "retain-thin": ("run", "--gen", "6,6,2", "--retain", "thin:3", "--out-prefix", "thin"),
+    "verify-thin": ("verify", "--gen", "6,6,2", "--retain", "thin:3", "--checks", "lemma3,cauchy,lsc", "--out-prefix", "thin"),
+    "retain-none": ("run", "--gen", "30,30,4", "--retain", "none", "--out-prefix", "none"),
+    "grid-6x1": ("run", "--gen", "6,1,3", "--p0", "random:2", "--format", "json", "--out-prefix", "g61"),
+    "grid-1x6": ("verify", "--gen", "1,6,3", "--out-prefix", "g16"),
+    "pinned-lemma1": ("verify", "--gen", "5,5,3", "--checks", "lemma1", "--t", "3", "--out-prefix", "pin1"),
+    "pinned-lemma2": ("verify", "--gen", "5,5,3", "--checks", "lemma2", "--t", "2", "--n", "4", "--out-prefix", "pin2"),
+    "pinned-lsc": ("verify", "--gen", "5,5,3", "--checks", "lsc", "--t", "2", "--out-prefix", "pinl"),
+    "maxiters-1x5": ("run", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "200", "--out-prefix", "m15"),
+    "wide-run": ("run", "--gen", "200,200,1", "--p0", "degenerate:0,0", "--out-prefix", "w200"),
+    "redraw-4x4": ("run", "--gen", "4,4,1,0.001", "--max-steps", "50", "--out-prefix", "r44"),
+    "subnormal-6x6": ("run", "--gen", "6,6,1,0.002", "--max-steps", "50", "--out-prefix", "r66"),
+    "refuse-1x1": ("run", "--gen", "1,1,1,1e-300"),
+    "refuse-10x10": ("run", "--gen", "10,10,1,0.001"),
+    "refuse-seed": ("gen", "--nx", "2", "--ny", "2", "--seed", "-5", "--out", "x.json"),
+}
+
+
+def import_cli(src: Path):
+    """daflow.cli imported from `src`, refusing any other copy."""
+    sys.path.insert(0, str(src))
+    import daflow.cli
+
+    if Path(daflow.cli.__file__).resolve().parent != src / "daflow":
+        raise SystemExit(f"error: imported daflow from {daflow.cli.__file__}, not from {src}")
+    return daflow.cli
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_hashes(work: str) -> dict[str, str]:
+    out = {}
+    for root, _, names in os.walk(work):
+        for name in names:
+            path = os.path.join(root, name)
+            out[os.path.relpath(path, work)] = sha256(Path(path).read_bytes())
+    return out
+
+
+def digest(cli, argv: tuple[str, ...], cwd: str, work: str, src: Path) -> str:
+    """`exit=... stdout=... stderr=... files=...` for one call run in `cwd`,
+    a directory under `work`."""
+    before = file_hashes(cwd)
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        # a fresh filter list per call, so a warning prints on every call
+        # that raises it, not only on the first
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("default")
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(home)
+    after = file_hashes(cwd)
+    written = sorted((name, h) for name, h in after.items() if before.get(name) != h)
+    files = sha256("".join(f"{name}\0{h}\n" for name, h in written).encode())
+
+    def masked(text: str) -> str:
+        return sha256(text.replace(work, "<tmp>").replace(str(src), "<src>").encode())
+
+    return f"exit={code} stdout={masked(out.getvalue())} stderr={masked(err.getvalue())} files={files}"
+
+
+def commands(seeds: list[int], tiny: bool, work: str):
+    """(label, argv, directory) for every pool job call at each seed, then
+    the edge commands; each pool's inputs and outputs go to a directory of
+    its own under `work`, and the edge commands share one."""
+    sys.path.insert(0, str(PERFBENCH))
+    import jobs
+
+    for workload in WORKLOADS:
+        for seed in seeds:
+            pool = os.path.join(work, f"{workload}-{seed}")
+            os.mkdir(pool)
+            for k, job in enumerate(jobs.make_jobs(workload, seed, pool, tiny)):
+                for c, argv in enumerate(job.calls):
+                    yield f"{workload}/seed{seed}/job{k}/call{c}", argv, pool
+    edge = os.path.join(work, "edge")
+    os.mkdir(edge)
+    for label, argv in EDGE_COMMANDS.items():
+        yield f"edge/{label}", argv, edge
+
+
+def main(argv: list[str] | None = None) -> list[str]:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--src", type=Path, default=ROOT / "src", help="the source tree to import daflow from")
+    p.add_argument("--seeds", default="1,2,3", help="workload seeds, comma-separated")
+    p.add_argument("--tiny", action="store_true", help="the workloads' small sizes")
+    args = p.parse_args(argv)
+    src = args.src.resolve()
+    cli = import_cli(src)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="daflow-digest-") as work:
+        work = os.path.realpath(work)
+        for label, call, cwd in commands(seeds, args.tiny, work):
+            line = f"{label} {digest(cli, call, cwd, work, src)}"
+            print(line, flush=True)
+            lines.append(line)
+    return lines
+
+
+if __name__ == "__main__":
+    main()
