@@ -581,10 +581,14 @@ LEMMA2_DEFAULT_NS = tuple(range(1, 9))
 
 
 def validate_checks(checks: tuple[str, ...]) -> None:
-    """Reject check names outside DEFAULT_CHECKS before any work is done."""
+    """Reject check names outside DEFAULT_CHECKS, and a name listed twice,
+    before any work is done."""
     unknown = [c for c in checks if c not in DEFAULT_CHECKS]
     if unknown:
         raise DistributionError(f"unknown checks {unknown}; valid: {list(DEFAULT_CHECKS)}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise DistributionError(f"checks {repeated} are listed more than once")
 
 
 def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -> list[LemmaReport]:

@@ -3,7 +3,8 @@
 Everything lives on an nx-by-ny grid under counting measure. A joint density
 is a dense matrix of cell probabilities, a marginal is a vector on one axis,
 and a conditional kernel holds one probability vector per conditioning slice.
-All types validate on construction and are immutable afterwards, so instances
+Joints, marginals and kernels validate on construction; a Target derives
+its other fields from its joint. All are immutable afterwards, so instances
 can be shared freely across threads; every operation here is a pure function.
 
 Normalization policy, applied by every constructor:
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .errors import DimensionMismatch, DistributionError, PositivityViolation
 
 SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
-COMPOSE_TOL = 1e-12
 TARGET_MAX_VARIATES = 1 << 20
 
 
@@ -196,33 +196,27 @@ class ConditionalKernel:
 
 @dataclass(frozen=True, eq=False)
 class Target:
-    """A joint density bundled with its conditionals and marginals.
+    """A joint density with its conditionals and marginals.
 
-    Construct through :func:`make_target`, which derives every field from
-    the joint. The constructor re-checks that composing each marginal with
-    its matching conditional reproduces the joint, so a hand-assembled
-    inconsistent Target is rejected.
+    Built from the joint alone: the two conditional kernels, the two
+    marginals and the positivity flag are derived from it on construction.
+    :func:`make_target` adds the positivity refusal.
     """
 
     joint: JointDensity
-    cond_x_given_y: ConditionalKernel
-    cond_y_given_x: ConditionalKernel
-    marg_x: MarginalDensity
-    marg_y: MarginalDensity
-    strictly_positive: bool
+    cond_x_given_y: ConditionalKernel = field(init=False)
+    cond_y_given_x: ConditionalKernel = field(init=False)
+    marg_x: MarginalDensity = field(init=False)
+    marg_y: MarginalDensity = field(init=False)
+    strictly_positive: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        nx, ny = self.joint.shape
-        if self.cond_x_given_y.shape != (nx, ny) or self.cond_y_given_x.shape != (nx, ny):
-            raise DimensionMismatch("conditional kernel shape does not match the joint")
-        if len(self.marg_x) != nx or len(self.marg_y) != ny:
-            raise DimensionMismatch("marginal length does not match the joint")
-        if self.strictly_positive != self.joint.strictly_positive:
-            raise DistributionError("strictly_positive flag contradicts the joint's minimum entry")
-        for m, k in ((self.marg_y, self.cond_x_given_y), (self.marg_x, self.cond_y_given_x)):
-            recomposed, _ = compose_with_drift(m, k)
-            if float(np.max(np.abs(recomposed.w - self.joint.w))) > COMPOSE_TOL:
-                raise DistributionError("marginal and conditional do not recompose to the joint")
+        p = self.joint
+        object.__setattr__(self, "cond_x_given_y", conditional(p, Direction.X_GIVEN_Y))
+        object.__setattr__(self, "cond_y_given_x", conditional(p, Direction.Y_GIVEN_X))
+        object.__setattr__(self, "marg_x", marginal(p, Axis.X))
+        object.__setattr__(self, "marg_y", marginal(p, Axis.Y))
+        object.__setattr__(self, "strictly_positive", p.strictly_positive)
 
     @property
     def nx(self) -> int:
@@ -304,7 +298,7 @@ def compose(m: MarginalDensity, k: ConditionalKernel) -> JointDensity:
 
 
 def make_target(p: JointDensity, require_positive: bool = True) -> Target:
-    """Derive conditionals and marginals from a joint and bundle them.
+    """The Target of a joint, whose conditionals and marginals it derives.
 
     With ``require_positive`` (the default), a joint containing a zero cell
     raises :class:`PositivityViolation`: conditional draws from such a target
@@ -312,20 +306,12 @@ def make_target(p: JointDensity, require_positive: bool = True) -> Target:
     longer guaranteed. Pass ``require_positive=False`` to build the Target
     anyway with ``strictly_positive`` set False.
     """
-    strictly_positive = p.strictly_positive
-    if require_positive and not strictly_positive:
+    if require_positive and not p.strictly_positive:
         raise PositivityViolation(
             f"target has a zero cell (min entry {p.min_entry!r}); "
             "strict positivity is required"
         )
-    return Target(
-        joint=p,
-        cond_x_given_y=conditional(p, Direction.X_GIVEN_Y),
-        cond_y_given_x=conditional(p, Direction.Y_GIVEN_X),
-        marg_x=marginal(p, Axis.X),
-        marg_y=marginal(p, Axis.Y),
-        strictly_positive=strictly_positive,
-    )
+    return Target(p)
 
 
 def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1.0) -> Target:

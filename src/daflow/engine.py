@@ -241,10 +241,6 @@ class DATrace:
         return self.records[-1].t
 
     @property
-    def final_state(self) -> DAState:
-        return self.states[self.last_t]
-
-    @property
     def retained_times(self) -> list[int]:
         return sorted(self.states)
 
@@ -252,8 +248,9 @@ class DATrace:
         try:
             return self.states[t]
         except KeyError:
+            times = self.retained_times
             raise StateNotRetained(
-                f"state at t={t} was not retained (have {self.retained_times})"
+                f"state at t={t} was not retained ({len(times)} retained times in {times[0]}..{times[-1]})"
             ) from None
 
     def record_at(self, t: int) -> TraceRecord:

@@ -271,6 +271,25 @@ class TestVerify:
         assert main(["verify", "--gen", "4,4,1", *selection]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_repeated_check_refused_before_run(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        prefix = str(tmp_path / "rep")
+        argv = ["verify", "--gen", "4,4,1", "--checks", "balance,balance", "--out-prefix", prefix]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: checks ['balance'] are listed more than once\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_state_message_stays_short_on_a_long_trace(self, capsys):
+        # the 1x5 target stalls above eps, so all 2,000 half-steps are retained
+        argv = ["verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
+                "--checks", "lemma3", "--t", "1", "--n", "5000"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state at t=5001 was not retained (2001 retained times in 0..2000)\n"
+
     @pytest.mark.parametrize(
         "check, t, n, message",
         [

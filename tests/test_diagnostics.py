@@ -424,6 +424,11 @@ class TestReportPlumbing:
         with pytest.raises(DistributionError):
             run_verification(trace, checks=("lemma9",))
 
+    def test_table_rejects_a_repeated_check(self):
+        trace = make_trace(steps=6)
+        with pytest.raises(DistributionError, match=r"^checks \['lemma1'\] are listed more than once$"):
+            diagnostics.verification_table(trace, ("lemma1", "lemma1"))
+
     def test_json_report_is_strict_json(self):
         trace = converged_trace()
         text = verification_to_json(run_verification(trace))

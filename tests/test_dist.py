@@ -302,6 +302,83 @@ class TestTarget:
             independence_target(m, m)
 
 
+
+def zero_row_and_column_joint() -> JointDensity:
+    """A 3x3 joint whose last row and middle column carry no mass."""
+    return JointDensity(np.array([[0.25, 0.0, 0.25], [0.25, 0.0, 0.25], [0.0, 0.0, 0.0]]))
+
+
+def derivation_cases() -> dict[str, tuple[JointDensity, bool]]:
+    """(joint, require_positive) for each joint the derived fields are checked on."""
+    return {
+        "5x7": (JointDensity(gamma_weights(5, 7, seed=21)), True),
+        "1x6": (JointDensity(gamma_weights(1, 6, seed=22)), True),
+        "6x1": (JointDensity(gamma_weights(6, 1, seed=23)), True),
+        "subnormal-6x6": (random_positive_target(6, 6, 1, 0.002).joint, True),
+        "zero-row-and-column": (zero_row_and_column_joint(), False),
+    }
+
+
+def assert_fields_derive_from_joint(t, p: JointDensity) -> None:
+    """Every derived field of `t` equals what the joint gives, bit for bit,
+    and each marginal composed with its kernel reproduces the joint."""
+    assert t.joint is p
+    for got, direction in ((t.cond_x_given_y, Direction.X_GIVEN_Y), (t.cond_y_given_x, Direction.Y_GIVEN_X)):
+        want = conditional(p, direction)
+        assert got.direction is direction
+        assert got.k.tobytes() == want.k.tobytes()
+        assert got.defined_mask.tobytes() == want.defined_mask.tobytes()
+    for got, axis in ((t.marg_x, Axis.X), (t.marg_y, Axis.Y)):
+        assert got.axis is axis
+        assert got.v.tobytes() == marginal(p, axis).v.tobytes()
+    assert t.strictly_positive is p.strictly_positive
+    for m, k in ((t.marg_y, t.cond_x_given_y), (t.marg_x, t.cond_y_given_x)):
+        npt.assert_allclose(compose(m, k).w, p.w, atol=1e-12, rtol=0)
+
+
+class TestTargetDerivedFromJoint:
+    @pytest.mark.parametrize("case", list(derivation_cases()))
+    def test_fields_equal_what_the_joint_gives(self, case):
+        p, require_positive = derivation_cases()[case]
+        assert_fields_derive_from_joint(make_target(p, require_positive=require_positive), p)
+        assert_fields_derive_from_joint(dist.Target(p), p)
+
+    def test_subnormal_case_holds_a_subnormal_cell(self):
+        p, _ = derivation_cases()["subnormal-6x6"]
+        assert 0.0 < p.min_entry < np.finfo(np.float64).tiny
+
+    def test_defined_mask_marks_the_zero_slices(self):
+        t = make_target(zero_row_and_column_joint(), require_positive=False)
+        assert not t.strictly_positive
+        # X_GIVEN_Y conditions on y: the middle column is undefined
+        assert t.cond_x_given_y.defined_mask.tolist() == [True, False, True]
+        # Y_GIVEN_X conditions on x: the last row is undefined
+        assert t.cond_y_given_x.defined_mask.tolist() == [True, True, False]
+        npt.assert_array_equal(t.cond_x_given_y.slice_pmf(1), np.full(3, 1.0 / 3.0))
+        npt.assert_array_equal(t.cond_y_given_x.slice_pmf(2), np.full(3, 1.0 / 3.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=joint_weights_with_zeros())
+    def test_fields_derive_from_any_joint(self, w):
+        p = JointDensity(w)
+        assert_fields_derive_from_joint(make_target(p, require_positive=False), p)
+
+    @pytest.mark.parametrize(
+        "field", ["cond_x_given_y", "cond_y_given_x", "marg_x", "marg_y", "strictly_positive"]
+    )
+    def test_constructor_takes_only_the_joint(self, field):
+        p = JointDensity(gamma_weights(3, 4, seed=24))
+        derived = getattr(make_target(p), field)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            dist.Target(p, **{field: derived})
+
+    def test_zero_cell_refusal_keeps_its_message(self):
+        with pytest.raises(
+            PositivityViolation,
+            match=r"^target has a zero cell \(min entry 0\.0\); strict positivity is required$",
+        ):
+            make_target(zero_row_and_column_joint())
+
 class TestJsonInterchange:
     def test_roundtrip_dict(self):
         p = JointDensity(gamma_weights(2, 3, seed=5))

@@ -306,6 +306,12 @@ class TestRetention:
         assert trace.retained_times == [0, 7, 14, 20]
         assert trace.state_at(14).t == 14
 
+    def test_missing_state_names_the_count_and_range(self):
+        trace = self._trace(RetainPolicy.thin(7))
+        with pytest.raises(StateNotRetained) as raised:
+            trace.state_at(5)
+        assert str(raised.value) == "state at t=5 was not retained (4 retained times in 0..20)"
+
     def test_bad_policy_rejected(self):
         with pytest.raises(DistributionError):
             RetainPolicy("every-other")

@@ -8,7 +8,8 @@ Run from the repository root, once per source tree, and compare the two:
 
 The commands are every call of every job in the four benchmark workloads,
 built by ``perfbench/jobs.py``'s ``make_jobs`` at each seed (``--tiny`` takes
-its small sizes), then ``EDGE_COMMANDS``. Each runs in-process through
+its small sizes), then ``EDGE_COMMANDS``, which share a directory that holds
+``ZERO_CELL_TARGET`` as ``zero.json``. Each runs in-process through
 ``daflow.cli.main``, imported from ``--src``, with the working directory set
 to a fresh temporary directory. A line holds the command's label, its exit
 code, the sha256 of its stdout and of its stderr, with the temporary
@@ -34,7 +35,7 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 
 # the README commands, retention modes, degenerate grid shapes, pinned
 # checks, a step-budget stop, a wide run, targets that need redraws or hold
-# subnormal cells, and refusals
+# subnormal cells, a target file with zero cells, and refusals
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -53,10 +54,23 @@ EDGE_COMMANDS = {
     "wide-run": ("run", "--gen", "200,200,1", "--p0", "degenerate:0,0", "--out-prefix", "w200"),
     "redraw-4x4": ("run", "--gen", "4,4,1,0.001", "--max-steps", "50", "--out-prefix", "r44"),
     "subnormal-6x6": ("run", "--gen", "6,6,1,0.002", "--max-steps", "50", "--out-prefix", "r66"),
+    "zero-run-uniform": ("run", "--target", "zero.json", "--p0", "uniform", "--out-prefix", "z0"),
+    "zero-run-degenerate": ("run", "--target", "zero.json", "--p0", "degenerate:0,0", "--out-prefix", "z1"),
+    "zero-verify-balance": ("verify", "--target", "zero.json", "--checks", "balance", "--out-prefix", "z2"),
+    "zero-sample": ("sample", "--target", "zero.json"),
     "refuse-1x1": ("run", "--gen", "1,1,1,1e-300"),
     "refuse-10x10": ("run", "--gen", "10,10,1,0.001"),
     "refuse-seed": ("gen", "--nx", "2", "--ny", "2", "--seed", "-5", "--out", "x.json"),
+    "refuse-repeated-checks": ("verify", "--gen", "4,4,1", "--checks", "balance,balance"),
+    "not-retained-2000": (
+        "verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
+        "--checks", "lemma3", "--t", "1", "--n", "5000",
+    ),
 }
+
+# a 3x3 target whose last row and middle column carry no mass, written into
+# the edge directory before the edge commands run
+ZERO_CELL_TARGET = '{"nx": 3, "ny": 3, "w": [[1, 0, 1], [1, 0, 1], [0, 0, 0]]}\n'
 
 
 def import_cli(src: Path):
@@ -123,6 +137,7 @@ def commands(seeds: list[int], tiny: bool, work: str):
                     yield f"{workload}/seed{seed}/job{k}/call{c}", argv, pool
     edge = os.path.join(work, "edge")
     os.mkdir(edge)
+    Path(edge, "zero.json").write_text(ZERO_CELL_TARGET, encoding="utf-8")
     for label, argv in EDGE_COMMANDS.items():
         yield f"edge/{label}", argv, edge
 
