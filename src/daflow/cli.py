@@ -237,8 +237,8 @@ SINGLE_NEEDS_HISTORY = ("lemma1", "lemma2")
 
 
 def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[str, ...]:
-    """Parse --checks and vet --retain and --t/--n against them, so a bad
-    selection is refused before the trace is built."""
+    """Parse --checks and vet --retain, --t/--n and --max-steps against them,
+    so a bad selection is refused before the trace is built."""
     checks = _parse_checks(args.checks)
     if retain.kind == "none":
         needy = SWEEP_NEEDS_HISTORY if args.t is None else SINGLE_NEEDS_HISTORY
@@ -263,6 +263,9 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[st
     if name == "lemma1" and args.n is not None:
         raise DistributionError("lemma1 checks one half-step; it does not take --n")
     validate_instance(name, args.t, args.n)
+    latest = args.t + (1 if name == "lemma1" else args.n or 0)
+    if latest > args.max_steps:
+        raise StateNotRetained(f"{name} reads the state at t={latest}, past --max-steps {args.max_steps}")
     return checks
 
 

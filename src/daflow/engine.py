@@ -33,10 +33,7 @@ block of half-steps, in stacked NumPy operations: the one-step divergences
 over the stacked joints, and the divergences and distances of the stacked
 marginals to the target's. Each row still gets its own correctly rounded
 sum (`_numeric.stable_row_sums`), so every recorded value equals the one a
-single half-step would give. A block starts at one half-step and doubles
-up to a cap set by the grid size, so a run computes at most about twice
-the half-steps it records, and an error in a half-step computed ahead
-surfaces only if the run reaches that step.
+single half-step would give. `run` states how far a block looks ahead.
 
 Densities are validated where they enter the recursion, p0 and the target,
 and where a retained state leaves it, on lookup. The vectors in between are
@@ -323,50 +320,6 @@ def _measured(target: Target, joints: np.ndarray, vs: list[np.ndarray], t: int) 
     return list(zip(d_step, d_next, tv_next))
 
 
-def _half_steps(
-    target: Target, w: np.ndarray, budget: int
-) -> Iterator[tuple[ExtReal, ExtReal, float, np.ndarray, float]]:
-    """Yield, for each half-step from the starting weights w, at most
-    `budget` of them: the one-step divergence, the successor's divergence
-    and distance to the target, the marginal composed into it, and the
-    drift of the marginal it passes on.
-
-    Only the recursion is computed step by step: compose, axis sum and the
-    renormalized marginal, which is not validated. The joints of a block
-    are composed into one reused stack and measured once per block
-    (`_measured`). A block grows from one half-step by doubling up to a cap
-    set by the grid size, so the steps computed past the last one consumed
-    never outnumber those consumed. A block that raises is computed again
-    from its start one half-step at a time, and the run goes on that way,
-    so an exception is raised only when the consumer reaches the step that
-    raises it, after the steps before it.
-    """
-    rows_cap = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // w.size))
-    joints = np.empty((rows_cap + 1, *w.shape))
-    joints[0] = w
-    v, _ = _renormalized_marginal(w, Axis.Y)
-    t, block = 0, 1
-    while budget > 0:
-        steps = min(block, budget)
-        vs, drifts = [v], []
-        try:
-            for j in range(1, steps + 1):
-                _composed(target, vs[-1], t + j, joints[j])
-                v_next, drift = _renormalized_marginal(joints[j], Axis.Y if (t + j) % 2 == 0 else Axis.X)
-                vs.append(v_next)
-                drifts.append(drift)
-            rows = _measured(target, joints[: steps + 1], vs[:steps], t)
-        except Exception:
-            if steps == 1:
-                raise
-            block = rows_cap = 1
-            continue
-        for row, v_j, drift in zip(rows, vs, drifts):
-            yield (*row, v_j, drift)
-        joints[0] = joints[steps]
-        v, t, budget, block = vs[-1], t + steps, budget - steps, min(2 * block, rows_cap)
-
-
 def run(
     p0: JointDensity,
     target: Target,
@@ -382,6 +335,13 @@ def run(
     ``InfiniteInitialDivergence`` and a single record carrying the infinity
     explicitly (never NaN). That can only happen when the target has zero
     cells; a strictly positive target keeps every divergence finite.
+
+    Half-steps are computed and measured in blocks that start at one
+    half-step and double up to a cap set by the grid size, so the
+    half-steps computed past the stop never outnumber those recorded. A
+    block that raises is computed again from its start one half-step at a
+    time, and the run goes on that way, so it raises only on reaching the
+    half-step that raises, as a per-step loop would.
     """
     if max_half_steps < 1:
         raise DistributionError(f"max_half_steps must be >= 1, got {max_half_steps}")
@@ -395,31 +355,46 @@ def run(
 
     if not d_cur.is_finite:
         record = TraceRecord(0, d_cur, tv_cur, None, None, 0.0)
-        return DATrace(target, (record,), {0: initial_state(p0)}, StopReason.INFINITE_INITIAL_DIVERGENCE)
+        return DATrace(target, (record,), _RetainedStates(target, {0: p0}), StopReason.INFINITE_INITIAL_DIVERGENCE)
     if not target.strictly_positive:
         raise TargetNotPositive("cannot iterate toward a target with zero cells")
 
+    rows_cap = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // p0.w.size))
+    joints = np.empty((rows_cap + 1, *p0.shape))
+    joints[0] = p0.w
+    v, _ = _renormalized_marginal(p0.w, Axis.Y)
     records: list[TraceRecord] = []
     sources: dict[int, JointDensity | np.ndarray] = {}
-    # p_t is determined by `src`; `steps` yields the measurements of the
-    # half-step from t and the source of p_(t+1)
-    t, src, drift_cur = 0, p0, 0.0
-    steps = _half_steps(target, p0.w, max_half_steps)
-    while True:
-        if d_cur.value <= eps:
-            stop = StopReason.CONVERGED
-            break
-        if t >= max_half_steps:
-            stop = StopReason.MAX_ITERS
-            break
-        d_step, d_next, tv_next, src_next, drift_next = next(steps)
-        residual = abs(d_cur.value - d_step.value - d_next.value)
-        records.append(TraceRecord(t, d_cur, tv_cur, d_step, residual, drift_cur))
-        if retain.keeps(t):
-            sources[t] = src
-        t, src, drift_cur = t + 1, src_next, drift_next
-        d_cur, tv_cur = d_next, tv_next
+    # p_t is determined by `src` and passes on the marginal v
+    t, src, drift_cur, block = 0, p0, 0.0, 1
+    while d_cur.value > eps and t < max_half_steps:
+        steps = min(block, max_half_steps - t)
+        vs, drifts = [v], []
+        try:
+            for j in range(1, steps + 1):
+                _composed(target, vs[-1], t + j, joints[j])
+                v_next, drift = _renormalized_marginal(joints[j], Axis.Y if (t + j) % 2 == 0 else Axis.X)
+                vs.append(v_next)
+                drifts.append(drift)
+            rows = _measured(target, joints[: steps + 1], vs[:steps], t)
+        except Exception:
+            if steps == 1:
+                raise
+            block = rows_cap = 1
+            continue
+        for (d_step, d_next, tv_next), src_next, drift_next in zip(rows, vs, drifts):
+            residual = abs(d_cur.value - d_step.value - d_next.value)
+            records.append(TraceRecord(t, d_cur, tv_cur, d_step, residual, drift_cur))
+            if retain.keeps(t):
+                sources[t] = src
+            t, src, drift_cur = t + 1, src_next, drift_next
+            d_cur, tv_cur = d_next, tv_next
+            if d_cur.value <= eps:
+                break
+        joints[0] = joints[steps]
+        v, block = vs[-1], min(2 * block, rows_cap)
 
+    stop = StopReason.CONVERGED if d_cur.value <= eps else StopReason.MAX_ITERS
     records.append(TraceRecord(t, d_cur, tv_cur, None, None, drift_cur))
     sources[t] = src
     return DATrace(target, tuple(records), _RetainedStates(target, sources), stop)

@@ -282,13 +282,23 @@ class TestVerify:
         assert os.listdir(tmp_path) == []
 
     def test_missing_state_message_stays_short_on_a_long_trace(self, capsys):
-        # the 1x5 target stalls above eps, so all 2,000 half-steps are retained
+        # the 1x5 target stalls above eps, so all 2,000 half-steps run and
+        # every seventh is retained
+        argv = ["verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
+                "--retain", "thin:7", "--checks", "lemma3", "--t", "1", "--n", "3"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state at t=1 was not retained (287 retained times in 0..2000)\n"
+
+    def test_instance_past_max_steps_refused_before_run(self, monkeypatch, capsys):
+        monkeypatch.setattr("daflow.cli.run", no_run)
         argv = ["verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
                 "--checks", "lemma3", "--t", "1", "--n", "5000"]
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: state at t=5001 was not retained (2001 retained times in 0..2000)\n"
+        assert captured.err == "error: lemma3 reads the state at t=5001, past --max-steps 2000\n"
 
     @pytest.mark.parametrize(
         "check, t, n, message",

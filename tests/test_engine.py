@@ -648,9 +648,22 @@ def _degenerate_banded(n: int, i: int, j: int):
     return noisy_banded_target(n, 1.0, seed=n), degenerate(n, n, i, j)
 
 
+def _stop_at_fourth_block_end():
+    """A converging case whose eps lies between the divergences recorded at
+    t=14 and t=15, so the run stops on the last half-step of its fourth
+    block."""
+    target, p0 = _degenerate_banded(9, 2, 5)
+    d = [r.d_to_target.value for r in per_step_run(p0, target, 15, 1e-300).records]
+    assert d[14] > d[15] > 0.0
+    return target, p0, 500, math.sqrt(d[14] * d[15]), RetainPolicy.all()
+
+
 # (target, p0, max_half_steps, eps, retain); the block sizes run 1, 2, 4, ...
 # up to a cap, so the first blocks end after half-steps 1, 3, 7, 15, ...
 BLOCK_CASES = {
+    "max-steps-1": (*_degenerate_banded(9, 0, 0), 1, 1e-300, RetainPolicy.all()),
+    "max-steps-block-end": (*_degenerate_banded(9, 0, 0), 15, 1e-300, RetainPolicy.all()),
+    "stop-block-end": _stop_at_fourth_block_end(),
     "stop-mid-block": (*_degenerate_banded(12, 3, 11), 500, 1e-9, RetainPolicy.all()),
     "max-steps-mid-block": (*_degenerate_banded(9, 0, 0), 21, 1e-300, RetainPolicy.all()),
     "degenerate-first-column": (*_degenerate_banded(7, 6, 0), 400, 1e-13, RetainPolicy.all()),
@@ -687,6 +700,13 @@ class TestBlockRun:
         assert stop.converged and composed[0] > stop.last_t
         capped = run_case("max-steps-mid-block")
         assert capped.stop_reason is StopReason.MAX_ITERS and capped.last_t == 21
+        for case, last_t in (("max-steps-1", 1), ("max-steps-block-end", 15)):
+            capped = run_case(case)
+            assert capped.stop_reason is StopReason.MAX_ITERS and capped.last_t == last_t
+        composed[0] = 0
+        block_end = run_case("stop-block-end")
+        # the stop fell on a block's last half-step: nothing was composed past it
+        assert block_end.converged and block_end.last_t == composed[0] == 15
         assert run_case("thin-stop").converged
         for case in ("degenerate-first-column", "p0-zero-cells", "nx-ne-ny"):
             trace = run_case(case)

@@ -66,6 +66,10 @@ EDGE_COMMANDS = {
         "verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
         "--checks", "lemma3", "--t", "1", "--n", "5000",
     ),
+    "not-retained-thin": (
+        "verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
+        "--retain", "thin:7", "--checks", "lemma3", "--t", "1", "--n", "3",
+    ),
 }
 
 # a 3x3 target whose last row and middle column carry no mass, written into
