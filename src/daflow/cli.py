@@ -228,21 +228,17 @@ def _parse_checks(spec: str) -> tuple[str, ...]:
     return names
 
 
-# checks that read a state before the final one, so `--retain none` (which
-# keeps only the final state) can never run them: in the sweep, and as a
-# single instance at --t; lemma3 and lsc at --t still run at the final time
-# with n=0
+# checks whose sweep reads a state before the final one, so `--retain none`
+# (which keeps only the final state) can never run them
 SWEEP_NEEDS_HISTORY = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc")
-SINGLE_NEEDS_HISTORY = ("lemma1", "lemma2")
 
 
 def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[str, ...]:
     """Parse --checks and vet --retain, --t/--n and --max-steps against them,
     so a bad selection is refused before the trace is built."""
     checks = _parse_checks(args.checks)
-    if retain.kind == "none":
-        needy = SWEEP_NEEDS_HISTORY if args.t is None else SINGLE_NEEDS_HISTORY
-        blocked = [c for c in checks if c in needy]
+    if retain.kind == "none" and args.t is None:
+        blocked = [c for c in checks if c in SWEEP_NEEDS_HISTORY]
         if blocked:
             raise StateNotRetained(
                 f"{', '.join(blocked)} cannot run under --retain none, which keeps only the final state"
@@ -262,10 +258,13 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[st
         raise DistributionError(f"{name} with --t also needs --n")
     if name == "lemma1" and args.n is not None:
         raise DistributionError("lemma1 checks one half-step; it does not take --n")
-    validate_instance(name, args.t, args.n)
-    latest = args.t + (1 if name == "lemma1" else args.n or 0)
+    *earlier, latest = validate_instance(name, args.t, args.n)
     if latest > args.max_steps:
         raise StateNotRetained(f"{name} reads the state at t={latest}, past --max-steps {args.max_steps}")
+    # an earlier state is never the final one, the only state every policy keeps
+    for s in earlier:
+        if not retain.keeps(s):
+            raise StateNotRetained(f"{name} reads the state at t={s}, which --retain {args.retain} does not keep")
     return checks
 
 

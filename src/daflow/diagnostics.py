@@ -20,9 +20,9 @@ finished trace:
   - detailed balance of the two induced single-coordinate Markov kernels.
 
 Checks read retained states and the trace's records and never recompute
-iterates or recorded values: lemma1 certifies the recorded `d_step`. The
-engine stays the single source of truth, and a missing state is reported as
-`StateNotRetained` rather than silently filled in.
+iterates or recorded values: lemma1 and lemma2's odd identity read the
+recorded `d_step`. The engine stays the single source of truth, and a
+missing state is reported as `StateNotRetained`, never silently filled in.
 
 The pairwise families are evaluated as rows. lemma3's D(p_t || p_k) and
 cauchy's V(p_t, p_k) are formed for one t against a block of stacked later
@@ -287,18 +287,26 @@ def _identity_value(lhs: ExtReal, rhs: ExtReal) -> tuple[float, str]:
     return abs(lhs.value - rhs.value), ""
 
 
-def validate_instance(check: str, t: int, n: int | None) -> None:
+def validate_instance(check: str, t: int, n: int | None) -> list[int]:
     """Refuse a single instance of lemma1, lemma2, lemma3 or lsc at (t, n)
-    outside the check's domain; lsc's n is its horizon, None for the rest
-    of the trace."""
-    if check == "lemma1" and t < 0:
-        raise DistributionError(f"lemma1_check needs t >= 0, got {t}")
-    if check == "lemma2" and (t < 1 or n < 1):
-        raise DistributionError(f"lemma2_check needs t >= 1 and n >= 1, got t={t}, n={n}")
+    outside the check's domain, and return the sorted times it reads; lsc's
+    n is its horizon, None for the rest of the trace, whose final state the
+    run decides and so is not among the times returned."""
+    if check == "lemma1":
+        if t < 0:
+            raise DistributionError(f"lemma1_check needs t >= 0, got {t}")
+        return [t, t + 1]
+    if check == "lemma2":
+        if t < 1 or n < 1:
+            raise DistributionError(f"lemma2_check needs t >= 1 and n >= 1, got t={t}, n={n}")
+        return sorted({t, t + 1 if n % 2 else t + n - 1, t + n})
     if check == "lemma3" and (t < 1 or n < 0):
         raise DistributionError(f"lemma3_check needs t >= 1 and n >= 0, got t={t}, n={n}")
+    if check == "lsc" and t < 0:
+        raise DistributionError(f"lsc_gap needs t >= 0, got {t}")
     if check == "lsc" and n is not None and n < 0:
         raise DistributionError(f"lsc horizon must be >= 0, got {n}")
+    return [t] if n is None else sorted({t, t + n})
 
 
 def lemma1_check(trace: DATrace, t: int) -> LemmaReport:
@@ -335,9 +343,8 @@ def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
             )
         slack = rhs.value - lhs.value
         return _report(CheckName.LEMMA2_EVEN, t, n, lhs, rhs, slack, INEQUALITY_TOL)
-    p_t1 = _density(trace, t + 1)
     lhs = relative_entropy(p_t, p_tn)
-    rhs = relative_entropy(p_t, p_t1) + relative_entropy(p_t1, p_tn)
+    rhs = trace.record_at(t).d_step + relative_entropy(_density(trace, t + 1), p_tn)
     value, note = _identity_value(lhs, rhs)
     return _report(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, IDENTITY_TOL, note)
 
@@ -613,7 +620,7 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
 
     for check in checks:
         if check == "lemma1":
-            instances = [t for t in sorted(retained) if t + 1 in retained]
+            instances = [t for t in sorted(retained) if retained.issuperset(validate_instance("lemma1", t, None))]
             if not instances:
                 raise StateNotRetained("lemma1 needs a retained consecutive pair")
             blocks += _gather(_lemma1(trace, t, d) for t in instances)
@@ -621,10 +628,8 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
             reports = []
             for t in LEMMA2_DEFAULT_TS:
                 for n in LEMMA2_DEFAULT_NS:
-                    needed = {t, t + n} | ({t + n - 1} if n % 2 == 0 else {t + 1})
-                    if not needed <= retained:
-                        continue
-                    reports.append(lemma2_check(trace, t, n))
+                    if retained.issuperset(validate_instance("lemma2", t, n)):
+                        reports.append(lemma2_check(trace, t, n))
             if not reports:
                 raise StateNotRetained("lemma2 found no runnable (t, n) instance")
             blocks += _gather(reports)

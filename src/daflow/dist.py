@@ -375,7 +375,7 @@ def joint_from_json_dict(obj: dict) -> JointDensity:
         if key not in obj:
             raise DistributionError(f"density JSON is missing the {key!r} field")
     nx, ny = obj["nx"], obj["ny"]
-    if not (isinstance(nx, int) and isinstance(ny, int) and nx >= 1 and ny >= 1):
+    if not (type(nx) is int and type(ny) is int and nx >= 1 and ny >= 1):
         raise DistributionError(f"nx and ny must be positive integers, got {nx!r}, {ny!r}")
     try:
         w = np.asarray(obj["w"], dtype=np.float64)

@@ -129,6 +129,14 @@ class TestRun:
         assert main(["run", "--gen", "2,2,1", "--retain", "sometimes"]) == EXIT_USAGE
         assert main(["nonsense-command"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("nx, ny", [(True, True), (True, 1), (1, True)])
+    def test_boolean_dimensions_are_usage_errors(self, tmp_path, capsys, nx, ny):
+        bad = write_json(tmp_path / "bool.json", {"nx": nx, "ny": ny, "w": [[1.0]]})
+        for argv in (["run", "--target", bad], ["run", "--gen", "1,1,1", "--p0", f"file:{bad}"]):
+            capsys.readouterr()
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: nx and ny must be positive integers, got {nx!r}, {ny!r}\n"
+
     def test_p0_file_dimension_mismatch_is_usage_error(self, tmp_path):
         p0 = write_json(
             tmp_path / "p0.json", {"nx": 2, "ny": 2, "w": [[0.25, 0.25], [0.25, 0.25]]}
@@ -250,6 +258,8 @@ class TestVerify:
             ["--checks", "all"],
             ["--checks", "lemma1", "--t", "0"],
             ["--checks", "lemma2", "--t", "1", "--n", "1"],
+            ["--checks", "lemma3", "--t", "1", "--n", "2"],
+            ["--checks", "lsc", "--t", "1", "--n", "2"],
         ],
     )
     def test_retain_none_gap_refused_before_run(self, monkeypatch, capsys, selection):
@@ -285,11 +295,32 @@ class TestVerify:
         # the 1x5 target stalls above eps, so all 2,000 half-steps run and
         # every seventh is retained
         argv = ["verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
-                "--retain", "thin:7", "--checks", "lemma3", "--t", "1", "--n", "3"]
+                "--retain", "thin:7", "--checks", "lemma3", "--t", "7", "--n", "3"]
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: state at t=1 was not retained (287 retained times in 0..2000)\n"
+        assert captured.err == "error: state at t=10 was not retained (287 retained times in 0..2000)\n"
+
+    @pytest.mark.parametrize(
+        "selection, message",
+        [
+            (["--retain", "thin:7", "--checks", "lemma2", "--t", "2", "--n", "3"],
+             "lemma2 reads the state at t=2, which --retain thin:7 does not keep"),
+            (["--retain", "thin:2", "--checks", "lemma2", "--t", "2", "--n", "3"],
+             "lemma2 reads the state at t=3, which --retain thin:2 does not keep"),
+            (["--retain", "thin:7", "--checks", "lemma1", "--t", "1"],
+             "lemma1 reads the state at t=1, which --retain thin:7 does not keep"),
+            (["--retain", "none", "--checks", "lemma3", "--t", "1", "--n", "2"],
+             "lemma3 reads the state at t=1, which --retain none does not keep"),
+        ],
+    )
+    def test_earlier_state_the_policy_drops_refused_before_run(self, monkeypatch, capsys, selection, message):
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        argv = ["verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000", *selection]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_instance_past_max_steps_refused_before_run(self, monkeypatch, capsys):
         monkeypatch.setattr("daflow.cli.run", no_run)
@@ -310,6 +341,7 @@ class TestVerify:
             ("lemma3", 0, 3, "lemma3_check needs t >= 1 and n >= 0, got t=0, n=3"),
             ("lemma3", 1, -1, "lemma3_check needs t >= 1 and n >= 0, got t=1, n=-1"),
             ("lsc", 2, -2, "lsc horizon must be >= 0, got -2"),
+            ("lsc", -1, None, "lsc_gap needs t >= 0, got -1"),
         ],
     )
     def test_instance_outside_the_domain_refused_before_run(self, monkeypatch, capsys, check, t, n, message):

@@ -35,6 +35,7 @@ from daflow.diagnostics import (
     report_to_json_dict,
     run_verification,
     summarize,
+    validate_instance,
     verification_to_json,
 )
 from daflow.dist import (
@@ -46,7 +47,7 @@ from daflow.dist import (
     make_target,
     random_positive_target,
 )
-from daflow.engine import RetainPolicy, run
+from daflow.engine import DATrace, RetainPolicy, run
 from daflow.errors import (
     DimensionMismatch,
     DistributionError,
@@ -527,6 +528,76 @@ class TestLemma1Records:
             assert report.lhs == relative_entropy(p_t, trace.target.joint)
             rhs = d_step + relative_entropy(p_next, trace.target.joint)
             assert repr(report.rhs.value) == repr(rhs.value)
+
+
+def lemma2_pair_reference(trace, t: int, n: int) -> LemmaReport:
+    """The lemma2 report at (t, n), every divergence evaluated pair by pair."""
+    p = {k: trace.state_at(k).density for k in (t, t + 1, t + n - 1, t + n)}
+    lhs = relative_entropy(p[t], p[t + n])
+    if n % 2 == 0:
+        rhs = relative_entropy(p[t], p[t + n - 1])
+        return diagnostics._report(
+            CheckName.LEMMA2_EVEN, t, n, lhs, rhs, rhs.value - lhs.value, diagnostics.INEQUALITY_TOL
+        )
+    rhs = relative_entropy(p[t], p[t + 1]) + relative_entropy(p[t + 1], p[t + n])
+    value, note = diagnostics._identity_value(lhs, rhs)
+    return diagnostics._report(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, diagnostics.IDENTITY_TOL, note)
+
+
+class TestLemma2Records:
+    @pytest.mark.parametrize("case", ["converged", *sorted(ROW_CASES)])
+    def test_odd_identity_reads_the_recorded_step_divergence(self, case, monkeypatch):
+        trace = converged_trace() if case == "converged" else ROW_CASES[case]()
+        time_of = {id(trace.state_at(k).density): k for k in trace.retained_times}
+        pairs = []
+
+        def spy(p, q):
+            pairs.append((time_of[id(p)], time_of[id(q)]))
+            return relative_entropy(p, q)
+
+        monkeypatch.setattr(diagnostics, "relative_entropy", spy)
+        reports = run_verification(trace, ("lemma2",))
+        # D(p_t || p_(t+n)) and one neighbour divergence per instance; the
+        # odd identity's D(p_t || p_(t+1)) comes from the trace's records
+        expected = []
+        for r in reports:
+            t, n = r.t, r.n
+            expected += [(t, t + n), (t, t + n - 1) if n % 2 == 0 else (t + 1, t + n)]
+        assert pairs == expected
+        monkeypatch.undo()
+        assert_same_reports(reports, [lemma2_pair_reference(trace, r.t, r.n) for r in reports])
+
+
+class TestInstanceTimes:
+    @pytest.mark.parametrize("check", ["lemma1", "lemma2", "lemma3", "lsc"])
+    def test_validate_instance_names_the_states_the_check_reads(self, check, monkeypatch):
+        trace = converged_trace()
+        run_check = {
+            "lemma1": lambda t, n: lemma1_check(trace, t),
+            "lemma2": lambda t, n: lemma2_check(trace, t, n),
+            "lemma3": lambda t, n: lemma3_check(trace, t, n),
+            "lsc": lambda t, n: lsc_gap(trace, t, n),
+        }[check]
+        read = []
+        state_at = DATrace.state_at
+
+        def spy(self, t):
+            read.append(t)
+            return state_at(self, t)
+
+        monkeypatch.setattr(DATrace, "state_at", spy)
+        checked = 0
+        for t in range(5):
+            for n in [None] if check == "lemma1" else range(6):
+                try:
+                    times = validate_instance(check, t, n)
+                except DistributionError:
+                    continue
+                read.clear()
+                run_check(t, n)
+                assert sorted(set(read)) == times, (t, n)
+                checked += 1
+        assert checked >= 5
 
 
 class TestPairRows:

@@ -70,6 +70,19 @@ EDGE_COMMANDS = {
         "verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
         "--retain", "thin:7", "--checks", "lemma3", "--t", "1", "--n", "3",
     ),
+    "not-retained-thin-latest": (
+        "verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
+        "--retain", "thin:7", "--checks", "lemma3", "--t", "7", "--n", "3",
+    ),
+    "pinned-none-lemma3": (
+        "verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
+        "--retain", "none", "--checks", "lemma3", "--t", "1", "--n", "2",
+    ),
+    "pinned-thin-lemma1": (
+        "verify", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "2000",
+        "--retain", "thin:7", "--checks", "lemma1", "--t", "1",
+    ),
+    "pinned-lsc-negative": ("verify", "--gen", "6,6,1", "--checks", "lsc", "--t", "-1"),
 }
 
 # a 3x3 target whose last row and middle column carry no mass, written into
