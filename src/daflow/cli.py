@@ -24,13 +24,14 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from ._fsio import atomic_write_chunks, atomic_write_text, dumps_indent1
 from .diagnostics import (
     DEFAULT_CHECKS,
+    LemmaReport,
     lemma1_check,
     lemma2_check,
     lemma3_check,
@@ -233,9 +234,10 @@ def _parse_checks(spec: str) -> tuple[str, ...]:
 SWEEP_NEEDS_HISTORY = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc")
 
 
-def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[str, ...]:
+def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> Callable[[DATrace], Iterable[LemmaReport]]:
     """Parse --checks and vet --retain, --t/--n and --max-steps against them,
-    so a bad selection is refused before the trace is built."""
+    so a bad selection is refused before the trace is built; return the
+    evaluation that turns the finished trace into its reports."""
     checks = _parse_checks(args.checks)
     if retain.kind == "none" and args.t is None:
         blocked = [c for c in checks if c in SWEEP_NEEDS_HISTORY]
@@ -246,7 +248,7 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[st
     if args.t is None:
         if args.n is not None:
             raise DistributionError("--n needs --t: it sets the step count of the single check instance")
-        return checks
+        return lambda trace: verification_table(trace, checks)
     if len(checks) != 1:
         raise DistributionError("--t needs exactly one check selected via --checks")
     name = checks[0]
@@ -254,44 +256,39 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> tuple[st
         raise DistributionError("cauchy sweeps retained times; it does not take --t")
     if name not in ("lemma1", "lemma2", "lemma3", "lsc"):
         raise DistributionError(f"--t applies to lemma1, lemma2, lemma3, or lsc, not {name!r}")
-    if name in ("lemma2", "lemma3") and args.n is None:
-        raise DistributionError(f"{name} with --t also needs --n")
-    if name == "lemma1" and args.n is not None:
-        raise DistributionError("lemma1 checks one half-step; it does not take --n")
-    *earlier, latest = validate_instance(name, args.t, args.n)
+    t, n = args.t, args.n
+    if name == "lemma1":
+        if n is not None:
+            raise DistributionError("lemma1 checks one half-step; it does not take --n")
+        evaluate = lambda trace: [lemma1_check(trace, t)]
+    elif name == "lsc":
+        # without --n, the horizon is the steps left to the final state
+        evaluate = lambda trace: [lsc_gap(trace, t, trace.last_t - t if n is None else n)]
+    else:
+        if n is None:
+            raise DistributionError(f"{name} with --t also needs --n")
+        check = lemma2_check if name == "lemma2" else lemma3_check
+        evaluate = lambda trace: [check(trace, t, n)]
+    *earlier, latest = validate_instance(name, t, n)
     if latest > args.max_steps:
         raise StateNotRetained(f"{name} reads the state at t={latest}, past --max-steps {args.max_steps}")
     # an earlier state is never the final one, the only state every policy keeps
     for s in earlier:
         if not retain.keeps(s):
             raise StateNotRetained(f"{name} reads the state at t={s}, which --retain {args.retain} does not keep")
-    return checks
-
-
-def _single_check(trace: DATrace, name: str, t: int, n: int | None) -> list:
-    if name == "lemma1":
-        return [lemma1_check(trace, t)]
-    if name == "lemma2":
-        return [lemma2_check(trace, t, n)]
-    if name == "lemma3":
-        return [lemma3_check(trace, t, n)]
-    return [lsc_gap(trace, t, (trace.last_t - t) if n is None else n)]
+    return evaluate
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     retain = _parse_retain(args.retain)
-    checks = _parse_selection(args, retain)
+    evaluate = _parse_selection(args, retain)
     target = _resolve_target(args)
     p0 = _resolve_p0(args.p0, target)
     trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=retain)
     _require_finite_start(trace)
 
     # every report exists before any output is written
-    if args.t is not None:
-        reports = _single_check(trace, checks[0], args.t, args.n)
-    else:
-        reports = verification_table(trace, checks)
-
+    reports = evaluate(trace)
     summary = summarize(reports)
     _emit(
         args.out_prefix,

@@ -195,7 +195,8 @@ def check_chain_request(replicas: int, half_steps: int, seed: int, budget: int |
     so a caller can vet it before doing other work.
 
     The product replicas * half_steps must stay within the budget (the
-    module default, unless one is passed).
+    module default, unless one is passed); a zero-step request counts as
+    one step, since every replica still draws its start.
     """
     if replicas < 1:
         raise DistributionError(f"replicas must be >= 1, got {replicas}")
@@ -204,10 +205,9 @@ def check_chain_request(replicas: int, half_steps: int, seed: int, budget: int |
     if seed < 0:
         raise DistributionError(f"seed must be nonnegative, got {seed}")
     cap = DEFAULT_BUDGET if budget is None else budget
-    if replicas * half_steps > cap:
-        raise BudgetExceeded(
-            f"replicas * half_steps = {replicas * half_steps} exceeds budget {cap}"
-        )
+    if replicas * max(half_steps, 1) > cap:
+        size = f"replicas * half_steps = {replicas * half_steps}" if half_steps else f"replicas = {replicas}"
+        raise BudgetExceeded(f"{size} exceeds budget {cap}")
 
 
 def run_chains(

@@ -363,6 +363,24 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)["reports"][0]
         assert report["t"] == t and report["pass"]
 
+    @pytest.mark.parametrize(
+        "check, t, n", [("lemma1", 3, None), ("lemma2", 2, 3), ("lemma3", 2, 3), ("lsc", 2, 3), ("lsc", 2, None)]
+    )
+    def test_pinned_instance_reports_the_library_check(self, capsys, check, t, n):
+        selection = ["--checks", check, "--t", str(t), *([] if n is None else ["--n", str(n)])]
+        assert main(["verify", "--gen", "5,5,3", *selection]) == EXIT_OK
+        p0 = JointDensity(np.full((5, 5), 1 / 25))
+        trace = run(p0, random_positive_target(5, 5, 3), MAX_STEPS_DEFAULT, VERIFY_EPS_DEFAULT, RetainPolicy.all())
+        # without --n, lsc's horizon is the steps left to the final state
+        want = {
+            "lemma1": lambda: lemma1_check(trace, t),
+            "lemma2": lambda: lemma2_check(trace, t, n),
+            "lemma3": lambda: lemma3_check(trace, t, n),
+            "lsc": lambda: lsc_gap(trace, t, trace.last_t - t if n is None else n),
+        }[check]()
+        doc = {"reports": [report_to_json_dict(want)], "summary": summarize([want])}
+        assert capsys.readouterr().out == json.dumps(doc, indent=1) + "\n"
+
     @pytest.mark.parametrize("check", ["lemma3", "lsc"])
     def test_final_time_instance_runs_under_retain_none(self, capsys, check):
         p0 = JointDensity(np.full((4, 4), 1 / 16))
@@ -402,6 +420,26 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: lemma3 needs two retained times with t >= 1\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("prefixed", [True, False])
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            ("lemma1", "lemma1 needs a retained consecutive pair"),
+            ("lemma2", "lemma2 found no runnable (t, n) instance"),
+            ("lsc", "lsc needs a retained time t >= 1 before the final state"),
+        ],
+    )
+    def test_empty_sweep_grid_leaves_no_output(self, monkeypatch, tmp_path, capsys, check, message, prefixed):
+        # the run stops at t=29, so thin:1000 keeps only t=0 and t=29
+        monkeypatch.chdir(tmp_path)
+        prefix = ["--out-prefix", "v"] if prefixed else []
+        argv = ["verify", "--gen", "4,4,1", "--eps", "1e-12", "--retain", "thin:1000", "--checks", check]
+        assert main([*argv, *prefix]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
     def test_all_checks_write_the_per_pair_reports(self, tmp_path):
@@ -492,6 +530,18 @@ class TestSample:
         code = main(["sample", "--gen", "2,2,1", "--replicas", "1000", "--times", "0,2"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("steps", [["--times", "0"], ["--times", "0", "--half-steps", "0"]])
+    def test_zero_step_request_counts_one_step(self, monkeypatch, capsys, steps):
+        monkeypatch.setattr("daflow.cli.run", no_run)
+        code = main(["sample", "--gen", "2,2,1", "--replicas", "10", *steps, "--budget", "5"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: replicas = 10 exceeds budget 5\n"
+
+    def test_zero_step_request_within_budget_runs(self, capsys):
+        code = main(["sample", "--gen", "2,2,1", "--replicas", "5", "--times", "0", "--budget", "5"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["replicas"] == 5
+
     def test_single_replica_report_never_asserts(self, capsys):
         # bound 5*sqrt(nx*ny/1) exceeds the maximum possible distance
         code = main(["sample", "--gen", "2,2,1", "--replicas", "1", "--times", "0,2"])
@@ -535,6 +585,25 @@ class TestSample:
         code = main(["sample", "--gen", "3,3,9", "--replicas", "20", "--times", "0,2", *flag])
         assert code == EXIT_USAGE
         assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--gen", "3,3,x"], "--gen wants numeric nx,ny,seed[,conc], got '3,3,x'"),
+        (["run", "--gen", "3,3,1", "--p0", "degenerate:1"], "--p0 degenerate wants degenerate:i,j, got 'degenerate:1'"),
+        (["run", "--gen", "3,3,1", "--p0", "random:x"], "--p0 random wants random:seed, got 'random:x'"),
+        (["run", "--gen", "3,3,1", "--retain", "thin:"], "--retain thin wants thin:k, got 'thin:'"),
+        (["verify", "--gen", "3,3,1", "--checks", ",,"], "--checks wants a comma-separated list or 'all'"),
+        (["sample", "--gen", "2,2,1", "--times", "a"], "--times wants comma-separated integers, got 'a'"),
+        (["sample", "--gen", "2,2,1", "--times", "-1"], "--times wants nonnegative integers, got '-1'"),
+    ],
+    ids=["gen-numeric", "p0-degenerate", "p0-random", "retain-thin", "checks-empty", "times-integers", "times-negative"],
+)
+def test_malformed_flag_values_refused_before_run(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("daflow.cli.run", no_run)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parser_is_built_once_and_reused_unchanged(capsys):

@@ -402,6 +402,34 @@ class TestReportPlumbing:
                 0.0, False, 1e-10,
             )
 
+    def test_report_refuses_a_nan_residual(self):
+        with pytest.raises(DistributionError, match=r"^report residual must not be NaN$"):
+            LemmaReport(
+                CheckName.LEMMA1, 0, None,
+                ExtReal.finite(1.0), ExtReal.finite(1.0),
+                math.nan, False, 1e-10,
+            )
+
+    def test_block_refuses_a_nan_residual(self):
+        sides = np.array([1.0, 1.0])
+        with pytest.raises(DistributionError, match=r"^report residual must not be NaN$"):
+            diagnostics.ReportBlock(
+                CheckName.LEMMA1, 1e-10, np.array([0, 1]), None,
+                sides, sides, np.array([0.0, math.nan]), ("", ""),
+            )
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, value, note",
+        [
+            (math.inf, math.inf, 0.0, "both sides infinite; identity holds vacuously"),
+            (math.inf, 1.0, math.inf, "exactly one side infinite"),
+            (1.0, math.inf, math.inf, "exactly one side infinite"),
+        ],
+        ids=["both-infinite", "lhs-infinite", "rhs-infinite"],
+    )
+    def test_identity_value_of_infinite_sides(self, lhs, rhs, value, note):
+        assert diagnostics._identity_value(ExtReal(lhs), ExtReal(rhs)) == (value, note)
+
     def test_full_sweep_passes_and_summarizes(self):
         trace = converged_trace()
         reports = run_verification(trace)

@@ -30,6 +30,7 @@ from daflow.sampler import (
     EmpiricalDensity,
     _categorical_rows,
     _replica_uniforms,
+    check_chain_request,
     consistency_report,
     draws_csv_blocks,
     draws_to_csv,
@@ -302,6 +303,19 @@ class TestValidation:
         run_chains(target, DIAG22, replicas=10, half_steps=10, seed=1, budget=100)
         with pytest.raises(BudgetExceeded):
             run_chains(target, DIAG22, replicas=10, half_steps=11, seed=1, budget=100)
+
+    def test_zero_step_request_counts_one_step(self):
+        target = make_target(DIAG22)
+        with pytest.raises(BudgetExceeded, match=r"^replicas = 10 exceeds budget 5$"):
+            check_chain_request(10, 0, 0, budget=5)
+        with pytest.raises(BudgetExceeded, match=r"^replicas = 10 exceeds budget 5$"):
+            run_chains(target, DIAG22, replicas=10, half_steps=0, seed=0, budget=5)
+        check_chain_request(5, 0, 0, budget=5)
+        draws = run_chains(target, DIAG22, replicas=5, half_steps=0, seed=0, budget=5)
+        assert draws.xs.shape == (5, 1)
+        # one step or more keeps the product and its message
+        with pytest.raises(BudgetExceeded, match=r"^replicas \* half_steps = 6 exceeds budget 5$"):
+            check_chain_request(6, 1, 0, budget=5)
 
     def test_chaindraws_bounds_validated(self):
         ok = np.zeros((2, 3), dtype=np.int64)

@@ -35,7 +35,8 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 
 # the README commands, retention modes, degenerate grid shapes, pinned
 # checks, a step-budget stop, a wide run, targets that need redraws or hold
-# subnormal cells, a target file with zero cells, and refusals
+# subnormal cells, a target file with zero cells, and refusals (among them a
+# zero-step sample over its budget and a sweep whose grid is empty)
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -50,6 +51,7 @@ EDGE_COMMANDS = {
     "pinned-lemma1": ("verify", "--gen", "5,5,3", "--checks", "lemma1", "--t", "3", "--out-prefix", "pin1"),
     "pinned-lemma2": ("verify", "--gen", "5,5,3", "--checks", "lemma2", "--t", "2", "--n", "4", "--out-prefix", "pin2"),
     "pinned-lsc": ("verify", "--gen", "5,5,3", "--checks", "lsc", "--t", "2", "--out-prefix", "pinl"),
+    "pinned-lemma3": ("verify", "--gen", "5,5,3", "--checks", "lemma3", "--t", "2", "--n", "3", "--out-prefix", "pin3"),
     "maxiters-1x5": ("run", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "200", "--out-prefix", "m15"),
     "wide-run": ("run", "--gen", "200,200,1", "--p0", "degenerate:0,0", "--out-prefix", "w200"),
     "redraw-4x4": ("run", "--gen", "4,4,1,0.001", "--max-steps", "50", "--out-prefix", "r44"),
@@ -83,6 +85,10 @@ EDGE_COMMANDS = {
         "--retain", "thin:7", "--checks", "lemma1", "--t", "1",
     ),
     "pinned-lsc-negative": ("verify", "--gen", "6,6,1", "--checks", "lsc", "--t", "-1"),
+    "sample-zero-steps-budget": ("sample", "--gen", "2,2,1", "--replicas", "10", "--times", "0", "--budget", "5"),
+    "empty-grid-lemma1": (
+        "verify", "--gen", "4,4,1", "--eps", "1e-12", "--retain", "thin:1000", "--checks", "lemma1",
+    ),
 }
 
 # a 3x3 target whose last row and middle column carry no mass, written into
