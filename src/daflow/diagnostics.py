@@ -20,9 +20,18 @@ finished trace:
   - detailed balance of the two induced single-coordinate Markov kernels.
 
 Checks read retained states and the trace's records and never recompute
-iterates or recorded values: lemma1 and lemma2's odd identity read the
-recorded `d_step`. The engine stays the single source of truth, and a
-missing state is reported as `StateNotRetained`, never silently filled in.
+iterates. lemma1 and lemma2's odd identity read the one-step divergence
+`d_step` that `run` recorded, summed over the joints. D(p_t || target) is
+the one value held twice. `run` records it from p_t's marginal by the chain
+rule, which is exact only because p_t carries the target's conditional;
+`_ToTarget` evaluates it on the retained joint. lemma1, lemma3 and lsc
+certify relations among the divergences of the iterates, so they read the
+joint value and assume nothing of the iterate's form. cauchy's right side
+and lsc's tolerance size a bound instead, so they read the recorded value,
+the one the stop rule and the exported trace use, at no pass over the
+joints. The two agree to rounding. The engine stays the single source of
+truth, and a missing state is reported as `StateNotRetained`, never
+silently filled in.
 
 The pairwise families are evaluated as rows. lemma3's D(p_t || p_k) and
 cauchy's V(p_t, p_k) are formed for one t against a block of stacked later
@@ -123,9 +132,9 @@ class LemmaReport:
 
     `lhs` and `rhs` are the two sides of the certified relation as evaluated,
     `residual_or_slack` the comparison summary (absolute defect for
-    identities, signed slack for inequalities), and `passed` the verdict at
-    `tolerance`. `t` and `n` locate the instance on the trace; target-level
-    checks carry t=0 and n=None.
+    identities, signed slack for inequalities), and `passed` the verdict on
+    it at `tolerance`, computed on construction. `t` and `n` locate the
+    instance on the trace; target-level checks carry t=0 and n=None.
     """
 
     name: CheckName
@@ -134,18 +143,14 @@ class LemmaReport:
     lhs: ExtReal
     rhs: ExtReal
     residual_or_slack: float
-    passed: bool
+    passed: bool = field(init=False)
     tolerance: float
     note: str = ""
 
     def __post_init__(self) -> None:
         if math.isnan(self.residual_or_slack):
             raise DistributionError("report residual must not be NaN")
-        if self.passed != _verdict(self.name, self.residual_or_slack, self.tolerance):
-            raise DistributionError(
-                f"{self.name.value} report verdict {self.passed} contradicts "
-                f"residual {self.residual_or_slack!r} at tolerance {self.tolerance!r}"
-            )
+        object.__setattr__(self, "passed", _verdict(self.name, self.residual_or_slack, self.tolerance))
 
 
 def _verdict(name: CheckName, value, tolerance: float):
@@ -153,19 +158,6 @@ def _verdict(name: CheckName, value, tolerance: float):
     if _CHECK_KIND[name] == "identity":
         return abs(value) <= tolerance
     return value >= -tolerance
-
-
-def _report(
-    name: CheckName,
-    t: int,
-    n: int | None,
-    lhs: ExtReal,
-    rhs: ExtReal,
-    value: float,
-    tolerance: float,
-    note: str = "",
-) -> LemmaReport:
-    return LemmaReport(name, t, n, lhs, rhs, value, _verdict(name, value, tolerance), tolerance, note)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,10 +191,10 @@ class ReportBlock:
     def reports(self) -> list[LemmaReport]:
         """The block's rows as reports, in order."""
         ns = [None] * len(self) if self.n is None else self.n.tolist()
-        columns = (self.lhs.tolist(), self.rhs.tolist(), self.value.tolist(), self.passed.tolist())
+        columns = (self.lhs.tolist(), self.rhs.tolist(), self.value.tolist())
         return [
-            LemmaReport(self.name, t, n, ExtReal(lhs), ExtReal(rhs), value, passed, self.tolerance, note)
-            for t, n, lhs, rhs, value, passed, note in zip(self.t.tolist(), ns, *columns, self.notes)
+            LemmaReport(self.name, t, n, ExtReal(lhs), ExtReal(rhs), value, self.tolerance, note)
+            for t, n, lhs, rhs, value, note in zip(self.t.tolist(), ns, *columns, self.notes)
         ]
 
 
@@ -320,7 +312,7 @@ def _lemma1(trace: DATrace, t: int, d: _ToTarget) -> LemmaReport:
     lhs, d_next = d[t], d[t + 1]
     rhs = trace.record_at(t).d_step + d_next
     value, note = _identity_value(lhs, rhs)
-    return _report(CheckName.LEMMA1, t, None, lhs, rhs, value, IDENTITY_TOL, note)
+    return LemmaReport(CheckName.LEMMA1, t, None, lhs, rhs, value, IDENTITY_TOL, note)
 
 
 def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
@@ -337,16 +329,16 @@ def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
         lhs = relative_entropy(p_t, p_tn)
         rhs = relative_entropy(p_t, _density(trace, t + n - 1))
         if not lhs.is_finite and not rhs.is_finite:
-            return _report(
+            return LemmaReport(
                 CheckName.LEMMA2_EVEN, t, n, lhs, rhs, 0.0, INEQUALITY_TOL,
                 "both sides infinite; inequality holds vacuously",
             )
         slack = rhs.value - lhs.value
-        return _report(CheckName.LEMMA2_EVEN, t, n, lhs, rhs, slack, INEQUALITY_TOL)
+        return LemmaReport(CheckName.LEMMA2_EVEN, t, n, lhs, rhs, slack, INEQUALITY_TOL)
     lhs = relative_entropy(p_t, p_tn)
     rhs = trace.record_at(t).d_step + relative_entropy(_density(trace, t + 1), p_tn)
     value, note = _identity_value(lhs, rhs)
-    return _report(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, IDENTITY_TOL, note)
+    return LemmaReport(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, IDENTITY_TOL, note)
 
 
 def lemma3_check(trace: DATrace, t: int, n: int) -> LemmaReport:
@@ -377,14 +369,19 @@ def _lemma3_row(trace: DATrace, t: int, later: list[int], d: _ToTarget) -> Repor
     return ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, np.full_like(k, t), k - t, lhs, rhs, slack, notes)
 
 
-def cauchy_matrix(trace: DATrace, times: list[int]) -> np.ndarray:
-    """Pairwise L1 distances V(p_t, p_k) for the listed retained times, each
-    row of later times evaluated as one stack."""
+def _cauchy_rows(trace: DATrace, times: list[int]) -> Iterator[np.ndarray]:
+    """The L1 distances V(p_t, p_k) from each listed retained time t but the
+    last to the later ones, one row per t, each evaluated as one stack."""
     weights = [_density(trace, t).w for t in times]
+    for a in range(len(times) - 1):
+        yield np.array(_stacked_rows(_l1_rows, weights[a], weights[a + 1 :]))
+
+
+def cauchy_matrix(trace: DATrace, times: list[int]) -> np.ndarray:
+    """Pairwise L1 distances V(p_t, p_k) for the listed retained times."""
     m = len(times)
     out = np.zeros((m, m))
-    for a in range(m - 1):
-        row = _stacked_rows(_l1_rows, weights[a], weights[a + 1 :])
+    for a, row in enumerate(_cauchy_rows(trace, times)):
         out[a, a + 1 :] = row
         out[a + 1 :, a] = row
     return readonly(out)
@@ -403,17 +400,16 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
         raise StateNotRetained("cauchy_check needs at least two retained times with t >= 1")
     if min(times) < 1:
         raise DistributionError("cauchy_check applies to iterate times t >= 1 only")
-    v = cauchy_matrix(trace, times)
     d = np.array([trace.record_at(t).d_to_target.value for t in times])
     worst = math.inf
     worst_pair = (times[0], times[1])
     worst_sides = (0.0, 0.0)
-    # one row of later times at a time, keeping a row's first smallest slack
-    # only when it is strictly below the best so far: the pair a strict `<`
-    # scan over every pair in row-major order picks, with O(T) extra memory;
-    # a NaN slack (inf - inf divergences) is never the tightest
-    for a in range(len(times) - 1):
-        vab = v[a, a + 1 :]
+    # one row of later times at a time, read as it is computed, keeping a
+    # row's first smallest slack only when it is strictly below the best so
+    # far: the pair a strict `<` scan over every pair in row-major order
+    # picks, with O(T) memory besides one stack; a NaN slack (inf - inf
+    # divergences) is never the tightest
+    for a, vab in enumerate(_cauchy_rows(trace, times)):
         lhs = 0.5 * vab * vab
         with np.errstate(invalid="ignore"):
             rhs = np.abs(d[a] - d[a + 1 :])
@@ -424,7 +420,7 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
             worst = float(slack[j])
             worst_pair = (times[a], times[a + 1 + j])
             worst_sides = (float(lhs[j]), float(rhs[j]))
-    return _report(
+    return LemmaReport(
         CheckName.CAUCHY,
         worst_pair[0],
         worst_pair[1] - worst_pair[0],
@@ -466,9 +462,9 @@ def _lsc(trace: DATrace, t: int, horizon: int, d: _ToTarget) -> LemmaReport:
     tolerance = max(LSC_FLOOR, 10.0 * d_h)
     if not (lhs.is_finite and rhs.is_finite):
         value, note = _identity_value(lhs, rhs)
-        return _report(CheckName.LSC, t, horizon, lhs, rhs, value, tolerance, note)
+        return LemmaReport(CheckName.LSC, t, horizon, lhs, rhs, value, tolerance, note)
     gap = lhs.value - rhs.value
-    return _report(
+    return LemmaReport(
         CheckName.LSC, t, horizon, lhs, rhs, gap, tolerance,
         "finite-horizon proxy for a liminf bound",
     )
@@ -521,7 +517,7 @@ def reconstruction_check(target: Target) -> LemmaReport:
     )
     tv = total_variation(rebuilt, target.joint)
     value = max(tv, compat)
-    return _report(
+    return LemmaReport(
         CheckName.RECONSTRUCTION,
         0,
         None,
@@ -565,7 +561,7 @@ def detailed_balance_residual(target: Target, axis: Axis) -> float:
 
 def balance_check(target: Target, axis: Axis) -> LemmaReport:
     residual = detailed_balance_residual(target, axis)
-    return _report(
+    return LemmaReport(
         CheckName.DETAILED_BALANCE,
         0,
         None,

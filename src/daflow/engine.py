@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,23 +98,19 @@ class StopReason(enum.Enum):
 class DAState:
     """One iterate of the recursion: time index, density, and provenance.
 
-    The parity structure is fixed: the initial state is the only one with
-    ``last_update = NONE``, odd times always carry a fresh X conditional and
-    even times t >= 2 a fresh Y conditional.
+    The provenance follows from the parity of t: the initial state is the
+    only one with ``last_update = NONE``, odd times carry a fresh X
+    conditional and even times t >= 2 a fresh Y conditional.
     """
 
     t: int
     density: JointDensity
-    last_update: UpdateKind
+    last_update: UpdateKind = field(init=False)
 
     def __post_init__(self) -> None:
         if self.t < 0:
             raise DistributionError(f"state time must be nonnegative, got {self.t}")
-        expected = _update_at(self.t)
-        if self.last_update is not expected:
-            raise DistributionError(
-                f"t={self.t} requires last_update={expected.value}, got {self.last_update.value}"
-            )
+        object.__setattr__(self, "last_update", _update_at(self.t))
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ class _RetainedStates(Mapping[int, DAState]):
         if state is None:
             src = self._sources[t]
             density = src if t == 0 else JointDensity(_composed(self._target, src, t))
-            state = self._built[t] = DAState(t, density, _update_at(t))
+            state = self._built[t] = DAState(t, density)
         return state
 
     def __contains__(self, t: object) -> bool:
@@ -268,7 +264,7 @@ def half_step_with_drift(s: DAState, target: Target) -> tuple[DAState, float]:
         density, drift = compose_with_drift(marginal(s.density, Axis.Y), target.cond_x_given_y)
     else:
         density, drift = compose_with_drift(marginal(s.density, Axis.X), target.cond_y_given_x)
-    return DAState(s.t + 1, density, _update_at(s.t + 1)), drift
+    return DAState(s.t + 1, density), drift
 
 
 def da_half_step(s: DAState, target: Target) -> DAState:
@@ -283,7 +279,7 @@ def da_half_step(s: DAState, target: Target) -> DAState:
 
 
 def initial_state(p0: JointDensity) -> DAState:
-    return DAState(0, p0, UpdateKind.NONE)
+    return DAState(0, p0)
 
 
 def _renormalized_marginal(w: np.ndarray, axis: Axis) -> tuple[np.ndarray, float]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ DEFAULT_BUDGET = 100_000_000
 
 
 def _frozen_indices(a: np.ndarray, bound: int, what: str) -> np.ndarray:
-    """`a` as a read-only int64 array of indices in [0, bound).
+    """`a`, nonempty, as a read-only int64 array of indices in [0, bound).
 
     An int64 array that owns its data and is already read-only, as
     `run_chains` hands over, is kept as it is; anything else is copied, so
@@ -54,7 +54,7 @@ def _frozen_indices(a: np.ndarray, bound: int, what: str) -> np.ndarray:
         out = a
     else:
         out = np.array(a, dtype=np.int64)
-    if out.size and (out.min() < 0 or out.max() >= bound):
+    if out.min() < 0 or out.max() >= bound:
         raise DistributionError(f"{what} indices fall outside [0, {bound})")
     out.setflags(write=False)
     return out
@@ -65,49 +65,45 @@ class ChainDraws:
     """All replicas' coordinate paths.
 
     ``xs[r, t]`` and ``ys[r, t]`` are replica r's cell at time t, for
-    t = 0..half_steps. Column t of a chain corresponds to the exact iterate
-    density at the same t.
+    t = 0..half_steps; their shape sets `replicas` and `half_steps`. Column
+    t of a chain corresponds to the exact iterate density at the same t.
     """
 
     seed: int
-    replicas: int
-    half_steps: int
+    replicas: int = field(init=False)
+    half_steps: int = field(init=False)
     nx: int
     ny: int
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise DistributionError(f"replicas must be >= 1, got {self.replicas}")
-        if self.half_steps < 0:
-            raise DistributionError(f"half_steps must be >= 0, got {self.half_steps}")
-        shape = (self.replicas, self.half_steps + 1)
         xs = np.asarray(self.xs)
         ys = np.asarray(self.ys)
-        if xs.shape != shape or ys.shape != shape:
+        if xs.ndim != 2 or xs.shape != ys.shape or xs.size == 0:
             raise DimensionMismatch(
-                f"draw arrays must have shape {shape}, got {xs.shape} and {ys.shape}"
+                f"draw arrays must be nonempty 2-D arrays of one shape, got {xs.shape} and {ys.shape}"
             )
+        object.__setattr__(self, "replicas", xs.shape[0])
+        object.__setattr__(self, "half_steps", xs.shape[1] - 1)
         object.__setattr__(self, "xs", _frozen_indices(xs, self.nx, "x"))
         object.__setattr__(self, "ys", _frozen_indices(ys, self.ny, "y"))
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDensity:
-    """A cross-replica histogram on the grid."""
+    """A cross-replica histogram on the grid; `n` is its total count."""
 
     counts: np.ndarray
-    n: int
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         counts = np.array(self.counts, dtype=np.int64)
         if counts.ndim != 2 or np.any(counts < 0):
             raise DistributionError("counts must be a 2-D nonnegative integer matrix")
-        if int(counts.sum()) != self.n:
-            raise DistributionError(f"counts sum to {int(counts.sum())}, expected n={self.n}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", int(counts.sum()))
 
     def to_joint(self) -> JointDensity:
         if self.n < 1:
@@ -258,7 +254,7 @@ def run_chains(
 
     xs.setflags(write=False)
     ys.setflags(write=False)
-    return ChainDraws(seed, replicas, half_steps, nx, ny, xs, ys)
+    return ChainDraws(seed, nx, ny, xs, ys)
 
 
 def empirical_at(draws: ChainDraws, t: int) -> EmpiricalDensity:
@@ -267,7 +263,7 @@ def empirical_at(draws: ChainDraws, t: int) -> EmpiricalDensity:
         raise IndexOutOfRange(f"t={t} outside this run's range 0..{draws.half_steps}")
     flat = draws.xs[:, t] * draws.ny + draws.ys[:, t]
     counts = np.bincount(flat, minlength=draws.nx * draws.ny).reshape(draws.nx, draws.ny)
-    return EmpiricalDensity(counts, draws.replicas)
+    return EmpiricalDensity(counts)
 
 
 def consistency_report(

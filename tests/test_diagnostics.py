@@ -189,6 +189,12 @@ class TestLemma3:
         report = lemma3_check(trace, 1, 1)
         assert abs(report.residual_or_slack) <= 1e-10
 
+    def test_row_refuses_an_infinite_divergence_to_the_target(self):
+        trace = make_trace(steps=6)
+        d = {1: ExtReal.finite(0.5), 2: ExtReal.pos_infinity()}
+        with pytest.raises(DistributionError, match=r"^lemma3_check needs finite divergences to the target$"):
+            diagnostics._lemma3_row(trace, 1, [2], d)
+
     def test_argument_validation(self):
         trace = make_trace(steps=6)
         with pytest.raises(DistributionError):
@@ -394,20 +400,33 @@ class TestDetailedBalance:
 
 
 class TestReportPlumbing:
-    def test_report_verdict_consistency_enforced(self):
-        with pytest.raises(DistributionError):
-            LemmaReport(
-                CheckName.LEMMA1, 0, None,
-                ExtReal.finite(1.0), ExtReal.finite(1.0),
-                0.0, False, 1e-10,
-            )
+    @pytest.mark.parametrize(
+        "name, value, passed",
+        [
+            (CheckName.LEMMA1, 0.0, True),
+            (CheckName.LEMMA1, 1e-10, True),
+            (CheckName.LEMMA1, -1e-10, True),
+            (CheckName.LEMMA1, math.nextafter(1e-10, math.inf), False),
+            (CheckName.LEMMA1, -math.nextafter(1e-10, math.inf), False),
+            (CheckName.LEMMA1, math.inf, False),
+            (CheckName.LEMMA3, 5.0, True),
+            (CheckName.LEMMA3, -1e-10, True),
+            (CheckName.LEMMA3, -math.nextafter(1e-10, math.inf), False),
+            (CheckName.LEMMA3, -math.inf, False),
+        ],
+    )
+    def test_report_verdict_is_derived_at_the_tolerance(self, name, value, passed):
+        report = LemmaReport(name, 1, 1, ExtReal.finite(1.0), ExtReal.finite(1.0), value, 1e-10)
+        assert report.passed is passed
+        assert report.passed == diagnostics._verdict(name, value, 1e-10)
+        assert f"passed={passed}, tolerance=1e-10" in repr(report)
 
     def test_report_refuses_a_nan_residual(self):
         with pytest.raises(DistributionError, match=r"^report residual must not be NaN$"):
             LemmaReport(
                 CheckName.LEMMA1, 0, None,
                 ExtReal.finite(1.0), ExtReal.finite(1.0),
-                math.nan, False, 1e-10,
+                math.nan, 1e-10,
             )
 
     def test_block_refuses_a_nan_residual(self):
@@ -473,7 +492,7 @@ class TestReportPlumbing:
         r = LemmaReport(
             CheckName.LEMMA1, 0, None,
             ExtReal.pos_infinity(), ExtReal.pos_infinity(),
-            0.0, True, 1e-10, "both sides infinite; identity holds vacuously",
+            0.0, 1e-10, "both sides infinite; identity holds vacuously",
         )
         obj = report_to_json_dict(r)
         assert obj["lhs"] == "inf" and obj["rhs"] == "inf"
@@ -487,12 +506,12 @@ class TestReportPlumbing:
             LemmaReport(
                 CheckName.LEMMA1, 0, None,
                 ExtReal.pos_infinity(), ExtReal.finite(1.0),
-                math.inf, False, 1e-10, "exactly one side infinite",
+                math.inf, 1e-10, "exactly one side infinite",
             ),
             LemmaReport(
                 CheckName.LEMMA3, 1, 1,
                 ExtReal.pos_infinity(), ExtReal.finite(0.5),
-                -math.inf, False, 1e-10, "left side infinite with finite right side",
+                -math.inf, 1e-10, "left side infinite with finite right side",
             ),
         ]
         doc = json.loads(verification_to_json(reports), parse_constant=reject)
@@ -564,12 +583,12 @@ def lemma2_pair_reference(trace, t: int, n: int) -> LemmaReport:
     lhs = relative_entropy(p[t], p[t + n])
     if n % 2 == 0:
         rhs = relative_entropy(p[t], p[t + n - 1])
-        return diagnostics._report(
+        return LemmaReport(
             CheckName.LEMMA2_EVEN, t, n, lhs, rhs, rhs.value - lhs.value, diagnostics.INEQUALITY_TOL
         )
     rhs = relative_entropy(p[t], p[t + 1]) + relative_entropy(p[t + 1], p[t + n])
     value, note = diagnostics._identity_value(lhs, rhs)
-    return diagnostics._report(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, diagnostics.IDENTITY_TOL, note)
+    return LemmaReport(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, diagnostics.IDENTITY_TOL, note)
 
 
 class TestLemma2Records:
@@ -726,7 +745,7 @@ def cauchy_loop_reference(trace, times=None) -> LemmaReport:
             rhs = abs(d[a] - d[b])
             if rhs - lhs < worst:
                 worst, worst_pair, worst_sides = rhs - lhs, (times[a], times[b]), (lhs, rhs)
-    return diagnostics._report(
+    return LemmaReport(
         CheckName.CAUCHY, worst_pair[0], worst_pair[1] - worst_pair[0],
         ExtReal.finite(worst_sides[0]), ExtReal.finite(worst_sides[1]), worst,
         diagnostics.INEQUALITY_TOL,
@@ -739,6 +758,12 @@ def stub_trace(d: list[float]):
     are `d`; only what cauchy_check reads besides the distance matrix."""
     records = {t: SimpleNamespace(d_to_target=ExtReal(x)) for t, x in enumerate(d, start=1)}
     return SimpleNamespace(retained_times=sorted(records), record_at=records.__getitem__)
+
+
+def rows_of(v: np.ndarray):
+    """A stand-in for `diagnostics._cauchy_rows` that yields the rows of v
+    above its diagonal, as the scan reads them."""
+    return lambda trace, times: (v[a, a + 1 :] for a in range(len(times) - 1))
 
 
 def assert_same_report(got: LemmaReport, want: LemmaReport) -> None:
@@ -769,12 +794,12 @@ class TestCauchyScan:
         if seed % 4 == 3:
             k = int(rng.integers(1, m + 1))
             d[:k] = [math.inf] * k
-        monkeypatch.setattr(diagnostics, "cauchy_matrix", lambda trace, times: v)
+        monkeypatch.setattr(diagnostics, "_cauchy_rows", rows_of(v))
         trace = stub_trace(d)
         assert_same_report(cauchy_check(trace), cauchy_loop_reference(trace))
 
     def test_all_pairs_infinite_keep_the_default_pair(self, monkeypatch):
-        monkeypatch.setattr(diagnostics, "cauchy_matrix", lambda trace, times: np.zeros((3, 3)))
+        monkeypatch.setattr(diagnostics, "_cauchy_rows", rows_of(np.zeros((3, 3))))
         trace = stub_trace([math.inf, math.inf, math.inf])
         report = cauchy_check(trace)
         assert_same_report(report, cauchy_loop_reference(trace))
@@ -786,7 +811,7 @@ class TestCauchyScan:
         v = rng.random((m, m))
         v = np.triu(v, 1) + np.triu(v, 1).T
         d = np.sort(rng.random(m))[::-1].tolist()
-        monkeypatch.setattr(diagnostics, "cauchy_matrix", lambda trace, times: v)
+        monkeypatch.setattr(diagnostics, "_cauchy_rows", rows_of(v))
         trace = stub_trace(d)
         tracemalloc.start()
         try:
@@ -798,6 +823,24 @@ class TestCauchyScan:
         # a few rows of temporaries and the divergence list, not arrays over
         # all m(m-1)/2 pairs (5.8 MB each here)
         assert peak < 40 * m * 8
+
+    def test_real_trace_scan_holds_no_distance_matrix(self):
+        trace = make_trace(1, 5, seed=3, steps=400)
+        times = [t for t in trace.retained_times if t >= 1]
+        assert len(times) == 400
+        # the retained joints are built before the scan, as a sweep's
+        # earlier families leave them
+        for t in times:
+            trace.state_at(t)
+        tracemalloc.start()
+        try:
+            report = cauchy_check(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_report(report, cauchy_loop_reference(trace))
+        # one T x T matrix of distances takes T^2 * 8 bytes (1.2 MiB here)
+        assert peak < len(times) ** 2 * 8 / 4
 
 
 def fail_if_called(*args, **kwargs):
@@ -856,11 +899,11 @@ def lemma3_pair_reference(trace, t: int, k: int, d) -> LemmaReport:
     lhs = relative_entropy(trace.state_at(t).density, trace.state_at(k).density)
     rhs = ExtReal.finite(d[t].value - d[k].value)
     if not lhs.is_finite:
-        return diagnostics._report(
+        return LemmaReport(
             CheckName.LEMMA3, t, k - t, lhs, rhs, -math.inf, diagnostics.INEQUALITY_TOL,
             "left side infinite with finite right side",
         )
-    return diagnostics._report(
+    return LemmaReport(
         CheckName.LEMMA3, t, k - t, lhs, rhs, rhs.value - lhs.value, diagnostics.INEQUALITY_TOL
     )
 
@@ -905,7 +948,7 @@ class TestReportBlocks:
 
     def test_summary_keeps_the_first_tied_worst_value(self):
         def report(name, value, tolerance=1e-10):
-            return diagnostics._report(name, 1, 1, ExtReal(0.0), ExtReal(0.0), value, tolerance)
+            return LemmaReport(name, 1, 1, ExtReal(0.0), ExtReal(0.0), value, tolerance)
 
         lemma3, cauchy, lemma1 = CheckName.LEMMA3, CheckName.CAUCHY, CheckName.LEMMA1
         cases = [
@@ -958,7 +1001,7 @@ def report_lists(draw) -> list[LemmaReport]:
         tolerance = draw(st.sampled_from([1e-10, 1e-6, 0.0, 2.5, math.inf]))
         no_n = draw(st.booleans())
         for _ in range(draw(st.integers(1, 4))):
-            reports.append(diagnostics._report(
+            reports.append(LemmaReport(
                 name,
                 draw(st.integers(0, 10**6)),
                 None if no_n else draw(st.integers(-3, 10**6)),

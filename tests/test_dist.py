@@ -107,6 +107,14 @@ class TestMarginalAndConditional:
         npt.assert_allclose(k.slice_pmf(1), [0.5, 0.5])
         npt.assert_allclose(k.slice_pmf(0), [1.0, 0.0])
 
+    def test_kernel_slice_within_renorm_band_is_renormalized(self):
+        # a slice off by 1e-10 is divided by its sum; the exact slice is kept
+        k = np.array([[0.5, 0.5 + 1e-10], [0.25, 0.75]])
+        kernel = ConditionalKernel(Direction.Y_GIVEN_X, k, np.array([True, True]))
+        npt.assert_array_equal(kernel.k[0], k[0] / k[0].sum())
+        assert abs(kernel.k[0].sum() - 1.0) <= 1e-12
+        npt.assert_array_equal(kernel.k[1], k[1])
+
     def test_compose_rejects_axis_mismatch(self):
         p = JointDensity(np.array([[0.1, 0.2], [0.3, 0.4]]))
         mx = marginal(p, Axis.X)

@@ -106,24 +106,18 @@ def brute_force_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 class TestStateBookkeeping:
-    def test_time_zero_requires_none_update(self):
-        initial_state(DIAG22)
-        with pytest.raises(DistributionError):
-            DAState(0, DIAG22, UpdateKind.REFRESH_X)
-        with pytest.raises(DistributionError):
-            DAState(1, DIAG22, UpdateKind.NONE)
-
-    def test_parity_of_update_kind(self):
-        DAState(1, DIAG22, UpdateKind.REFRESH_X)
-        DAState(2, DIAG22, UpdateKind.REFRESH_Y)
-        with pytest.raises(DistributionError):
-            DAState(1, DIAG22, UpdateKind.REFRESH_Y)
-        with pytest.raises(DistributionError):
-            DAState(2, DIAG22, UpdateKind.REFRESH_X)
+    def test_update_kind_follows_the_parity_of_t(self):
+        assert initial_state(DIAG22).last_update is UpdateKind.NONE
+        assert DAState(0, DIAG22).last_update is UpdateKind.NONE
+        for t in (1, 3, 101):
+            assert DAState(t, DIAG22).last_update is UpdateKind.REFRESH_X
+        for t in (2, 4, 100):
+            assert DAState(t, DIAG22).last_update is UpdateKind.REFRESH_Y
+        assert repr(DAState(1, DIAG22)).endswith(", last_update=<UpdateKind.REFRESH_X: 'RefreshX'>)")
 
     def test_negative_time_rejected(self):
-        with pytest.raises(DistributionError):
-            DAState(-1, DIAG22, UpdateKind.REFRESH_X)
+        with pytest.raises(DistributionError, match=r"^state time must be nonnegative, got -1$"):
+            DAState(-1, DIAG22)
 
 
 class TestHalfStep:
@@ -305,6 +299,11 @@ class TestRetention:
         trace = self._trace(RetainPolicy.thin(7))
         assert trace.retained_times == [0, 7, 14, 20]
         assert trace.state_at(14).t == 14
+
+    def test_membership_of_retained_times(self):
+        trace = self._trace(RetainPolicy.thin(7))
+        assert [t for t in range(-1, 23) if t in trace.states] == [0, 7, 14, 20]
+        assert "7" not in trace.states
 
     def test_missing_state_names_the_count_and_range(self):
         trace = self._trace(RetainPolicy.thin(7))

@@ -63,6 +63,29 @@ def test_failed_rename_names_the_destination_and_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["taken"] and os.listdir(path) == []
 
 
+def test_text_onto_a_directory_names_the_destination_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "taken"
+    path.mkdir()
+    with pytest.raises(OSError) as info:
+        atomic_write_text(str(path), "text")
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert str(path) in str(info.value)
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+    assert os.listdir(path) == []
+
+
+def test_producer_that_removes_the_temp_file_raises_its_own_error(tmp_path):
+    def chunks():
+        yield "text"
+        for name in os.listdir(tmp_path):
+            os.unlink(tmp_path / name)
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="^producer failed$"):
+        atomic_write_chunks(str(tmp_path / "out.txt"), chunks())
+    assert os.listdir(tmp_path) == []
+
+
 REPORT = {
     "name": "Lemma3", "t": 1, "n": 4, "lhs": "inf", "rhs": 0.25,
     "residual_or_slack": "-inf", "pass": False, "tolerance": 1e-10,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 
 from conftest import joint_weight_pairs
 from daflow._numeric import BINNED_MIN_ENTRIES, ROW_BINNED_MIN_ENTRIES
-from daflow.dist import Axis, JointDensity, MarginalDensity, marginal
+from daflow.dist import Axis, ConditionalKernel, Direction, JointDensity, MarginalDensity, marginal
 from daflow.errors import DimensionMismatch, DistributionError
 from daflow.metrics import (
     ExtReal,
@@ -23,6 +24,7 @@ from daflow.metrics import (
     relative_entropy,
     total_variation,
 )
+from daflow.sampler import EmpiricalDensity
 
 UNIFORM22 = JointDensity(np.full((2, 2), 0.25))
 DIAG22 = JointDensity(np.array([[0.4, 0.1], [0.1, 0.4]]))
@@ -273,3 +275,50 @@ class TestPinskerGap:
         p, q = JointDensity(pq[0]), JointDensity(pq[1])
         g = pinsker_gap(p, q)
         assert g.value >= -1e-12
+
+
+def _x(v) -> MarginalDensity:
+    return MarginalDensity(Axis.X, np.array(v))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: total_variation(UNIFORM22, JointDensity(np.full((1, 4), 0.25))),
+                DimensionMismatch, "total_variation: shapes (2, 2) and (1, 4) differ",
+            ),
+            (
+                lambda: marginal_total_variation(_x([0.5, 0.5]), MarginalDensity(Axis.Y, np.array([0.5, 0.5]))),
+                DimensionMismatch, "cannot compare a x-marginal against a y-marginal",
+            ),
+            (
+                lambda: marginal_total_variation(_x([0.5, 0.5]), _x([0.25, 0.25, 0.5])),
+                DimensionMismatch, "total_variation: lengths 2 and 3 differ",
+            ),
+            (
+                lambda: _rel_entropy_array(np.array([0.5]), np.array([[1.0]])),
+                DistributionError, "relative_entropy: divergence -0.34657359027997264 is negative beyond rounding",
+            ),
+            (
+                lambda: MarginalDensity(Axis.X, np.full((2, 2), 0.25)),
+                DistributionError, "marginal weights must be a nonempty vector, got shape (2, 2)",
+            ),
+            (
+                lambda: ConditionalKernel(Direction.Y_GIVEN_X, np.array([0.5, 0.5]), np.array([True])),
+                DistributionError, "kernel must be a nonempty 2-D matrix, got shape (2,)",
+            ),
+            (
+                lambda: EmpiricalDensity(np.zeros((2, 2), dtype=np.int64)).to_joint(),
+                DistributionError, "cannot normalize an empty histogram",
+            ),
+        ],
+        ids=[
+            "tv-shapes", "marginal-tv-axes", "marginal-tv-lengths", "negative-divergence",
+            "marginal-not-a-vector", "kernel-not-a-matrix", "empty-histogram",
+        ],
+    )
+    def test_refusal_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

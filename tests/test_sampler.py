@@ -4,6 +4,7 @@ the exact density evolution up to multinomial noise."""
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -271,7 +272,7 @@ class TestChainStructure:
         xs = np.zeros((3, 2), dtype=np.int64)
         view = xs.view()
         view.setflags(write=False)
-        d = ChainDraws(1, 3, 1, 2, 2, xs, view)
+        d = ChainDraws(1, 2, 2, xs, view)
         xs[0, 0] = 1
         assert d.xs[0, 0] == 0 and d.ys[0, 0] == 0
 
@@ -322,13 +323,33 @@ class TestValidation:
         bad = ok.copy()
         bad[0, 0] = 7
         with pytest.raises(DistributionError):
-            ChainDraws(1, 2, 2, 2, 2, bad, ok)
+            ChainDraws(1, 2, 2, bad, ok)
 
-    def test_empirical_density_consistency(self):
+    def test_chaindraws_shape_is_read_from_the_arrays(self):
+        xs = np.zeros((3, 5), dtype=np.int64)
+        d = ChainDraws(1, 2, 2, xs, xs)
+        assert (d.replicas, d.half_steps) == (3, 4)
+        assert repr(d).startswith("ChainDraws(seed=1, replicas=3, half_steps=4, nx=2, ny=2, xs=")
+        assert ChainDraws(1, 2, 2, xs[:, :1], xs[:, :1]).half_steps == 0
+
+    @pytest.mark.parametrize(
+        "xs_shape, ys_shape",
+        [((2, 3), (2, 4)), ((2, 3), (3, 3)), ((6,), (6,)), ((1, 2, 3), (1, 2, 3)), ((0, 3), (0, 3)), ((2, 0), (2, 0))],
+    )
+    def test_chaindraws_refuses_arrays_of_no_one_2d_shape(self, xs_shape, ys_shape):
+        message = (
+            f"draw arrays must be nonempty 2-D arrays of one shape, got {xs_shape} and {ys_shape}"
+        )
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            ChainDraws(1, 2, 2, np.zeros(xs_shape, dtype=np.int64), np.zeros(ys_shape, dtype=np.int64))
+
+    def test_empirical_density_counts_its_total(self):
+        e = EmpiricalDensity(np.array([[1, 2], [3, 4]]))
+        assert e.n == 10 and type(e.n) is int
+        assert repr(e).endswith(", n=10)")
+        assert EmpiricalDensity(np.zeros((2, 3), dtype=np.int64)).n == 0
         with pytest.raises(DistributionError):
-            EmpiricalDensity(np.array([[1, 2], [3, 4]]), n=11)
-        with pytest.raises(DistributionError):
-            EmpiricalDensity(np.array([[-1, 2], [3, 4]]), n=8)
+            EmpiricalDensity(np.array([[-1, 2], [3, 4]]))
 
 
 class TestEmpirical:
@@ -496,7 +517,7 @@ class TestDrawsCsv:
         # every column reaches its widest and its narrowest value
         xs[0, 0], ys[-1, -1] = nx - 1, ny - 1
         xs[-1, -1], ys[0, 0] = 0, 0
-        d = ChainDraws(seed=0, replicas=replicas, half_steps=half_steps, nx=nx, ny=ny, xs=xs, ys=ys)
+        d = ChainDraws(seed=0, nx=nx, ny=ny, xs=xs, ys=ys)
         assert_blocks_match_row_by_row_text(d)
 
     @pytest.mark.parametrize("replicas, half_steps", [(100_000, 4), (1, 999_999)])
@@ -506,7 +527,7 @@ class TestDrawsCsv:
         # 0.7 MB whatever the run's size
         rng = np.random.default_rng(5)
         shape = (replicas, half_steps + 1)
-        d = ChainDraws(0, replicas, half_steps, 50, 50, rng.integers(0, 50, shape), rng.integers(0, 50, shape))
+        d = ChainDraws(0, 50, 50, rng.integers(0, 50, shape), rng.integers(0, 50, shape))
         tracemalloc.start()
         try:
             rows = 0

@@ -36,7 +36,8 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # the README commands, retention modes, degenerate grid shapes, pinned
 # checks, a step-budget stop, a wide run, targets that need redraws or hold
 # subnormal cells, a target file with zero cells, and refusals (among them a
-# zero-step sample over its budget and a sweep whose grid is empty)
+# zero-step sample over its budget and a sweep whose grid is empty), and a
+# cauchy scan over 1,000 retained times
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -88,6 +89,10 @@ EDGE_COMMANDS = {
     "sample-zero-steps-budget": ("sample", "--gen", "2,2,1", "--replicas", "10", "--times", "0", "--budget", "5"),
     "empty-grid-lemma1": (
         "verify", "--gen", "4,4,1", "--eps", "1e-12", "--retain", "thin:1000", "--checks", "lemma1",
+    ),
+    "verify-cauchy-long": (
+        "verify", "--gen", "1,5,3", "--p0", "random:4", "--checks", "cauchy", "--max-steps", "1000",
+        "--out-prefix", "cyl",
     ),
 }
 
