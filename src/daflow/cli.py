@@ -435,6 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as e:
+        # a request too large for this host is a configuration error, not a
+        # failed check
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -73,6 +73,21 @@ class TestGen:
         assert main(["gen", "--nx", "0", "--ny", "3", "--seed", "1", "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array with shape (100000, 100000)", ""])
+    def test_out_of_memory_is_a_configuration_error(self, tmp_path, monkeypatch, capsys, message):
+        class Generator:
+            def gamma(self, *args, **kwargs):
+                raise MemoryError(message)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
+        out = tmp_path / "t.json"
+        argv = ["gen", "--nx", "100000", "--ny", "100000", "--seed", "1", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+        assert not out.exists()
+
 
 class TestRun:
     def test_converged_run_exits_zero_and_writes_csv(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import joint_weight_pairs
-from daflow._numeric import BINNED_MIN_ENTRIES, ROW_BINNED_MIN_ENTRIES
+from daflow._numeric import BINNED_MIN_ENTRIES
 from daflow.dist import Axis, ConditionalKernel, Direction, JointDensity, MarginalDensity, marginal
 from daflow.errors import DimensionMismatch, DistributionError
 from daflow.metrics import (
@@ -162,9 +162,9 @@ def term_sum(p: np.ndarray, q: np.ndarray) -> float:
 
 
 class TestDivergenceRows:
-    # a stack of short rows is summed row by row by fsum, a stack of longer
-    # rows in binned passes, and a single long row by the binned stable_sum
-    @pytest.mark.parametrize("rows, n", [(6, 40), (12, ROW_BINNED_MIN_ENTRIES + 8), (1, BINNED_MIN_ENTRIES + 5)])
+    # a stack of fewer than BINNED_MIN_ENTRIES entries is summed row by row
+    # by fsum, a larger stack and a single long row by extraction
+    @pytest.mark.parametrize("rows, n", [(6, 40), (12, BINNED_MIN_ENTRIES // 8 + 8), (1, BINNED_MIN_ENTRIES + 5)])
     @pytest.mark.parametrize("paired", [False, True])
     def test_exactly_the_rows_where_q_vanishes_on_the_support_are_infinite(self, rows, n, paired):
         rng = np.random.default_rng(rows * n + paired)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import daflow._numeric as numeric
 from daflow._numeric import (
     BINNED_MAX_MAGNITUDE,
     BINNED_MIN_ENTRIES,
-    ROW_BINNED_MIN_ENTRIES,
+    EXTRACTION_MAX_PASSES,
     ROW_BINNED_PASS_ENTRIES,
     stable_row_sums,
     stable_sum,
@@ -26,13 +27,17 @@ from daflow._numeric import (
 from daflow.cli import main
 
 EDGE_SIZES = (BINNED_MIN_ENTRIES - 1, BINNED_MIN_ENTRIES, BINNED_MIN_ENTRIES + 1)
-# row lengths on both sides of each length at which stable_row_sums, or the
-# stable_sum it hands long rows to, routes differently; the row counts drawn
-# with them cross the stack size BINNED_MIN_ENTRIES and the pass size
+# rows of up to 126 entries are split at sigma = 2**(e + 7), longer ones at
+# 2**(e + 8) or more, so the bound n * 2**e on the row totals of the
+# extracted parts comes closest to sigma at 126
+ROW_LENGTH = 128
+# row lengths on both sides of each length at which stable_row_sums routes
+# or splits differently; the row counts drawn with them cross the stack size
+# BINNED_MIN_ENTRIES and the pass size
 ROW_EDGES = tuple(
     sorted(
         b + d
-        for b in (ROW_BINNED_MIN_ENTRIES, BINNED_MIN_ENTRIES, ROW_BINNED_PASS_ENTRIES // 2)
+        for b in (ROW_LENGTH - 1, BINNED_MIN_ENTRIES, ROW_BINNED_PASS_ENTRIES // 2)
         for d in (-1, 0, 1)
     )
 )
@@ -234,8 +239,8 @@ class TestStableSumMatchesFsum:
 
 
 class TestRouting:
-    """Which inputs the binned sum takes: fsum then sees a few bin totals
-    instead of every entry."""
+    """Which inputs the extraction takes: fsum then sees at most a few exact
+    parts instead of every entry."""
 
     def sums_seen(self, monkeypatch, a) -> list[int]:
         counter = _FsumCounter()
@@ -249,10 +254,10 @@ class TestRouting:
         assert self.sums_seen(monkeypatch, np.ones(size)) == [size]
 
     @pytest.mark.parametrize("size", [BINNED_MIN_ENTRIES, 20_000])
-    def test_finite_arrays_are_binned(self, monkeypatch, size):
+    def test_finite_arrays_are_extracted(self, monkeypatch, size):
         rng = np.random.default_rng(size)
-        (seen,) = self.sums_seen(monkeypatch, rng.random(size))
-        assert seen < 200
+        seen = self.sums_seen(monkeypatch, rng.random(size))
+        assert all(k <= EXTRACTION_MAX_PASSES for k in seen)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, BINNED_MAX_MAGNITUDE])
     def test_non_finite_or_huge_arrays_go_to_fsum(self, monkeypatch, value):
@@ -279,7 +284,7 @@ def row_stacks(draw) -> np.ndarray:
     lengths, with seeded mantissas over a drawn exponent window. Each row is
     plain, cancels to exactly 0.0, is subnormal, or carries NaN, an infinity
     or a magnitude of 2**990 or more at random places."""
-    n = draw(st.sampled_from(ROW_EDGES) | st.integers(1, 3 * ROW_BINNED_MIN_ENTRIES))
+    n = draw(st.sampled_from(ROW_EDGES) | st.integers(1, 3 * ROW_LENGTH))
     rows = draw(st.integers(1, ROW_BINNED_PASS_ENTRIES // n + 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     low = draw(st.integers(-1074, 989))
@@ -316,7 +321,7 @@ class TestStableRowSums:
 
     def test_cancellation_subnormals_and_zeros(self):
         rng = np.random.default_rng(5)
-        n = 2 * ROW_BINNED_MIN_ENTRIES
+        n = 2 * ROW_LENGTH
         half = rng.standard_normal((6, n // 2)) * 2.0 ** rng.integers(-200, 200, (6, n // 2))
         a = np.concatenate([half, -half[:, ::-1]], axis=1)
         a[1] = np.ldexp(rng.integers(-2**20, 2**20, n).astype(float), -1074)
@@ -328,7 +333,7 @@ class TestStableRowSums:
         assert_rows_match_fsum(a)
 
     def test_special_rows_raise_in_row_order(self):
-        n = 2 * ROW_BINNED_MIN_ENTRIES
+        n = 2 * ROW_LENGTH
         a = np.full((8, n), 0.5)
         a[5, :2] = [math.inf, -math.inf]
         a[2, :3] = [2.0**1023, 2.0**1023, -(2.0**1023)]
@@ -345,16 +350,26 @@ class TestStableRowSums:
 
     def test_non_contiguous_and_float32(self):
         rng = np.random.default_rng(8)
-        base = rng.standard_normal((12, 3 * ROW_BINNED_MIN_ENTRIES)) * 2.0 ** rng.integers(-60, 60, (12, 384))
+        base = rng.standard_normal((12, 3 * ROW_LENGTH)) * 2.0 ** rng.integers(-60, 60, (12, 384))
         for view in (base[::2, ::3], base[:, 1:], np.asfortranarray(base), base.astype(np.float32)):
             assert_rows_match_fsum(view)
         assert stable_row_sums(np.zeros((0, 5))) == []
         assert stable_row_sums(np.zeros((3, 0))) == [0.0] * 3
 
 
+def stacks_extracted(monkeypatch, call) -> list[tuple[int, int]]:
+    """The shapes of the stacks `call()` hands to the extraction."""
+    seen = []
+    extract = numeric._extracted_row_sums
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_extracted_row_sums", lambda a: seen.append(a.shape) or extract(a))
+        call()
+    return seen
+
+
 class TestRowRouting:
-    """Which rows the shared binning takes: each binned row's fsum sees a few
-    bin totals, a row summed by fsum sees all its entries."""
+    """Which rows the extraction takes: an extracted row's fsum, if any, sees
+    only its exact parts, a row summed by fsum sees all its entries."""
 
     def sums_seen(self, monkeypatch, a) -> list[int]:
         counter = _FsumCounter()
@@ -363,43 +378,168 @@ class TestRowRouting:
             stable_row_sums(a)
         return counter.lengths
 
-    def test_single_row_goes_to_stable_sum(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(numeric, "stable_sum", lambda row: seen.append(row.copy()) or 0.0)
-        a = np.random.default_rng(1).random((1, 20_000))
-        assert stable_row_sums(a) == [0.0]
-        assert len(seen) == 1 and np.array_equal(seen[0], a[0])
-        stable_row_sums(np.ones((2, BINNED_MIN_ENTRIES)))
-        assert len(seen) == 1
+    def test_stable_sum_is_the_one_row_stack(self, monkeypatch):
+        a = np.random.default_rng(1).random(20_000)
+        expected = stable_row_sums(a[None])
+        assert stacks_extracted(monkeypatch, lambda: stable_sum(a)) == [(1, a.size)]
+        assert stable_sum(a) == expected[0]
+        assert stacks_extracted(monkeypatch, lambda: stable_sum(a.reshape(100, 200).T)) == [(1, a.size)]
 
-    def test_rows_too_long_to_share_a_pass_go_to_stable_sum(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(numeric, "stable_sum", lambda row: seen.append(row.size) or 0.0)
+    def test_rows_too_long_to_share_a_pass_go_one_at_a_time(self, monkeypatch):
         n = ROW_BINNED_PASS_ENTRIES // 2 + 1
-        assert stable_row_sums(np.ones((3, n))) == [0.0] * 3 and seen == [n] * 3
-        stable_row_sums(np.ones((3, n - 1)))
-        assert seen == [n] * 3
+        assert stacks_extracted(monkeypatch, lambda: stable_row_sums(np.ones((3, n)))) == [(1, n)] * 3
+        assert stacks_extracted(monkeypatch, lambda: stable_row_sums(np.ones((3, n - 1)))) == [
+            (2, n - 1), (1, n - 1)
+        ]
 
-    def test_short_rows_and_small_stacks_go_to_fsum(self, monkeypatch):
-        n = ROW_BINNED_MIN_ENTRIES - 1
-        assert self.sums_seen(monkeypatch, np.ones((40, n))) == [n] * 40
-        n = ROW_BINNED_MIN_ENTRIES
-        rows = BINNED_MIN_ENTRIES // n - 1
+    def test_small_stacks_go_to_fsum(self, monkeypatch):
+        n = ROW_LENGTH - 1
+        rows = BINNED_MIN_ENTRIES // n
+        assert rows * n < BINNED_MIN_ENTRIES
         assert self.sums_seen(monkeypatch, np.ones((rows, n))) == [n] * rows
+        assert self.sums_seen(monkeypatch, np.ones((1, BINNED_MIN_ENTRIES - 1))) == [BINNED_MIN_ENTRIES - 1]
+        # the same short rows, stacked past BINNED_MIN_ENTRIES, are extracted
+        assert self.sums_seen(monkeypatch, np.ones((rows + 1, n))) == []
 
-    @pytest.mark.parametrize("rows", [BINNED_MIN_ENTRIES // ROW_BINNED_MIN_ENTRIES, 3 * ROW_BINNED_PASS_ENTRIES // 1000])
-    def test_long_rows_are_binned(self, monkeypatch, rows):
+    @pytest.mark.parametrize("rows", [BINNED_MIN_ENTRIES // 1000 + 1, 3 * ROW_BINNED_PASS_ENTRIES // 1000])
+    def test_long_rows_are_extracted(self, monkeypatch, rows):
         a = np.random.default_rng(rows).random((rows, 1000))
         seen = self.sums_seen(monkeypatch, a)
-        assert len(seen) == rows and max(seen) < 200
+        assert len(seen) <= rows and all(k <= EXTRACTION_MAX_PASSES for k in seen)
 
     @pytest.mark.parametrize("value", ROW_SPECIALS)
-    def test_only_a_special_row_leaves_the_binned_pass(self, monkeypatch, value):
-        n = 2 * ROW_BINNED_MIN_ENTRIES
+    def test_only_a_special_row_leaves_the_extraction(self, monkeypatch, value):
+        n = 2 * ROW_LENGTH
         a = np.random.default_rng(2).random((10, n))
         a[3, 7] = value
-        seen = sorted(self.sums_seen(monkeypatch, a))
-        assert len(seen) == 10 and seen[-1] == n and seen[-2] < 200
+        seen = self.sums_seen(monkeypatch, a)
+        assert seen.count(n) == 1 and all(k <= EXTRACTION_MAX_PASSES for k in seen if k != n)
+
+
+class TestExtraction:
+    """The extraction kernel's passes, its early decisions and its fsum
+    finish."""
+
+    def settled_calls(self, monkeypatch, a) -> list[tuple[list[int], list[bool], list[bool]]]:
+        """stable_row_sums(a), recording for each `_settled` call the
+        nonzero parts per row, whether remainders were left, and the verdict."""
+        calls = []
+        settled = numeric._settled
+
+        def spy(parts, bound):
+            total, verdict = settled(parts, bound)
+            nonzero = sum(part != 0.0 for part in parts)
+            calls.append((nonzero.tolist(), (bound > 0.0).tolist(), verdict.tolist()))
+            return total, verdict
+
+        with monkeypatch.context() as m:
+            m.setattr(numeric, "_settled", spy)
+            assert_rows_match_fsum(a)
+        return calls
+
+    @pytest.mark.parametrize("n", [64, ROW_LENGTH - 2, 1000])
+    def test_stacks_around_the_pass_size(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        per_pass = ROW_BINNED_PASS_ENTRIES // n
+        for rows in (per_pass - 1, per_pass, per_pass + 1):
+            # rows of different scales, so a row summed in another's pass shows
+            a = rng.random((rows, n)) * 2.0 ** rng.integers(-40, 40, (rows, 1))
+            assert_rows_match_fsum(a)
+            shapes = stacks_extracted(monkeypatch, lambda: stable_row_sums(a))
+            assert shapes == ([(rows, n)] if rows <= per_pass else [(per_pass, n), (1, n)])
+
+    @pytest.mark.parametrize("n", [ROW_LENGTH - 2, ROW_LENGTH - 1, BINNED_MIN_ENTRIES - 2, BINNED_MIN_ENTRIES - 1])
+    def test_tightest_row_totals(self, n):
+        # entries of one sign just below a power of two: their extracted parts
+        # total nearly n times it, at n = 2**s - 2 all but the splitting
+        # constant 2**(e + s), so one bit less of it would round them
+        rng = np.random.default_rng(n)
+        rows = BINNED_MIN_ENTRIES // n + 2
+        for scale in (-1.0, 2.0**-40, -(2.0**300)):
+            assert_rows_match_fsum(scale * (1.0 - rng.uniform(0.0, 2.0**-20, (rows, n))))
+
+    def test_rows_of_one_two_and_three_parts(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = BINNED_MIN_ENTRIES // 3 + 1
+        a = np.empty((3, n))
+        a[0] = 0.75
+        # one binade of 53-bit mantissas: the first pass leaves their low bits
+        a[1] = rng.uniform(0.5, 1.0, n)
+        # pairs that cancel, and entries 2**-60 below them that the sum is
+        # made of, which two parts do not settle
+        x = rng.uniform(0.5, 1.0, n // 4) * 2.0 ** rng.integers(-30, 0, n // 4)
+        a[2] = np.concatenate([x, -x, rng.uniform(0.5, 1.0, n - 2 * len(x)) * 2.0**-60])
+        calls = self.settled_calls(monkeypatch, a)
+        # after two passes only the third row has remainders, and is undecided
+        assert calls[0] == ([1, 2, 2], [False, False, True], [True, True, False])
+        assert calls[-1][0] == [1, 2, 3] and calls[-1][1] == [False] * 3
+        counter = _FsumCounter()
+        with monkeypatch.context() as m:
+            m.setattr("daflow._numeric.math", counter)
+            stable_row_sums(a)
+        assert all(k <= 3 for k in counter.lengths)
+
+    def test_negative_zero_rows(self):
+        n = 300
+        a = np.full((6, n), -0.0)
+        a[2] = np.random.default_rng(6).random(n)
+        a[4, ::3] = [5e-324, -5e-324] * 50
+        for stack in (a, a[[0, 1, 3, 5]], a[:1]):
+            got = stable_row_sums(np.repeat(stack, 4, axis=1))
+            assert all(math.copysign(1.0, g) == 1.0 for g in got)
+            assert_rows_match_fsum(np.repeat(stack, 4, axis=1))
+        assert stable_sum(np.full(2 * BINNED_MIN_ENTRIES, -0.0)) == 0.0
+        assert math.copysign(1.0, stable_sum(np.full(2 * BINNED_MIN_ENTRIES, -0.0))) == 1.0
+
+    def test_wide_rows_settle_in_two_passes(self, monkeypatch):
+        # like the divergence terms of `run` on a 200 x 200 grid from a
+        # corner cell: magnitudes over 500 binades, the sum near the largest
+        rng = np.random.default_rng(7)
+        a = np.ldexp(rng.uniform(0.5, 1.0, (2, 4000)), -rng.integers(0, 500, (2, 4000)))
+        calls = self.settled_calls(monkeypatch, a)
+        assert calls == [([2, 2], [True] * 2, [True] * 2)]
+
+    def test_half_way_points_are_never_settled_early(self):
+        # a power of two in pieces, an offset at or near half the gap above
+        # or below it, and a spread of tiny entries whose sign decides
+        rng = np.random.default_rng(10)
+        n = 1500
+        for base_exp in (0, -700, 800):
+            base = 2.0**base_exp
+            up = math.ulp(base)
+            a = np.zeros((48, n))
+            for r, (sign, gap, frac) in enumerate(
+                (s, g, f) for s in (-1.0, 1.0) for g in (up, up / 2) for f in (0.5, 0.5 - 2.0**-30, 0.5 + 2.0**-30, 0.25, 1.0, 0.0)
+            ):
+                k = int(rng.integers(1, 300))
+                tiny = rng.choice([-1.0, 1.0], k) * np.ldexp(rng.uniform(0.5, 1.0, k), rng.integers(-1074, -60, k) + base_exp)
+                row = np.concatenate([[base / 2, base / 4, base / 4, sign * gap * frac], tiny, np.zeros(n - 4 - k)])
+                rng.shuffle(row)
+                a[r] = -row if r % 2 else row
+            assert_rows_match_fsum(a)
+
+    def test_full_exponent_range_row_is_finished_by_fsum(self, monkeypatch):
+        # pairs that cancel over every exponent, so no pass decides the sum
+        rng = np.random.default_rng(9)
+        n = 2000
+        x = np.ldexp(rng.uniform(0.5, 1.0, n // 2), rng.integers(-1074, 990, n // 2))
+        a = np.concatenate([x, -x])
+        a[0] = 2.0**-1000
+        a = a[rng.permutation(n)][None]
+        expected = math.fsum(a[0].tolist())
+        for passes in (EXTRACTION_MAX_PASSES, 100):
+            counter = _FsumCounter()
+            with monkeypatch.context() as m:
+                m.setattr(numeric, "EXTRACTION_MAX_PASSES", passes)
+                m.setattr("daflow._numeric.math", counter)
+                assert stable_row_sums(a) == [expected]
+            if passes == EXTRACTION_MAX_PASSES:
+                # the parts and the remainders left, fewer than all entries
+                (seen,) = counter.lengths
+                assert passes < seen < passes + n
+            else:
+                # without the cap the remainders run out: fsum sees parts only
+                assert all(k <= passes for k in counter.lengths)
 
 
 def cli_outputs(workdir, monkeypatch, capsys) -> dict:
@@ -456,7 +596,7 @@ class TestDifferentialOutputs:
 
 def test_layer_timing_script_writes_its_document(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "SUM_SIZES", (64, 2048))
-    monkeypatch.setattr(bench, "ROW_LENGTHS", (128,))
+    monkeypatch.setattr(bench, "STACK_ROWS", (16,))
     monkeypatch.setattr(bench, "RECONSTRUCTION_SIDES", (6,))
     monkeypatch.setattr(bench, "RUN_CASES", ((5, 1.0, 6), (30, 1.0, 3)))
     monkeypatch.setattr(bench, "DRAWS_CSV_CASES", ((3, 2, 2),))
@@ -469,15 +609,37 @@ def test_layer_timing_script_writes_its_document(tmp_path, monkeypatch):
         (64, "pmf"), (64, "terms"), (2048, "pmf"), (2048, "terms")
     ]
     assert doc["threshold"]["BINNED_MIN_ENTRIES"] == BINNED_MIN_ENTRIES
-    assert [(r["rows"], r["entries"], r["row_threshold"]) for r in doc["stable_row_sums"]] == [
-        (16, 128, 1), (bench.block_rows(5), 25, ROW_BINNED_MIN_ENTRIES), (bench.block_rows(30), 900, ROW_BINNED_MIN_ENTRIES)
+    assert [(r["rows"], r["entries"], r["min_entries"]) for r in doc["stable_row_sums"]] == [
+        (16, 64, 1), (bench.block_rows(5), 25, BINNED_MIN_ENTRIES), (bench.block_rows(30), 900, BINNED_MIN_ENTRIES)
     ]
     assert [r["n"] for r in doc["reconstruction_check"]] == [6]
     assert [(r["n"], r["half_steps"]) for r in doc["run"]] == [(5, 6), (30, 3)]
     assert [(r["replicas"], r["half_steps"], r["n"], r["rows"]) for r in doc["draws_csv"]] == [(3, 2, 2, 9)]
     assert numeric.stable_sum is stable_sum and numeric.BINNED_MIN_ENTRIES == BINNED_MIN_ENTRIES
-    assert numeric.ROW_BINNED_MIN_ENTRIES == ROW_BINNED_MIN_ENTRIES
     assert bench.engine._BLOCK_VALUES > 0
+
+
+def test_layer_timing_script_compares_two_trees(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "COMPARE_SUMS", ((2048, "pmf"), (3000, "spread_normal")))
+    monkeypatch.setattr(bench, "COMPARE_RUNS", ((5, 1.0, 6),))
+    monkeypatch.setattr(bench, "MIN_TIME", 0.001)
+    monkeypatch.setattr(bench, "COMPARE_REPEATS", 4)
+    out = tmp_path / "compare.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        doc = bench.main(["--parent", str(src), "--out", str(out)])
+        # the other tree is a second copy of the package, not this one
+        assert sys.modules["daflow_parent._numeric"].stable_sum is not stable_sum
+    finally:
+        for name in [m for m in sys.modules if m == "daflow_parent" or m.startswith("daflow_parent.")]:
+            del sys.modules[name]
+    assert json.loads(out.read_text()) == doc
+    assert [(r["entries"], r["data"]) for r in doc["stable_sum"]] == [(2048, "pmf"), (3000, "spread_normal")]
+    assert [(r["rows"], r["entries"]) for r in doc["stable_row_sums"]] == [(bench.block_rows(5), 25)]
+    assert [(r["n"], r["half_steps"]) for r in doc["run_per_half_step"]] == [(5, 6)]
+    for row in doc["stable_sum"] + doc["stable_row_sums"] + doc["run_per_half_step"]:
+        assert row["rounds"] == 4 and 0 <= row["change_wins"] <= 4
+        assert row["parent_us"] > 0 and row["change_us"] > 0
 
 
 def test_verify_layer_checks_and_times_both_exports():

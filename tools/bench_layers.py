@@ -1,5 +1,6 @@
 """Time the summation layers, the reconstruction check, `run`, the draws CSV
-and the verify reports.
+and the verify reports, or compare the summation layers and `run` with those
+of another source tree.
 
 Run from the repository root:
 
@@ -8,17 +9,16 @@ Run from the repository root:
 For each array size it times ``daflow._numeric.stable_sum`` against
 ``math.fsum(a.tolist())``, the body it replaced, on two kinds of data: a
 normalized gamma pmf, as in the mass sums, and signed p*log(p/q) terms, as in
-the divergence sums. The binned side is timed with the size threshold lowered
-to 1, so sizes below ``BINNED_MIN_ENTRIES`` show what binning them would cost;
-the crossover printed with the results is the smallest measured size from
-which binning wins at every larger size. It times
+the divergence sums. The extraction is timed with the size threshold lowered
+to 1, so sizes below ``BINNED_MIN_ENTRIES`` show what extracting them would
+cost; the crossover printed with the results is the smallest measured size
+from which extraction wins at every larger size. It times
 ``_numeric.stable_row_sums`` against the fsum body row by row on stacks of
-divergence terms: at 16 rows of lengths around ``ROW_BINNED_MIN_ENTRIES``,
-with that threshold lowered to 1, and at the block shapes `run` stacks on
-each grid below. It then times ``diagnostics.reconstruction_check`` on n x n
-random targets with the package's summation and with every module's
-``stable_sum`` swapped for the fsum body, and records the tracemalloc peak
-of one binned call. Last, it times ``engine.run`` per half-step from a
+divergence terms: stacks of 64-entry rows, with the threshold lowered to 1,
+and the block shapes `run` stacks on each grid below. It then times
+``diagnostics.reconstruction_check`` on n x n random targets with the
+package's summation and with every module's ``stable_sum`` swapped for the
+fsum body, and records the tracemalloc peak of one call. Last, it times ``engine.run`` per half-step from a
 corner cell of seeded banded targets, with its measurements stacked over
 blocks of half-steps and with one-half-step blocks, and checks that both
 give the same trace. Finally it times ``sampler.draws_csv_blocks`` against
@@ -37,12 +37,24 @@ least ``MIN_TIME`` seconds. Where two bodies are compared on one case, their
 rounds alternate, and which goes first alternates too, so drift of the host
 between rounds reaches both alike. The results, with the interpreter, NumPy
 and core count, go to the ``--out`` JSON file and to stdout.
+
+With ``--parent SRC``, where SRC is the ``src`` directory of another checkout
+(for one commit, ``git archive COMMIT src | tar -x -C DIR`` and pass
+``DIR/src``), it instead imports that tree's package as ``daflow_parent``
+beside this tree's ``daflow`` and times both in one process, their rounds
+alternating as above, over ``COMPARE_REPEATS`` rounds: ``stable_sum`` on
+``COMPARE_SUMS``, ``stable_row_sums`` on the stacks `run` measures on the
+grids of ``COMPARE_RUNS``, and one `run` half-step on those grids. Each case
+is first checked to give the same result on both trees. Each row gives both
+medians, the parent's interquartile range and the rounds the change won.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -78,7 +90,9 @@ from daflow.sampler import (  # noqa: E402
 )
 
 SUM_SIZES = (64, 256, 512, 784, 1024, 1280, 1600, 2048, 4096, 13_225, 40_000, 250_000)
-ROW_LENGTHS = (64, 96, 128, 192, 256)
+# stacks of 64-entry rows, the divergence rows of the certify benchmark's 8x8
+# grid
+STACK_ROWS = (8, 16, 32, 64)
 RECONSTRUCTION_SIDES = (50, 120, 200)
 # (side, beta, half-steps): the converge benchmark's grid and mixing, larger
 # grids, and a slowly mixing target that needs about 15,700 half-steps to
@@ -92,6 +106,17 @@ DRAWS_CSV_CASES = ((5000, 20, 5), (5000, 20, 20), (100_000, 4, 50))
 VERIFY_CASES = ((8, 0.9),)
 MIN_TIME = 0.05
 REPEATS = 7
+# (entries, data) for the two-tree comparison: pmfs and divergence terms on
+# the 100x100, 200x200 and 500x500 grids, then two arrays of mantissas
+# spread over exponents 2**-1074 to 2**989, one with every entry below
+# 2**990 and one whose normal mantissas carry a few entries past it
+COMPARE_SUMS = (
+    (10_000, "pmf"), (10_000, "terms"), (40_000, "pmf"), (40_000, "terms"),
+    (250_000, "pmf"), (250_000, "terms"), (250_000, "spread"), (250_000, "spread_normal"),
+)
+# (side, beta, half-steps) for the two-tree comparison of `run`
+COMPARE_RUNS = ((28, 0.9, 400), (100, 0.9, 60), (200, 0.9, 40), (500, 0.9, 10))
+COMPARE_REPEATS = 11
 
 
 def fsum_body(a: np.ndarray) -> float:
@@ -119,7 +144,12 @@ def per_call_s(fn, min_time: float, repeats: int) -> float:
 
 
 def interleaved_per_call_s(fns, min_time: float, repeats: int) -> list[float]:
-    """Median seconds per call of each function over `repeats` rounds of at
+    """Median seconds per call of each function over `interleaved_rounds`."""
+    return [statistics.median(r) for r in interleaved_rounds(fns, min_time, repeats)]
+
+
+def interleaved_rounds(fns, min_time: float, repeats: int) -> list[list[float]]:
+    """Seconds per call of each function in each of `repeats` rounds of at
     least `min_time`; the functions take their rounds in turn, in the given
     order on even rounds and in reverse on odd ones."""
     loops = []
@@ -142,7 +172,7 @@ def interleaved_per_call_s(fns, min_time: float, repeats: int) -> list[float]:
             for _ in range(loops[i]):
                 fns[i]()
             rounds[i].append((time.perf_counter() - start) / loops[i])
-    return [statistics.median(r) for r in rounds]
+    return rounds
 
 
 @contextlib.contextmanager
@@ -179,6 +209,10 @@ def stable_sum_replaced(body):
 
 
 def sample_data(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "spread":
+        return rng.uniform(-1.0, 1.0, size) * 2.0 ** rng.integers(-1074, 990, size)
+    if kind == "spread_normal":
+        return rng.standard_normal(size) * 2.0 ** rng.integers(-1074, 990, size)
     p = rng.gamma(1.0, size=size)
     p /= p.sum()
     if kind == "pmf":
@@ -197,21 +231,21 @@ def time_sums(sizes, min_time: float, repeats: int) -> list[dict]:
             with constant_set(numeric, "BINNED_MIN_ENTRIES", 1):
                 if numeric.stable_sum(a) != fsum_body(a):
                     raise SystemExit(f"stable_sum differs from fsum at {size} {kind} entries")
-                binned = per_call_s(lambda: numeric.stable_sum(a), min_time, repeats)
+                extraction = per_call_s(lambda: numeric.stable_sum(a), min_time, repeats)
             fsum = per_call_s(lambda: fsum_body(a), min_time, repeats)
             rows.append({
                 "entries": size,
                 "data": kind,
                 "fsum_us": round(fsum * 1e6, 2),
-                "binned_us": round(binned * 1e6, 2),
-                "speedup": round(fsum / binned, 3),
+                "extraction_us": round(extraction * 1e6, 2),
+                "speedup": round(fsum / extraction, 3),
             })
     return rows
 
 
 def crossover(rows: list[dict]) -> int | None:
-    """Smallest measured size from which binning wins on every kind of data
-    at every larger measured size."""
+    """Smallest measured size from which extraction wins on every kind of
+    data at every larger measured size."""
     sizes = sorted({r["entries"] for r in rows})
     wins = {s: all(r["speedup"] > 1.0 for r in rows if r["entries"] == s) for s in sizes}
     best = None
@@ -229,46 +263,55 @@ def block_rows(n: int) -> int:
 
 def time_row_sums(min_time: float, repeats: int) -> list[dict]:
     rng = np.random.default_rng(1)
-    shapes = [(16, n, 1) for n in ROW_LENGTHS]
-    shapes += [(block_rows(side), side * side, numeric.ROW_BINNED_MIN_ENTRIES) for side, _, _ in RUN_CASES]
+    shapes = [(n_rows, 64, 1) for n_rows in STACK_ROWS]
+    shapes += [(block_rows(side), side * side, numeric.BINNED_MIN_ENTRIES) for side, _, _ in RUN_CASES]
     rows = []
     for n_rows, entries, threshold in shapes:
         a = np.stack([sample_data("terms", entries, rng) for _ in range(n_rows)])
-        with constant_set(numeric, "ROW_BINNED_MIN_ENTRIES", threshold):
+        with constant_set(numeric, "BINNED_MIN_ENTRIES", threshold):
             if numeric.stable_row_sums(a) != [fsum_body(row) for row in a]:
                 raise SystemExit(f"stable_row_sums differs from fsum at {n_rows} x {entries}")
-            binned = per_call_s(lambda: numeric.stable_row_sums(a), min_time, repeats)
+            row_sums = per_call_s(lambda: numeric.stable_row_sums(a), min_time, repeats)
         fsum = per_call_s(lambda: [fsum_body(row) for row in a], min_time, repeats)
         rows.append({
             "rows": n_rows,
             "entries": entries,
-            "row_threshold": threshold,
+            "min_entries": threshold,
             "fsum_us_per_row": round(fsum / n_rows * 1e6, 2),
-            "row_sums_us_per_row": round(binned / n_rows * 1e6, 2),
-            "speedup": round(fsum / binned, 3),
+            "row_sums_us_per_row": round(row_sums / n_rows * 1e6, 2),
+            "speedup": round(fsum / row_sums, 3),
         })
     return rows
 
 
-def banded_target(n: int, beta: float):
-    """The seeded target w[i, j] proportional to exp(-beta |i - j| + 0.1 z[i, j])."""
+def banded_weights(n: int, beta: float) -> np.ndarray:
+    """The seeded weights w[i, j] proportional to exp(-beta |i - j| + 0.1 z[i, j])."""
     rng = np.random.default_rng(n)
     i = np.arange(n)
     w = np.exp(-beta * np.abs(i[:, None] - i[None, :]) + 0.1 * rng.standard_normal((n, n)))
-    return make_target(JointDensity(w / w.sum()))
+    return w / w.sum()
+
+
+def banded_target(n: int, beta: float):
+    return make_target(JointDensity(banded_weights(n, beta)))
+
+
+def run_from_corner(n: int, beta: float, steps: int, package: str = "daflow"):
+    """A function running `steps` half-steps of ``engine.run`` from a corner
+    cell of the banded target, retaining no state, with the modules of the
+    imported `package`."""
+    dist, eng = (importlib.import_module(f"{package}.{m}") for m in ("dist", "engine"))
+    target = dist.make_target(dist.JointDensity(banded_weights(n, beta)))
+    w = np.zeros((n, n))
+    w[n // 3, n - 1] = 1.0
+    p0 = dist.JointDensity(w)
+    return lambda: eng.run(p0, target, steps, 1e-300, eng.RetainPolicy.none())
 
 
 def time_run(cases, min_time: float, repeats: int) -> list[dict]:
     rows = []
     for n, beta, steps in cases:
-        target = banded_target(n, beta)
-        w = np.zeros((n, n))
-        w[n // 3, n - 1] = 1.0
-        p0 = JointDensity(w)
-
-        def once():
-            return engine.run(p0, target, steps, 1e-300, engine.RetainPolicy.none())
-
+        once = run_from_corner(n, beta, steps)
         blocked = per_call_s(once, min_time, repeats)
         trace = once()
         with constant_set(engine, "_BLOCK_VALUES", 0):
@@ -291,10 +334,10 @@ def time_reconstruction(sides, min_time: float, repeats: int) -> list[dict]:
     rows = []
     for n in sides:
         target = random_positive_target(n, n, seed=n)
-        binned_report = reconstruction_check(target)
-        binned = per_call_s(lambda: reconstruction_check(target), min_time, repeats)
+        report = reconstruction_check(target)
+        extraction = per_call_s(lambda: reconstruction_check(target), min_time, repeats)
         with stable_sum_replaced(fsum_body):
-            if reconstruction_check(target) != binned_report:
+            if reconstruction_check(target) != report:
                 raise SystemExit(f"reconstruction_check differs under fsum at {n}x{n}")
             fsum = per_call_s(lambda: reconstruction_check(target), min_time, repeats)
         tracemalloc.start()
@@ -307,9 +350,9 @@ def time_reconstruction(sides, min_time: float, repeats: int) -> list[dict]:
             "n": n,
             "entries": n * n,
             "fsum_s": round(fsum, 5),
-            "binned_s": round(binned, 5),
-            "speedup": round(fsum / binned, 3),
-            "binned_tracemalloc_peak_mb": round(peak / 2**20, 3),
+            "extraction_s": round(extraction, 5),
+            "speedup": round(fsum / extraction, 3),
+            "extraction_tracemalloc_peak_mb": round(peak / 2**20, 3),
         })
     return rows
 
@@ -382,18 +425,82 @@ def time_verify(cases, min_time: float, repeats: int) -> list[dict]:
     return rows
 
 
+def load_tree(src: Path, name: str):
+    """The daflow package under the directory `src`, imported as `name`."""
+    init = src / "daflow" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def compared(parent_fn, change_fn, min_time: float, repeats: int) -> dict:
+    """Interleaved rounds of the parent's and the change's body: both
+    medians in microseconds, the parent's interquartile range, and the
+    rounds in which the change was faster."""
+    parent, change = interleaved_rounds((parent_fn, change_fn), min_time, repeats)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    return {
+        "parent_us": round(statistics.median(parent) * 1e6, 2),
+        "change_us": round(statistics.median(change) * 1e6, 2),
+        "ratio": round(statistics.median(change) / statistics.median(parent), 3),
+        "parent_iqr_us": round((q3 - q1) * 1e6, 2),
+        "change_wins": sum(c < p for p, c in zip(parent, change)),
+        "rounds": repeats,
+    }
+
+
+def compare_trees(parent_src: Path, min_time: float, repeats: int) -> dict:
+    """`stable_sum`, `stable_row_sums` and `run` of the tree at `parent_src`
+    against this tree's, each case checked for equal results first."""
+    load_tree(parent_src, "daflow_parent")
+    old = importlib.import_module("daflow_parent._numeric")
+    rng = np.random.default_rng(2)
+    sums = []
+    for size, kind in COMPARE_SUMS:
+        a = sample_data(kind, size, rng)
+        if old.stable_sum(a) != numeric.stable_sum(a):
+            raise SystemExit(f"stable_sum differs between the trees at {size} {kind} entries")
+        row = {"entries": size, "data": kind, "max_log2": round(float(np.log2(np.abs(a).max())), 2)}
+        sums.append(row | compared(lambda: old.stable_sum(a), lambda: numeric.stable_sum(a), min_time, repeats))
+    stacks, runs = [], []
+    for n, beta, steps in COMPARE_RUNS:
+        a = np.stack([sample_data("terms", n * n, rng) for _ in range(block_rows(n))])
+        if old.stable_row_sums(a) != numeric.stable_row_sums(a):
+            raise SystemExit(f"stable_row_sums differs between the trees at {a.shape}")
+        row = {"rows": len(a), "entries": n * n}
+        stacks.append(row | compared(lambda: old.stable_row_sums(a), lambda: numeric.stable_row_sums(a), min_time, repeats))
+        parent_run, change_run = run_from_corner(n, beta, steps, "daflow_parent"), run_from_corner(n, beta, steps)
+        if repr(parent_run().records) != repr(change_run().records):
+            raise SystemExit(f"run differs between the trees at {n}x{n}")
+        per_step = compared(parent_run, change_run, min_time, repeats)
+        for key in ("parent_us", "change_us", "parent_iqr_us"):
+            per_step[key] = round(per_step[key] / steps, 2)
+        runs.append({"n": n, "beta": beta, "half_steps": steps} | per_step)
+    return {"stable_sum": sums, "stable_row_sums": stacks, "run_per_half_step": runs}
+
+
 def main(argv: list[str] | None = None) -> dict:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="write the results here as JSON")
+    p.add_argument("--parent", type=Path, help="compare with the daflow package in this src directory")
     args = p.parse_args(argv)
+    machine = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(terse=True),
+    }
+    if args.parent:
+        doc = {
+            "machine": machine,
+            "timing": f"medians of {COMPARE_REPEATS} interleaved rounds of at least {MIN_TIME} s",
+        } | compare_trees(args.parent, MIN_TIME, COMPARE_REPEATS)
+        return write_doc(doc, args.out)
     sums = time_sums(SUM_SIZES, MIN_TIME, REPEATS)
     doc = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpus": os.cpu_count(),
-            "platform": platform.platform(terse=True),
-        },
+        "machine": machine,
         "timing": f"median of {REPEATS} rounds of at least {MIN_TIME} s",
         "stable_sum": sums,
         "threshold": {
@@ -406,8 +513,12 @@ def main(argv: list[str] | None = None) -> dict:
         "draws_csv": time_draws_csv(DRAWS_CSV_CASES, MIN_TIME, REPEATS),
         "verify": time_verify(VERIFY_CASES, MIN_TIME, REPEATS),
     }
+    return write_doc(doc, args.out)
+
+
+def write_doc(doc: dict, out: str) -> dict:
     text = json.dumps(doc, indent=1) + "\n"
-    Path(args.out).write_text(text)
+    Path(out).write_text(text)
     print(text, end="")
     return doc
 

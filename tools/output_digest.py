@@ -36,8 +36,9 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # the README commands, retention modes, degenerate grid shapes, pinned
 # checks, a step-budget stop, a wide run, targets that need redraws or hold
 # subnormal cells, a target file with zero cells, and refusals (among them a
-# zero-step sample over its budget and a sweep whose grid is empty), and a
-# cauchy scan over 1,000 retained times
+# zero-step sample over its budget and a sweep whose grid is empty), a
+# cauchy scan over 1,000 retained times, and lemma3 and cauchy stacks of
+# 1,600-entry rows too large for one pass of the exact row sums
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -94,6 +95,7 @@ EDGE_COMMANDS = {
         "verify", "--gen", "1,5,3", "--p0", "random:4", "--checks", "cauchy", "--max-steps", "1000",
         "--out-prefix", "cyl",
     ),
+    "verify-stacks-40x40": ("verify", "--gen", "40,40,1", "--checks", "lemma3,cauchy", "--max-steps", "60"),
 }
 
 # a 3x3 target whose last row and middle column carry no mass, written into
