@@ -33,15 +33,17 @@ joints. The two agree to rounding. The engine stays the single source of
 truth, and a missing state is reported as `StateNotRetained`, never
 silently filled in.
 
-The pairwise families are evaluated as rows. lemma3's D(p_t || p_k) and
-cauchy's V(p_t, p_k) are formed for one t against a block of stacked later
-densities in single NumPy operations, with one correctly rounded sum per
-pair, so every value equals `relative_entropy` or `total_variation` on that
-pair exactly and the JSON output is the same as pair by pair. A stack holds
-at most a fixed number of values, whatever the number of retained times.
-A sweep evaluates D(p_t || target) once per time and lemma1, lemma3 and lsc
-share it. The lemma3 grid still covers every pair of retained times, so its
-cost is O(T^2) in their number T.
+The pairwise families read their rows from one source, `_later_rows`. It
+looks up each listed time's joint once, and for each time t but the last it
+forms lemma3's D(p_t || p_k) or cauchy's V(p_t, p_k) against blocks of the
+stacked later densities in single NumPy operations, with one correctly
+rounded sum per pair. So every value equals `relative_entropy` or
+`total_variation` on that pair exactly, and the JSON output is the same as
+pair by pair. A stack holds at most a fixed number of values, whatever the
+number of retained times. A sweep evaluates D(p_t || target) once per time
+and lemma1, lemma3 and lsc share it. The lemma3 grid still covers every
+pair of retained times, so its cost is O(T^2) in their number T, though
+its lookups are O(T).
 
 A sweep's reports are held as columns (:class:`ReportBlock`): lemma3 gives
 one block per t, its t, n, sides, slacks and verdicts as arrays with no
@@ -253,16 +255,19 @@ class _ToTarget(dict):
 _BLOCK_VALUES = 1 << 16
 
 
-def _stacked_rows(
-    rows: Callable[[np.ndarray, np.ndarray], list], p: np.ndarray, qs: list[np.ndarray]
-) -> list:
-    """rows(p, stack) over the weight arrays qs in order, stacked in blocks of
-    at most _BLOCK_VALUES values: one value per q."""
-    per_block = max(1, _BLOCK_VALUES // p.size)
-    out = []
-    for lo in range(0, len(qs), per_block):
-        out.extend(rows(p, np.stack(qs[lo : lo + per_block])))
-    return out
+def _later_rows(
+    trace: DATrace, times: list[int], rows: Callable[[np.ndarray, np.ndarray], Iterable[float]]
+) -> Iterator[np.ndarray]:
+    """rows(p_t, stack) from each listed time t but the last to the times
+    after it in the list, one float64 row per t. Each time's weights are
+    looked up once, and the later ones are stacked at most _BLOCK_VALUES
+    values at a time."""
+    weights = [_density(trace, t).w for t in times]
+    for a, p in enumerate(weights[:-1]):
+        later = weights[a + 1 :]
+        per_block = max(1, _BLOCK_VALUES // p.size)
+        stacks = (np.stack(later[lo : lo + per_block]) for lo in range(0, len(later), per_block))
+        yield np.concatenate([rows(p, stack) for stack in stacks])
 
 
 def _identity_value(lhs: ExtReal, rhs: ExtReal) -> tuple[float, str]:
@@ -345,43 +350,35 @@ def lemma3_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     """Certify the telescoped bound at t >= 1, n >= 0:
     D(p_t || p_(t+n)) <= D(p_t || target) - D(p_(t+n) || target)."""
     validate_instance("lemma3", t, n)
-    return _lemma3_row(trace, t, [t + n], _ToTarget(trace)).reports()[0]
+    return next(_lemma3_rows(trace, [t, t + n], _ToTarget(trace))).reports()[0]
 
 
 _LEMMA3_INFINITE_NOTE = "left side infinite with finite right side"
 
 
-def _lemma3_row(trace: DATrace, t: int, later: list[int], d: _ToTarget) -> ReportBlock:
-    """The lemma3 reports at t against each time k in `later`, as one block:
-    the divergences D(p_t || p_k) are evaluated as one row, and the right
-    sides, slacks and verdicts as arrays."""
-    p_t = _density(trace, t).w
-    p_later = [_density(trace, k).w for k in later]
-    d_later = np.array([d[k].value for k in later])
-    if not (d[t].is_finite and np.isfinite(d_later).all()):
+def _lemma3_rows(trace: DATrace, times: list[int], d: _ToTarget) -> Iterator[ReportBlock]:
+    """The lemma3 reports from each listed time t but the last to the times
+    after it in the list, one block per t: the divergences D(p_t || p_k) are
+    a row of `_later_rows`, and the right sides, slacks and verdicts arrays.
+    The divergences to the target are read, and refused unless finite, once."""
+    to_target = np.array([d[t].value for t in times])
+    if not np.isfinite(to_target).all():
         raise DistributionError("lemma3_check needs finite divergences to the target")
-    lhs = np.array(_stacked_rows(_rel_entropy_array, p_t, p_later), dtype=np.float64)
-    rhs = d[t].value - d_later
-    # an infinite left side against a finite right side is a slack of -inf
-    slack = rhs - lhs
-    notes = tuple(_LEMMA3_INFINITE_NOTE if inf else "" for inf in np.isinf(lhs).tolist())
-    k = np.array(later, dtype=np.int64)
-    return ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, np.full_like(k, t), k - t, lhs, rhs, slack, notes)
-
-
-def _cauchy_rows(trace: DATrace, times: list[int]) -> Iterator[np.ndarray]:
-    """The L1 distances V(p_t, p_k) from each listed retained time t but the
-    last to the later ones, one row per t, each evaluated as one stack."""
-    weights = [_density(trace, t).w for t in times]
-    for a in range(len(times) - 1):
-        yield np.array(_stacked_rows(_l1_rows, weights[a], weights[a + 1 :]))
+    ks = np.array(times, dtype=np.int64)
+    for a, lhs in enumerate(_later_rows(trace, times, _rel_entropy_array)):
+        t, k = times[a], ks[a + 1 :]
+        rhs = to_target[a] - to_target[a + 1 :]
+        # an infinite left side against a finite right side is a slack of -inf
+        slack = rhs - lhs
+        notes = tuple(_LEMMA3_INFINITE_NOTE if inf else "" for inf in np.isinf(lhs).tolist())
+        yield ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, np.full_like(k, t), k - t, lhs, rhs, slack, notes)
 
 
 def cauchy_matrix(trace: DATrace, times: list[int]) -> np.ndarray:
     """Pairwise L1 distances V(p_t, p_k) for the listed retained times."""
     m = len(times)
     out = np.zeros((m, m))
-    for a, row in enumerate(_cauchy_rows(trace, times)):
+    for a, row in enumerate(_later_rows(trace, times, _l1_rows)):
         out[a, a + 1 :] = row
         out[a + 1 :, a] = row
     return readonly(out)
@@ -400,6 +397,8 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
         raise StateNotRetained("cauchy_check needs at least two retained times with t >= 1")
     if min(times) < 1:
         raise DistributionError("cauchy_check applies to iterate times t >= 1 only")
+    if any(a >= b for a, b in zip(times, times[1:])):
+        raise DistributionError(f"cauchy_check needs strictly increasing times, got {times}")
     d = np.array([trace.record_at(t).d_to_target.value for t in times])
     worst = math.inf
     worst_pair = (times[0], times[1])
@@ -409,7 +408,7 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
     # far: the pair a strict `<` scan over every pair in row-major order
     # picks, with O(T) memory besides one stack; a NaN slack (inf - inf
     # divergences) is never the tightest
-    for a, vab in enumerate(_cauchy_rows(trace, times)):
+    for a, vab in enumerate(_later_rows(trace, times, _l1_rows)):
         lhs = 0.5 * vab * vab
         with np.errstate(invalid="ignore"):
             rhs = np.abs(d[a] - d[a + 1 :])
@@ -633,7 +632,7 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
             times = [t for t in sorted(retained) if t >= 1]
             if len(times) < 2:
                 raise StateNotRetained("lemma3 needs two retained times with t >= 1")
-            blocks += [_lemma3_row(trace, t, times[i + 1 :], d) for i, t in enumerate(times[:-1])]
+            blocks += _lemma3_rows(trace, times, d)
         elif check == "cauchy":
             blocks += _gather([cauchy_check(trace)])
         elif check == "lsc":

@@ -122,12 +122,12 @@ def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entr
     (`stable_row_sums`), so a row's value does not depend on the rows stacked
     with it. Cells outside the support of every p are dropped, and terms
     outside one row's support are set to -0.0; neither changes a sum. Where
-    q vanishes on a row's support a term is +infinity, and so is the sum on
-    every route of `stable_row_sums`. Where q is subnormal, p / q can
-    overflow too: a row that sums to +infinity with q > 0 on its support is
-    summed again as ``p * (log p - log q)``, which is finite. A sum below
-    zero by at most `NEGATIVE_CLIP_TOL` is clipped to 0.0; the first row
-    below that raises.
+    q vanishes on a row's support a term is +infinity, and the row is given
+    +infinity, the sum of its terms, without summing them. Where q is
+    subnormal, p / q can overflow too: a row given +infinity with q > 0 on
+    its support is summed again as ``p * (log p - log q)``, which is finite.
+    A sum below zero by at most `NEGATIVE_CLIP_TOL` is clipped to 0.0; the
+    first row below that raises.
     """
     if qs.shape[1:] != p.shape and qs.shape != p.shape:
         raise DimensionMismatch(f"{what}: shapes {p.shape} and {qs.shape[1:]} differ")
@@ -146,12 +146,19 @@ def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entr
         terms *= ps
     if not support.all():
         np.copyto(terms, -0.0, where=~support)
-    sums = stable_row_sums(terms)
-    if math.inf in sums:
-        for i in np.flatnonzero(np.array(sums) == math.inf).tolist():
+    # a row holding a +inf term sums to +inf, as q <= 1 keeps every p / q
+    # above zero and so no term is -inf; only the other rows are summed, and
+    # a stack with no +inf term pays one reduction for the decision
+    if terms.max() == math.inf:
+        infinite = terms.max(axis=1) == math.inf
+        finite = iter(stable_row_sums(terms[~infinite]))
+        sums = [math.inf if inf else next(finite) for inf in infinite.tolist()]
+        for i in np.flatnonzero(infinite).tolist():
             p_i, on = (ps[i], support[i]) if ps.ndim == 2 else (ps, support)
             if qs[i][on].min() > 0.0:
                 sums[i] = stable_sum(p_i[on] * (np.log(p_i[on]) - np.log(qs[i][on])))
+    else:
+        sums = stable_row_sums(terms)
     if sums and min(sums) < 0.0:
         for total in sums:
             if total < -NEGATIVE_CLIP_TOL:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -56,7 +57,7 @@ from daflow.errors import (
     TargetNotPositive,
     ZeroConditional,
 )
-from daflow.metrics import ExtReal, _l1_rows, _rel_entropy_rows, encode, relative_entropy, total_variation
+from daflow.metrics import ExtReal, _l1_rows, _rel_entropy_array, encode, relative_entropy, total_variation
 
 DIAG22 = JointDensity(np.array([[0.4, 0.1], [0.1, 0.4]]))
 
@@ -193,7 +194,7 @@ class TestLemma3:
         trace = make_trace(steps=6)
         d = {1: ExtReal.finite(0.5), 2: ExtReal.pos_infinity()}
         with pytest.raises(DistributionError, match=r"^lemma3_check needs finite divergences to the target$"):
-            diagnostics._lemma3_row(trace, 1, [2], d)
+            list(diagnostics._lemma3_rows(trace, [1, 2], d))
 
     def test_argument_validation(self):
         trace = make_trace(steps=6)
@@ -235,6 +236,13 @@ class TestCauchy:
         trace = make_trace(steps=6, retain=RetainPolicy.none())
         with pytest.raises(StateNotRetained):
             cauchy_check(trace)
+
+    @pytest.mark.parametrize("times", [[3, 3, 8], [8, 5], [2, 6, 4]])
+    def test_refuses_times_not_strictly_increasing(self, times):
+        trace = make_trace(steps=10)
+        message = f"cauchy_check needs strictly increasing times, got {times}"
+        with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+            cauchy_check(trace, times)
 
 
 class TestLsc:
@@ -653,14 +661,15 @@ class TestPairRows:
         trace = ROW_CASES[case]()
         # blocks of three rows, so a row spans several stacks
         monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 3 * trace.target.joint.w.size)
-        densities = [trace.state_at(t).density for t in trace.retained_times]
-        weights = [p.w for p in densities]
+        times = trace.retained_times
+        densities = [trace.state_at(t).density for t in times]
         infinite = 0
-        for p in densities:
-            d_row = diagnostics._stacked_rows(_rel_entropy_rows, p.w, weights)
-            v_row = diagnostics._stacked_rows(_l1_rows, p.w, weights)
+        for t, p in zip(times, densities):
+            # t listed first, so the first row holds p_t against every time
+            d_row = next(diagnostics._later_rows(trace, [t, *times], _rel_entropy_array))
+            v_row = next(diagnostics._later_rows(trace, [t, *times], _l1_rows))
             assert len(d_row) == len(v_row) == len(densities)
-            for q, d, v in zip(densities, d_row, v_row):
+            for q, d, v in zip(densities, map(ExtReal, d_row.tolist()), v_row):
                 assert d == relative_entropy(p, q)
                 assert d.value == reference_divergence(p.w, q.w)
                 assert v == total_variation(p, q)
@@ -693,12 +702,11 @@ class TestPairRows:
         for t in times:
             d[t]
         later = times[2:]
-        weights = [trace.state_at(t).density.w for t in later]
         stacked = len(later) * n * n * 8  # what stacking every later joint would take
         block = diagnostics._BLOCK_VALUES * 8
         for sweep in (
-            lambda: diagnostics._lemma3_row(trace, 1, later, d),
-            lambda: diagnostics._stacked_rows(_l1_rows, trace.state_at(1).density.w, weights),
+            lambda: next(diagnostics._lemma3_rows(trace, [1, *later], d)),
+            lambda: next(diagnostics._later_rows(trace, [1, *later], _l1_rows)),
         ):
             tracemalloc.start()
             try:
@@ -711,6 +719,26 @@ class TestPairRows:
             # rows and a few block-sized elementwise temporaries
             assert peak - current <= 4 * block
             assert peak - current < stacked / 4
+
+    @pytest.mark.parametrize("sweep", ["lemma3", "cauchy"])
+    def test_sweeps_look_up_each_state_a_bounded_number_of_times(self, sweep, monkeypatch):
+        trace = make_trace(1, 5, seed=3, steps=60)
+        times = trace.retained_times
+        assert len(times) == 61
+        read = []
+        state_at = DATrace.state_at
+
+        def spy(self, t):
+            read.append(t)
+            return state_at(self, t)
+
+        monkeypatch.setattr(DATrace, "state_at", spy)
+        run_verification(trace, (sweep,))
+        # lemma3 reads each state for its divergence to the target and for
+        # its row, cauchy for its row only; one lookup per pair would be
+        # about T^2 / 2 (1,770 here)
+        per_time = 2 if sweep == "lemma3" else 1
+        assert sorted(read) == sorted([t for t in times if t >= 1] * per_time)
 
     def test_divergence_to_target_once_per_time(self, monkeypatch):
         trace = converged_trace()
@@ -761,9 +789,9 @@ def stub_trace(d: list[float]):
 
 
 def rows_of(v: np.ndarray):
-    """A stand-in for `diagnostics._cauchy_rows` that yields the rows of v
+    """A stand-in for `diagnostics._later_rows` that yields the rows of v
     above its diagonal, as the scan reads them."""
-    return lambda trace, times: (v[a, a + 1 :] for a in range(len(times) - 1))
+    return lambda trace, times, rows: (v[a, a + 1 :] for a in range(len(times) - 1))
 
 
 def assert_same_report(got: LemmaReport, want: LemmaReport) -> None:
@@ -794,12 +822,12 @@ class TestCauchyScan:
         if seed % 4 == 3:
             k = int(rng.integers(1, m + 1))
             d[:k] = [math.inf] * k
-        monkeypatch.setattr(diagnostics, "_cauchy_rows", rows_of(v))
+        monkeypatch.setattr(diagnostics, "_later_rows", rows_of(v))
         trace = stub_trace(d)
         assert_same_report(cauchy_check(trace), cauchy_loop_reference(trace))
 
     def test_all_pairs_infinite_keep_the_default_pair(self, monkeypatch):
-        monkeypatch.setattr(diagnostics, "_cauchy_rows", rows_of(np.zeros((3, 3))))
+        monkeypatch.setattr(diagnostics, "_later_rows", rows_of(np.zeros((3, 3))))
         trace = stub_trace([math.inf, math.inf, math.inf])
         report = cauchy_check(trace)
         assert_same_report(report, cauchy_loop_reference(trace))
@@ -811,7 +839,7 @@ class TestCauchyScan:
         v = rng.random((m, m))
         v = np.triu(v, 1) + np.triu(v, 1).T
         d = np.sort(rng.random(m))[::-1].tolist()
-        monkeypatch.setattr(diagnostics, "_cauchy_rows", rows_of(v))
+        monkeypatch.setattr(diagnostics, "_later_rows", rows_of(v))
         trace = stub_trace(d)
         tracemalloc.start()
         try:
@@ -851,7 +879,7 @@ class TestEarlyLscRefusal:
     def test_unconverged_trace_refused_before_any_family(self, monkeypatch):
         trace = make_trace(steps=6, eps=1e-300)
         assert not trace.converged
-        for name in ("_lemma1", "lemma2_check", "_lemma3_row", "cauchy_check", "_lsc", "balance_check",
+        for name in ("_lemma1", "lemma2_check", "_lemma3_rows", "cauchy_check", "_lsc", "balance_check",
                      "reconstruction_check"):
             monkeypatch.setattr(diagnostics, name, fail_if_called)
         with pytest.raises(NotConverged, match="lsc check needs a converged trace"):
@@ -868,7 +896,7 @@ class TestEarlyLscRefusal:
     def test_cli_exits_usage_without_running_the_sweep(self, monkeypatch, capsys):
         from daflow.cli import EXIT_USAGE, main
 
-        monkeypatch.setattr(diagnostics, "_lemma3_row", fail_if_called)
+        monkeypatch.setattr(diagnostics, "_lemma3_rows", fail_if_called)
         monkeypatch.setattr(diagnostics, "cauchy_check", fail_if_called)
         assert main(["verify", "--gen", "1,5,3", "--max-steps", "400"]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -923,13 +951,13 @@ class TestReportBlocks:
         d = diagnostics._ToTarget(trace)
         times = trace.retained_times
         infinite = 0
-        for t in times[1:]:
-            # earlier times too: D(p_t || p_k) can be infinite only for k < t
-            others = [k for k in times if k != t]
-            block = diagnostics._lemma3_row(trace, t, others, d)
-            want = [lemma3_pair_reference(trace, t, k, d) for k in others]
-            assert_same_reports(block.reports(), want)
-            infinite += sum(not r.lhs.is_finite for r in want)
+        # listed in reverse too, so each t meets the earlier times:
+        # D(p_t || p_k) can be infinite only for k < t
+        for listed in (times, times[::-1]):
+            for a, block in enumerate(diagnostics._lemma3_rows(trace, listed, d)):
+                want = [lemma3_pair_reference(trace, listed[a], k, d) for k in listed[a + 1 :]]
+                assert_same_reports(block.reports(), want)
+                infinite += sum(not r.lhs.is_finite for r in want)
         if case == "degenerate":
             # p_1 lives on the starting column, so D(p_t || p_1) = +inf for t >= 2
             assert infinite > 0

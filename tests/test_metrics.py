@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import joint_weight_pairs
-from daflow._numeric import BINNED_MIN_ENTRIES
+import daflow.metrics as metrics
+from daflow._numeric import BINNED_MIN_ENTRIES, stable_row_sums
 from daflow.dist import Axis, ConditionalKernel, Direction, JointDensity, MarginalDensity, marginal
 from daflow.errors import DimensionMismatch, DistributionError
 from daflow.metrics import (
@@ -189,6 +190,41 @@ class TestDivergenceRows:
         for i, d in enumerate(got):
             assert d == term_sum(p_of(i), qs[i])
             assert d == _rel_entropy_array(p_of(i), qs[i][None])[0]
+
+    @pytest.mark.parametrize("rows, n", [(4, 256), (3, 1024), (40, 64), (3, 5000)])
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("vanishing", [(), (1,), (0, 2), "all"])
+    def test_infinite_rows_are_decided_without_summing(self, rows, n, paired, vanishing, monkeypatch):
+        rng = np.random.default_rng(rows * n + 2 * paired + len(vanishing))
+        ps = pmf_rows(rng, rows, n, zeros=0.3)
+        qs = pmf_rows(rng, rows, n)
+        p_of = (lambda i: ps[i]) if paired else (lambda i: ps[0])
+        # a subnormal q on the support overflows one term of the last row: it
+        # is given +inf, then summed again to a finite value
+        qs[-1, 0] = 1e-320
+        vanishing = range(rows) if vanishing == "all" else vanishing
+        for i in vanishing:
+            # q vanishes on a few cells of the support, so the row holds +inf terms
+            qs[i, np.flatnonzero(p_of(i) > 0.0)[-3:]] = 0.0
+        summed = []
+
+        def spy(a):
+            summed.append(a.shape[0])
+            return stable_row_sums(a)
+
+        monkeypatch.setattr(metrics, "stable_row_sums", spy)
+        got = _rel_entropy_array(ps if paired else ps[0], qs).tolist()
+        infinite = sum(1 for i in range(rows) if i in vanishing or i == rows - 1)
+        assert summed == ([rows - infinite] if infinite < rows else [0])
+        for i, d in enumerate(got):
+            p, q = p_of(i), qs[i]
+            on = p > 0.0
+            with np.errstate(divide="ignore", over="ignore"):
+                want = math.fsum((p[on] * np.log(p[on] / q[on])).tolist())
+            if want == math.inf and q[on].min() > 0.0:
+                want = math.fsum((p[on] * (np.log(p[on]) - np.log(q[on]))).tolist())
+            assert d == max(want, 0.0)
+            assert (d == math.inf) == (i in vanishing)
 
     def test_a_subnormal_q_cell_gives_the_exact_finite_sum(self):
         p = np.full(6, 1 / 6)

@@ -34,10 +34,11 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("converge", "certify", "sample", "wide")
 
 # the README commands, retention modes, degenerate grid shapes, pinned
-# checks, a step-budget stop, a wide run, targets that need redraws or hold
-# subnormal cells, a target file with zero cells, and refusals (among them a
-# zero-step sample over its budget and a sweep whose grid is empty), a
-# cauchy scan over 1,000 retained times, and lemma3 and cauchy stacks of
+# checks (lemma3 at n = 0 among them, whose two listed times repeat), a
+# step-budget stop, a wide run, targets that need redraws or hold subnormal
+# cells, a target file with zero cells, and refusals (among them a zero-step
+# sample over its budget and a sweep whose grid is empty), a cauchy scan over
+# 1,000 retained times, and lemma3 and cauchy stacks of
 # 1,600-entry rows too large for one pass of the exact row sums
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
@@ -54,6 +55,9 @@ EDGE_COMMANDS = {
     "pinned-lemma2": ("verify", "--gen", "5,5,3", "--checks", "lemma2", "--t", "2", "--n", "4", "--out-prefix", "pin2"),
     "pinned-lsc": ("verify", "--gen", "5,5,3", "--checks", "lsc", "--t", "2", "--out-prefix", "pinl"),
     "pinned-lemma3": ("verify", "--gen", "5,5,3", "--checks", "lemma3", "--t", "2", "--n", "3", "--out-prefix", "pin3"),
+    "pinned-lemma3-n0": (
+        "verify", "--gen", "5,5,3", "--checks", "lemma3", "--t", "2", "--n", "0", "--out-prefix", "pin30",
+    ),
     "maxiters-1x5": ("run", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-16", "--max-steps", "200", "--out-prefix", "m15"),
     "wide-run": ("run", "--gen", "200,200,1", "--p0", "degenerate:0,0", "--out-prefix", "w200"),
     "redraw-4x4": ("run", "--gen", "4,4,1,0.001", "--max-steps", "50", "--out-prefix", "r44"),
