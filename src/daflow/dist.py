@@ -323,7 +323,8 @@ def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1
     spreads the mass unevenly. A draw with a cell that underflows to zero is
     redrawn from the same stream, in batches of doubling size, while the
     variates drawn stay within `TARGET_MAX_VARIATES` (the first draw is
-    always made, alone), then refused. The first draw that passes is kept.
+    always made, alone), then refused. The first draw that passes is kept; a
+    draw whose total overflows a float is refused.
     """
     if nx < 1 or ny < 1:
         raise DistributionError(f"grid must be at least 1x1, got {nx}x{ny}")
@@ -339,7 +340,7 @@ def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1
         # a draw holding a zero cell fails the test below whatever its total
         for i in np.flatnonzero((ws > 0.0).all(axis=(1, 2))).tolist():
             w = ws[i]
-            total = stable_sum(w)
+            total = _mass_total(w, f"a {nx}x{ny} draw at concentration {concentration!r}")
             if total > 0.0 and np.all(w / total > 0.0):
                 return make_target(JointDensity(w / total), require_positive=True)
     raise DistributionError(
@@ -381,6 +382,8 @@ def joint_from_json_dict(obj: dict) -> JointDensity:
         w = np.asarray(obj["w"], dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise DistributionError("the w field is not a numeric matrix") from e
+    except OverflowError as e:
+        raise DistributionError("the w field holds a number too large to represent") from e
     if w.shape != (nx, ny):
         raise DistributionError(f"w has shape {w.shape}, expected ({nx}, {ny})")
     total = _mass_total(w, "w")
@@ -401,4 +404,8 @@ def save_joint(path: str, p: JointDensity) -> None:
 
 def load_joint(path: str) -> JointDensity:
     with open(path, encoding="utf-8") as f:
-        return joint_from_json_dict(json.load(f))
+        try:
+            obj = json.load(f)
+        except RecursionError as e:
+            raise DistributionError(f"{path} nests its JSON too deeply to read") from e
+    return joint_from_json_dict(obj)

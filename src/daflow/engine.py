@@ -341,8 +341,8 @@ def run(
     """
     if max_half_steps < 1:
         raise DistributionError(f"max_half_steps must be >= 1, got {max_half_steps}")
-    if not eps > 0.0:
-        raise DistributionError(f"eps must be positive, got {eps!r}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise DistributionError(f"eps must be a positive real, got {eps!r}")
     if p0.shape != target.shape:
         raise DimensionMismatch(f"p0 is {p0.shape}, target is {target.shape}")
 

@@ -177,6 +177,21 @@ class TestRun:
                 ["run", "--gen", "10,10,1,0.001"],
                 "every 10x10 draw at concentration 0.001 in 1048576 variates had a zero cell",
             ),
+            # gamma draws whose total overflows a float
+            (
+                ["gen", "--nx", "2", "--ny", "2", "--seed", "1", "--conc", "1e308"],
+                "a 2x2 draw at concentration 1e+308 has a total too large to represent",
+            ),
+            (["run", "--gen", "2,2,1,1e308"], "a 2x2 draw at concentration 1e+308 has a total too large to represent"),
+            (
+                ["run", "--gen", "100,100,1,1e305"],
+                "a 100x100 draw at concentration 1e+305 has a total too large to represent",
+            ),
+            (["verify", "--gen", "3,3,1,1e308"], "a 3x3 draw at concentration 1e+308 has a total too large to represent"),
+            (["sample", "--gen", "2,2,1,1e308"], "a 2x2 draw at concentration 1e+308 has a total too large to represent"),
+            (["run", "--gen", "2,2,1", "--eps", "inf"], "eps must be a positive real, got inf"),
+            (["verify", "--gen", "2,2,1", "--eps", "nan"], "eps must be a positive real, got nan"),
+            (["run", "--gen", "2,2,1", "--eps", "0"], "eps must be a positive real, got 0.0"),
         ],
     )
     def test_unusable_target_requests_are_usage_errors(self, tmp_path, capsys, argv, message):
@@ -187,6 +202,23 @@ class TestRun:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"nx": 1, "ny": 2, "w": [[1' + "0" * 400 + ", 1]]}", "the w field holds a number too large to represent"),
+            ("[" * 100_000, "{path} nests its JSON too deeply to read"),
+        ],
+        ids=["integer-beyond-float", "nested-100000"],
+    )
+    def test_hostile_density_files_are_usage_errors(self, tmp_path, capsys, text, message):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        for argv in (["run", "--target", str(path)], ["run", "--gen", "1,2,1", "--p0", f"file:{path}"]):
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message.format(path=path)}\n"
+            assert captured.out == ""
 
     def test_one_cell_refusal_keeps_its_message(self, capsys):
         assert main(["run", "--gen", "1,1,1,1e-300"]) == EXIT_USAGE

@@ -289,6 +289,12 @@ class TestTarget:
         with pytest.raises(DistributionError, match=r"^every 10x10 draw at concentration 0\.001 in 1048576 variates had a zero cell$"):
             random_positive_target(10, 10, seed=1, concentration=0.001)
 
+    @pytest.mark.parametrize("nx, ny, conc", [(2, 2, 1e308), (100, 100, 1e305)])
+    def test_random_target_refuses_a_draw_whose_total_overflows(self, nx, ny, conc):
+        message = f"^a {nx}x{ny} draw at concentration {conc!r} has a total too large to represent$"
+        with pytest.raises(DistributionError, match=message.replace("+", r"\+")):
+            random_positive_target(nx, ny, seed=1, concentration=conc)
+
     def test_independence_target_is_outer_product(self):
         px = MarginalDensity(Axis.X, np.array([0.25, 0.75]))
         py = MarginalDensity(Axis.Y, np.array([0.5, 0.25, 0.25]))
@@ -432,6 +438,17 @@ class TestJsonInterchange:
         # outside input
         with pytest.raises(DistributionError):
             joint_from_json_dict(json.loads(text))
+
+    def test_load_refuses_an_integer_beyond_float_range(self):
+        w = [[10**400, 1]]
+        with pytest.raises(DistributionError, match="^the w field holds a number too large to represent$"):
+            joint_from_json_dict({"nx": 1, "ny": 2, "w": w})
+
+    def test_load_refuses_json_nested_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(DistributionError, match="nests its JSON too deeply to read$"):
+            load_joint(str(path))
 
     def test_file_roundtrip_is_stable(self, tmp_path):
         p = JointDensity(gamma_weights(3, 2, seed=9))

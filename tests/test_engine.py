@@ -255,8 +255,9 @@ class TestRun:
         target = make_target(DIAG22)
         with pytest.raises(DistributionError):
             run(DIAG22, target, max_half_steps=0, eps=1e-10)
-        with pytest.raises(DistributionError):
-            run(DIAG22, target, max_half_steps=10, eps=0.0)
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DistributionError, match=f"^eps must be a positive real, got {eps!r}$"):
+                run(DIAG22, target, max_half_steps=10, eps=eps)
         with pytest.raises(DimensionMismatch):
             run(JointDensity(np.full((2, 3), 1 / 6)), target, max_half_steps=10, eps=1e-10)
 

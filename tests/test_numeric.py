@@ -25,6 +25,7 @@ from daflow._numeric import (
     stable_sum,
 )
 from daflow.cli import main
+from daflow.diagnostics import DEFAULT_CHECKS
 
 EDGE_SIZES = (BINNED_MIN_ENTRIES - 1, BINNED_MIN_ENTRIES, BINNED_MIN_ENTRIES + 1)
 # rows of up to 126 entries are split at sigma = 2**(e + 7), longer ones at
@@ -594,59 +595,87 @@ class TestDifferentialOutputs:
         assert binned["run50csv"] == 0
 
 
-def test_layer_timing_script_writes_its_document(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "SUM_SIZES", (64, 2048))
-    monkeypatch.setattr(bench, "STACK_ROWS", (16,))
-    monkeypatch.setattr(bench, "RECONSTRUCTION_SIDES", (6,))
-    monkeypatch.setattr(bench, "RUN_CASES", ((5, 1.0, 6), (30, 1.0, 3)))
-    monkeypatch.setattr(bench, "DRAWS_CSV_CASES", ((3, 2, 2),))
+# ROADMAP aim 1's layers, under the names of the benchmark's per-layer metrics
+AIM1_LAYERS = {
+    "dist.validate", "numeric.stable_sum", "numeric.stable_row_sums", "dist.compose",
+    "metrics.relative_entropy", "engine.half_step", "engine.run", "engine.export",
+    *(f"diagnostics.{check}" for check in DEFAULT_CHECKS), "diagnostics.export",
+    "sampler.run_chains", "sampler.draws_to_csv", "cli.gen", "cli.run", "cli.verify", "cli.sample",
+}
+# one size per layer, small enough that every case takes milliseconds
+TINY_SIZES = {
+    "dist.validate": {"n": 3},
+    "numeric.stable_sum": {"entries": 5, "data": "terms"},
+    "numeric.stable_row_sums": {"rows": 2, "entries": 4},
+    "dist.compose": {"n": 3},
+    "metrics.relative_entropy": {"n": 3},
+    "engine.half_step": {"n": 3},
+    "engine.run": {"n": 4, "beta": 1.0, "half_steps": 3},
+    "engine.export": {"fmt": "json", "n": 4, "beta": 1.0, "eps": 1e-6},
+    **{f"diagnostics.{c}": {"check": c, "n": 3, "beta": 1.0} for c in DEFAULT_CHECKS},
+    "diagnostics.export": {"n": 3, "beta": 1.0},
+    "sampler.run_chains": {"replicas": 3, "half_steps": 2, "n": 2},
+    "sampler.draws_to_csv": {"replicas": 3, "half_steps": 2, "n": 2},
+    "cli.gen": {"argv": "gen --nx 2 --ny 2 --seed 1 --out g.json"},
+    "cli.run": {"argv": "run --target target.json --out-prefix r", "banded": [3, 1.0]},
+    "cli.verify": {"argv": "verify --gen 3,3,1 --out-prefix v"},
+    "cli.sample": {"argv": "sample --gen 2,2,1 --replicas 10 --draws-out d.csv --out-prefix s"},
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def tiny_bench(monkeypatch):
+    """The layer script with one tiny size per case and few short rounds;
+    unloads the parent tree afterwards."""
+    monkeypatch.setattr(bench, "CASES", [(layer, builder, [TINY_SIZES[layer]]) for layer, builder, _ in bench.CASES])
     monkeypatch.setattr(bench, "MIN_TIME", 0.001)
-    monkeypatch.setattr(bench, "REPEATS", 1)
-    out = tmp_path / "bench.json"
-    doc = bench.main(["--out", str(out)])
+    monkeypatch.setattr(bench, "REPEATS", 3)
+    yield bench
+    for name in [m for m in sys.modules if m == "daflow_parent" or m.startswith("daflow_parent.")]:
+        del sys.modules[name]
+
+
+def test_layer_script_cases_name_every_aim1_layer():
+    assert {layer for layer, _, _ in bench.CASES} == AIM1_LAYERS
+    assert [name for name in vars(bench) if name.isupper()] == ["MIN_TIME", "REPEATS", "CASES"]
+
+
+def test_layer_script_times_every_case_on_one_tree(tiny_bench, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = tiny_bench.main(["--out", "one.json"])
+    assert json.loads((tmp_path / "one.json").read_text()) == doc
+    assert [(r["layer"], r["size"]) for r in doc["rows"]] == [(layer, size) for layer, _, [size] in tiny_bench.CASES]
+    for row in doc["rows"]:
+        assert row.keys() == {"layer", "size", "per", "check", "us", "iqr_us", "peak_mb"}
+        assert row["us"] > 0 and row["iqr_us"] >= 0 and row["peak_mb"] >= 0
+    assert [r["per"] for r in doc["rows"] if r["layer"] == "engine.run"] == [3]
+    # every case ran in a temporary directory of its own, removed afterwards
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
+    assert numeric.stable_sum is stable_sum
+
+
+def test_layer_script_compares_two_trees(tiny_bench, tmp_path):
+    out = tmp_path / "two.json"
+    doc = tiny_bench.main(["--parent", str(SRC), "--out", str(out)])
+    # the other tree is a second copy of the package, not this one
+    assert sys.modules["daflow_parent._numeric"].stable_sum is not stable_sum
     assert json.loads(out.read_text()) == doc
-    assert [(r["entries"], r["data"]) for r in doc["stable_sum"]] == [
-        (64, "pmf"), (64, "terms"), (2048, "pmf"), (2048, "terms")
-    ]
-    assert doc["threshold"]["BINNED_MIN_ENTRIES"] == BINNED_MIN_ENTRIES
-    assert [(r["rows"], r["entries"], r["min_entries"]) for r in doc["stable_row_sums"]] == [
-        (16, 64, 1), (bench.block_rows(5), 25, BINNED_MIN_ENTRIES), (bench.block_rows(30), 900, BINNED_MIN_ENTRIES)
-    ]
-    assert [r["n"] for r in doc["reconstruction_check"]] == [6]
-    assert [(r["n"], r["half_steps"]) for r in doc["run"]] == [(5, 6), (30, 3)]
-    assert [(r["replicas"], r["half_steps"], r["n"], r["rows"]) for r in doc["draws_csv"]] == [(3, 2, 2, 9)]
-    assert numeric.stable_sum is stable_sum and numeric.BINNED_MIN_ENTRIES == BINNED_MIN_ENTRIES
-    assert bench.engine._BLOCK_VALUES > 0
+    assert [(r["layer"], r["size"]) for r in doc["rows"]] == [(layer, size) for layer, _, [size] in tiny_bench.CASES]
+    for row in doc["rows"]:
+        for side in ("parent", "change"):
+            assert row[f"{side}_us"] > 0 and row[f"{side}_iqr_us"] >= 0 and row[f"{side}_peak_mb"] >= 0
+        assert row["rounds"] == 3 and 0 <= row["change_wins"] <= 3
 
 
-def test_layer_timing_script_compares_two_trees(tmp_path, monkeypatch):
-    monkeypatch.setattr(bench, "COMPARE_SUMS", ((2048, "pmf"), (3000, "spread_normal")))
-    monkeypatch.setattr(bench, "COMPARE_RUNS", ((5, 1.0, 6),))
-    monkeypatch.setattr(bench, "MIN_TIME", 0.001)
-    monkeypatch.setattr(bench, "COMPARE_REPEATS", 4)
-    out = tmp_path / "compare.json"
-    src = Path(__file__).resolve().parent.parent / "src"
-    try:
-        doc = bench.main(["--parent", str(src), "--out", str(out)])
-        # the other tree is a second copy of the package, not this one
-        assert sys.modules["daflow_parent._numeric"].stable_sum is not stable_sum
-    finally:
-        for name in [m for m in sys.modules if m == "daflow_parent" or m.startswith("daflow_parent.")]:
-            del sys.modules[name]
-    assert json.loads(out.read_text()) == doc
-    assert [(r["entries"], r["data"]) for r in doc["stable_sum"]] == [(2048, "pmf"), (3000, "spread_normal")]
-    assert [(r["rows"], r["entries"]) for r in doc["stable_row_sums"]] == [(bench.block_rows(5), 25)]
-    assert [(r["n"], r["half_steps"]) for r in doc["run_per_half_step"]] == [(5, 6)]
-    for row in doc["stable_sum"] + doc["stable_row_sums"] + doc["run_per_half_step"]:
-        assert row["rounds"] == 4 and 0 <= row["change_wins"] <= 4
-        assert row["parent_us"] > 0 and row["change_us"] > 0
+def test_layer_script_refuses_a_case_whose_trees_disagree(tiny_bench, tmp_path, monkeypatch):
+    def by_package(m, entries):
+        return bench.Timed(lambda: None, m.__name__)
 
-
-def test_verify_layer_checks_and_times_both_exports():
-    [row] = bench.time_verify(((4, 1.0),), 0.001, 1)
-    assert (row["n"], row["beta"]) == (4, 1.0)
-    # every pair of iterate times 1..T
-    assert row["reports"] == row["half_steps"] * (row["half_steps"] - 1) // 2
-    assert row["bytes"] > 0
-    for key in ("sweep_blocks", "sweep_materialized", "export_dicts", "export_blocks"):
-        assert row[f"{key}_us_per_report"] > 0
+    cases = [("numeric.stable_sum", bench.sum_case, [{"entries": 5, "data": "pmf"}]),
+             ("numeric.stable_row_sums", by_package, [{"entries": 7}])]
+    monkeypatch.setattr(bench, "CASES", cases)
+    out = tmp_path / "refused.json"
+    with pytest.raises(SystemExit, match=r"^numeric\.stable_row_sums \{'entries': 7\}: the trees give different"):
+        bench.main(["--parent", str(SRC), "--out", str(out)])
+    assert not out.exists()

@@ -29,6 +29,8 @@ def test_tiny_digest_repeats_line_for_line(monkeypatch, capsys):
     assert all(code == "exit=0" for label, code in codes.items() if not label.startswith("edge/"))
     assert codes["edge/maxiters-1x5"] == codes["edge/subnormal-6x6"] == "exit=1"
     assert codes["edge/refuse-1x1"] == codes["edge/refuse-10x10"] == codes["edge/refuse-seed"] == "exit=2"
+    refusals = [label for label in codes if label.startswith(("edge/refuse-conc", "edge/refuse-eps", "edge/refuse-huge", "edge/refuse-nested"))]
+    assert len(refusals) == 9 and all(codes[label] == "exit=2" for label in refusals)
     for line in first:
         fields = line.split()[2:]
         assert [f.split("=")[0] for f in fields] == ["stdout", "stderr", "files"]

@@ -1,122 +1,63 @@
-"""Time the summation layers, the reconstruction check, `run`, the draws CSV
-and the verify reports, or compare the summation layers and `run` with those
-of another source tree.
-
-Run from the repository root:
+"""Time and memory-profile each layer of daflow at fixed sizes, on this
+source tree or against another one. Run from the repository root:
 
     python3 tools/bench_layers.py --out BENCH.json
+    python3 tools/bench_layers.py --parent DIR/src --out BENCH.json
 
-For each array size it times ``daflow._numeric.stable_sum`` against
-``math.fsum(a.tolist())``, the body it replaced, on two kinds of data: a
-normalized gamma pmf, as in the mass sums, and signed p*log(p/q) terms, as in
-the divergence sums. The extraction is timed with the size threshold lowered
-to 1, so sizes below ``BINNED_MIN_ENTRIES`` show what extracting them would
-cost; the crossover printed with the results is the smallest measured size
-from which extraction wins at every larger size. It times
-``_numeric.stable_row_sums`` against the fsum body row by row on stacks of
-divergence terms: stacks of 64-entry rows, with the threshold lowered to 1,
-and the block shapes `run` stacks on each grid below. It then times
-``diagnostics.reconstruction_check`` on n x n random targets with the
-package's summation and with every module's ``stable_sum`` swapped for the
-fsum body, and records the tracemalloc peak of one call. Last, it times ``engine.run`` per half-step from a
-corner cell of seeded banded targets, with its measurements stacked over
-blocks of half-steps and with one-half-step blocks, and checks that both
-give the same trace. Finally it times ``sampler.draws_csv_blocks`` against
-``percent_body``, the one-``%``-format-per-block body it replaced, on the
-draws of seeded chains, after checking that both write the same text. Then,
-on traces of seeded banded targets run to a divergence of 1e-15 with every
-state retained, it times the lemma3 sweep per report as column blocks
-(``diagnostics.verification_table``) and materialized as one ``LemmaReport``
-each (``run_verification``), and the verify JSON export per report:
-``verification_to_json`` over the blocks against ``dumps_indent1`` over one
-``report_to_json_dict`` per report, the body it replaced, after checking
-that both write the same text.
+Every row comes from one table, ``CASES``, of (layer, builder, sizes). A
+builder takes one imported copy of the package (``daflow``, or the
+``daflow_parent`` that ``load_tree`` imports from ``--parent``) and one size
+as keyword arguments, and returns a ``Timed``: a call of the layer on seeded
+inputs, a digest of that call's result to check, and the units of work per
+call (half-steps for ``engine.run``, else 1). ``measure`` runs each case in a
+fresh temporary working directory: the median and interquartile range in
+microseconds per unit over ``REPEATS`` rounds of a loop sized to run at least
+``MIN_TIME`` seconds, and the tracemalloc peak of one call.
 
-Each value is the median over ``REPEATS`` rounds of a loop sized to run at
-least ``MIN_TIME`` seconds. Where two bodies are compared on one case, their
-rounds alternate, and which goes first alternates too, so drift of the host
-between rounds reaches both alike. The results, with the interpreter, NumPy
-and core count, go to the ``--out`` JSON file and to stdout.
-
-With ``--parent SRC``, where SRC is the ``src`` directory of another checkout
-(for one commit, ``git archive COMMIT src | tar -x -C DIR`` and pass
-``DIR/src``), it instead imports that tree's package as ``daflow_parent``
-beside this tree's ``daflow`` and times both in one process, their rounds
-alternating as above, over ``COMPARE_REPEATS`` rounds: ``stable_sum`` on
-``COMPARE_SUMS``, ``stable_row_sums`` on the stacks `run` measures on the
-grids of ``COMPARE_RUNS``, and one `run` half-step on those grids. Each case
-is first checked to give the same result on both trees. Each row gives both
-medians, the parent's interquartile range and the rounds the change won.
+With ``--parent`` the ``src`` directory of another checkout (for one commit,
+``git archive COMMIT src | tar -x -C DIR`` gives ``DIR/src``), a case is
+refused unless both trees give the same check. Their rounds then alternate,
+which goes first alternating too, so drift of the host reaches both alike.
+To re-measure a settled decision, pass a tree that reverts it; the
+``stable_sum`` sizes straddle ``BINNED_MIN_ENTRIES``. The rows and the machine
+go to the ``--out`` JSON file and to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
 import platform
-import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import daflow  # noqa: E402
 import daflow._numeric as numeric  # noqa: E402
-import daflow.engine as engine  # noqa: E402
-from daflow._fsio import dumps_indent1  # noqa: E402
-from daflow.diagnostics import (  # noqa: E402
-    reconstruction_check,
-    report_to_json_dict,
-    run_verification,
-    summarize,
-    verification_table,
-    verification_to_json,
-)
-from daflow.dist import JointDensity, make_target, random_positive_target  # noqa: E402
-from daflow.sampler import (  # noqa: E402
-    DRAWS_CSV_BLOCK_ROWS,
-    DRAWS_CSV_HEADER,
-    ChainDraws,
-    draws_csv_blocks,
-    run_chains,
-)
+import daflow.cli  # noqa: E402, F401  (imports every module a builder reads)
 
-SUM_SIZES = (64, 256, 512, 784, 1024, 1280, 1600, 2048, 4096, 13_225, 40_000, 250_000)
-# stacks of 64-entry rows, the divergence rows of the certify benchmark's 8x8
-# grid
-STACK_ROWS = (8, 16, 32, 64)
-RECONSTRUCTION_SIDES = (50, 120, 200)
-# (side, beta, half-steps): the converge benchmark's grid and mixing, larger
-# grids, and a slowly mixing target that needs about 15,700 half-steps to
-# reach a divergence of 1e-16
-RUN_CASES = ((28, 0.9, 400), (50, 0.9, 200), (200, 0.9, 40), (40, 2.0, 1000))
-# (replicas, half-steps, grid side): the sample benchmark's draws at its
-# smallest and largest grid, and 1e5 replicas at 50 x 50
-DRAWS_CSV_CASES = ((5000, 20, 5), (5000, 20, 20), (100_000, 4, 50))
-# (side, beta): the certify benchmark's grid and mixing, about 105 half-steps
-# and 5,460 lemma3 reports
-VERIFY_CASES = ((8, 0.9),)
 MIN_TIME = 0.05
-REPEATS = 7
-# (entries, data) for the two-tree comparison: pmfs and divergence terms on
-# the 100x100, 200x200 and 500x500 grids, then two arrays of mantissas
-# spread over exponents 2**-1074 to 2**989, one with every entry below
-# 2**990 and one whose normal mantissas carry a few entries past it
-COMPARE_SUMS = (
-    (10_000, "pmf"), (10_000, "terms"), (40_000, "pmf"), (40_000, "terms"),
-    (250_000, "pmf"), (250_000, "terms"), (250_000, "spread"), (250_000, "spread_normal"),
-)
-# (side, beta, half-steps) for the two-tree comparison of `run`
-COMPARE_RUNS = ((28, 0.9, 400), (100, 0.9, 60), (200, 0.9, 40), (500, 0.9, 10))
-COMPARE_REPEATS = 11
+REPEATS = 11
+
+
+class Timed(NamedTuple):
+    call: Callable[[], object]
+    check: str
+    per: int = 1
 
 
 def fsum_body(a: np.ndarray) -> float:
@@ -124,28 +65,188 @@ def fsum_body(a: np.ndarray) -> float:
     return math.fsum(np.ascontiguousarray(a, dtype=np.float64).ravel().tolist())
 
 
-def percent_body(draws: ChainDraws):
-    """What draws_csv_blocks computed before its record encoder: each block
-    of rows through one ``%`` format."""
-    yield DRAWS_CSV_HEADER + "\n"
-    steps = draws.half_steps + 1
-    total = draws.replicas * steps
-    xs, ys = draws.xs.ravel(), draws.ys.ravel()
-    for start in range(0, total, DRAWS_CSV_BLOCK_ROWS):
-        stop = min(start + DRAWS_CSV_BLOCK_ROWS, total)
-        r, t = np.divmod(np.arange(start, stop), steps)
-        rows = np.column_stack((r, t, xs[start:stop], ys[start:stop]))
-        yield "%d,%d,%d,%d\n" * (stop - start) % tuple(rows.ravel().tolist())
+@contextlib.contextmanager
+def stable_sum_replaced(body):
+    """Every imported daflow module's stable_sum replaced by `body`, and its
+    stable_row_sums by `body` over each row; yields the names of the modules
+    changed."""
+    replacements = {
+        numeric.stable_sum: body,
+        numeric.stable_row_sums: lambda a: [body(row) for row in a],
+    }
+    replaced = []
+    for name, m in sorted(sys.modules.items()):
+        for attr in ("stable_sum", "stable_row_sums"):
+            value = getattr(m, attr, None)
+            if name.startswith("daflow") and value in replacements:
+                replaced.append((m, attr, value))
+                setattr(m, attr, replacements[value])
+    try:
+        yield sorted({m.__name__ for m, _, _ in replaced})
+    finally:
+        for m, attr, value in replaced:
+            setattr(m, attr, value)
 
 
-def per_call_s(fn, min_time: float, repeats: int) -> float:
-    """Median seconds per call over `repeats` rounds of at least `min_time`."""
-    return interleaved_per_call_s((fn,), min_time, repeats)[0]
+def digest(*parts) -> str:
+    """A short sha256 over arrays' bytes and other values' text."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else str(part).encode())
+    return h.hexdigest()[:16]
 
 
-def interleaved_per_call_s(fns, min_time: float, repeats: int) -> list[float]:
-    """Median seconds per call of each function over `interleaved_rounds`."""
-    return [statistics.median(r) for r in interleaved_rounds(fns, min_time, repeats)]
+def sample_data(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "spread":
+        return rng.uniform(-1.0, 1.0, size) * 2.0 ** rng.integers(-1074, 990, size)
+    p = rng.gamma(1.0, size=size)
+    p /= p.sum()
+    if kind == "pmf":
+        return p
+    q = rng.gamma(1.0, size=size)
+    q /= q.sum()
+    return p * np.log(p / q)
+
+
+def banded_weights(n: int, beta: float) -> np.ndarray:
+    """The seeded weights w[i, j] proportional to exp(-beta |i - j| + 0.1 z[i, j])."""
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    w = np.exp(-beta * np.abs(i[:, None] - i[None, :]) + 0.1 * rng.standard_normal((n, n)))
+    return w / w.sum()
+
+
+def banded_target(m, n: int, beta: float):
+    return m.dist.make_target(m.dist.JointDensity(banded_weights(n, beta)))
+
+
+def run_from_corner(m, n: int, beta: float, steps: int, eps: float = 1e-300, retain: str = "none"):
+    """A function running ``engine.run`` of the package `m` from the cell
+    (n // 3, n - 1) to the banded target, for `steps` half-steps or to `eps`."""
+    target, w = banded_target(m, n, beta), np.zeros((n, n))
+    w[n // 3, n - 1] = 1.0
+    p0, policy = m.dist.JointDensity(w), getattr(m.engine.RetainPolicy, retain)()
+    return lambda: m.engine.run(p0, target, steps, eps, policy)
+
+
+def validate_case(m, n: int) -> Timed:
+    w = banded_weights(n, 0.9)
+    return Timed(call := lambda: m.dist.JointDensity(w), digest(call().w))
+
+
+def sum_case(m, entries: int, data: str) -> Timed:
+    a = sample_data(data, entries, np.random.default_rng(entries))
+    return Timed(call := lambda: m._numeric.stable_sum(a), digest(call()))
+
+
+def row_sums_case(m, rows: int, entries: int) -> Timed:
+    rng = np.random.default_rng(entries)
+    a = np.stack([sample_data("terms", entries, rng) for _ in range(rows)])
+    return Timed(call := lambda: m._numeric.stable_row_sums(a), digest(call()))
+
+
+def compose_case(m, n: int) -> Timed:
+    target, v = banded_target(m, n, 0.9), m.dist.random_positive_target(n, n, seed=n).marg_y
+    return Timed(call := lambda: m.dist.compose(v, target.cond_x_given_y), digest(call().w))
+
+
+def relative_entropy_case(m, n: int) -> Timed:
+    p, q = banded_target(m, n, 0.9).joint, m.dist.random_positive_target(n, n, seed=n).joint
+    return Timed(call := lambda: m.metrics.relative_entropy(p, q), digest(m.metrics.encode(call())))
+
+
+def half_step_case(m, n: int) -> Timed:
+    target = banded_target(m, n, 0.9)
+    state = m.engine.initial_state(m.dist.random_positive_target(n, n, seed=n).joint)
+    return Timed(call := lambda: m.engine.da_half_step(state, target), digest(call().density.w))
+
+
+def run_case(m, n: int, beta: float, half_steps: int) -> Timed:
+    call = run_from_corner(m, n, beta, half_steps)
+    return Timed(call, digest(m.engine.trace_to_csv(call())), half_steps)
+
+
+def trace_export_case(m, fmt: str, n: int, beta: float, eps: float) -> Timed:
+    trace = run_from_corner(m, n, beta, 5000, eps, "all")()
+    return Timed(call := lambda: getattr(m.engine, f"trace_to_{fmt}")(trace), digest(call()))
+
+
+def verify_case(m, check: str, n: int, beta: float) -> Timed:
+    """One verify family on the certify benchmark's trace: eps 1e-15 within
+    400 half-steps. The first call caches the trace's joints, so the timed
+    calls read them warm."""
+    trace = run_from_corner(m, n, beta, 400, 1e-15, "all")()
+    call = lambda: m.diagnostics.verification_table(trace, (check,))
+    return Timed(call, digest(m.diagnostics.verification_to_json(call())))
+
+
+def verify_export_case(m, n: int, beta: float) -> Timed:
+    table = m.diagnostics.verification_table(run_from_corner(m, n, beta, 400, 1e-15, "all")())
+    summary = m.diagnostics.summarize(table)
+    return Timed(call := lambda: m.diagnostics.verification_to_json(table, summary), digest(call()))
+
+
+def run_chains_case(m, replicas: int, half_steps: int, n: int) -> Timed:
+    target = m.dist.random_positive_target(n, n, seed=n)
+    call = lambda: m.sampler.run_chains(target, target.joint, replicas, half_steps, seed=1)
+    draws = call()
+    return Timed(call, digest(draws.xs, draws.ys))
+
+
+def draws_csv_case(m, replicas: int, half_steps: int, n: int) -> Timed:
+    draws = run_chains_case(m, replicas, half_steps, n).call()
+    return Timed(call := lambda: m.sampler.draws_to_csv(draws), digest(call()))
+
+
+def cli_case(m, argv: str, banded: list | None = None) -> Timed:
+    """``cli.main`` on `argv`, after writing the banded target of (n, beta)
+    `banded` as ``target.json``; the check digests the exit code, stdout and
+    every file in the working directory."""
+    if banded:
+        w = banded_weights(*banded)
+        Path("target.json").write_text(json.dumps({"nx": len(w), "ny": len(w), "w": w.tolist()}))
+
+    def call():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return m.cli.main(argv.split()), out.getvalue()
+
+    result = call()
+    return Timed(call, digest(result, *((p.name, p.read_bytes()) for p in sorted(Path().iterdir()))))
+
+
+# (layer, builder, sizes): the benchmark workloads' sizes and larger ones
+CASES = [
+    *((layer, builder, [{"n": n} for n in (8, 28, 50, 200, 500)]) for layer, builder in (
+        ("dist.validate", validate_case), ("dist.compose", compose_case),
+        ("metrics.relative_entropy", relative_entropy_case), ("engine.half_step", half_step_case))),
+    ("numeric.stable_sum", sum_case, [
+        {"entries": e, "data": d} for e, d in (
+            (512, "terms"), (1023, "terms"), (1024, "terms"), (2048, "terms"), (784, "pmf"),
+            (40_000, "pmf"), (40_000, "terms"), (250_000, "terms"), (250_000, "spread"))]),
+    # the certify grid's 64-entry rows, and `run`'s stacks at 28 x 28 and 200 x 200
+    ("numeric.stable_row_sums", row_sums_case, [
+        {"rows": r, "entries": e} for r, e in ((8, 64), (16, 64), (64, 64), (10, 784), (1, 40_000))]),
+    ("engine.run", run_case, [{"n": n, "beta": b, "half_steps": s} for n, b, s in (
+        (28, 0.9, 400), (100, 0.9, 60), (200, 0.9, 40), (500, 0.9, 10), (40, 2.0, 1000))]),
+    # the converge benchmark's trace, 746 half-steps
+    ("engine.export", trace_export_case, [{"fmt": f, "n": 28, "beta": 0.9, "eps": 1e-10} for f in ("csv", "json")]),
+    *((f"diagnostics.{c}", verify_case, [{"check": c, "n": 8, "beta": 0.9}])
+      for c in daflow.diagnostics.DEFAULT_CHECKS),
+    ("diagnostics.export", verify_export_case, [{"n": 8, "beta": 0.9}]),
+    *((layer, builder, [{"replicas": r, "half_steps": s, "n": n} for r, s, n in (
+        (5000, 20, 5), (5000, 20, 20), (100_000, 4, 50))]) for layer, builder in (
+        ("sampler.run_chains", run_chains_case), ("sampler.draws_to_csv", draws_csv_case))),
+    ("cli.gen", cli_case, [{"argv": "gen --nx 120 --ny 120 --seed 1 --out g.json"}]),
+    ("cli.run", cli_case, [{"argv": "run --target target.json --p0 degenerate:9,27 --eps 1e-10 "
+                                    "--max-steps 5000 --out-prefix r", "banded": [28, 0.9]}]),
+    ("cli.verify", cli_case, [
+        {"argv": "verify --target target.json --p0 degenerate:2,7 --checks all --eps 1e-15 "
+                 "--max-steps 400 --retain all --out-prefix v", "banded": [8, 0.9]},
+        {"argv": "verify --gen 120,120,1 --checks balance,reconstruction --out-prefix w"}]),
+    ("cli.sample", cli_case, [{"argv": "sample --gen 20,20,1 --replicas 5000 --half-steps 20 --times 0,2,20 "
+                                       "--seed 1 --draws-out d.csv --out-prefix s"}]),
+]
 
 
 def interleaved_rounds(fns, min_time: float, repeats: int) -> list[list[float]]:
@@ -175,310 +276,53 @@ def interleaved_rounds(fns, min_time: float, repeats: int) -> list[list[float]]:
     return rounds
 
 
-@contextlib.contextmanager
-def constant_set(module, name: str, value: int):
-    saved = getattr(module, name)
-    setattr(module, name, value)
+def peak_mb(call) -> float:
+    """The tracemalloc peak of one call, in MiB."""
+    tracemalloc.start()
     try:
-        yield
+        call()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
     finally:
-        setattr(module, name, saved)
+        tracemalloc.stop()
 
 
-@contextlib.contextmanager
-def stable_sum_replaced(body):
-    """Every imported daflow module's stable_sum replaced by `body`, and its
-    stable_row_sums by `body` over each row; yields the names of the modules
-    changed."""
-    replacements = {
-        numeric.stable_sum: body,
-        numeric.stable_row_sums: lambda a: [body(row) for row in a],
-    }
-    replaced = []
-    for name, m in sorted(sys.modules.items()):
-        for attr in ("stable_sum", "stable_row_sums"):
-            value = getattr(m, attr, None)
-            if name.startswith("daflow") and value in replacements:
-                replaced.append((m, attr, value))
-                setattr(m, attr, replacements[value])
-    try:
-        yield sorted({m.__name__ for m, _, _ in replaced})
-    finally:
-        for m, attr, value in replaced:
-            setattr(m, attr, value)
-
-
-def sample_data(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
-    if kind == "spread":
-        return rng.uniform(-1.0, 1.0, size) * 2.0 ** rng.integers(-1074, 990, size)
-    if kind == "spread_normal":
-        return rng.standard_normal(size) * 2.0 ** rng.integers(-1074, 990, size)
-    p = rng.gamma(1.0, size=size)
-    p /= p.sum()
-    if kind == "pmf":
-        return p
-    q = rng.gamma(1.0, size=size)
-    q /= q.sum()
-    return p * np.log(p / q)
-
-
-def time_sums(sizes, min_time: float, repeats: int) -> list[dict]:
-    rng = np.random.default_rng(0)
-    rows = []
-    for size in sizes:
-        for kind in ("pmf", "terms"):
-            a = sample_data(kind, size, rng)
-            with constant_set(numeric, "BINNED_MIN_ENTRIES", 1):
-                if numeric.stable_sum(a) != fsum_body(a):
-                    raise SystemExit(f"stable_sum differs from fsum at {size} {kind} entries")
-                extraction = per_call_s(lambda: numeric.stable_sum(a), min_time, repeats)
-            fsum = per_call_s(lambda: fsum_body(a), min_time, repeats)
-            rows.append({
-                "entries": size,
-                "data": kind,
-                "fsum_us": round(fsum * 1e6, 2),
-                "extraction_us": round(extraction * 1e6, 2),
-                "speedup": round(fsum / extraction, 3),
-            })
-    return rows
-
-
-def crossover(rows: list[dict]) -> int | None:
-    """Smallest measured size from which extraction wins on every kind of
-    data at every larger measured size."""
-    sizes = sorted({r["entries"] for r in rows})
-    wins = {s: all(r["speedup"] > 1.0 for r in rows if r["entries"] == s) for s in sizes}
-    best = None
-    for s in reversed(sizes):
-        if not wins[s]:
-            break
-        best = s
-    return best
-
-
-def block_rows(n: int) -> int:
-    """Half-steps per block once `run`'s blocks have grown, on an n x n grid."""
-    return max(1, min(engine._BLOCK_ROWS, engine._BLOCK_VALUES // (n * n)))
-
-
-def time_row_sums(min_time: float, repeats: int) -> list[dict]:
-    rng = np.random.default_rng(1)
-    shapes = [(n_rows, 64, 1) for n_rows in STACK_ROWS]
-    shapes += [(block_rows(side), side * side, numeric.BINNED_MIN_ENTRIES) for side, _, _ in RUN_CASES]
-    rows = []
-    for n_rows, entries, threshold in shapes:
-        a = np.stack([sample_data("terms", entries, rng) for _ in range(n_rows)])
-        with constant_set(numeric, "BINNED_MIN_ENTRIES", threshold):
-            if numeric.stable_row_sums(a) != [fsum_body(row) for row in a]:
-                raise SystemExit(f"stable_row_sums differs from fsum at {n_rows} x {entries}")
-            row_sums = per_call_s(lambda: numeric.stable_row_sums(a), min_time, repeats)
-        fsum = per_call_s(lambda: [fsum_body(row) for row in a], min_time, repeats)
-        rows.append({
-            "rows": n_rows,
-            "entries": entries,
-            "min_entries": threshold,
-            "fsum_us_per_row": round(fsum / n_rows * 1e6, 2),
-            "row_sums_us_per_row": round(row_sums / n_rows * 1e6, 2),
-            "speedup": round(fsum / row_sums, 3),
-        })
-    return rows
-
-
-def banded_weights(n: int, beta: float) -> np.ndarray:
-    """The seeded weights w[i, j] proportional to exp(-beta |i - j| + 0.1 z[i, j])."""
-    rng = np.random.default_rng(n)
-    i = np.arange(n)
-    w = np.exp(-beta * np.abs(i[:, None] - i[None, :]) + 0.1 * rng.standard_normal((n, n)))
-    return w / w.sum()
-
-
-def banded_target(n: int, beta: float):
-    return make_target(JointDensity(banded_weights(n, beta)))
-
-
-def run_from_corner(n: int, beta: float, steps: int, package: str = "daflow"):
-    """A function running `steps` half-steps of ``engine.run`` from a corner
-    cell of the banded target, retaining no state, with the modules of the
-    imported `package`."""
-    dist, eng = (importlib.import_module(f"{package}.{m}") for m in ("dist", "engine"))
-    target = dist.make_target(dist.JointDensity(banded_weights(n, beta)))
-    w = np.zeros((n, n))
-    w[n // 3, n - 1] = 1.0
-    p0 = dist.JointDensity(w)
-    return lambda: eng.run(p0, target, steps, 1e-300, eng.RetainPolicy.none())
-
-
-def time_run(cases, min_time: float, repeats: int) -> list[dict]:
-    rows = []
-    for n, beta, steps in cases:
-        once = run_from_corner(n, beta, steps)
-        blocked = per_call_s(once, min_time, repeats)
-        trace = once()
-        with constant_set(engine, "_BLOCK_VALUES", 0):
-            if once().records != trace.records:
-                raise SystemExit(f"run differs with one-half-step blocks at {n}x{n}")
-            single = per_call_s(once, min_time, repeats)
-        rows.append({
-            "n": n,
-            "beta": beta,
-            "half_steps": trace.last_t,
-            "block_half_steps": block_rows(n),
-            "one_step_blocks_us_per_half_step": round(single / trace.last_t * 1e6, 2),
-            "blocks_us_per_half_step": round(blocked / trace.last_t * 1e6, 2),
-            "speedup": round(single / blocked, 3),
-        })
-    return rows
-
-
-def time_reconstruction(sides, min_time: float, repeats: int) -> list[dict]:
-    rows = []
-    for n in sides:
-        target = random_positive_target(n, n, seed=n)
-        report = reconstruction_check(target)
-        extraction = per_call_s(lambda: reconstruction_check(target), min_time, repeats)
-        with stable_sum_replaced(fsum_body):
-            if reconstruction_check(target) != report:
-                raise SystemExit(f"reconstruction_check differs under fsum at {n}x{n}")
-            fsum = per_call_s(lambda: reconstruction_check(target), min_time, repeats)
-        tracemalloc.start()
+def measure(layer: str, builder, size: dict, trees: dict) -> dict:
+    """One row of `size`: per tree, under its key prefix in `trees`, the
+    median and interquartile range in microseconds per unit and the peak,
+    and with two trees the rounds the change won; refused unless every tree
+    gives the same check value."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="daflow-bench-") as work:
+        os.chdir(work)
         try:
-            reconstruction_check(target)
-            _, peak = tracemalloc.get_traced_memory()
+            built = {prefix: builder(m, **size) for prefix, m in trees.items()}
+            checks = {b.check for b in built.values()}
+            if len(checks) > 1:
+                raise SystemExit(f"{layer} {size}: the trees give different check values {sorted(checks)}")
+            rounds = interleaved_rounds([b.call for b in built.values()], MIN_TIME, REPEATS)
+            per = next(iter(built.values())).per
+            row = {"layer": layer, "size": size, "per": per, "check": checks.pop()}
+            for (prefix, b), r in zip(built.items(), rounds):
+                q1, median, q3 = np.percentile(np.array(r) * 1e6 / per, [25, 50, 75]).tolist()
+                row |= {f"{prefix}us": round(median, 2), f"{prefix}iqr_us": round(q3 - q1, 2),
+                        f"{prefix}peak_mb": peak_mb(b.call)}
         finally:
-            tracemalloc.stop()
-        rows.append({
-            "n": n,
-            "entries": n * n,
-            "fsum_s": round(fsum, 5),
-            "extraction_s": round(extraction, 5),
-            "speedup": round(fsum / extraction, 3),
-            "extraction_tracemalloc_peak_mb": round(peak / 2**20, 3),
-        })
-    return rows
-
-
-def drain(blocks) -> None:
-    for _ in blocks:
-        pass
-
-
-def time_draws_csv(cases, min_time: float, repeats: int) -> list[dict]:
-    rows = []
-    for replicas, half_steps, n in cases:
-        target = random_positive_target(n, n, seed=n)
-        draws = run_chains(target, target.joint, replicas, half_steps, seed=1)
-        text = "".join(draws_csv_blocks(draws))
-        if text != "".join(percent_body(draws)):
-            raise SystemExit(f"draws_csv_blocks differs from the % body at {replicas} x {half_steps + 1}")
-        percent, records = interleaved_per_call_s(
-            (lambda: drain(percent_body(draws)), lambda: drain(draws_csv_blocks(draws))), min_time, repeats
-        )
-        rows.append({
-            "replicas": replicas,
-            "half_steps": half_steps,
-            "n": n,
-            "rows": replicas * (half_steps + 1),
-            "bytes": len(text),
-            "percent_ms": round(percent * 1e3, 3),
-            "records_ms": round(records * 1e3, 3),
-            "speedup": round(percent / records, 3),
-        })
-    return rows
-
-
-def dicts_body(reports, summary: dict) -> str:
-    """What verification_to_json computed before its block encoder: one dict
-    per report, written by dumps_indent1."""
-    return dumps_indent1({"reports": [report_to_json_dict(r) for r in reports], "summary": summary}) + "\n"
-
-
-def time_verify(cases, min_time: float, repeats: int) -> list[dict]:
-    rows = []
-    for n, beta in cases:
-        w = np.zeros((n, n))
-        w[0, n - 1] = 1.0
-        trace = engine.run(JointDensity(w), banded_target(n, beta), 5000, 1e-15, engine.RetainPolicy.all())
-        checks = ("lemma3",)
-        table = verification_table(trace, checks)
-        reports = run_verification(trace, checks)
-        summary = summarize(table)
-        text = verification_to_json(table, summary)
-        if text != dicts_body(reports, summary):
-            raise SystemExit(f"verification_to_json differs from the dict body at {n}x{n}")
-        sweeps = (lambda: verification_table(trace, checks), lambda: run_verification(trace, checks))
-        blocks, materialized = interleaved_per_call_s(sweeps, min_time, repeats)
-        exports = (lambda: dicts_body(reports, summary), lambda: verification_to_json(table, summary))
-        dicts, encoder = interleaved_per_call_s(exports, min_time, repeats)
-        per_report_us = 1e6 / len(reports)
-        rows.append({
-            "n": n,
-            "beta": beta,
-            "half_steps": trace.last_t,
-            "reports": len(reports),
-            "bytes": len(text),
-            "sweep_blocks_us_per_report": round(blocks * per_report_us, 3),
-            "sweep_materialized_us_per_report": round(materialized * per_report_us, 3),
-            "export_dicts_us_per_report": round(dicts * per_report_us, 3),
-            "export_blocks_us_per_report": round(encoder * per_report_us, 3),
-            "export_speedup": round(dicts / encoder, 3),
-        })
-    return rows
+            os.chdir(home)
+    if len(rounds) == 2:
+        row |= {"change_wins": sum(c < p for p, c in zip(*rounds)), "rounds": REPEATS}
+    return row
 
 
 def load_tree(src: Path, name: str):
-    """The daflow package under the directory `src`, imported as `name`."""
+    """The daflow package under the directory `src`, imported as `name` with
+    all of its modules."""
     init = src / "daflow" / "__init__.py"
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
     return package
-
-
-def compared(parent_fn, change_fn, min_time: float, repeats: int) -> dict:
-    """Interleaved rounds of the parent's and the change's body: both
-    medians in microseconds, the parent's interquartile range, and the
-    rounds in which the change was faster."""
-    parent, change = interleaved_rounds((parent_fn, change_fn), min_time, repeats)
-    q1, _, q3 = statistics.quantiles(parent, n=4)
-    return {
-        "parent_us": round(statistics.median(parent) * 1e6, 2),
-        "change_us": round(statistics.median(change) * 1e6, 2),
-        "ratio": round(statistics.median(change) / statistics.median(parent), 3),
-        "parent_iqr_us": round((q3 - q1) * 1e6, 2),
-        "change_wins": sum(c < p for p, c in zip(parent, change)),
-        "rounds": repeats,
-    }
-
-
-def compare_trees(parent_src: Path, min_time: float, repeats: int) -> dict:
-    """`stable_sum`, `stable_row_sums` and `run` of the tree at `parent_src`
-    against this tree's, each case checked for equal results first."""
-    load_tree(parent_src, "daflow_parent")
-    old = importlib.import_module("daflow_parent._numeric")
-    rng = np.random.default_rng(2)
-    sums = []
-    for size, kind in COMPARE_SUMS:
-        a = sample_data(kind, size, rng)
-        if old.stable_sum(a) != numeric.stable_sum(a):
-            raise SystemExit(f"stable_sum differs between the trees at {size} {kind} entries")
-        row = {"entries": size, "data": kind, "max_log2": round(float(np.log2(np.abs(a).max())), 2)}
-        sums.append(row | compared(lambda: old.stable_sum(a), lambda: numeric.stable_sum(a), min_time, repeats))
-    stacks, runs = [], []
-    for n, beta, steps in COMPARE_RUNS:
-        a = np.stack([sample_data("terms", n * n, rng) for _ in range(block_rows(n))])
-        if old.stable_row_sums(a) != numeric.stable_row_sums(a):
-            raise SystemExit(f"stable_row_sums differs between the trees at {a.shape}")
-        row = {"rows": len(a), "entries": n * n}
-        stacks.append(row | compared(lambda: old.stable_row_sums(a), lambda: numeric.stable_row_sums(a), min_time, repeats))
-        parent_run, change_run = run_from_corner(n, beta, steps, "daflow_parent"), run_from_corner(n, beta, steps)
-        if repr(parent_run().records) != repr(change_run().records):
-            raise SystemExit(f"run differs between the trees at {n}x{n}")
-        per_step = compared(parent_run, change_run, min_time, repeats)
-        for key in ("parent_us", "change_us", "parent_iqr_us"):
-            per_step[key] = round(per_step[key] / steps, 2)
-        runs.append({"n": n, "beta": beta, "half_steps": steps} | per_step)
-    return {"stable_sum": sums, "stable_row_sums": stacks, "run_per_half_step": runs}
 
 
 def main(argv: list[str] | None = None) -> dict:
@@ -486,39 +330,18 @@ def main(argv: list[str] | None = None) -> dict:
     p.add_argument("--out", required=True, help="write the results here as JSON")
     p.add_argument("--parent", type=Path, help="compare with the daflow package in this src directory")
     args = p.parse_args(argv)
-    machine = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(terse=True),
-    }
+    trees = {"": daflow}
     if args.parent:
-        doc = {
-            "machine": machine,
-            "timing": f"medians of {COMPARE_REPEATS} interleaved rounds of at least {MIN_TIME} s",
-        } | compare_trees(args.parent, MIN_TIME, COMPARE_REPEATS)
-        return write_doc(doc, args.out)
-    sums = time_sums(SUM_SIZES, MIN_TIME, REPEATS)
+        trees = {"parent_": load_tree(args.parent.resolve(), "daflow_parent"), "change_": daflow}
+    rounds = f"{REPEATS} {'interleaved ' if args.parent else ''}rounds of at least {MIN_TIME} s"
     doc = {
-        "machine": machine,
-        "timing": f"median of {REPEATS} rounds of at least {MIN_TIME} s",
-        "stable_sum": sums,
-        "threshold": {
-            "BINNED_MIN_ENTRIES": numeric.BINNED_MIN_ENTRIES,
-            "measured_crossover_entries": crossover(sums),
-        },
-        "stable_row_sums": time_row_sums(MIN_TIME, REPEATS),
-        "reconstruction_check": time_reconstruction(RECONSTRUCTION_SIDES, MIN_TIME, REPEATS),
-        "run": time_run(RUN_CASES, MIN_TIME, REPEATS),
-        "draws_csv": time_draws_csv(DRAWS_CSV_CASES, MIN_TIME, REPEATS),
-        "verify": time_verify(VERIFY_CASES, MIN_TIME, REPEATS),
+        "machine": {"python": platform.python_version(), "numpy": np.__version__, "cpus": os.cpu_count(),
+                    "platform": platform.platform(terse=True)},
+        "timing": f"median and interquartile range per unit over {rounds}; tracemalloc peak of one call",
+        "rows": [measure(layer, builder, size, trees) for layer, builder, sizes in CASES for size in sizes],
     }
-    return write_doc(doc, args.out)
-
-
-def write_doc(doc: dict, out: str) -> dict:
     text = json.dumps(doc, indent=1) + "\n"
-    Path(out).write_text(text)
+    Path(args.out).write_text(text)
     print(text, end="")
     return doc
 

@@ -9,12 +9,13 @@ Run from the repository root, once per source tree, and compare the two:
 The commands are every call of every job in the four benchmark workloads,
 built by ``perfbench/jobs.py``'s ``make_jobs`` at each seed (``--tiny`` takes
 its small sizes), then ``EDGE_COMMANDS``, which share a directory that holds
-``ZERO_CELL_TARGET`` as ``zero.json``. Each runs in-process through
-``daflow.cli.main``, imported from ``--src``, with the working directory set
-to a fresh temporary directory. A line holds the command's label, its exit
-code, the sha256 of its stdout and of its stderr, with the temporary
-directory and the source path replaced by placeholders, and the sha256 over
-the names and bytes of the files the command wrote or changed.
+``EDGE_FILES``. Each runs in-process through ``daflow.cli.main``, imported
+from ``--src``, with the working directory set to a fresh temporary
+directory; an exception that escapes ``main`` prints its traceback to stderr
+and counts as exit 1, as it would from a shell. A line holds the command's
+label, its exit code, the sha256 of its stdout and of its stderr, with the
+temporary directory and the source path replaced by placeholders, and the
+sha256 over the names and bytes of the files the command wrote or changed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import io
 import os
 import sys
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
@@ -38,8 +40,9 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # step-budget stop, a wide run, targets that need redraws or hold subnormal
 # cells, a target file with zero cells, and refusals (among them a zero-step
 # sample over its budget and a sweep whose grid is empty), a cauchy scan over
-# 1,000 retained times, and lemma3 and cauchy stacks of
-# 1,600-entry rows too large for one pass of the exact row sums
+# 1,000 retained times, lemma3 and cauchy stacks of 1,600-entry rows too
+# large for one pass of the exact row sums, and refusals of gamma draws whose
+# total overflows, of an infinite eps and of the hostile files of EDGE_FILES
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -100,11 +103,25 @@ EDGE_COMMANDS = {
         "--out-prefix", "cyl",
     ),
     "verify-stacks-40x40": ("verify", "--gen", "40,40,1", "--checks", "lemma3,cauchy", "--max-steps", "60"),
+    "refuse-conc-overflow-run": ("run", "--gen", "2,2,1,1e308"),
+    "refuse-conc-overflow-100x100": ("run", "--gen", "100,100,1,1e305"),
+    "refuse-conc-overflow-verify": ("verify", "--gen", "3,3,1,1e308"),
+    "refuse-conc-overflow-gen": ("gen", "--nx", "2", "--ny", "2", "--seed", "1", "--conc", "1e308", "--out", "g.json"),
+    "refuse-eps-inf": ("run", "--gen", "2,2,1", "--eps", "inf"),
+    "refuse-huge-int-target": ("run", "--target", "huge_int.json"),
+    "refuse-huge-int-p0": ("run", "--gen", "1,2,1", "--p0", "file:huge_int.json"),
+    "refuse-nested-target": ("run", "--target", "nested.json"),
+    "refuse-nested-p0": ("run", "--gen", "1,2,1", "--p0", "file:nested.json"),
 }
 
-# a 3x3 target whose last row and middle column carry no mass, written into
-# the edge directory before the edge commands run
-ZERO_CELL_TARGET = '{"nx": 3, "ny": 3, "w": [[1, 0, 1], [1, 0, 1], [0, 0, 0]]}\n'
+# files written into the edge directory before the edge commands run: a 3x3
+# target whose last row and middle column carry no mass, a weight written as
+# an integer beyond float range, and 100,000 nested brackets
+EDGE_FILES = {
+    "zero.json": '{"nx": 3, "ny": 3, "w": [[1, 0, 1], [1, 0, 1], [0, 0, 0]]}\n',
+    "huge_int.json": '{"nx": 1, "ny": 2, "w": [[1' + "0" * 400 + ', 1]]}\n',
+    "nested.json": "[" * 100_000 + "\n",
+}
 
 
 def import_cli(src: Path):
@@ -142,7 +159,11 @@ def digest(cli, argv: tuple[str, ...], cwd: str, work: str, src: Path) -> str:
         # that raises it, not only on the first
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("default")
-            code = cli.main(list(argv))
+            try:
+                code = cli.main(list(argv))
+            except Exception:
+                traceback.print_exc()
+                code = 1
     finally:
         os.chdir(home)
     after = file_hashes(cwd)
@@ -171,7 +192,8 @@ def commands(seeds: list[int], tiny: bool, work: str):
                     yield f"{workload}/seed{seed}/job{k}/call{c}", argv, pool
     edge = os.path.join(work, "edge")
     os.mkdir(edge)
-    Path(edge, "zero.json").write_text(ZERO_CELL_TARGET, encoding="utf-8")
+    for name, text in EDGE_FILES.items():
+        Path(edge, name).write_text(text, encoding="utf-8")
     for label, argv in EDGE_COMMANDS.items():
         yield f"edge/{label}", argv, edge
 
