@@ -8,9 +8,12 @@ from math import frexp, ldexp
 import numpy as np
 
 # stacks with fewer entries are summed by math.fsum row by row. Extraction
-# costs about twenty NumPy calls; tools/bench_layers.py measured it even
-# with fsum at 512 entries, as one row or as 8 rows of 64, and 1.7x faster
-# at 1,024, as one row or as 16 rows of 64
+# costs about twenty NumPy calls, and more passes the wider its entries'
+# exponents spread. Below 1,024 entries which is faster depends on the data:
+# extraction from about 512 entries on stacks of short rows and on narrow
+# draws, fsum on one row of a banded 28 x 28 pmf (32 against 46 us), whose
+# entries span 11 decades; at 512 the converge workload's 28 x 28 layers
+# ran 5 to 30% slower
 BINNED_MIN_ENTRIES = 1024
 # the extraction takes a stack's rows about this many entries at a time, so
 # its two scratch arrays stay bounded whatever the stack's size

@@ -33,24 +33,28 @@ joints. The two agree to rounding. The engine stays the single source of
 truth, and a missing state is reported as `StateNotRetained`, never
 silently filled in.
 
-The pairwise families read their rows from one source, `_later_rows`. It
-looks up each listed time's joint once, and for each time t but the last it
-forms lemma3's D(p_t || p_k) or cauchy's V(p_t, p_k) against blocks of the
-stacked later densities in single NumPy operations, with one correctly
-rounded sum per pair. So every value equals `relative_entropy` or
-`total_variation` on that pair exactly, and the JSON output is the same as
-pair by pair. A stack holds at most a fixed number of values, whatever the
-number of retained times. A sweep evaluates D(p_t || target) once per time
-and lemma1, lemma3 and lsc share it. The lemma3 grid still covers every
-pair of retained times, so its cost is O(T^2) in their number T, though
-its lookups are O(T).
+The pairwise families read their values from one source, `_pair_tiles`.
+It looks up each listed time's joint once, cuts the times into blocks,
+stacks a block of rows and a block of later columns once per tile, and
+forms lemma3's D(p_t || p_k) or cauchy's V(p_t, p_k) for the tile's pairs
+in chunks gathered from those stacks, each chunk one call of the paired
+kernel with one correctly rounded sum per pair. So every value equals
+`relative_entropy` or `total_variation` on that pair exactly, and the JSON
+output is the same as pair by pair. A tile's stacks and a chunk hold at
+most a fixed number of values, whatever the number of retained times.
+lemma3 orders each row block's pairs row-major; cauchy reads the chunks as
+they come and keeps only the tightest pair. A sweep evaluates
+D(p_t || target) once per time and lemma1, lemma3 and lsc share it. The
+lemma3 grid still covers every pair of retained times, so its cost is
+O(T^2) in their number T, though its lookups are O(T).
 
 A sweep's reports are held as columns (:class:`ReportBlock`): lemma3 gives
-one block per t, its t, n, sides, slacks and verdicts as arrays with no
-object per pair, and the other families give blocks of the reports they
-return. `summarize` reduces the columns and `verification_chunks` writes the
-JSON from them, one ``%`` template per row; a list of reports is gathered
-into blocks first, so both take one path.
+one block per row block of times and lemma1 one block, their t, n, sides,
+residuals or slacks and verdicts as arrays with no object per report, and
+the other families give blocks of the reports they return. `summarize`
+reduces the columns and `verification_chunks` writes the JSON from them,
+one ``%`` template per row; a list of reports is gathered into blocks
+first, so both take one path.
 
 Every check returns a :class:`LemmaReport`; identities pass when the
 absolute residual is at most the tolerance, inequalities when the slack is
@@ -250,38 +254,72 @@ class _ToTarget(dict):
         return d
 
 
-# the pairwise sweeps stack later densities at most this many values at a
-# time (512 KiB of float64), whatever the number of retained times
+# a tile of the pairwise sweeps stacks its two blocks of times in at most
+# this many values (512 KiB of float64), whatever the number of retained times
 _BLOCK_VALUES = 1 << 16
 
 
-def _later_rows(
-    trace: DATrace, times: list[int], rows: Callable[[np.ndarray, np.ndarray], Iterable[float]]
-) -> Iterator[np.ndarray]:
-    """rows(p_t, stack) from each listed time t but the last to the times
-    after it in the list, one float64 row per t. Each time's weights are
-    looked up once, and the later ones are stacked at most _BLOCK_VALUES
-    values at a time."""
+def _pair_tiles(
+    trace: DATrace, times: list[int], kernel: Callable[[np.ndarray, np.ndarray], Iterable[float]]
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """kernel(p_a, p_b) for every pair of positions a < b in the listed
+    times, in chunks (a0, a, b, values): the pairs' positions, one float64
+    per pair, and a0, the first position of the chunk's row block.
+
+    The positions are cut into blocks of consecutive times. A tile pairs a
+    block of rows with itself or with a later block of columns, stacks each
+    once, and gathers its pairs from the stacks in row-major order, at most
+    as many at a time as a block holds times: one paired-row call of the
+    kernel per chunk. Tiles come row block by row block, each one's column
+    blocks in order. Each time's weights are looked up once.
+    """
     weights = [_density(trace, t).w for t in times]
-    for a, p in enumerate(weights[:-1]):
-        later = weights[a + 1 :]
-        per_block = max(1, _BLOCK_VALUES // p.size)
-        stacks = (np.stack(later[lo : lo + per_block]) for lo in range(0, len(later), per_block))
-        yield np.concatenate([rows(p, stack) for stack in stacks])
+    m = len(weights)
+    if m < 2:
+        return
+    # a tile's two stacks hold at most _BLOCK_VALUES values and it has at
+    # most _BLOCK_VALUES pairs, so a chunk's gathered stacks and its
+    # per-pair arrays stay bounded on wide grids and on grids of a few cells
+    per_block = max(1, min(_BLOCK_VALUES // (2 * weights[0].size), math.isqrt(_BLOCK_VALUES)))
+    for a0 in range(0, m - 1, per_block):
+        a1 = min(a0 + per_block, m)
+        rows = np.stack(weights[a0:a1])
+        for b0 in range(a0, m, per_block):
+            b1 = min(b0 + per_block, m)
+            cols = rows if b0 == a0 else np.stack(weights[b0:b1])
+            # where each row's pairs end in the tile's row-major order; a
+            # row's pairs run from its first column to b1 - 1
+            ends = np.cumsum(b1 - np.maximum(np.arange(a0 + 1, a1 + 1), b0))
+            for k0 in range(0, int(ends[-1]), per_block):
+                k = np.arange(k0, min(k0 + per_block, int(ends[-1])))
+                r = np.searchsorted(ends, k, side="right")
+                b = k + (b1 - ends[r])
+                yield a0, a0 + r, b, np.asarray(kernel(rows[r], cols[b - b0]), dtype=np.float64)
 
 
-def _identity_value(lhs: ExtReal, rhs: ExtReal) -> tuple[float, str]:
-    """Residual of an extended-real identity lhs = rhs.
+# an identity's note by how many of its two sides are finite
+_IDENTITY_NOTES = ("both sides infinite; identity holds vacuously", "exactly one side infinite", "")
+
+
+def _identity_values(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Residuals of extended-real identities lhs = rhs, elementwise, and
+    their notes.
 
     Two infinite sides agree vacuously (residual 0); one infinite side is an
     unconditional failure (residual +inf); two finite sides compare
     numerically.
     """
-    if not lhs.is_finite and not rhs.is_finite:
-        return 0.0, "both sides infinite; identity holds vacuously"
-    if lhs.is_finite != rhs.is_finite:
-        return math.inf, "exactly one side infinite"
-    return abs(lhs.value - rhs.value), ""
+    finite = np.isfinite(lhs).astype(np.int64) + np.isfinite(rhs)
+    with np.errstate(invalid="ignore"):
+        value = np.where(finite == 2, np.abs(lhs - rhs), np.where(finite == 1, math.inf, 0.0))
+    return value, tuple(map(_IDENTITY_NOTES.__getitem__, finite.tolist()))
+
+
+def _identity_value(lhs: ExtReal, rhs: ExtReal) -> tuple[float, str]:
+    """`_identity_values` of one identity, on floats."""
+    finite = lhs.is_finite + rhs.is_finite
+    value = abs(lhs.value - rhs.value) if finite == 2 else (math.inf if finite else 0.0)
+    return value, _IDENTITY_NOTES[finite]
 
 
 def validate_instance(check: str, t: int, n: int | None) -> list[int]:
@@ -310,14 +348,17 @@ def lemma1_check(trace: DATrace, t: int) -> LemmaReport:
     """Certify the projection identity at step t:
     D(p_t || target) = D(p_t || p_(t+1)) + D(p_(t+1) || target)."""
     validate_instance("lemma1", t, None)
-    return _lemma1(trace, t, _ToTarget(trace))
+    return _lemma1_block(trace, [t], _ToTarget(trace)).reports()[0]
 
 
-def _lemma1(trace: DATrace, t: int, d: _ToTarget) -> LemmaReport:
-    lhs, d_next = d[t], d[t + 1]
-    rhs = trace.record_at(t).d_step + d_next
-    value, note = _identity_value(lhs, rhs)
-    return LemmaReport(CheckName.LEMMA1, t, None, lhs, rhs, value, IDENTITY_TOL, note)
+def _lemma1_block(trace: DATrace, ts: list[int], d: _ToTarget) -> ReportBlock:
+    """The lemma1 reports at the listed times as one block, built from the
+    columns D(p_t || target), D(p_(t+1) || target) and the recorded d_step."""
+    lhs = np.array([d[t].value for t in ts])
+    d_next = np.array([d[t + 1].value for t in ts])
+    rhs = np.array([trace.record_at(t).d_step.value for t in ts]) + d_next
+    value, notes = _identity_values(lhs, rhs)
+    return ReportBlock(CheckName.LEMMA1, IDENTITY_TOL, np.array(ts, dtype=np.int64), None, lhs, rhs, value, notes)
 
 
 def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
@@ -353,34 +394,39 @@ def lemma3_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     return next(_lemma3_rows(trace, [t, t + n], _ToTarget(trace))).reports()[0]
 
 
-_LEMMA3_INFINITE_NOTE = "left side infinite with finite right side"
+# a lemma3 note by whether the left side is infinite
+_LEMMA3_NOTES = ("", "left side infinite with finite right side")
 
 
 def _lemma3_rows(trace: DATrace, times: list[int], d: _ToTarget) -> Iterator[ReportBlock]:
     """The lemma3 reports from each listed time t but the last to the times
-    after it in the list, one block per t: the divergences D(p_t || p_k) are
-    a row of `_later_rows`, and the right sides, slacks and verdicts arrays.
-    The divergences to the target are read, and refused unless finite, once."""
+    after it in the list, in row-major order, one block per row block of
+    `_pair_tiles`: the divergences D(p_t || p_k) of its chunks, and the right
+    sides, slacks and verdicts as arrays. The divergences to the target are
+    read, and refused unless finite, once."""
     to_target = np.array([d[t].value for t in times])
     if not np.isfinite(to_target).all():
         raise DistributionError("lemma3_check needs finite divergences to the target")
-    ks = np.array(times, dtype=np.int64)
-    for a, lhs in enumerate(_later_rows(trace, times, _rel_entropy_array)):
-        t, k = times[a], ks[a + 1 :]
-        rhs = to_target[a] - to_target[a + 1 :]
+    ts = np.array(times, dtype=np.int64)
+    for _, chunks in groupby(_pair_tiles(trace, times, _rel_entropy_array), lambda chunk: chunk[0]):
+        a, b, lhs = (np.concatenate(c) for c in list(zip(*chunks))[1:])
+        # the row block's tiles arrive one after another; a stable sort on
+        # the rows puts their pairs in row-major order
+        order = np.argsort(a, kind="stable")
+        a, b, lhs = a[order], b[order], lhs[order]
+        rhs = to_target[a] - to_target[b]
         # an infinite left side against a finite right side is a slack of -inf
         slack = rhs - lhs
-        notes = tuple(_LEMMA3_INFINITE_NOTE if inf else "" for inf in np.isinf(lhs).tolist())
-        yield ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, np.full_like(k, t), k - t, lhs, rhs, slack, notes)
+        notes = tuple(map(_LEMMA3_NOTES.__getitem__, np.isinf(lhs).tolist()))
+        yield ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, ts[a], ts[b] - ts[a], lhs, rhs, slack, notes)
 
 
 def cauchy_matrix(trace: DATrace, times: list[int]) -> np.ndarray:
     """Pairwise L1 distances V(p_t, p_k) for the listed retained times."""
     m = len(times)
     out = np.zeros((m, m))
-    for a, row in enumerate(_later_rows(trace, times, _l1_rows)):
-        out[a, a + 1 :] = row
-        out[a + 1 :, a] = row
+    for _, a, b, v in _pair_tiles(trace, times, _l1_rows):
+        out[a, b] = out[b, a] = v
     return readonly(out)
 
 
@@ -401,33 +447,33 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
         raise DistributionError(f"cauchy_check needs strictly increasing times, got {times}")
     d = np.array([trace.record_at(t).d_to_target.value for t in times])
     worst = math.inf
-    worst_pair = (times[0], times[1])
+    worst_pair = (0, 1)
     worst_sides = (0.0, 0.0)
-    # one row of later times at a time, read as it is computed, keeping a
-    # row's first smallest slack only when it is strictly below the best so
-    # far: the pair a strict `<` scan over every pair in row-major order
-    # picks, with O(T) memory besides one stack; a NaN slack (inf - inf
-    # divergences) is never the tightest
-    for a, vab in enumerate(_later_rows(trace, times, _l1_rows)):
+    # one chunk of pairs at a time, read as it is computed, keeping its first
+    # smallest slack when it is below the best so far, or equal to it at an
+    # earlier pair: the pair a strict `<` scan over every pair in row-major
+    # order picks, whatever the order of the chunks, with memory bounded by
+    # a chunk; a NaN slack (inf - inf divergences) is never the tightest
+    for _, a, b, vab in _pair_tiles(trace, times, _l1_rows):
         lhs = 0.5 * vab * vab
         with np.errstate(invalid="ignore"):
-            rhs = np.abs(d[a] - d[a + 1 :])
+            rhs = np.abs(d[a] - d[b])
         slack = rhs - lhs
         slack[np.isnan(slack)] = math.inf
         j = int(np.argmin(slack))
-        if slack[j] < worst:
-            worst = float(slack[j])
-            worst_pair = (times[a], times[a + 1 + j])
-            worst_sides = (float(lhs[j]), float(rhs[j]))
+        pair = (int(a[j]), int(b[j]))
+        if slack[j] < worst or (slack[j] == worst and pair < worst_pair):
+            worst, worst_pair, worst_sides = float(slack[j]), pair, (float(lhs[j]), float(rhs[j]))
+    t, k = times[worst_pair[0]], times[worst_pair[1]]
     return LemmaReport(
         CheckName.CAUCHY,
-        worst_pair[0],
-        worst_pair[1] - worst_pair[0],
+        t,
+        k - t,
         ExtReal.finite(worst_sides[0]),
         ExtReal.finite(worst_sides[1]),
         worst,
         INEQUALITY_TOL,
-        f"tightest pair (t={worst_pair[0]}, k={worst_pair[1]}) of {len(times)} times",
+        f"tightest pair (t={t}, k={k}) of {len(times)} times",
     )
 
 
@@ -618,7 +664,7 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
             instances = [t for t in sorted(retained) if retained.issuperset(validate_instance("lemma1", t, None))]
             if not instances:
                 raise StateNotRetained("lemma1 needs a retained consecutive pair")
-            blocks += _gather(_lemma1(trace, t, d) for t in instances)
+            blocks.append(_lemma1_block(trace, instances, d))
         elif check == "lemma2":
             reports = []
             for t in LEMMA2_DEFAULT_TS:
@@ -707,33 +753,40 @@ def _json_floats(a: np.ndarray) -> list:
     return values
 
 
-def _block_json(block: ReportBlock) -> str:
-    """The block's reports as `json.dumps(doc, indent=1)` writes them in
-    doc["reports"], separated by commas: one template for the block, with
-    its name, tolerance and a None n filled in, formatted once."""
+# the JSON text is formatted at most this many reports at a time (about
+# 300 KB), whatever the size of a block
+_JSON_REPORTS = 1 << 10
+
+
+def _block_json(block: ReportBlock, lo: int, hi: int) -> str:
+    """Reports lo to hi of the block as `json.dumps(doc, indent=1)` writes
+    them in doc["reports"], separated by commas: one template for the block,
+    with its name, tolerance and a None n filled in, formatted once."""
     n = "null" if block.n is None else "%s"
     name, tolerance = json.dumps(block.name.value), json.dumps(block.tolerance)
     row = _REPORT_JSON % (name, "%s", n, "%s", "%s", "%s", "%s", tolerance, "%s")
-    notes = {note: json.dumps(note) for note in set(block.notes)}
+    notes = block.notes[lo:hi]
+    quoted = {note: json.dumps(note) for note in set(notes)}
     columns = [
-        block.t.tolist(),
-        *([] if block.n is None else [block.n.tolist()]),
-        _json_floats(block.lhs),
-        _json_floats(block.rhs),
-        _json_floats(block.value),
-        [("false", "true")[p] for p in block.passed.tolist()],
-        [notes[note] for note in block.notes],
+        block.t[lo:hi].tolist(),
+        *([] if block.n is None else [block.n[lo:hi].tolist()]),
+        _json_floats(block.lhs[lo:hi]),
+        _json_floats(block.rhs[lo:hi]),
+        _json_floats(block.value[lo:hi]),
+        [("false", "true")[p] for p in block.passed[lo:hi].tolist()],
+        [quoted[note] for note in notes],
     ]
-    return ",\n".join([row] * len(block)) % tuple(chain.from_iterable(zip(*columns)))
+    return ",\n".join([row] * len(notes)) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def verification_chunks(reports: ReportTable | Iterable[LemmaReport], summary: dict) -> Iterator[str]:
-    """The text of `verification_to_json(reports, summary)` in chunks, one
-    per block of reports."""
+    """The text of `verification_to_json(reports, summary)` in chunks of at
+    most `_JSON_REPORTS` reports of one block."""
     blocks = _table(reports).blocks
     yield '{\n "reports": [' + ("\n" if blocks else "")
     for i, block in enumerate(blocks):
-        yield (",\n" if i else "") + _block_json(block)
+        for lo in range(0, len(block), _JSON_REPORTS):
+            yield (",\n" if i or lo else "") + _block_json(block, lo, lo + _JSON_REPORTS)
     yield ("\n ]" if blocks else "]") + ',\n "summary": ' + dumps_indent1(summary, 1) + "\n}\n"
 
 

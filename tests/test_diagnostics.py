@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+from itertools import takewhile
 from types import SimpleNamespace
 
 import numpy as np
@@ -575,11 +576,12 @@ class TestLemma1Records:
         # joints, so lemma1 certifies the value the trace exports
         trace = converged_trace() if case == "converged" else ROW_CASES[case]()
         d = diagnostics._ToTarget(trace)
-        for t in trace.retained_times[:-1]:
+        ts = trace.retained_times[:-1]
+        for t, report in zip(ts, diagnostics._lemma1_block(trace, ts, d).reports(), strict=True):
             p_t, p_next = trace.state_at(t).density, trace.state_at(t + 1).density
             d_step = trace.record_at(t).d_step
             assert repr(d_step.value) == repr(relative_entropy(p_t, p_next).value)
-            report = diagnostics._lemma1(trace, t, d)
+            assert report.t == t
             assert report.lhs == relative_entropy(p_t, trace.target.joint)
             rhs = d_step + relative_entropy(p_next, trace.target.joint)
             assert repr(report.rhs.value) == repr(rhs.value)
@@ -655,39 +657,88 @@ class TestInstanceTimes:
         assert checked >= 5
 
 
+def block_times(monkeypatch, rows: int, cells: int) -> None:
+    """Set `_BLOCK_VALUES` so that a block of `_pair_tiles` holds `rows`
+    times of `cells` cells each."""
+    monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", max(rows * rows, 2 * rows * cells))
+
+
+def positions_trace(m: int):
+    """A trace stand-in whose time t has the one-cell weight array [t], for
+    t in 0..m-1: enough for `_pair_tiles` to stack and gather."""
+    weights = [np.array([float(t)]) for t in range(m)]
+    return SimpleNamespace(state_at=lambda t: SimpleNamespace(density=SimpleNamespace(w=weights[t])))
+
+
 class TestPairRows:
+    @pytest.mark.parametrize("m", [2, 3, 7, 12])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 100])
+    def test_tiles_cover_every_pair_once(self, m, rows, monkeypatch):
+        block_times(monkeypatch, rows, 1)
+        seen = []
+        tiles = []
+        # the kernel sees the gathered weights, so it returns the pairs' positions
+        chunks = diagnostics._pair_tiles(positions_trace(m), list(range(m)), lambda p, q: p[:, 0] * m + q[:, 0])
+        for a0, a, b, values in chunks:
+            assert values.dtype == np.float64 and len(a) == len(b) == len(values) >= 1
+            npt.assert_array_equal(values, a * m + b)
+            # a chunk lies in one row block and one block of columns, its
+            # pairs in row-major order, at most as many as a block has times
+            assert a0 % rows == 0 and set((a // rows * rows).tolist()) == {a0}
+            assert len(set((b // rows).tolist())) == 1
+            assert len(a) <= rows
+            assert list(zip(a.tolist(), b.tolist())) == sorted(zip(a.tolist(), b.tolist()))
+            tiles.append((a0, int(b[0]) // rows))
+            seen += zip(a.tolist(), b.tolist())
+        # every pair a < b once; row blocks in order, each block's columns in order
+        assert sorted(seen) == [(a, b) for a in range(m) for b in range(a + 1, m)]
+        assert len(set(seen)) == len(seen)
+        assert tiles == sorted(tiles)
+
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
     def test_rows_equal_pairwise_values_exactly(self, case, monkeypatch):
         trace = ROW_CASES[case]()
-        # blocks of three rows, so a row spans several stacks
-        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 3 * trace.target.joint.w.size)
+        # blocks of three times, so tiles split both the rows and the columns
+        block_times(monkeypatch, 3, trace.target.joint.w.size)
         times = trace.retained_times
-        densities = [trace.state_at(t).density for t in times]
         infinite = 0
-        for t, p in zip(times, densities):
-            # t listed first, so the first row holds p_t against every time
-            d_row = next(diagnostics._later_rows(trace, [t, *times], _rel_entropy_array))
-            v_row = next(diagnostics._later_rows(trace, [t, *times], _l1_rows))
-            assert len(d_row) == len(v_row) == len(densities)
-            for q, d, v in zip(densities, map(ExtReal, d_row.tolist()), v_row):
-                assert d == relative_entropy(p, q)
-                assert d.value == reference_divergence(p.w, q.w)
-                assert v == total_variation(p, q)
-                assert v == math.fsum(np.abs(p.w - q.w).ravel().tolist())
-                infinite += not d.is_finite
+        # listed in reverse too, so each t meets the earlier times:
+        # D(p_t || p_k) can be infinite only for k < t
+        for listed in (times, times[::-1]):
+            densities = [trace.state_at(t).density for t in listed]
+            d_chunks = list(diagnostics._pair_tiles(trace, listed, _rel_entropy_array))
+            v_chunks = list(diagnostics._pair_tiles(trace, listed, _l1_rows))
+            assert sum(len(c[1]) for c in d_chunks) == len(listed) * (len(listed) - 1) // 2
+            for (_, a, b, d_values), (_, a_v, b_v, v_values) in zip(d_chunks, v_chunks, strict=True):
+                npt.assert_array_equal(a, a_v)
+                npt.assert_array_equal(b, b_v)
+                for i, k, d, v in zip(a.tolist(), b.tolist(), map(ExtReal, d_values.tolist()), v_values.tolist()):
+                    p, q = densities[i], densities[k]
+                    assert d == relative_entropy(p, q)
+                    assert d.value == reference_divergence(p.w, q.w)
+                    assert v == total_variation(p, q)
+                    assert v == math.fsum(np.abs(p.w - q.w).ravel().tolist())
+                    infinite += not d.is_finite
         if case == "degenerate":
             # p_1 lives on the starting column, so D(p_t || p_1) = +inf for t >= 2
             assert infinite > 0
 
-    def test_cauchy_matrix_equals_pairwise_distances(self, monkeypatch):
-        trace = degenerate_trace(5, 4, (2, 3))
-        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 2 * trace.target.joint.w.size)
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_cauchy_matrix_equals_pairwise_distances(self, case, monkeypatch):
+        trace = ROW_CASES[case]()
+        # blocks of two times, so tiles split both the rows and the columns
+        block_times(monkeypatch, 2, trace.target.joint.w.size)
         times = trace.retained_times
         v = cauchy_matrix(trace, times)
         densities = [trace.state_at(t).density for t in times]
         for a, p in enumerate(densities):
             for b, q in enumerate(densities):
                 assert v[a, b] == (0.0 if a == b else total_variation(p, q))
+
+    def test_cauchy_matrix_of_fewer_than_two_times(self):
+        trace = make_trace(steps=4)
+        assert cauchy_matrix(trace, []).shape == (0, 0)
+        npt.assert_array_equal(cauchy_matrix(trace, [2]), [[0.0]])
 
     def test_sweep_allocates_one_block_of_rows(self):
         n, steps = 60, 299
@@ -701,12 +752,18 @@ class TestPairRows:
         d = diagnostics._ToTarget(trace)
         for t in times:
             d[t]
-        later = times[2:]
-        stacked = len(later) * n * n * 8  # what stacking every later joint would take
+        listed = [1, *times[2:]]
+        stacked = (len(listed) - 1) * n * n * 8  # what stacking every later joint would take
         block = diagnostics._BLOCK_VALUES * 8
-        for sweep in (
-            lambda: next(diagnostics._lemma3_rows(trace, [1, *later], d)),
-            lambda: next(diagnostics._later_rows(trace, [1, *later], _l1_rows)),
+        # the first row block's times, each against every later listed time
+        rows = min(diagnostics._BLOCK_VALUES // (2 * n * n), math.isqrt(diagnostics._BLOCK_VALUES))
+        first_block_pairs = sum(len(listed) - 1 - a for a in range(rows))
+        for sweep, pairs in (
+            (lambda: next(diagnostics._lemma3_rows(trace, listed, d)), len),
+            (
+                lambda: list(takewhile(lambda c: c[0] == 0, diagnostics._pair_tiles(trace, listed, _l1_rows))),
+                lambda chunks: sum(len(c[3]) for c in chunks),
+            ),
         ):
             tracemalloc.start()
             try:
@@ -714,9 +771,9 @@ class TestPairRows:
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(result) == len(later)
-            # beyond what it returns, a row sweep holds one block of stacked
-            # rows and a few block-sized elementwise temporaries
+            assert pairs(result) == first_block_pairs
+            # beyond what it returns, a sweep holds one tile's stacks of
+            # times, the pairs it gathers from them and a few temporaries
             assert peak - current <= 4 * block
             assert peak - current < stacked / 4
 
@@ -789,9 +846,16 @@ def stub_trace(d: list[float]):
 
 
 def rows_of(v: np.ndarray):
-    """A stand-in for `diagnostics._later_rows` that yields the rows of v
-    above its diagonal, as the scan reads them."""
-    return lambda trace, times, rows: (v[a, a + 1 :] for a in range(len(times) - 1))
+    """A stand-in for `diagnostics._pair_tiles` that runs it over the
+    positions of the listed times, with v[a, b] as the kernel's value on the
+    pair of positions (a, b); its tiles follow `_BLOCK_VALUES` on one-cell
+    weights."""
+    tiles, positions = diagnostics._pair_tiles, positions_trace(len(v))
+
+    def stand_in(trace, times, kernel):
+        return tiles(positions, list(range(len(times))), lambda p, q: v[p[:, 0].astype(int), q[:, 0].astype(int)])
+
+    return stand_in
 
 
 def assert_same_report(got: LemmaReport, want: LemmaReport) -> None:
@@ -800,18 +864,22 @@ def assert_same_report(got: LemmaReport, want: LemmaReport) -> None:
 
 
 class TestCauchyScan:
+    @pytest.mark.parametrize("rows", [2, None])
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
-    def test_real_traces(self, case):
+    def test_real_traces(self, case, rows, monkeypatch):
         trace = ROW_CASES[case]()
         if len([t for t in trace.retained_times if t >= 1]) < 2:
             pytest.skip("fewer than two iterate times")
+        if rows:
+            block_times(monkeypatch, rows, trace.target.joint.w.size)
         assert_same_report(cauchy_check(trace), cauchy_loop_reference(trace))
         times = [t for t in trace.retained_times if t >= 1][::2]
         if len(times) >= 2:
             assert_same_report(cauchy_check(trace, times), cauchy_loop_reference(trace, times))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
     @pytest.mark.parametrize("seed", range(12))
-    def test_tied_slacks(self, seed, monkeypatch):
+    def test_tied_slacks(self, seed, rows, monkeypatch):
         # dyadic distances and divergences from small sets, so many pairs
         # share the smallest slack exactly
         rng = np.random.default_rng(seed)
@@ -822,12 +890,28 @@ class TestCauchyScan:
         if seed % 4 == 3:
             k = int(rng.integers(1, m + 1))
             d[:k] = [math.inf] * k
-        monkeypatch.setattr(diagnostics, "_later_rows", rows_of(v))
+        if rows:
+            # blocks of one to three times, so ties straddle tile boundaries
+            block_times(monkeypatch, rows, 1)
+        monkeypatch.setattr(diagnostics, "_pair_tiles", rows_of(v))
         trace = stub_trace(d)
         assert_same_report(cauchy_check(trace), cauchy_loop_reference(trace))
 
+    def test_tie_across_tiles_keeps_the_row_major_first(self, monkeypatch):
+        # blocks of two times: the tile of rows {0, 1} and columns {2, 3}
+        # yields (1, 2) before the tile of columns {4, 5} yields (0, 4),
+        # though (0, 4) comes first in row-major order
+        v = np.full((6, 6), 0.5)
+        v[1, 2] = v[2, 1] = v[0, 4] = v[4, 0] = 1.0
+        block_times(monkeypatch, 2, 1)
+        monkeypatch.setattr(diagnostics, "_pair_tiles", rows_of(v))
+        trace = stub_trace([0.0] * 6)
+        report = cauchy_check(trace)
+        assert_same_report(report, cauchy_loop_reference(trace))
+        assert (report.t, report.n, report.residual_or_slack) == (1, 4, -0.5)
+
     def test_all_pairs_infinite_keep_the_default_pair(self, monkeypatch):
-        monkeypatch.setattr(diagnostics, "_later_rows", rows_of(np.zeros((3, 3))))
+        monkeypatch.setattr(diagnostics, "_pair_tiles", rows_of(np.zeros((3, 3))))
         trace = stub_trace([math.inf, math.inf, math.inf])
         report = cauchy_check(trace)
         assert_same_report(report, cauchy_loop_reference(trace))
@@ -839,7 +923,7 @@ class TestCauchyScan:
         v = rng.random((m, m))
         v = np.triu(v, 1) + np.triu(v, 1).T
         d = np.sort(rng.random(m))[::-1].tolist()
-        monkeypatch.setattr(diagnostics, "_later_rows", rows_of(v))
+        monkeypatch.setattr(diagnostics, "_pair_tiles", rows_of(v))
         trace = stub_trace(d)
         tracemalloc.start()
         try:
@@ -879,7 +963,7 @@ class TestEarlyLscRefusal:
     def test_unconverged_trace_refused_before_any_family(self, monkeypatch):
         trace = make_trace(steps=6, eps=1e-300)
         assert not trace.converged
-        for name in ("_lemma1", "lemma2_check", "_lemma3_rows", "cauchy_check", "_lsc", "balance_check",
+        for name in ("_lemma1_block", "lemma2_check", "_lemma3_rows", "cauchy_check", "_lsc", "balance_check",
                      "reconstruction_check"):
             monkeypatch.setattr(diagnostics, name, fail_if_called)
         with pytest.raises(NotConverged, match="lsc check needs a converged trace"):
@@ -946,16 +1030,23 @@ class TestReportBlocks:
     @pytest.mark.parametrize("case", sorted(ROW_CASES))
     def test_blocks_materialize_the_per_pair_reports(self, case, monkeypatch):
         trace = ROW_CASES[case]()
-        # blocks of three rows, so a row of later times spans several stacks
-        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 3 * trace.target.joint.w.size)
+        # blocks of three times, so tiles split both the rows and the columns
+        block_times(monkeypatch, 3, trace.target.joint.w.size)
         d = diagnostics._ToTarget(trace)
         times = trace.retained_times
         infinite = 0
         # listed in reverse too, so each t meets the earlier times:
         # D(p_t || p_k) can be infinite only for k < t
         for listed in (times, times[::-1]):
-            for a, block in enumerate(diagnostics._lemma3_rows(trace, listed, d)):
-                want = [lemma3_pair_reference(trace, listed[a], k, d) for k in listed[a + 1 :]]
+            m = len(listed)
+            blocks = list(diagnostics._lemma3_rows(trace, listed, d))
+            # one block per row block of three times, in row-major order
+            assert len(blocks) == -(-(m - 1) // 3)
+            for a0, block in zip(range(0, m, 3), blocks):
+                want = [
+                    lemma3_pair_reference(trace, listed[a], listed[b], d)
+                    for a in range(a0, min(a0 + 3, m)) for b in range(a + 1, m)
+                ]
                 assert_same_reports(block.reports(), want)
                 infinite += sum(not r.lhs.is_finite for r in want)
         if case == "degenerate":
@@ -971,7 +1062,7 @@ class TestReportBlocks:
         assert_same_reports(got, want)
         assert_same_reports([lemma3_check(trace, r.t, r.n) for r in want], want)
         table = diagnostics.verification_table(trace, ("lemma3",))
-        assert len(table.blocks) == len(iterates) - 1
+        assert len(table.blocks) == -(-(len(iterates) - 1) // 3)
         assert json.dumps(summarize(table)) == json.dumps(summary_reference(want))
 
     def test_summary_keeps_the_first_tied_worst_value(self):
@@ -1055,3 +1146,17 @@ class TestBlockEncoder:
         table = diagnostics.ReportTable(diagnostics._gather(reports))
         assert "".join(diagnostics.verification_chunks(table, summary)) == expected
         assert_same_reports(list(table), reports)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 7])
+    def test_large_blocks_are_written_in_bounded_chunks(self, per_chunk, monkeypatch):
+        trace = degenerate_trace(5, 4, (2, 3))
+        table = diagnostics.verification_table(trace, ("lemma1", "lemma3", "balance"))
+        reports = list(table)
+        summary = summarize(table)
+        doc = {"reports": [report_to_json_dict(r) for r in reports], "summary": summary}
+        monkeypatch.setattr(diagnostics, "_JSON_REPORTS", per_chunk)
+        chunks = list(diagnostics.verification_chunks(table, summary))
+        assert "".join(chunks) == json.dumps(doc, indent=1) + "\n"
+        # every chunk but the opening and the summary holds at most per_chunk reports
+        assert max(chunk.count('"name":') for chunk in chunks[1:-1]) == per_chunk
+        assert chunks[-1].count('"name":') == 0

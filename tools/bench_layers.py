@@ -171,11 +171,11 @@ def trace_export_case(m, fmt: str, n: int, beta: float, eps: float) -> Timed:
     return Timed(call := lambda: getattr(m.engine, f"trace_to_{fmt}")(trace), digest(call()))
 
 
-def verify_case(m, check: str, n: int, beta: float) -> Timed:
-    """One verify family on the certify benchmark's trace: eps 1e-15 within
-    400 half-steps. The first call caches the trace's joints, so the timed
-    calls read them warm."""
-    trace = run_from_corner(m, n, beta, 400, 1e-15, "all")()
+def verify_case(m, check: str, n: int, beta: float, half_steps: int = 400) -> Timed:
+    """One verify family on the trace run to eps 1e-15 within `half_steps`,
+    by default the certify benchmark's. The first call caches the trace's
+    joints, so the timed calls read them warm."""
+    trace = run_from_corner(m, n, beta, half_steps, 1e-15, "all")()
     call = lambda: m.diagnostics.verification_table(trace, (check,))
     return Timed(call, digest(m.diagnostics.verification_to_json(call())))
 
@@ -222,7 +222,7 @@ CASES = [
         ("metrics.relative_entropy", relative_entropy_case), ("engine.half_step", half_step_case))),
     ("numeric.stable_sum", sum_case, [
         {"entries": e, "data": d} for e, d in (
-            (512, "terms"), (1023, "terms"), (1024, "terms"), (2048, "terms"), (784, "pmf"),
+            (512, "terms"), (768, "terms"), (1023, "terms"), (1024, "terms"), (2048, "terms"), (784, "pmf"),
             (40_000, "pmf"), (40_000, "terms"), (250_000, "terms"), (250_000, "spread"))]),
     # the certify grid's 64-entry rows, and `run`'s stacks at 28 x 28 and 200 x 200
     ("numeric.stable_row_sums", row_sums_case, [
@@ -231,7 +231,11 @@ CASES = [
         (28, 0.9, 400), (100, 0.9, 60), (200, 0.9, 40), (500, 0.9, 10), (40, 2.0, 1000))]),
     # the converge benchmark's trace, 746 half-steps
     ("engine.export", trace_export_case, [{"fmt": f, "n": 28, "beta": 0.9, "eps": 1e-10} for f in ("csv", "json")]),
-    *((f"diagnostics.{c}", verify_case, [{"check": c, "n": 8, "beta": 0.9}])
+    # the pair sweeps also on 150 retained 40 x 40 joints, which span several
+    # tiles of times
+    *((f"diagnostics.{c}", verify_case, [
+        {"check": c, "n": 8, "beta": 0.9},
+        *([{"check": c, "n": 40, "beta": 0.9, "half_steps": 150}] if c in ("lemma3", "cauchy") else [])])
       for c in daflow.diagnostics.DEFAULT_CHECKS),
     ("diagnostics.export", verify_export_case, [{"n": 8, "beta": 0.9}]),
     *((layer, builder, [{"replicas": r, "half_steps": s, "n": n} for r, s, n in (

@@ -24,12 +24,15 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 import traceback
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -41,8 +44,10 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # cells, a target file with zero cells, and refusals (among them a zero-step
 # sample over its budget and a sweep whose grid is empty), a cauchy scan over
 # 1,000 retained times, lemma3 and cauchy stacks of 1,600-entry rows too
-# large for one pass of the exact row sums, and refusals of gamma draws whose
-# total overflows, of an infinite eps and of the hostile files of EDGE_FILES
+# large for one pass of the exact row sums, lemma1, lemma3 and cauchy on a
+# banded 40x40 target whose 150 retained times span several tiles of the
+# pair sweeps, and refusals of gamma draws whose total overflows, of an
+# infinite eps and of the hostile files of EDGE_FILES
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -103,6 +108,10 @@ EDGE_COMMANDS = {
         "--out-prefix", "cyl",
     ),
     "verify-stacks-40x40": ("verify", "--gen", "40,40,1", "--checks", "lemma3,cauchy", "--max-steps", "60"),
+    "verify-tiles-banded-40x40": (
+        "verify", "--target", "b40.json", "--p0", "degenerate:0,39", "--checks", "lemma1,lemma3,cauchy",
+        "--eps", "1e-15", "--max-steps", "150", "--out-prefix", "b40",
+    ),
     "refuse-conc-overflow-run": ("run", "--gen", "2,2,1,1e308"),
     "refuse-conc-overflow-100x100": ("run", "--gen", "100,100,1,1e305"),
     "refuse-conc-overflow-verify": ("verify", "--gen", "3,3,1,1e308"),
@@ -114,13 +123,25 @@ EDGE_COMMANDS = {
     "refuse-nested-p0": ("run", "--gen", "1,2,1", "--p0", "file:nested.json"),
 }
 
+
+
+def banded_target_json(n: int, beta: float) -> str:
+    """The seeded banded target with weights proportional to
+    exp(-beta |i - j| + 0.1 z[i, j]), as tools/bench_layers.py draws it."""
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    w = np.exp(-beta * np.abs(i[:, None] - i[None, :]) + 0.1 * rng.standard_normal((n, n)))
+    return json.dumps({"nx": n, "ny": n, "w": (w / w.sum()).tolist()}) + "\n"
+
+
 # files written into the edge directory before the edge commands run: a 3x3
 # target whose last row and middle column carry no mass, a weight written as
-# an integer beyond float range, and 100,000 nested brackets
+# an integer beyond float range, 100,000 nested brackets and a banded target
 EDGE_FILES = {
     "zero.json": '{"nx": 3, "ny": 3, "w": [[1, 0, 1], [1, 0, 1], [0, 0, 0]]}\n',
     "huge_int.json": '{"nx": 1, "ny": 2, "w": [[1' + "0" * 400 + ', 1]]}\n',
     "nested.json": "[" * 100_000 + "\n",
+    "b40.json": banded_target_json(40, 0.9),
 }
 
 
