@@ -210,10 +210,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             atomic_write_text(path, trace_to_json(trace))
         out_note = f" out={path}"
 
-    final = trace.records[-1]
+    records = trace.records
     print(
         f"stop_reason={trace.stop_reason.value} half_steps={trace.last_t} "
-        f"final_d={encode(final.d_to_target)} final_tv={encode(final.tv_to_target)}{out_note}"
+        f"final_d={encode(records.d_to_target[-1])} final_tv={encode(records.tv_to_target[-1])}{out_note}"
     )
     _require_finite_start(trace)
     return EXIT_OK if trace.converged else EXIT_CHECK_FAILURE

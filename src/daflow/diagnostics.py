@@ -19,19 +19,19 @@ finished trace:
     single joint;
   - detailed balance of the two induced single-coordinate Markov kernels.
 
-Checks read retained states and the trace's records and never recompute
-iterates. lemma1 and lemma2's odd identity read the one-step divergence
-`d_step` that `run` recorded, summed over the joints. D(p_t || target) is
-the one value held twice. `run` records it from p_t's marginal by the chain
-rule, which is exact only because p_t carries the target's conditional;
-`_ToTarget` evaluates it on the retained joint. lemma1, lemma3 and lsc
-certify relations among the divergences of the iterates, so they read the
-joint value and assume nothing of the iterate's form. cauchy's right side
-and lsc's tolerance size a bound instead, so they read the recorded value,
-the one the stop rule and the exported trace use, at no pass over the
-joints. The two agree to rounding. The engine stays the single source of
-truth, and a missing state is reported as `StateNotRetained`, never
-silently filled in.
+Checks read retained states and the columns of the trace's records, and
+never recompute iterates. lemma1 and lemma2's odd identity read the
+one-step divergence `d_step` that `run` recorded, summed over the joints.
+D(p_t || target) is the one value held twice. `run` records it from p_t's
+marginal by the chain rule, which is exact only because p_t carries the
+target's conditional; `_ToTarget` evaluates it on the retained joint.
+lemma1, lemma3 and lsc certify relations among the divergences of the
+iterates, so they read the joint value and assume nothing of the iterate's
+form. cauchy's right side and lsc's tolerance size a bound instead, so they
+read the recorded value, the one the stop rule and the exported trace use,
+at no pass over the joints. The two agree to rounding. The engine stays the
+single source of truth, and a missing state is reported as
+`StateNotRetained`, never silently filled in.
 
 The pairwise families read their values from one source, `_pair_tiles`.
 It looks up each listed time's joint once, cuts the times into blocks,
@@ -93,6 +93,7 @@ from .errors import (
 )
 from .metrics import (
     ExtReal,
+    _json_floats,
     _l1_rows,
     _rel_entropy_array,
     encode,
@@ -259,6 +260,14 @@ class _ToTarget(dict):
 _BLOCK_VALUES = 1 << 16
 
 
+def _block_times(cells: int) -> int:
+    """How many times a block of `_pair_tiles` holds, for joints of `cells`
+    values: a tile's two stacks hold at most _BLOCK_VALUES values and it has
+    at most _BLOCK_VALUES pairs, so a chunk's gathered stacks and its
+    per-pair arrays stay bounded on wide grids and on grids of a few cells."""
+    return max(1, min(_BLOCK_VALUES // (2 * cells), math.isqrt(_BLOCK_VALUES)))
+
+
 def _pair_tiles(
     trace: DATrace, times: list[int], kernel: Callable[[np.ndarray, np.ndarray], Iterable[float]]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -277,10 +286,7 @@ def _pair_tiles(
     m = len(weights)
     if m < 2:
         return
-    # a tile's two stacks hold at most _BLOCK_VALUES values and it has at
-    # most _BLOCK_VALUES pairs, so a chunk's gathered stacks and its
-    # per-pair arrays stay bounded on wide grids and on grids of a few cells
-    per_block = max(1, min(_BLOCK_VALUES // (2 * weights[0].size), math.isqrt(_BLOCK_VALUES)))
+    per_block = _block_times(weights[0].size)
     for a0 in range(0, m - 1, per_block):
         a1 = min(a0 + per_block, m)
         rows = np.stack(weights[a0:a1])
@@ -356,7 +362,7 @@ def _lemma1_block(trace: DATrace, ts: list[int], d: _ToTarget) -> ReportBlock:
     columns D(p_t || target), D(p_(t+1) || target) and the recorded d_step."""
     lhs = np.array([d[t].value for t in ts])
     d_next = np.array([d[t + 1].value for t in ts])
-    rhs = np.array([trace.record_at(t).d_step.value for t in ts]) + d_next
+    rhs = trace.column("d_step", ts) + d_next
     value, notes = _identity_values(lhs, rhs)
     return ReportBlock(CheckName.LEMMA1, IDENTITY_TOL, np.array(ts, dtype=np.int64), None, lhs, rhs, value, notes)
 
@@ -382,7 +388,7 @@ def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
         slack = rhs.value - lhs.value
         return LemmaReport(CheckName.LEMMA2_EVEN, t, n, lhs, rhs, slack, INEQUALITY_TOL)
     lhs = relative_entropy(p_t, p_tn)
-    rhs = trace.record_at(t).d_step + relative_entropy(_density(trace, t + 1), p_tn)
+    rhs = ExtReal(float(trace.records.d_step[t])) + relative_entropy(_density(trace, t + 1), p_tn)
     value, note = _identity_value(lhs, rhs)
     return LemmaReport(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, IDENTITY_TOL, note)
 
@@ -407,13 +413,20 @@ def _lemma3_rows(trace: DATrace, times: list[int], d: _ToTarget) -> Iterator[Rep
     to_target = np.array([d[t].value for t in times])
     if not np.isfinite(to_target).all():
         raise DistributionError("lemma3_check needs finite divergences to the target")
-    ts = np.array(times, dtype=np.int64)
-    for _, chunks in groupby(_pair_tiles(trace, times, _rel_entropy_array), lambda chunk: chunk[0]):
-        a, b, lhs = (np.concatenate(c) for c in list(zip(*chunks))[1:])
-        # the row block's tiles arrive one after another; a stable sort on
-        # the rows puts their pairs in row-major order
-        order = np.argsort(a, kind="stable")
-        a, b, lhs = a[order], b[order], lhs[order]
+    ts, m = np.array(times, dtype=np.int64), len(times)
+    per_block = _block_times(trace.target.joint.w.size)
+    for a0, chunks in groupby(_pair_tiles(trace, times, _rel_entropy_array), lambda chunk: chunk[0]):
+        # the row block's pairs in row-major order: row a's run from its
+        # first column a + 1, starting at `starts`; the tiles' chunks are
+        # written into their slots as they arrive
+        rows = np.arange(a0, min(a0 + per_block, m))
+        counts = m - 1 - rows
+        starts = np.cumsum(counts) - counts
+        a = np.repeat(rows, counts)
+        b = np.arange(counts.sum()) + np.repeat(rows + 1 - starts, counts)
+        lhs = np.empty(len(a))
+        for _, ca, cb, values in chunks:
+            lhs[starts[ca - a0] + cb - ca - 1] = values
         rhs = to_target[a] - to_target[b]
         # an infinite left side against a finite right side is a slack of -inf
         slack = rhs - lhs
@@ -445,7 +458,7 @@ def cauchy_check(trace: DATrace, times: list[int] | None = None) -> LemmaReport:
         raise DistributionError("cauchy_check applies to iterate times t >= 1 only")
     if any(a >= b for a, b in zip(times, times[1:])):
         raise DistributionError(f"cauchy_check needs strictly increasing times, got {times}")
-    d = np.array([trace.record_at(t).d_to_target.value for t in times])
+    d = trace.column("d_to_target", times)
     worst = math.inf
     worst_pair = (0, 1)
     worst_sides = (0.0, 0.0)
@@ -503,7 +516,7 @@ def _lsc(trace: DATrace, t: int, horizon: int, d: _ToTarget) -> LemmaReport:
     p_h = _density(trace, t + horizon)
     lhs = relative_entropy(p_t, p_h)
     rhs = d[t]
-    d_h = trace.record_at(t + horizon).d_to_target.value
+    d_h = float(trace.records.d_to_target[t + horizon])
     tolerance = max(LSC_FLOOR, 10.0 * d_h)
     if not (lhs.is_finite and rhs.is_finite):
         value, note = _identity_value(lhs, rhs)
@@ -741,16 +754,6 @@ _REPORT_JSON = (
     '  {\n   "name": %s,\n   "t": %s,\n   "n": %s,\n   "lhs": %s,\n   "rhs": %s,\n'
     '   "residual_or_slack": %s,\n   "pass": %s,\n   "tolerance": %s,\n   "note": %s\n  }'
 )
-
-
-def _json_floats(a: np.ndarray) -> list:
-    """A float column as `%s` writes it into JSON: finite entries as floats,
-    whose str is their repr, and infinities as the strings "inf" and "-inf"
-    (see `metrics.encode`)."""
-    values = a.tolist()
-    for i in np.flatnonzero(np.isinf(a)).tolist():
-        values[i] = '"inf"' if values[i] > 0 else '"-inf"'
-    return values
 
 
 # the JSON text is formatted at most this many reports at a time (about

@@ -15,7 +15,10 @@ to the target nonincreasing and the chain of certification identities in
 `run` iterates half-steps from a starting density, recording per-step
 divergence and distance to the target, the one-step divergence, the
 projection-identity residual, and the renormalization drift, until the
-divergence falls to `eps` or the step budget runs out.
+divergence falls to `eps` or the step budget runs out. The measurements are
+kept as float64 columns (:class:`TraceRecords`), one entry per visited time.
+A :class:`TraceRecord` is built from them only when one is read; the trace
+exports and the certification checks read the columns.
 
 Every iterate after t=0 is a target conditional times one marginal, so `run`
 carries that one marginal, a plain vector (the Y marginal of p_t for even t,
@@ -33,7 +36,8 @@ block of half-steps, in stacked NumPy operations: the one-step divergences
 over the stacked joints, and the divergences and distances of the stacked
 marginals to the target's. Each row still gets its own correctly rounded
 sum (`_numeric.stable_row_sums`), so every recorded value equals the one a
-single half-step would give. `run` states how far a block looks ahead.
+single half-step would give. A block stacks at most `_BLOCK_VALUES` joint
+values, 20 half-steps at 28 x 28, and `run` states how far it looks ahead.
 
 Densities are validated where they enter the recursion, p0 and the target,
 and where a retained state leaves it, on lookup. The vectors in between are
@@ -47,13 +51,16 @@ on the first lookup. `da_half_step` is the joint-based reference half-step.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Mapping
+import json
+import math
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
 from ._fsio import dumps_indent1
-from ._numeric import stable_sum
+from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
     JointDensity,
@@ -65,9 +72,9 @@ from .dist import (
 from .errors import DimensionMismatch, DistributionError, StateNotRetained, TargetNotPositive
 from .metrics import (
     ExtReal,
+    _json_floats,
     _l1_rows,
-    _rel_entropy_rows,
-    encode,
+    _rel_entropy_array,
     relative_entropy,
     total_variation,
 )
@@ -131,6 +138,55 @@ class TraceRecord:
     d_step: ExtReal | None
     lemma1_residual: float | None
     renorm_drift: float
+
+
+_FIELDS = tuple(f.name for f in fields(TraceRecord))
+
+
+class TraceRecords(Sequence[TraceRecord]):
+    """A trace's records, contiguous from t=0, held as read-only float64
+    columns named after the record's fields: `d_to_target`, `tv_to_target`
+    and `renorm_drift` with one entry per record, `d_step` and
+    `lemma1_residual` with one per record but the final one.
+
+    A record is built from the columns on access, its fields Python floats
+    and ExtReals; nothing else builds one. The records compare equal to a
+    tuple of the same records.
+    """
+
+    def __init__(self, d_to_target, tv_to_target, d_step, lemma1_residual, renorm_drift) -> None:
+        self.d_to_target, self.tv_to_target, self.d_step, self.lemma1_residual, self.renorm_drift = map(
+            readonly, (d_to_target, tv_to_target, d_step, lemma1_residual, renorm_drift)
+        )
+
+    @classmethod
+    def of(cls, records: Sequence[TraceRecord]) -> TraceRecords:
+        """The columns of records contiguous from t=0; the final record's
+        d_step and lemma1_residual are not read."""
+        if [r.t for r in records] != list(range(len(records))):
+            raise DistributionError("trace records must be contiguous from t=0")
+        steps = records[:-1]
+        return cls(*([float(getattr(r, name)) for r in (steps if name in ("d_step", "lemma1_residual") else records)]
+                     for name in _FIELDS[1:]))
+
+    def __len__(self) -> int:
+        return len(self.d_to_target)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[t] for t in range(len(self))[i])
+        t = range(len(self))[i]
+        step = (ExtReal(float(self.d_step[t])), float(self.lemma1_residual[t])) if t < len(self.d_step) else (None, None)
+        return TraceRecord(
+            t, ExtReal(float(self.d_to_target[t])), float(self.tv_to_target[t]), *step, float(self.renorm_drift[t])
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, TraceRecords)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -215,15 +271,20 @@ class DATrace:
     """A completed run: the target, one record per visited time, retained
     states keyed by time, and why iteration stopped.
 
-    Records are contiguous from t=0; states hold whatever the retain policy
-    kept plus the final state. `run` returns a read-only mapping whose
-    states are built on first lookup.
+    Records are contiguous from t=0, held as :class:`TraceRecords`; a tuple
+    of records passed in is stored as their columns. States hold whatever
+    the retain policy kept plus the final state. `run` returns a read-only
+    mapping whose states are built on first lookup.
     """
 
     target: Target
-    records: tuple[TraceRecord, ...]
+    records: TraceRecords
     states: Mapping[int, DAState]
     stop_reason: StopReason
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, TraceRecords):
+            object.__setattr__(self, "records", TraceRecords.of(self.records))
 
     @property
     def converged(self) -> bool:
@@ -231,7 +292,7 @@ class DATrace:
 
     @property
     def last_t(self) -> int:
-        return self.records[-1].t
+        return len(self.records) - 1
 
     @property
     def retained_times(self) -> list[int]:
@@ -247,9 +308,20 @@ class DATrace:
             ) from None
 
     def record_at(self, t: int) -> TraceRecord:
+        self._check_time(t)
+        return self.records[t]
+
+    def column(self, name: str, ts: Sequence[int]) -> np.ndarray:
+        """The records' float64 column `name` at the listed times, refusing
+        a time outside the trace as `record_at` does."""
+        if len(ts):
+            self._check_time(min(ts))
+            self._check_time(max(ts))
+        return getattr(self.records, name)[np.asarray(ts, dtype=np.int64)]
+
+    def _check_time(self, t: int) -> None:
         if not 0 <= t <= self.last_t:
             raise StateNotRetained(f"no record at t={t}; trace covers 0..{self.last_t}")
-        return self.records[t]
 
 
 def half_step_with_drift(s: DAState, target: Target) -> tuple[DAState, float]:
@@ -290,30 +362,39 @@ def _renormalized_marginal(w: np.ndarray, axis: Axis) -> tuple[np.ndarray, float
     return v / total, abs(total - 1.0)
 
 
-# a block of half-steps stacks at most this many joint values (64 KiB of
-# float64) and at most this many half-steps
-_BLOCK_VALUES = 1 << 13
+# a block of half-steps stacks at most this many joint values (128 KiB of
+# float64) and at most this many half-steps; twice as many values would give
+# 120 x 120 grids blocks of two half-steps, whose look-ahead costs more there
+# than the stacking saves
+_BLOCK_VALUES = 1 << 14
 _BLOCK_ROWS = 64
 
 
-def _measured(target: Target, joints: np.ndarray, vs: list[np.ndarray], t: int) -> list[tuple]:
-    """(D(p_s || p_(s+1)), D(p_(s+1) || target), V(p_(s+1), target)) for
-    the half-steps from s = t on, where joints stacks the weights of p_t,
-    ..., p_(t+k) and vs the k marginals composed between them.
+def _measured(
+    target: Target, joints: np.ndarray, vs: list[np.ndarray], t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns D(p_s || p_(s+1)), D(p_(s+1) || target) and
+    V(p_(s+1), target) for the half-steps from s = t on, where joints stacks
+    the weights of p_t, ..., p_(t+k) and vs the k marginals composed between
+    them.
 
-    Each quantity is one stacked row evaluation: the one-step divergences
+    Each column is one stacked row evaluation: the one-step divergences
     pair the stacked joints, and the distances to the target pair every
     other marginal, those of one axis, with that axis's target marginal,
-    which by the chain rule gives the joints' values.
+    which by the chain rule gives the joints' values. A NaN divergence is
+    refused as an ExtReal refuses it.
     """
-    d_next, tv_next = [None] * len(vs), [None] * len(vs)
+    d_next, tv_next = np.empty(len(vs)), np.empty(len(vs))
     for first in range(min(2, len(vs))):
         stack = np.array(vs[first::2])
         q = np.broadcast_to((target.marg_y, target.marg_x)[(t + first) % 2].v, stack.shape)
-        d_next[first::2] = _rel_entropy_rows(stack, q, "marginal_relative_entropy")
+        d_next[first::2] = _rel_entropy_array(stack, q, "marginal_relative_entropy")
         tv_next[first::2] = _l1_rows(stack, q)
-    d_step = _rel_entropy_rows(joints[:-1], joints[1:])
-    return list(zip(d_step, d_next, tv_next))
+    d_step = _rel_entropy_array(joints[:-1], joints[1:])
+    # divergences are never -inf, so their total is NaN exactly when one is
+    if math.isnan(sum(d_step.tolist()) + sum(d_next.tolist())):
+        raise DistributionError("ExtReal cannot hold NaN")
+    return d_step, d_next, tv_next
 
 
 def run(
@@ -333,11 +414,17 @@ def run(
     cells; a strictly positive target keeps every divergence finite.
 
     Half-steps are computed and measured in blocks that start at one
-    half-step and double up to a cap set by the grid size, so the
-    half-steps computed past the stop never outnumber those recorded. A
-    block that raises is computed again from its start one half-step at a
-    time, and the run goes on that way, so it raises only on reaching the
-    half-step that raises, as a per-step loop would.
+    half-step and double up to a cap set by the grid size (`_BLOCK_VALUES`
+    joint values, at most `_BLOCK_ROWS` half-steps), so the half-steps
+    computed past the stop never outnumber those recorded. A block that
+    raises is computed again from its start one half-step at a time, and the
+    run goes on that way, so it raises only on reaching the half-step that
+    raises, as a per-step loop would.
+
+    A block's measurements stay float64 arrays: the stop is the first
+    half-step of the block whose divergence reaches eps, and the trace's
+    columns are the blocks' arrays joined, with the projection-identity
+    residuals formed from them elementwise. No record is built.
     """
     if max_half_steps < 1:
         raise DistributionError(f"max_half_steps must be >= 1, got {max_half_steps}")
@@ -346,12 +433,12 @@ def run(
     if p0.shape != target.shape:
         raise DimensionMismatch(f"p0 is {p0.shape}, target is {target.shape}")
 
-    d_cur = relative_entropy(p0, target.joint)
+    d_cur = relative_entropy(p0, target.joint).value
     tv_cur = total_variation(p0, target.joint)
 
-    if not d_cur.is_finite:
-        record = TraceRecord(0, d_cur, tv_cur, None, None, 0.0)
-        return DATrace(target, (record,), _RetainedStates(target, {0: p0}), StopReason.INFINITE_INITIAL_DIVERGENCE)
+    if d_cur == math.inf:
+        records = TraceRecords([d_cur], [tv_cur], [], [], [0.0])
+        return DATrace(target, records, _RetainedStates(target, {0: p0}), StopReason.INFINITE_INITIAL_DIVERGENCE)
     if not target.strictly_positive:
         raise TargetNotPositive("cannot iterate toward a target with zero cells")
 
@@ -359,11 +446,13 @@ def run(
     joints = np.empty((rows_cap + 1, *p0.shape))
     joints[0] = p0.w
     v, _ = _renormalized_marginal(p0.w, Axis.Y)
-    records: list[TraceRecord] = []
+    # per block: the one-step divergences, and the divergences, distances
+    # and drifts of the states it reached; t=0 first
+    blocks: list[tuple] = [((), [d_cur], [tv_cur], [0.0])]
     sources: dict[int, JointDensity | np.ndarray] = {}
     # p_t is determined by `src` and passes on the marginal v
-    t, src, drift_cur, block = 0, p0, 0.0, 1
-    while d_cur.value > eps and t < max_half_steps:
+    t, src, block = 0, p0, 1
+    while d_cur > eps and t < max_half_steps:
         steps = min(block, max_half_steps - t)
         vs, drifts = [v], []
         try:
@@ -372,28 +461,28 @@ def run(
                 v_next, drift = _renormalized_marginal(joints[j], Axis.Y if (t + j) % 2 == 0 else Axis.X)
                 vs.append(v_next)
                 drifts.append(drift)
-            rows = _measured(target, joints[: steps + 1], vs[:steps], t)
+            d_step, d_next, tv_next = _measured(target, joints[: steps + 1], vs[:steps], t)
         except Exception:
             if steps == 1:
                 raise
             block = rows_cap = 1
             continue
-        for (d_step, d_next, tv_next), src_next, drift_next in zip(rows, vs, drifts):
-            residual = abs(d_cur.value - d_step.value - d_next.value)
-            records.append(TraceRecord(t, d_cur, tv_cur, d_step, residual, drift_cur))
-            if retain.keeps(t):
-                sources[t] = src
-            t, src, drift_cur = t + 1, src_next, drift_next
-            d_cur, tv_cur = d_next, tv_next
-            if d_cur.value <= eps:
-                break
+        # the block's half-steps up to the first that reaches eps
+        k = next((j for j, d in enumerate(d_next.tolist(), 1) if d <= eps), steps)
+        blocks.append((d_step[:k], d_next[:k], tv_next[:k], drifts[:k]))
+        for j in range(k):
+            if retain.keeps(t + j):
+                sources[t + j] = vs[j - 1] if j else src
+        t, src, d_cur = t + k, vs[k - 1], float(d_next[k - 1])
         joints[0] = joints[steps]
         v, block = vs[-1], min(2 * block, rows_cap)
 
-    stop = StopReason.CONVERGED if d_cur.value <= eps else StopReason.MAX_ITERS
-    records.append(TraceRecord(t, d_cur, tv_cur, None, None, drift_cur))
+    stop = StopReason.CONVERGED if d_cur <= eps else StopReason.MAX_ITERS
     sources[t] = src
-    return DATrace(target, tuple(records), _RetainedStates(target, sources), stop)
+    d_step, d_to_target, tv_to_target, drift = (np.concatenate(c) for c in zip(*blocks))
+    residual = np.abs((d_to_target[:-1] - d_step) - d_to_target[1:])
+    records = TraceRecords(d_to_target, tv_to_target, d_step, residual, drift)
+    return DATrace(target, records, _RetainedStates(target, sources), stop)
 
 
 def fixed_point_residual(target: Target) -> float:
@@ -411,12 +500,32 @@ def fixed_point_residual(target: Target) -> float:
 
 # --- trace export ------------------------------------------------------------
 
-_FIELDS = tuple(f.name for f in fields(TraceRecord))
 CSV_HEADER = ",".join(_FIELDS)
 
+# one record as a CSV row and as `json.dumps(doc, indent=1)` writes it inside
+# doc["records"]; the final record's d_step and lemma1_residual are absent
+_CSV_ROW = ",".join(["%s"] * len(_FIELDS))
+_JSON_ROW = "  {\n" + ",\n".join(f'   "{name}": %s' for name in _FIELDS) + "\n  }"
+_CSV_FINAL = _CSV_ROW % ("%s", "%s", "%s", "", "", "%s")
+_JSON_FINAL = _JSON_ROW % ("%s", "%s", "%s", "null", "null", "%s")
 
-def _encoded(r: TraceRecord) -> list[float | int | str | None]:
-    return [encode(getattr(r, name)) for name in _FIELDS]
+# the exports format at most this many records at a time
+_EXPORT_ROWS = 1 << 10
+
+
+def _row_chunks(
+    trace: DATrace, row: str, final: str, sep: str, floats: Callable[[np.ndarray], list]
+) -> Iterator[str]:
+    """The records written with the template `row` and joined by `sep`, at
+    most `_EXPORT_ROWS` per chunk, then the final one alone with `final`;
+    each chunk is one template formatted from the columns, and `floats`
+    gives a float column's `%s` arguments."""
+    r, last = trace.records, trace.last_t
+    for lo in range(0, last, _EXPORT_ROWS):
+        hi = min(lo + _EXPORT_ROWS, last)
+        columns = [range(lo, hi), *(floats(getattr(r, name)[lo:hi]) for name in _FIELDS[1:])]
+        yield sep.join([row] * (hi - lo)) % tuple(chain.from_iterable(zip(*columns)))
+    yield final % (last, *floats(np.array([r.d_to_target[last], r.tv_to_target[last], r.renorm_drift[last]])))
 
 
 def trace_to_csv(trace: DATrace) -> str:
@@ -424,29 +533,37 @@ def trace_to_csv(trace: DATrace) -> str:
 
     Infinity prints as the literal `inf`; the final record's d_step and
     lemma1_residual columns are empty (no successor exists). Floats use
-    shortest round-trip notation, so output is bit-stable across runs.
+    shortest round-trip notation, so output is bit-stable across runs. Each
+    chunk of rows is one ``%`` template filled from the columns, which
+    writes the text of `metrics.encode` (``str`` of a float infinity is
+    already ``inf``).
     """
-    lines = [CSV_HEADER]
-    for r in trace.records:
-        lines.append(",".join("" if v is None else str(v) for v in _encoded(r)))
-    return "\n".join(lines) + "\n"
+    rows = "\n".join(_row_chunks(trace, _CSV_ROW, _CSV_FINAL, "\n", np.ndarray.tolist))
+    return f"{CSV_HEADER}\n{rows}\n"
 
 
 def trace_to_json_dict(trace: DATrace) -> dict:
-    """Trace as a JSON-ready dict mirroring the CSV fields.
+    """Trace as a JSON-ready dict mirroring the CSV fields: `trace_to_json`
+    parsed.
 
     Infinity is rendered as the string "inf" (strict JSON has no Infinity
     literal) and absent fields as null.
     """
-    return {
+    return json.loads(trace_to_json(trace))
+
+
+def trace_to_json(trace: DATrace) -> str:
+    """The trace as ``json.dumps(doc, indent=1) + "\\n"``, byte for byte,
+    where doc holds nx, ny, stop_reason, half_steps, retained_times and one
+    dict per record of `metrics.encode`'s values; the records are formatted
+    from the columns in chunks, as the CSV's are."""
+    head = dumps_indent1({
         "nx": trace.target.nx,
         "ny": trace.target.ny,
         "stop_reason": trace.stop_reason.value,
         "half_steps": trace.last_t,
         "retained_times": trace.retained_times,
-        "records": [dict(zip(_FIELDS, _encoded(r))) for r in trace.records],
-    }
-
-
-def trace_to_json(trace: DATrace) -> str:
-    return dumps_indent1(trace_to_json_dict(trace)) + "\n"
+    })
+    rows = ",\n".join(_row_chunks(trace, _JSON_ROW, _JSON_FINAL, ",\n", _json_floats))
+    # head ends with the dict's closing "\n}"
+    return f'{head[:-2]},\n "records": [\n{rows}\n ]\n}}\n'

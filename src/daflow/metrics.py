@@ -20,8 +20,10 @@ per pair, so a value does not depend on how many pairs were evaluated with
 it.
 
 `encode` fixes how an exported number is written. The trace CSV and JSON,
-the verify JSON and `run`'s stdout line all go through it, so an infinity
-reads "inf" everywhere.
+the verify JSON and `run`'s stdout line all write its text: a single value
+goes through it, a column for JSON through `_json_floats`, and a column for
+CSV as floats, whose str is already its text, so an infinity reads "inf"
+everywhere.
 """
 
 from __future__ import annotations
@@ -112,6 +114,16 @@ def encode(x: ExtReal | float | int | None) -> float | int | str | None:
     return x
 
 
+def _json_floats(a: np.ndarray) -> list:
+    """A float column as `%s` writes `encode` of each entry into JSON:
+    finite entries as floats, whose str is their repr, and infinities as the
+    quoted strings "inf" and "-inf"."""
+    values = a.tolist()
+    for i in np.flatnonzero(np.isinf(a)).tolist():
+        values[i] = '"inf"' if values[i] > 0 else '"-inf"'
+    return values
+
+
 def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> np.ndarray:
     """D(p||q) as a float64 array, +inf where infinite, for each weight array
     q stacked along the first axis of qs, where p is one weight array
@@ -167,11 +179,6 @@ def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entr
     return np.array(sums, dtype=np.float64)
 
 
-def _rel_entropy_rows(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> list[ExtReal]:
-    """`_rel_entropy_array` as one ExtReal per row."""
-    return [ExtReal(d) for d in _rel_entropy_array(p, qs, what).tolist()]
-
-
 def _l1_rows(p: np.ndarray, qs: np.ndarray) -> list[float]:
     """sum |p - q| for each weight array q stacked along the first axis of qs,
     p one weight array or a stack paired with qs row by row; one correctly
@@ -183,7 +190,7 @@ def _l1_rows(p: np.ndarray, qs: np.ndarray) -> list[float]:
 
 def _rel_entropy_raw(p: np.ndarray, q: np.ndarray, what: str) -> ExtReal:
     """D(p||q) over weight arrays of identical shape."""
-    return _rel_entropy_rows(p, q[None], what)[0]
+    return ExtReal(_rel_entropy_array(p, q[None], what).tolist()[0])
 
 
 def relative_entropy(p: JointDensity, q: JointDensity) -> ExtReal:

@@ -840,9 +840,13 @@ def cauchy_loop_reference(trace, times=None) -> LemmaReport:
 
 def stub_trace(d: list[float]):
     """A trace with retained times 1..len(d) whose divergences to the target
-    are `d`; only what cauchy_check reads besides the distance matrix."""
+    are `d`: what cauchy_check reads besides the distance matrix, the
+    divergences as a column, and what the reference reads, as records."""
     records = {t: SimpleNamespace(d_to_target=ExtReal(x)) for t, x in enumerate(d, start=1)}
-    return SimpleNamespace(retained_times=sorted(records), record_at=records.__getitem__)
+    column = np.array([math.nan, *d])
+    return SimpleNamespace(
+        retained_times=sorted(records), record_at=records.__getitem__, column=lambda name, ts: column[ts]
+    )
 
 
 def rows_of(v: np.ndarray):

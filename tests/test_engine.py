@@ -48,6 +48,7 @@ from daflow.errors import (
 )
 from daflow.metrics import (
     _rel_entropy_raw,
+    encode,
     marginal_relative_entropy,
     marginal_total_variation,
     relative_entropy,
@@ -718,15 +719,19 @@ class TestBlockRun:
     def test_every_measurement_failing_in_blocks_falls_back_to_single_steps(self, monkeypatch):
         target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
         expected = per_step_run(p0, target, max_half_steps, eps, retain)
-        original = engine._rel_entropy_rows
+        original = engine._rel_entropy_array
+        stacked = [0]
 
         def single_rows_only(p, qs, *args):
             if len(qs) > 1:
+                stacked[0] += 1
                 raise DistributionError("stacked")
             return original(p, qs, *args)
 
-        monkeypatch.setattr(engine, "_rel_entropy_rows", single_rows_only)
+        monkeypatch.setattr(engine, "_rel_entropy_array", single_rows_only)
         assert_same_trace(run(p0, target, max_half_steps, eps, retain), expected)
+        # the run measured a block in one stacked call before it fell back
+        assert stacked[0] > 0
 
 
 def _counting(monkeypatch, name: str) -> list[int]:
@@ -816,7 +821,7 @@ class TestLookAhead:
     def test_measurement_failure_past_the_stop_never_surfaces(self, monkeypatch):
         target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
         expected = per_step_run(p0, target, max_half_steps, eps, retain)
-        original = engine._rel_entropy_rows
+        original = engine._rel_entropy_array
         one_step = [0]
 
         def failing(p, qs, *args):
@@ -830,7 +835,7 @@ class TestLookAhead:
                     raise DistributionError("measured past the stop")
             return original(p, qs, *args)
 
-        monkeypatch.setattr(engine, "_rel_entropy_rows", failing)
+        monkeypatch.setattr(engine, "_rel_entropy_array", failing)
         assert_same_trace(run(p0, target, max_half_steps, eps, retain), expected)
         one_step[0] = 1
         with pytest.raises(DistributionError, match="past the stop"):
@@ -853,3 +858,122 @@ class TestLookAhead:
             else:
                 assert k > last_t
                 assert_same_trace(got, expected)
+
+
+def reference_fields(r: TraceRecord) -> list:
+    """A record's fields as the per-record encoder wrote them: each through
+    `encode`."""
+    return [encode(getattr(r, name)) for name in CSV_HEADER.split(",")]
+
+
+def reference_csv(trace: DATrace) -> str:
+    """The trace CSV as the per-record encoder wrote it, one row per record."""
+    rows = [",".join("" if v is None else str(v) for v in reference_fields(r)) for r in trace.records]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+def reference_json(trace: DATrace) -> str:
+    """The trace JSON as ``json.dumps(indent=1)`` writes the per-record dicts."""
+    doc = {
+        "nx": trace.target.nx,
+        "ny": trace.target.ny,
+        "stop_reason": trace.stop_reason.value,
+        "half_steps": trace.last_t,
+        "retained_times": trace.retained_times,
+        "records": [dict(zip(CSV_HEADER.split(","), reference_fields(r))) for r in trace.records],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _infinite_start_trace() -> DATrace:
+    target = make_target(JointDensity(np.array([[0.5, 0.5], [0.0, 0.0]])), require_positive=False)
+    return run(JointDensity(np.full((2, 2), 0.25)), target, max_half_steps=5, eps=1e-10)
+
+
+def _max_iters_trace() -> DATrace:
+    target, p0 = _degenerate_banded(12, 0, 11)
+    return run(p0, target, 30, 1e-300, RetainPolicy.thin(4))
+
+
+EXPORT_CASES = {
+    **{case: (lambda case=case: run_case(case)) for case in BLOCK_CASES},
+    "infinite-start": _infinite_start_trace,
+    "max-iters": _max_iters_trace,
+}
+
+
+class TestColumnExport:
+    """The CSV and JSON are formatted from the records' columns, byte for
+    byte what the per-record encoder wrote."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("case", list(EXPORT_CASES))
+    def test_exports_equal_the_per_record_encoder(self, case, rows, monkeypatch):
+        trace = EXPORT_CASES[case]()
+        if rows:
+            # chunks of one or three rows, so chunk edges fall inside the trace
+            monkeypatch.setattr(engine, "_EXPORT_ROWS", rows)
+        assert trace_to_csv(trace) == reference_csv(trace)
+        assert trace_to_json(trace) == reference_json(trace)
+        assert trace_to_json_dict(trace) == json.loads(reference_json(trace))
+
+    def test_cases_cover_an_infinity_and_a_budget_stop(self):
+        infinite = EXPORT_CASES["infinite-start"]()
+        assert infinite.stop_reason is StopReason.INFINITE_INITIAL_DIVERGENCE and infinite.last_t == 0
+        assert trace_to_csv(infinite).splitlines()[1] == "0,inf,1.0,,,0.0"
+        assert EXPORT_CASES["max-iters"]().stop_reason is StopReason.MAX_ITERS
+
+    def test_a_hand_built_trace_exports_as_its_columns(self):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES["thin-stop"]
+        expected = per_step_run(p0, target, max_half_steps, eps, retain)
+        assert trace_to_csv(expected) == reference_csv(expected) == trace_to_csv(run_case("thin-stop"))
+        assert trace_to_json(expected) == reference_json(expected)
+
+    def test_run_and_exports_build_no_record(self, monkeypatch):
+        built = [0]
+
+        def counted(*args):
+            built[0] += 1
+            return TraceRecord(*args)
+
+        monkeypatch.setattr(engine, "TraceRecord", counted)
+        trace = run_case("stop-mid-block")
+        trace_to_csv(trace)
+        trace_to_json(trace)
+        assert built[0] == 0
+        # reading a record builds it, so the counter sees construction
+        assert trace.records[-1].d_step is None and built[0] == 1
+
+
+class TestTraceRecords:
+    def test_records_are_built_as_python_values(self):
+        trace = run_case("stop-mid-block")
+        for r in (trace.records[0], trace.records[-2]):
+            assert type(r.d_to_target.value) is float and type(r.tv_to_target) is float
+            assert type(r.d_step.value) is float and type(r.lemma1_residual) is float
+            assert type(r.renorm_drift) is float
+        assert trace.records[-1] == trace.record_at(trace.last_t) == trace.records[len(trace.records) - 1]
+        assert trace.records[1:3] == (trace.records[1], trace.records[2])
+        with pytest.raises(IndexError):
+            trace.records[len(trace.records)]
+
+    def test_a_tuple_of_records_is_stored_as_columns(self):
+        trace = run_case("thin")
+        again = DATrace(trace.target, tuple(trace.records), trace.states, trace.stop_reason)
+        assert type(again.records) is engine.TraceRecords
+        assert again.records == trace.records == tuple(trace.records)
+        assert again.records != tuple(trace.records)[:-1]
+        npt.assert_array_equal(again.records.lemma1_residual, trace.records.lemma1_residual)
+
+    def test_records_must_be_contiguous_from_zero(self):
+        trace = run_case("max-steps-block-end")
+        with pytest.raises(DistributionError, match="contiguous"):
+            DATrace(trace.target, tuple(trace.records)[1:], trace.states, trace.stop_reason)
+
+    def test_columns_are_read_only_and_refuse_times_outside_the_trace(self):
+        trace = run_case("max-steps-block-end")
+        assert not trace.records.d_to_target.flags.writeable
+        npt.assert_array_equal(trace.column("d_step", [0, 3]), [trace.record_at(t).d_step.value for t in (0, 3)])
+        for t in (-1, trace.last_t + 1):
+            with pytest.raises(StateNotRetained, match=f"no record at t={t}"):
+                trace.column("d_to_target", [0, t])

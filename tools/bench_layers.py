@@ -161,9 +161,19 @@ def half_step_case(m, n: int) -> Timed:
     return Timed(call := lambda: m.engine.da_half_step(state, target), digest(call().density.w))
 
 
-def run_case(m, n: int, beta: float, half_steps: int) -> Timed:
-    call = run_from_corner(m, n, beta, half_steps)
-    return Timed(call, digest(m.engine.trace_to_csv(call())), half_steps)
+def run_case(m, n: int, beta: float | None, half_steps: int, eps: float = 1e-300) -> Timed:
+    """``engine.run`` for at most `half_steps` half-steps or to `eps`, per
+    half-step run: from a corner to the banded target of `beta`, or, with
+    beta None, from uniform to the target ``gen`` draws at seed 1, retaining
+    every state, as the wide workload's ``verify`` runs it."""
+    if beta is None:
+        target = m.dist.random_positive_target(n, n, seed=1)
+        p0 = m.dist.JointDensity(np.full((n, n), 1.0 / (n * n)))
+        call = lambda: m.engine.run(p0, target, half_steps, eps, m.engine.RetainPolicy.all())
+    else:
+        call = run_from_corner(m, n, beta, half_steps, eps)
+    trace = call()
+    return Timed(call, digest(m.engine.trace_to_csv(trace)), trace.last_t)
 
 
 def trace_export_case(m, fmt: str, n: int, beta: float, eps: float) -> Timed:
@@ -227,8 +237,10 @@ CASES = [
     # the certify grid's 64-entry rows, and `run`'s stacks at 28 x 28 and 200 x 200
     ("numeric.stable_row_sums", row_sums_case, [
         {"rows": r, "entries": e} for r, e in ((8, 64), (16, 64), (64, 64), (10, 784), (1, 40_000))]),
-    ("engine.run", run_case, [{"n": n, "beta": b, "half_steps": s} for n, b, s in (
-        (28, 0.9, 400), (100, 0.9, 60), (200, 0.9, 40), (500, 0.9, 10), (40, 2.0, 1000))]),
+    ("engine.run", run_case, [*({"n": n, "beta": b, "half_steps": s} for n, b, s in (
+        (28, 0.9, 400), (100, 0.9, 60), (200, 0.9, 40), (500, 0.9, 10), (40, 2.0, 1000))),
+        # the wide workload's run: 10 half-steps from uniform on 120 x 120
+        {"n": 120, "beta": None, "half_steps": 10_000, "eps": 1e-16}]),
     # the converge benchmark's trace, 746 half-steps
     ("engine.export", trace_export_case, [{"fmt": f, "n": 28, "beta": 0.9, "eps": 1e-10} for f in ("csv", "json")]),
     # the pair sweeps also on 150 retained 40 x 40 joints, which span several

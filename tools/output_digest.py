@@ -46,7 +46,8 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # 1,000 retained times, lemma3 and cauchy stacks of 1,600-entry rows too
 # large for one pass of the exact row sums, lemma1, lemma3 and cauchy on a
 # banded 40x40 target whose 150 retained times span several tiles of the
-# pair sweeps, and refusals of gamma draws whose total overflows, of an
+# pair sweeps, a run on that target whose stop falls inside a block of
+# half-steps, exported as CSV and as JSON, and refusals of gamma draws whose total overflows, of an
 # infinite eps and of the hostile files of EDGE_FILES
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
@@ -111,6 +112,13 @@ EDGE_COMMANDS = {
     "verify-tiles-banded-40x40": (
         "verify", "--target", "b40.json", "--p0", "degenerate:0,39", "--checks", "lemma1,lemma3,cauchy",
         "--eps", "1e-15", "--max-steps", "150", "--out-prefix", "b40",
+    ),
+    "run-banded-40-csv": (
+        "run", "--target", "b40.json", "--p0", "degenerate:0,39", "--eps", "1e-10", "--out-prefix", "rb40",
+    ),
+    "run-banded-40-json": (
+        "run", "--target", "b40.json", "--p0", "degenerate:0,39", "--eps", "1e-10", "--format", "json",
+        "--out-prefix", "rb40",
     ),
     "refuse-conc-overflow-run": ("run", "--gen", "2,2,1,1e308"),
     "refuse-conc-overflow-100x100": ("run", "--gen", "100,100,1,1e305"),
