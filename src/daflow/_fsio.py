@@ -1,4 +1,5 @@
-"""Text output: atomic file writes and the indent-1 JSON writer."""
+"""Text output: atomic file writes, the indent-1 JSON writer, and
+`table_chunks`, the one writer of the trace and verify tables."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import functools
 import json
 import os
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 
 
 def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
@@ -95,3 +97,23 @@ def _dump(obj, depth: int, parts: list[str]) -> None:
             parts.append(enc.encode({key: 0})[1:-2])
         _dump(member, depth + 1, parts)
     parts.append(f"\n{' ' * depth}{'}' if is_dict else ']'}")
+
+
+# the table writer formats at most this many rows at a time (about 300 KB of
+# verify JSON), whatever the number of rows
+TABLE_ROWS = 1 << 10
+
+
+def record_template(keys: Iterable[str], depth: int) -> str:
+    """A dict of `keys` as `dumps_indent1` writes it as a list member `depth`
+    deep, indentation included, with a ``%s`` slot for each value."""
+    return " " * depth + dumps_indent1(dict.fromkeys(keys, "%s"), depth).replace('"%s"', "%s")
+
+
+def table_chunks(row: str, sep: str, rows: int, columns: Callable[[int, int], Sequence[Sequence]]) -> Iterator[str]:
+    """`rows` rows written with the ``%`` template `row` and joined by `sep`,
+    at most `TABLE_ROWS` per chunk: rows lo to hi are one fill of the joined
+    template from `columns(lo, hi)`, one list of hi - lo values per slot."""
+    for lo in range(0, rows, TABLE_ROWS):
+        hi = min(lo + TABLE_ROWS, rows)
+        yield sep.join([row] * (hi - lo)) % tuple(chain.from_iterable(zip(*columns(lo, hi))))

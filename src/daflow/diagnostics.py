@@ -52,8 +52,9 @@ A sweep's reports are held as columns (:class:`ReportBlock`): lemma3 gives
 one block per row block of times and lemma1 one block, their t, n, sides,
 residuals or slacks and verdicts as arrays with no object per report, and
 the other families give blocks of the reports they return. `summarize`
-reduces the columns and `verification_chunks` writes the JSON from them,
-one ``%`` template per row; a list of reports is gathered into blocks
+reduces the columns and `verification_chunks` writes the JSON from them
+through `_fsio.table_chunks`, the table writer the trace exports also use,
+one ``%`` template per block; a list of reports is gathered into blocks
 first, so both take one path.
 
 Every check returns a :class:`LemmaReport`; identities pass when the
@@ -68,11 +69,12 @@ import json
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, groupby
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 
-from ._fsio import dumps_indent1
+from ._fsio import dumps_indent1, record_template, table_chunks
 from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
@@ -750,27 +752,15 @@ def report_to_json_dict(report: LemmaReport) -> dict:
 
 
 # one report as `json.dumps(doc, indent=1)` writes it inside doc["reports"]
-_REPORT_JSON = (
-    '  {\n   "name": %s,\n   "t": %s,\n   "n": %s,\n   "lhs": %s,\n   "rhs": %s,\n'
-    '   "residual_or_slack": %s,\n   "pass": %s,\n   "tolerance": %s,\n   "note": %s\n  }'
-)
+_REPORT_JSON = record_template(("name", "t", "n", "lhs", "rhs", "residual_or_slack", "pass", "tolerance", "note"), 2)
 
 
-# the JSON text is formatted at most this many reports at a time (about
-# 300 KB), whatever the size of a block
-_JSON_REPORTS = 1 << 10
-
-
-def _block_json(block: ReportBlock, lo: int, hi: int) -> str:
-    """Reports lo to hi of the block as `json.dumps(doc, indent=1)` writes
-    them in doc["reports"], separated by commas: one template for the block,
-    with its name, tolerance and a None n filled in, formatted once."""
-    n = "null" if block.n is None else "%s"
-    name, tolerance = json.dumps(block.name.value), json.dumps(block.tolerance)
-    row = _REPORT_JSON % (name, "%s", n, "%s", "%s", "%s", "%s", tolerance, "%s")
+def _block_columns(block: ReportBlock, lo: int, hi: int) -> list[list]:
+    """The `%s` arguments of reports lo to hi of the block that its row
+    template leaves open, one list per slot."""
     notes = block.notes[lo:hi]
     quoted = {note: json.dumps(note) for note in set(notes)}
-    columns = [
+    return [
         block.t[lo:hi].tolist(),
         *([] if block.n is None else [block.n[lo:hi].tolist()]),
         _json_floats(block.lhs[lo:hi]),
@@ -779,17 +769,20 @@ def _block_json(block: ReportBlock, lo: int, hi: int) -> str:
         [("false", "true")[p] for p in block.passed[lo:hi].tolist()],
         [quoted[note] for note in notes],
     ]
-    return ",\n".join([row] * len(notes)) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def verification_chunks(reports: ReportTable | Iterable[LemmaReport], summary: dict) -> Iterator[str]:
-    """The text of `verification_to_json(reports, summary)` in chunks of at
-    most `_JSON_REPORTS` reports of one block."""
+    """The text of `verification_to_json(reports, summary)`, each block's
+    reports in the chunks of `_fsio.table_chunks`."""
     blocks = _table(reports).blocks
     yield '{\n "reports": [' + ("\n" if blocks else "")
     for i, block in enumerate(blocks):
-        for lo in range(0, len(block), _JSON_REPORTS):
-            yield (",\n" if i or lo else "") + _block_json(block, lo, lo + _JSON_REPORTS)
+        # one row template per block, its name, tolerance and a None n filled in
+        name, tolerance = json.dumps(block.name.value), json.dumps(block.tolerance)
+        n = "null" if block.n is None else "%s"
+        row = _REPORT_JSON % (name, "%s", n, "%s", "%s", "%s", "%s", tolerance, "%s")
+        for j, text in enumerate(table_chunks(row, ",\n", len(block), partial(_block_columns, block))):
+            yield (",\n" if i or j else "") + text
     yield ("\n ]" if blocks else "]") + ',\n "summary": ' + dumps_indent1(summary, 1) + "\n}\n"
 
 

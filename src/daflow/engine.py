@@ -17,8 +17,9 @@ divergence and distance to the target, the one-step divergence, the
 projection-identity residual, and the renormalization drift, until the
 divergence falls to `eps` or the step budget runs out. The measurements are
 kept as float64 columns (:class:`TraceRecords`), one entry per visited time.
-A :class:`TraceRecord` is built from them only when one is read; the trace
-exports and the certification checks read the columns.
+A :class:`TraceRecord` is built from them only when one is read; the
+certification checks read the columns, and `_fsio.table_chunks`, the verify
+JSON's writer too, writes the trace exports from them.
 
 Every iterate after t=0 is a target conditional times one marginal, so `run`
 carries that one marginal, a plain vector (the Y marginal of p_t for even t,
@@ -51,15 +52,14 @@ on the first lookup. `da_half_step` is the joint-based reference half-step.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from functools import partial
 
 import numpy as np
 
-from ._fsio import dumps_indent1
+from ._fsio import dumps_indent1, record_template, table_chunks
 from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
@@ -150,24 +150,19 @@ class TraceRecords(Sequence[TraceRecord]):
     `lemma1_residual` with one per record but the final one.
 
     A record is built from the columns on access, its fields Python floats
-    and ExtReals; nothing else builds one. The records compare equal to a
-    tuple of the same records.
+    and ExtReals; nothing else builds one. Columns whose lengths do not
+    agree, among them empty ones, are refused.
     """
 
     def __init__(self, d_to_target, tv_to_target, d_step, lemma1_residual, renorm_drift) -> None:
         self.d_to_target, self.tv_to_target, self.d_step, self.lemma1_residual, self.renorm_drift = map(
             readonly, (d_to_target, tv_to_target, d_step, lemma1_residual, renorm_drift)
         )
-
-    @classmethod
-    def of(cls, records: Sequence[TraceRecord]) -> TraceRecords:
-        """The columns of records contiguous from t=0; the final record's
-        d_step and lemma1_residual are not read."""
-        if [r.t for r in records] != list(range(len(records))):
-            raise DistributionError("trace records must be contiguous from t=0")
-        steps = records[:-1]
-        return cls(*([float(getattr(r, name)) for r in (steps if name in ("d_step", "lemma1_residual") else records)]
-                     for name in _FIELDS[1:]))
+        lengths = [len(getattr(self, name)) for name in _FIELDS[1:]]
+        n = lengths[0]
+        if lengths != [n, n, n - 1, n - 1, n]:
+            names = ", ".join(_FIELDS[1:])
+            raise DistributionError(f"trace columns {names} need n, n, n - 1, n - 1 and n >= 1 entries, got {lengths}")
 
     def __len__(self) -> int:
         return len(self.d_to_target)
@@ -182,7 +177,7 @@ class TraceRecords(Sequence[TraceRecord]):
         )
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, TraceRecords)):
+        if isinstance(other, TraceRecords):
             return tuple(self) == tuple(other)
         return NotImplemented
 
@@ -271,20 +266,16 @@ class DATrace:
     """A completed run: the target, one record per visited time, retained
     states keyed by time, and why iteration stopped.
 
-    Records are contiguous from t=0, held as :class:`TraceRecords`; a tuple
-    of records passed in is stored as their columns. States hold whatever
-    the retain policy kept plus the final state. `run` returns a read-only
-    mapping whose states are built on first lookup.
+    It takes its records as :class:`TraceRecords`, columns contiguous from
+    t=0. States hold whatever the retain policy kept plus the final state.
+    `run` returns a read-only mapping whose states are built on first
+    lookup.
     """
 
     target: Target
     records: TraceRecords
     states: Mapping[int, DAState]
     stop_reason: StopReason
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.records, TraceRecords):
-            object.__setattr__(self, "records", TraceRecords.of(self.records))
 
     @property
     def converged(self) -> bool:
@@ -313,11 +304,15 @@ class DATrace:
 
     def column(self, name: str, ts: Sequence[int]) -> np.ndarray:
         """The records' float64 column `name` at the listed times, refusing
-        a time outside the trace as `record_at` does."""
+        a time outside the trace as `record_at` does, and the final time for
+        `d_step` and `lemma1_residual`, which need a successor."""
+        values = getattr(self.records, name)
         if len(ts):
             self._check_time(min(ts))
             self._check_time(max(ts))
-        return getattr(self.records, name)[np.asarray(ts, dtype=np.int64)]
+            if max(ts) >= len(values):
+                raise StateNotRetained(f"no {name} at t={max(ts)}: the final record has no successor")
+        return values[np.asarray(ts, dtype=np.int64)]
 
     def _check_time(self, t: int) -> None:
         if not 0 <= t <= self.last_t:
@@ -503,29 +498,19 @@ def fixed_point_residual(target: Target) -> float:
 CSV_HEADER = ",".join(_FIELDS)
 
 # one record as a CSV row and as `json.dumps(doc, indent=1)` writes it inside
-# doc["records"]; the final record's d_step and lemma1_residual are absent
+# doc["records"]
 _CSV_ROW = ",".join(["%s"] * len(_FIELDS))
-_JSON_ROW = "  {\n" + ",\n".join(f'   "{name}": %s' for name in _FIELDS) + "\n  }"
-_CSV_FINAL = _CSV_ROW % ("%s", "%s", "%s", "", "", "%s")
-_JSON_FINAL = _JSON_ROW % ("%s", "%s", "%s", "null", "null", "%s")
-
-# the exports format at most this many records at a time
-_EXPORT_ROWS = 1 << 10
+_JSON_ROW = record_template(_FIELDS, 2)
 
 
-def _row_chunks(
-    trace: DATrace, row: str, final: str, sep: str, floats: Callable[[np.ndarray], list]
-) -> Iterator[str]:
-    """The records written with the template `row` and joined by `sep`, at
-    most `_EXPORT_ROWS` per chunk, then the final one alone with `final`;
-    each chunk is one template formatted from the columns, and `floats`
-    gives a float column's `%s` arguments."""
-    r, last = trace.records, trace.last_t
-    for lo in range(0, last, _EXPORT_ROWS):
-        hi = min(lo + _EXPORT_ROWS, last)
-        columns = [range(lo, hi), *(floats(getattr(r, name)[lo:hi]) for name in _FIELDS[1:])]
-        yield sep.join([row] * (hi - lo)) % tuple(chain.from_iterable(zip(*columns)))
-    yield final % (last, *floats(np.array([r.d_to_target[last], r.tv_to_target[last], r.renorm_drift[last]])))
+def _columns(records: TraceRecords, floats: Callable[[np.ndarray], list], absent: str, lo: int, hi: int) -> list:
+    """The `%s` arguments of records lo to hi, one list per field: `floats`
+    of each float column, and `absent` for the final record's d_step and
+    lemma1_residual, which it lacks."""
+    columns = [range(lo, hi), *(floats(getattr(records, name)[lo:hi]) for name in _FIELDS[1:])]
+    for values in columns[1:]:
+        values += [absent] * (hi - lo - len(values))
+    return columns
 
 
 def trace_to_csv(trace: DATrace) -> str:
@@ -533,30 +518,21 @@ def trace_to_csv(trace: DATrace) -> str:
 
     Infinity prints as the literal `inf`; the final record's d_step and
     lemma1_residual columns are empty (no successor exists). Floats use
-    shortest round-trip notation, so output is bit-stable across runs. Each
-    chunk of rows is one ``%`` template filled from the columns, which
-    writes the text of `metrics.encode` (``str`` of a float infinity is
-    already ``inf``).
+    shortest round-trip notation, so output is bit-stable across runs. The
+    rows are written by `_fsio.table_chunks`, each chunk one ``%`` template
+    filled from the columns, which writes the text of `metrics.encode`
+    (``str`` of a float infinity is already ``inf``).
     """
-    rows = "\n".join(_row_chunks(trace, _CSV_ROW, _CSV_FINAL, "\n", np.ndarray.tolist))
+    columns = partial(_columns, trace.records, np.ndarray.tolist, "")
+    rows = "\n".join(table_chunks(_CSV_ROW, "\n", len(trace.records), columns))
     return f"{CSV_HEADER}\n{rows}\n"
-
-
-def trace_to_json_dict(trace: DATrace) -> dict:
-    """Trace as a JSON-ready dict mirroring the CSV fields: `trace_to_json`
-    parsed.
-
-    Infinity is rendered as the string "inf" (strict JSON has no Infinity
-    literal) and absent fields as null.
-    """
-    return json.loads(trace_to_json(trace))
 
 
 def trace_to_json(trace: DATrace) -> str:
     """The trace as ``json.dumps(doc, indent=1) + "\\n"``, byte for byte,
     where doc holds nx, ny, stop_reason, half_steps, retained_times and one
-    dict per record of `metrics.encode`'s values; the records are formatted
-    from the columns in chunks, as the CSV's are."""
+    dict per record of `metrics.encode`'s values ("inf" for an infinity,
+    null for an absent field), written from the columns as the CSV's are."""
     head = dumps_indent1({
         "nx": trace.target.nx,
         "ny": trace.target.ny,
@@ -564,6 +540,7 @@ def trace_to_json(trace: DATrace) -> str:
         "half_steps": trace.last_t,
         "retained_times": trace.retained_times,
     })
-    rows = ",\n".join(_row_chunks(trace, _JSON_ROW, _JSON_FINAL, ",\n", _json_floats))
+    columns = partial(_columns, trace.records, _json_floats, "null")
+    rows = ",\n".join(table_chunks(_JSON_ROW, ",\n", len(trace.records), columns))
     # head ends with the dict's closing "\n}"
     return f'{head[:-2]},\n "records": [\n{rows}\n ]\n}}\n'

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import daflow._fsio as _fsio
 import daflow.diagnostics as diagnostics
 from conftest import gamma_weights
 from daflow._numeric import stable_sum
@@ -49,7 +50,7 @@ from daflow.dist import (
     make_target,
     random_positive_target,
 )
-from daflow.engine import DATrace, RetainPolicy, run
+from daflow.engine import DAState, DATrace, RetainPolicy, StopReason, TraceRecords, run
 from daflow.errors import (
     DimensionMismatch,
     DistributionError,
@@ -75,6 +76,26 @@ def converged_trace(nx=5, ny=4, seed=70):
     target = random_positive_target(nx, ny, seed=seed)
     p0 = JointDensity(gamma_weights(nx, ny, seed=seed + 1000))
     return run(p0, target, max_half_steps=10_000, eps=1e-16)
+
+
+# a 2x2 joint with every cell charged, and one whose top-right cell is empty
+FULL22 = [[0.25, 0.25], [0.25, 0.25]]
+HOLE22 = [[0.5, 0.0], [0.25, 0.25]]
+
+
+def hand_built_trace(target, weights: dict[int, list]) -> DATrace:
+    """A converged trace holding a state of each listed joint at its time,
+    with zero columns of records up to the last of those times."""
+    n = max(weights) + 1
+    records = TraceRecords(np.zeros(n), np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), np.zeros(n))
+    states = {t: DAState(t, JointDensity(np.array(w))) for t, w in weights.items()}
+    return DATrace(target, records, states, StopReason.CONVERGED)
+
+
+def exported(report: LemmaReport) -> tuple:
+    """The sides, residual or slack and verdict of a report in the verify JSON."""
+    doc = json.loads(verification_to_json([report]))["reports"][0]
+    return doc["lhs"], doc["rhs"], doc["residual_or_slack"], doc["pass"]
 
 
 class TestLemma1:
@@ -170,6 +191,15 @@ class TestLemma2:
         trace = make_trace(steps=16, retain=RetainPolicy.thin(5))
         with pytest.raises(StateNotRetained):
             lemma2_check(trace, 1, 2)
+
+    def test_even_inequality_holds_vacuously_when_both_sides_infinite(self):
+        # p_1 charges the cell that p_2 and p_3 leave empty
+        trace = hand_built_trace(make_target(DIAG22), {1: FULL22, 2: HOLE22, 3: HOLE22})
+        report = lemma2_check(trace, 1, 2)
+        assert report.name is CheckName.LEMMA2_EVEN
+        assert (report.lhs.value, report.rhs.value, report.residual_or_slack) == (math.inf, math.inf, 0.0)
+        assert report.note == "both sides infinite; inequality holds vacuously" and report.passed
+        assert exported(report) == ("inf", "inf", 0.0, True)
 
 
 class TestLemma3:
@@ -269,6 +299,20 @@ class TestLsc:
         trace = converged_trace()
         with pytest.raises(DistributionError):
             lsc_gap(trace, 1, -1)
+
+    def test_infinite_sides_compare_as_an_identity(self):
+        # p_2 leaves empty a cell that p_1 charges: D(p_1 || p_2) is infinite,
+        # and so is D(p_1 || target) against a target empty there too
+        states = {1: FULL22, 2: HOLE22}
+        one = lsc_gap(hand_built_trace(make_target(DIAG22), states), 1, 1)
+        assert (one.lhs.value, one.residual_or_slack, one.tolerance) == (math.inf, math.inf, 1e-6)
+        assert one.rhs.is_finite and one.note == "exactly one side infinite" and not one.passed
+        assert exported(one) == ("inf", one.rhs.value, "inf", False)
+        hole = make_target(JointDensity(np.array(HOLE22)), require_positive=False)
+        both = lsc_gap(hand_built_trace(hole, states), 1, 1)
+        assert (both.lhs.value, both.rhs.value, both.residual_or_slack) == (math.inf, math.inf, 0.0)
+        assert both.note == "both sides infinite; identity holds vacuously" and both.passed
+        assert exported(both) == ("inf", "inf", 0.0, True)
 
 
 class TestReconstruction:
@@ -1158,7 +1202,7 @@ class TestBlockEncoder:
         reports = list(table)
         summary = summarize(table)
         doc = {"reports": [report_to_json_dict(r) for r in reports], "summary": summary}
-        monkeypatch.setattr(diagnostics, "_JSON_REPORTS", per_chunk)
+        monkeypatch.setattr(_fsio, "TABLE_ROWS", per_chunk)
         chunks = list(diagnostics.verification_chunks(table, summary))
         assert "".join(chunks) == json.dumps(doc, indent=1) + "\n"
         # every chunk but the opening and the summary holds at most per_chunk reports

@@ -21,6 +21,7 @@ from daflow.dist import (
     make_target,
     random_positive_target,
 )
+import daflow._fsio as _fsio
 import daflow.dist as dist
 import daflow.engine as engine
 from daflow.engine import (
@@ -30,6 +31,7 @@ from daflow.engine import (
     RetainPolicy,
     StopReason,
     TraceRecord,
+    TraceRecords,
     UpdateKind,
     da_half_step,
     fixed_point_residual,
@@ -38,7 +40,6 @@ from daflow.engine import (
     run,
     trace_to_csv,
     trace_to_json,
-    trace_to_json_dict,
 )
 from daflow.errors import (
     DimensionMismatch,
@@ -435,7 +436,7 @@ class TestTraceExport:
             JointDensity(np.array([[0.5, 0.5], [0.0, 0.0]])), require_positive=False
         )
         trace = run(JointDensity(np.full((2, 2), 0.25)), target, max_half_steps=5, eps=1e-10)
-        obj = trace_to_json_dict(trace)
+        obj = json.loads(trace_to_json(trace))
         assert obj["records"][0]["d_to_target"] == "inf"
         json.dumps(obj)  # strict-JSON serializable
 
@@ -603,14 +604,18 @@ def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, reta
     """`run` with every measurement taken one half-step at a time: the
     reference that the block evaluation must reproduce exactly. Each
     marginal vector is validated as a `MarginalDensity` before it is
-    measured, so a trace equal to this one carried only pmfs."""
+    measured, so a trace equal to this one carried only pmfs. Its floats
+    are appended to columns, as `run` records them."""
     d_cur = relative_entropy(p0, target.joint)
     tv_cur = total_variation(p0, target.joint)
     target_marginal = {Axis.X: target.marg_x, Axis.Y: target.marg_y}
-    records, sources = [], {}
+    d_to_target, tv_to_target, d_steps, residuals, drifts, sources = [], [], [], [], [], {}
     t, src, w, drift_cur = 0, p0, p0.w, 0.0
     v, _ = engine._renormalized_marginal(w, Axis.Y)
     while True:
+        d_to_target.append(d_cur.value)
+        tv_to_target.append(tv_cur)
+        drifts.append(drift_cur)
         if d_cur.value <= eps:
             stop = StopReason.CONVERGED
             break
@@ -622,17 +627,17 @@ def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, reta
         d_next = marginal_relative_entropy(m, target_marginal[m.axis])
         tv_next = marginal_total_variation(m, target_marginal[m.axis])
         d_step = _rel_entropy_raw(w, w_next, "relative_entropy")
-        residual = abs(d_cur.value - d_step.value - d_next.value)
-        records.append(TraceRecord(t, d_cur, tv_cur, d_step, residual, drift_cur))
+        d_steps.append(d_step.value)
+        residuals.append(abs(d_cur.value - d_step.value - d_next.value))
         if retain.keeps(t):
             sources[t] = src
         other = Axis.X if m.axis is Axis.Y else Axis.Y
         t, src, w = t + 1, v, w_next
         v, drift_cur = engine._renormalized_marginal(w, other)
         d_cur, tv_cur = d_next, tv_next
-    records.append(TraceRecord(t, d_cur, tv_cur, None, None, drift_cur))
     sources[t] = src
-    return DATrace(target, tuple(records), engine._RetainedStates(target, sources), stop)
+    records = TraceRecords(d_to_target, tv_to_target, d_steps, residuals, drifts)
+    return DATrace(target, records, engine._RetainedStates(target, sources), stop)
 
 
 def assert_same_trace(got: DATrace, expected: DATrace) -> None:
@@ -841,6 +846,41 @@ class TestLookAhead:
         with pytest.raises(DistributionError, match="past the stop"):
             run(p0, target, max_half_steps, eps, retain)
 
+    def test_a_nan_one_step_divergence_is_refused_where_the_per_step_loop_meets_it(self, monkeypatch):
+        target, p0, max_half_steps, eps, retain = BLOCK_CASES["stop-mid-block"]
+        expected = per_step_run(p0, target, max_half_steps, eps, retain)
+        # D(p_s || p_(s+1)) for every s up to the stop, which the run's last
+        # block computes past it
+        d_step = per_step_run(p0, target, expected.last_t + 1, 1e-300).records.d_step
+        original = engine._rel_entropy_array
+        calls = []
+
+        def nan_at(s: int) -> None:
+            def patched(p, qs, *args):
+                out = original(p, qs, *args)
+                if not args:
+                    # the one-step divergences: NaN in place of half-step s's
+                    hit = out == d_step[s]
+                    calls.append((len(qs), bool(hit.any())))
+                    out[hit] = math.nan
+                return out
+
+            monkeypatch.setattr(engine, "_rel_entropy_array", patched)
+
+        # half-step 5 sits inside the block of half-steps 3 to 6
+        nan_at(5)
+        with pytest.raises(DistributionError, match="^ExtReal cannot hold NaN$"):
+            run(p0, target, max_half_steps, eps, retain)
+        # the block holding it raised, then single steps ran up to it
+        first = next(i for i, (_, hit) in enumerate(calls) if hit)
+        assert calls[first][0] == 4 and calls[first + 1:] == [(1, False), (1, False), (1, True)]
+
+        calls.clear()
+        nan_at(expected.last_t)
+        assert_same_trace(run(p0, target, max_half_steps, eps, retain), expected)
+        # a block computed the NaN, and no single step reached it
+        assert [rows > 1 for rows, hit in calls if hit] == [True]
+
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
     def test_a_failing_half_step_surfaces_as_in_the_per_step_loop(self, monkeypatch, case):
         target, p0, max_half_steps, eps, retain = BLOCK_CASES[case]
@@ -912,10 +952,9 @@ class TestColumnExport:
         trace = EXPORT_CASES[case]()
         if rows:
             # chunks of one or three rows, so chunk edges fall inside the trace
-            monkeypatch.setattr(engine, "_EXPORT_ROWS", rows)
+            monkeypatch.setattr(_fsio, "TABLE_ROWS", rows)
         assert trace_to_csv(trace) == reference_csv(trace)
         assert trace_to_json(trace) == reference_json(trace)
-        assert trace_to_json_dict(trace) == json.loads(reference_json(trace))
 
     def test_cases_cover_an_infinity_and_a_budget_stop(self):
         infinite = EXPORT_CASES["infinite-start"]()
@@ -957,18 +996,18 @@ class TestTraceRecords:
         with pytest.raises(IndexError):
             trace.records[len(trace.records)]
 
-    def test_a_tuple_of_records_is_stored_as_columns(self):
-        trace = run_case("thin")
-        again = DATrace(trace.target, tuple(trace.records), trace.states, trace.stop_reason)
-        assert type(again.records) is engine.TraceRecords
-        assert again.records == trace.records == tuple(trace.records)
-        assert again.records != tuple(trace.records)[:-1]
-        npt.assert_array_equal(again.records.lemma1_residual, trace.records.lemma1_residual)
-
-    def test_records_must_be_contiguous_from_zero(self):
-        trace = run_case("max-steps-block-end")
-        with pytest.raises(DistributionError, match="contiguous"):
-            DATrace(trace.target, tuple(trace.records)[1:], trace.states, trace.stop_reason)
+    def test_columns_of_inconsistent_length_are_refused(self):
+        r = run_case("thin").records
+        columns = [r.d_to_target, r.tv_to_target, r.d_step, r.lemma1_residual, r.renorm_drift]
+        assert TraceRecords(*columns) == r != TraceRecords(*(c[:-1] for c in columns))
+        # records compare equal only to records
+        assert r != tuple(r)
+        for i in range(len(columns)):
+            with pytest.raises(DistributionError, match="need n, n, n - 1, n - 1 and n >= 1 entries"):
+                TraceRecords(*(c[:-1] if j == i else c for j, c in enumerate(columns)))
+        with pytest.raises(DistributionError, match=r"got \[0, 0, 0, 0, 0\]"):
+            TraceRecords([], [], [], [], [])
+        assert TraceRecords([math.inf], [1.0], [], [], [0.0])[0].d_step is None
 
     def test_columns_are_read_only_and_refuse_times_outside_the_trace(self):
         trace = run_case("max-steps-block-end")
@@ -977,3 +1016,8 @@ class TestTraceRecords:
         for t in (-1, trace.last_t + 1):
             with pytest.raises(StateNotRetained, match=f"no record at t={t}"):
                 trace.column("d_to_target", [0, t])
+        # the final record has no successor, so no one-step values
+        assert trace.column("d_to_target", [trace.last_t])[0] == trace.records[-1].d_to_target.value
+        for name in ("d_step", "lemma1_residual"):
+            with pytest.raises(StateNotRetained, match=f"no {name} at t={trace.last_t}"):
+                trace.column(name, [0, trace.last_t])

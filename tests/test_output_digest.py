@@ -28,6 +28,9 @@ def test_tiny_digest_repeats_line_for_line(monkeypatch, capsys):
     codes = {label: line.split()[1] for label, line in zip(labels, first)}
     assert all(code == "exit=0" for label, code in codes.items() if not label.startswith("edge/"))
     assert codes["edge/maxiters-1x5"] == codes["edge/subnormal-6x6"] == "exit=1"
+    # budget stops at the table writer's chunk edge: MaxIters after 1,025 and 1,026 records
+    edge = [f"edge/run-chunk-edge-{steps}-{fmt}" for steps in (1024, 1025) for fmt in ("csv", "json")]
+    assert [codes[label] for label in edge] == ["exit=1"] * 4
     assert codes["edge/refuse-1x1"] == codes["edge/refuse-10x10"] == codes["edge/refuse-seed"] == "exit=2"
     refusals = [label for label in codes if label.startswith(("edge/refuse-conc", "edge/refuse-eps", "edge/refuse-huge", "edge/refuse-nested"))]
     assert len(refusals) == 9 and all(codes[label] == "exit=2" for label in refusals)

@@ -47,8 +47,10 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # large for one pass of the exact row sums, lemma1, lemma3 and cauchy on a
 # banded 40x40 target whose 150 retained times span several tiles of the
 # pair sweeps, a run on that target whose stop falls inside a block of
-# half-steps, exported as CSV and as JSON, and refusals of gamma draws whose total overflows, of an
-# infinite eps and of the hostile files of EDGE_FILES
+# half-steps, exported as CSV and as JSON, budget stops of 1,025 and 1,026
+# records on each side of the table writer's 1,024-row chunk edge, as CSV and
+# as JSON, and refusals of gamma draws whose total overflows, of an infinite
+# eps and of the hostile files of EDGE_FILES
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -120,6 +122,14 @@ EDGE_COMMANDS = {
         "run", "--target", "b40.json", "--p0", "degenerate:0,39", "--eps", "1e-10", "--format", "json",
         "--out-prefix", "rb40",
     ),
+    **{
+        f"run-chunk-edge-{steps}-{fmt}": (
+            "run", "--gen", "1,5,3", "--p0", "random:4", "--eps", "1e-300", "--max-steps", str(steps),
+            "--format", fmt, "--out-prefix", f"ce{steps}",
+        )
+        for steps in (1024, 1025)
+        for fmt in ("csv", "json")
+    },
     "refuse-conc-overflow-run": ("run", "--gen", "2,2,1,1e308"),
     "refuse-conc-overflow-100x100": ("run", "--gen", "100,100,1,1e305"),
     "refuse-conc-overflow-verify": ("verify", "--gen", "3,3,1,1e308"),
