@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from ._fsio import atomic_write_chunks, atomic_write_text, dumps_indent1
+from ._fsio import atomic_write_chunks, dumps_indent1
 from .diagnostics import (
     DEFAULT_CHECKS,
     LemmaReport,
@@ -55,8 +55,8 @@ from .engine import (
     RetainPolicy,
     StopReason,
     run,
-    trace_to_csv,
-    trace_to_json,
+    trace_csv_chunks,
+    trace_json_chunks,
 )
 from .errors import DAError, DistributionError, PositivityViolation, StateNotRetained
 from .metrics import encode
@@ -202,12 +202,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out_note = ""
     if args.out_prefix:
-        if args.format == "csv":
-            path = f"{args.out_prefix}.trace.csv"
-            atomic_write_text(path, trace_to_csv(trace))
-        else:
-            path = f"{args.out_prefix}.trace.json"
-            atomic_write_text(path, trace_to_json(trace))
+        path = f"{args.out_prefix}.trace.{args.format}"
+        atomic_write_chunks(path, (trace_csv_chunks if args.format == "csv" else trace_json_chunks)(trace))
         out_note = f" out={path}"
 
     records = trace.records

@@ -19,34 +19,36 @@ finished trace:
     single joint;
   - detailed balance of the two induced single-coordinate Markov kernels.
 
-Checks read retained states and the columns of the trace's records, and
-never recompute iterates. lemma1 and lemma2's odd identity read the
-one-step divergence `d_step` that `run` recorded, summed over the joints.
-D(p_t || target) is the one value held twice. `run` records it from p_t's
-marginal by the chain rule, which is exact only because p_t carries the
-target's conditional; `_ToTarget` evaluates it on the retained joint.
-lemma1, lemma3 and lsc certify relations among the divergences of the
-iterates, so they read the joint value and assume nothing of the iterate's
-form. cauchy's right side and lsc's tolerance size a bound instead, so they
-read the recorded value, the one the stop rule and the exported trace use,
-at no pass over the joints. The two agree to rounding. The engine stays the
-single source of truth, and a missing state is reported as
-`StateNotRetained`, never silently filled in.
+Checks read retained joints and the columns of the trace's records, and
+never recompute iterates. Every joint a check reads comes from one source,
+`DATrace.joints`, as a stack composed from the kept marginals and validated
+as `state_at` validates a state, cached nowhere; a missing state is
+reported as `StateNotRetained`, never silently filled in. lemma1 and
+lemma2's odd identity read the one-step divergence `d_step` that `run`
+recorded, summed over the joints. D(p_t || target) is the one value held
+twice. `run` records it from p_t's marginal by the chain rule, which is
+exact only because p_t carries the target's conditional; `_to_target`
+evaluates it on the joints, one stacked call per block of times. lemma1,
+lemma3 and lsc certify relations among the divergences of the iterates, so
+they read the joint value, evaluated once per sweep for the times they
+read, and assume nothing of the iterate's form. cauchy's right side and
+lsc's tolerance size a bound instead, so they read the recorded value, the
+one the stop rule and the exported trace use, at no pass over the joints.
+The two agree to rounding. lemma2 evaluates its grid's divergences, and lsc
+its gap's, as one paired call over one stack of the joints they read.
 
-The pairwise families read their values from one source, `_pair_tiles`.
-It looks up each listed time's joint once, cuts the times into blocks,
-stacks a block of rows and a block of later columns once per tile, and
-forms lemma3's D(p_t || p_k) or cauchy's V(p_t, p_k) for the tile's pairs
-in chunks gathered from those stacks, each chunk one call of the paired
-kernel with one correctly rounded sum per pair. So every value equals
-`relative_entropy` or `total_variation` on that pair exactly, and the JSON
-output is the same as pair by pair. A tile's stacks and a chunk hold at
-most a fixed number of values, whatever the number of retained times.
-lemma3 orders each row block's pairs row-major; cauchy reads the chunks as
-they come and keeps only the tightest pair. A sweep evaluates
-D(p_t || target) once per time and lemma1, lemma3 and lsc share it. The
-lemma3 grid still covers every pair of retained times, so its cost is
-O(T^2) in their number T, though its lookups are O(T).
+lemma3, cauchy and `cauchy_matrix` read their pairs from `_pair_tiles`. It
+cuts the times into blocks, stacks a block of rows and a block of later
+columns per tile, and forms lemma3's D(p_t || p_k) or cauchy's V(p_t, p_k)
+for the tile's pairs in chunks gathered from those stacks, each chunk one
+call of the paired kernel with one correctly rounded sum per pair. So every
+value equals `relative_entropy` or `total_variation` on that pair exactly,
+and the JSON output is the same as pair by pair. A tile's stacks and a
+chunk hold at most a fixed number of values, whatever the number T of
+retained times. lemma3 orders each row block's pairs row-major; cauchy
+reads the chunks as they come and keeps only the tightest pair. The grid
+covers every pair, so its cost is O(T^2); the joints are composed
+O(T^2 / B) times in all for blocks of B times.
 
 A sweep's reports are held as columns (:class:`ReportBlock`): lemma3 gives
 one block per row block of times and lemma1 one block, their t, n, sides,
@@ -99,7 +101,6 @@ from .metrics import (
     _l1_rows,
     _rel_entropy_array,
     encode,
-    relative_entropy,
     total_variation,
 )
 
@@ -240,23 +241,6 @@ def _table(reports: ReportTable | Iterable[LemmaReport]) -> ReportTable:
     return reports if isinstance(reports, ReportTable) else ReportTable(_gather(reports))
 
 
-def _density(trace: DATrace, t: int) -> JointDensity:
-    return trace.state_at(t).density
-
-
-class _ToTarget(dict):
-    """D(p_t || target) on the joint, keyed by t and computed on first use,
-    so a sweep evaluates it once per time whichever families read it."""
-
-    def __init__(self, trace: DATrace) -> None:
-        super().__init__()
-        self._trace = trace
-
-    def __missing__(self, t: int) -> ExtReal:
-        d = self[t] = relative_entropy(_density(self._trace, t), self._trace.target.joint)
-        return d
-
-
 # a tile of the pairwise sweeps stacks its two blocks of times in at most
 # this many values (512 KiB of float64), whatever the number of retained times
 _BLOCK_VALUES = 1 << 16
@@ -270,6 +254,16 @@ def _block_times(cells: int) -> int:
     return max(1, min(_BLOCK_VALUES // (2 * cells), math.isqrt(_BLOCK_VALUES)))
 
 
+def _to_target(trace: DATrace, times: list[int]) -> dict[int, float]:
+    """D(p_t || target) on the joint at each listed time, keyed by t: one
+    stacked evaluation per block of times."""
+    pi = trace.target.joint.w
+    per_block = _block_times(pi.size)
+    stacks = (trace.joints(times[lo : lo + per_block]) for lo in range(0, len(times), per_block))
+    d = (x for w in stacks for x in _rel_entropy_array(w, np.broadcast_to(pi, w.shape)).tolist())
+    return dict(zip(times, d))
+
+
 def _pair_tiles(
     trace: DATrace, times: list[int], kernel: Callable[[np.ndarray, np.ndarray], Iterable[float]]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -279,22 +273,22 @@ def _pair_tiles(
 
     The positions are cut into blocks of consecutive times. A tile pairs a
     block of rows with itself or with a later block of columns, stacks each
-    once, and gathers its pairs from the stacks in row-major order, at most
-    as many at a time as a block holds times: one paired-row call of the
-    kernel per chunk. Tiles come row block by row block, each one's column
-    blocks in order. Each time's weights are looked up once.
+    with `DATrace.joints`, and gathers its pairs from the stacks in
+    row-major order, at most as many at a time as a block holds times: one
+    paired-row call of the kernel per chunk. Tiles come row block by row
+    block, each one's column blocks in order, so a block's joints are
+    composed once as rows and once as columns of each earlier row block.
     """
-    weights = [_density(trace, t).w for t in times]
-    m = len(weights)
+    m = len(times)
     if m < 2:
         return
-    per_block = _block_times(weights[0].size)
+    per_block = _block_times(math.prod(trace.target.shape))
     for a0 in range(0, m - 1, per_block):
         a1 = min(a0 + per_block, m)
-        rows = np.stack(weights[a0:a1])
+        rows = trace.joints(times[a0:a1])
         for b0 in range(a0, m, per_block):
             b1 = min(b0 + per_block, m)
-            cols = rows if b0 == a0 else np.stack(weights[b0:b1])
+            cols = rows if b0 == a0 else trace.joints(times[b0:b1])
             # where each row's pairs end in the tile's row-major order; a
             # row's pairs run from its first column to b1 - 1
             ends = np.cumsum(b1 - np.maximum(np.arange(a0 + 1, a1 + 1), b0))
@@ -323,13 +317,6 @@ def _identity_values(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, tupl
     return value, tuple(map(_IDENTITY_NOTES.__getitem__, finite.tolist()))
 
 
-def _identity_value(lhs: ExtReal, rhs: ExtReal) -> tuple[float, str]:
-    """`_identity_values` of one identity, on floats."""
-    finite = lhs.is_finite + rhs.is_finite
-    value = abs(lhs.value - rhs.value) if finite == 2 else (math.inf if finite else 0.0)
-    return value, _IDENTITY_NOTES[finite]
-
-
 def validate_instance(check: str, t: int, n: int | None) -> list[int]:
     """Refuse a single instance of lemma1, lemma2, lemma3 or lsc at (t, n)
     outside the check's domain, and return the sorted times it reads; lsc's
@@ -356,14 +343,14 @@ def lemma1_check(trace: DATrace, t: int) -> LemmaReport:
     """Certify the projection identity at step t:
     D(p_t || target) = D(p_t || p_(t+1)) + D(p_(t+1) || target)."""
     validate_instance("lemma1", t, None)
-    return _lemma1_block(trace, [t], _ToTarget(trace)).reports()[0]
+    return _lemma1_block(trace, [t], _to_target(trace, [t, t + 1])).reports()[0]
 
 
-def _lemma1_block(trace: DATrace, ts: list[int], d: _ToTarget) -> ReportBlock:
+def _lemma1_block(trace: DATrace, ts: list[int], d: dict[int, float]) -> ReportBlock:
     """The lemma1 reports at the listed times as one block, built from the
     columns D(p_t || target), D(p_(t+1) || target) and the recorded d_step."""
-    lhs = np.array([d[t].value for t in ts])
-    d_next = np.array([d[t + 1].value for t in ts])
+    lhs = np.array([d[t] for t in ts])
+    d_next = np.array([d[t + 1] for t in ts])
     rhs = trace.column("d_step", ts) + d_next
     value, notes = _identity_values(lhs, rhs)
     return ReportBlock(CheckName.LEMMA1, IDENTITY_TOL, np.array(ts, dtype=np.int64), None, lhs, rhs, value, notes)
@@ -377,46 +364,58 @@ def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     D(p_t || p_(t+n)) = D(p_t || p_(t+1)) + D(p_(t+1) || p_(t+n)).
     """
     validate_instance("lemma2", t, n)
-    p_t = _density(trace, t)
-    p_tn = _density(trace, t + n)
-    if n % 2 == 0:
-        lhs = relative_entropy(p_t, p_tn)
-        rhs = relative_entropy(p_t, _density(trace, t + n - 1))
-        if not lhs.is_finite and not rhs.is_finite:
-            return LemmaReport(
-                CheckName.LEMMA2_EVEN, t, n, lhs, rhs, 0.0, INEQUALITY_TOL,
-                "both sides infinite; inequality holds vacuously",
-            )
-        slack = rhs.value - lhs.value
-        return LemmaReport(CheckName.LEMMA2_EVEN, t, n, lhs, rhs, slack, INEQUALITY_TOL)
-    lhs = relative_entropy(p_t, p_tn)
-    rhs = ExtReal(float(trace.records.d_step[t])) + relative_entropy(_density(trace, t + 1), p_tn)
-    value, note = _identity_value(lhs, rhs)
-    return LemmaReport(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, IDENTITY_TOL, note)
+    return _lemma2_reports(trace, [(t, n)])[0]
+
+
+def _lemma2_reports(trace: DATrace, instances: list[tuple[int, int]]) -> list[LemmaReport]:
+    """The lemma2 reports at the listed (t, n), from one stack of the joints
+    they read and one paired evaluation of their divergences: each
+    instance's D(p_t || p_(t+n)), then D(p_t || p_(t+n-1)) for even n or
+    D(p_(t+1) || p_(t+n)) for odd n, which the odd identity's right side
+    adds to the recorded d_step."""
+    pairs = [p for t, n in instances for p in ((t, t + n), (t + 1, t + n) if n % 2 else (t, t + n - 1))]
+    times = list(dict.fromkeys(s for pair in pairs for s in pair))
+    w, row = trace.joints(times), {s: i for i, s in enumerate(times)}
+    p, q = zip(*((row[a], row[b]) for a, b in pairs))
+    d = _rel_entropy_array(w[list(p)], w[list(q)])
+    lhs, other = d[0::2], d[1::2]
+    odd = np.array([n % 2 for _, n in instances], dtype=bool)
+    rhs = np.where(odd, trace.column("d_step", [t for t, _ in instances]) + other, other)
+    residuals, notes = _identity_values(lhs, rhs)
+    reports = []
+    for (t, n), a, b, residual, note in zip(instances, lhs.tolist(), rhs.tolist(), residuals.tolist(), notes):
+        if n % 2:
+            name, value, tolerance = CheckName.LEMMA2_ODD, residual, IDENTITY_TOL
+        else:
+            vacuous = math.isinf(a) and math.isinf(b)
+            note = "both sides infinite; inequality holds vacuously" if vacuous else ""
+            name, value, tolerance = CheckName.LEMMA2_EVEN, 0.0 if vacuous else b - a, INEQUALITY_TOL
+        reports.append(LemmaReport(name, t, n, ExtReal(a), ExtReal(b), value, tolerance, note))
+    return reports
 
 
 def lemma3_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     """Certify the telescoped bound at t >= 1, n >= 0:
     D(p_t || p_(t+n)) <= D(p_t || target) - D(p_(t+n) || target)."""
     validate_instance("lemma3", t, n)
-    return next(_lemma3_rows(trace, [t, t + n], _ToTarget(trace))).reports()[0]
+    return next(_lemma3_rows(trace, [t, t + n], _to_target(trace, [t, t + n]))).reports()[0]
 
 
 # a lemma3 note by whether the left side is infinite
 _LEMMA3_NOTES = ("", "left side infinite with finite right side")
 
 
-def _lemma3_rows(trace: DATrace, times: list[int], d: _ToTarget) -> Iterator[ReportBlock]:
+def _lemma3_rows(trace: DATrace, times: list[int], d: dict[int, float]) -> Iterator[ReportBlock]:
     """The lemma3 reports from each listed time t but the last to the times
     after it in the list, in row-major order, one block per row block of
     `_pair_tiles`: the divergences D(p_t || p_k) of its chunks, and the right
     sides, slacks and verdicts as arrays. The divergences to the target are
     read, and refused unless finite, once."""
-    to_target = np.array([d[t].value for t in times])
+    to_target = np.array([d[t] for t in times])
     if not np.isfinite(to_target).all():
         raise DistributionError("lemma3_check needs finite divergences to the target")
     ts, m = np.array(times, dtype=np.int64), len(times)
-    per_block = _block_times(trace.target.joint.w.size)
+    per_block = _block_times(math.prod(trace.target.shape))
     for a0, chunks in groupby(_pair_tiles(trace, times, _rel_entropy_array), lambda chunk: chunk[0]):
         # the row block's pairs in row-major order: row a's run from its
         # first column a + 1, starting at `starts`; the tiles' chunks are
@@ -510,24 +509,19 @@ def lsc_gap(trace: DATrace, t: int, horizon: int) -> LemmaReport:
     validate_instance("lsc", t, horizon)
     if not trace.converged:
         raise NotConverged("lsc_gap needs a converged trace")
-    return _lsc(trace, t, horizon, _ToTarget(trace))
+    return _lsc(trace, t, horizon, _to_target(trace, [t]))
 
 
-def _lsc(trace: DATrace, t: int, horizon: int, d: _ToTarget) -> LemmaReport:
-    p_t = _density(trace, t)
-    p_h = _density(trace, t + horizon)
-    lhs = relative_entropy(p_t, p_h)
-    rhs = d[t]
+def _lsc(trace: DATrace, t: int, horizon: int, d: dict[int, float]) -> LemmaReport:
+    w = trace.joints([t, t + horizon])
+    lhs, rhs = _rel_entropy_array(w[0], w[1:]).tolist()[0], d[t]
     d_h = float(trace.records.d_to_target[t + horizon])
     tolerance = max(LSC_FLOOR, 10.0 * d_h)
-    if not (lhs.is_finite and rhs.is_finite):
-        value, note = _identity_value(lhs, rhs)
-        return LemmaReport(CheckName.LSC, t, horizon, lhs, rhs, value, tolerance, note)
-    gap = lhs.value - rhs.value
-    return LemmaReport(
-        CheckName.LSC, t, horizon, lhs, rhs, gap, tolerance,
-        "finite-horizon proxy for a liminf bound",
-    )
+    value, note = lhs - rhs, "finite-horizon proxy for a liminf bound"
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        values, (note,) = _identity_values(np.array([lhs]), np.array([rhs]))
+        value = values.tolist()[0]
+    return LemmaReport(CheckName.LSC, t, horizon, ExtReal(lhs), ExtReal(rhs), value, tolerance, note)
 
 
 def reconstruct_from_conditionals(
@@ -669,35 +663,38 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
     validate_checks(checks)
     if "lsc" in checks and not trace.converged:
         raise NotConverged("lsc check needs a converged trace")
-    retained = set(trace.retained_times)
-    last = trace.last_t
+    times = trace.retained_times
+    retained, last = set(times), trace.last_t
+    lemma1_ts = (
+        [t for t in times if retained.issuperset(validate_instance("lemma1", t, None))] if "lemma1" in checks else []
+    )
+    iterates = [t for t in times if t >= 1]
+    anchors = [t for t in iterates if t < last][:1]
+    # the times whose D(p_t || target) the selected families read, each evaluated once
+    reads = {"lemma1": lemma1_ts + [t + 1 for t in lemma1_ts], "lemma3": iterates, "lsc": anchors}
+    d = _to_target(trace, sorted(set().union(*(reads[c] for c in checks if c in reads))))
     blocks: list[ReportBlock] = []
-    d = _ToTarget(trace)
 
     for check in checks:
         if check == "lemma1":
-            instances = [t for t in sorted(retained) if retained.issuperset(validate_instance("lemma1", t, None))]
-            if not instances:
+            if not lemma1_ts:
                 raise StateNotRetained("lemma1 needs a retained consecutive pair")
-            blocks.append(_lemma1_block(trace, instances, d))
+            blocks.append(_lemma1_block(trace, lemma1_ts, d))
         elif check == "lemma2":
-            reports = []
-            for t in LEMMA2_DEFAULT_TS:
-                for n in LEMMA2_DEFAULT_NS:
-                    if retained.issuperset(validate_instance("lemma2", t, n)):
-                        reports.append(lemma2_check(trace, t, n))
-            if not reports:
+            instances = [
+                (t, n) for t in LEMMA2_DEFAULT_TS for n in LEMMA2_DEFAULT_NS
+                if retained.issuperset(validate_instance("lemma2", t, n))
+            ]
+            if not instances:
                 raise StateNotRetained("lemma2 found no runnable (t, n) instance")
-            blocks += _gather(reports)
+            blocks += _gather(_lemma2_reports(trace, instances))
         elif check == "lemma3":
-            times = [t for t in sorted(retained) if t >= 1]
-            if len(times) < 2:
+            if len(iterates) < 2:
                 raise StateNotRetained("lemma3 needs two retained times with t >= 1")
-            blocks += _lemma3_rows(trace, times, d)
+            blocks += _lemma3_rows(trace, iterates, d)
         elif check == "cauchy":
             blocks += _gather([cauchy_check(trace)])
         elif check == "lsc":
-            anchors = [t for t in sorted(retained) if t >= 1 and t < last]
             if not anchors:
                 raise StateNotRetained("lsc needs a retained time t >= 1 before the final state")
             t = anchors[0]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -65,23 +66,52 @@ def _check_entries(a: np.ndarray, what: str) -> None:
         raise DistributionError(f"{what} contains negative mass")
 
 
-def _mass_total(a: np.ndarray, what: str) -> float:
-    """The correctly rounded total of weights that must be finite and
-    nonnegative."""
-    _check_entries(a, what)
+def _exact_total(a: np.ndarray, what: str) -> float:
+    """The correctly rounded total of weights, refusing one too large to
+    represent."""
     try:
         return stable_sum(a)
     except OverflowError as e:
         raise DistributionError(f"{what} has a total too large to represent") from e
 
 
+def _mass_total(a: np.ndarray, what: str) -> float:
+    """The correctly rounded total of weights that must be finite and
+    nonnegative."""
+    _check_entries(a, what)
+    return _exact_total(a, what)
+
+
+def _rescaled_rows(rows: np.ndarray, what: str) -> dict[int, float]:
+    """Apply the module normalization policy to each row of a 2-D array of
+    weights: refuse entries that are not finite and nonnegative, then the
+    first row whose total is too far from 1, and return the rows to rescale,
+    each with its correctly rounded total.
+
+    A float sum of k nonnegative entries, in any order, lies within about
+    k * 2**-53 of their total, relative (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., section 4.2). So a row whose float sum
+    is 2k * 2**-53 inside `SUM_TOL` of 1 has a correctly rounded total within
+    `SUM_TOL` of 1 and is kept as it is; only the other rows are summed
+    exactly, as every row is from 4,504 entries on."""
+    _check_entries(rows, what)
+    slack = SUM_TOL - rows.shape[1] * 2.0**-52
+    with np.errstate(over="ignore"):
+        unsure = np.abs(rows.sum(axis=1) - 1.0) > slack if slack > 0.0 else np.ones(len(rows), dtype=bool)
+    rescaled = {}
+    for i in np.flatnonzero(unsure).tolist():
+        total = _exact_total(rows[i], what)
+        if abs(total - 1.0) > RENORM_TOL:
+            raise DistributionError(f"{what} sums to {total!r}, too far from 1 to renormalize")
+        if abs(total - 1.0) > SUM_TOL:
+            rescaled[i] = total
+    return rescaled
+
+
 def _validated_pmf(a: np.ndarray, what: str) -> np.ndarray:
     """Apply the module normalization policy, returning a read-only copy."""
     a = np.asarray(a, dtype=np.float64)
-    total = _mass_total(a, what)
-    if abs(total - 1.0) > RENORM_TOL:
-        raise DistributionError(f"{what} sums to {total!r}, too far from 1 to renormalize")
-    if abs(total - 1.0) > SUM_TOL:
+    for total in _rescaled_rows(a.reshape(1, -1), what).values():
         a = a / total
     return readonly(a)
 
@@ -361,8 +391,8 @@ def independence_target(px: MarginalDensity, py: MarginalDensity) -> Target:
 #
 # Schema: {"nx": int, "ny": int, "w": [[row-major nonnegative reals]]}.
 # Weights may arrive unnormalized; they are normalized on load and rejected
-# if any entry is negative or non-finite or the total is nonpositive or too
-# large to represent.
+# if any entry is not a JSON number, negative or non-finite or the total is
+# nonpositive or too large to represent.
 
 
 def joint_to_json_dict(p: JointDensity) -> dict:
@@ -386,6 +416,9 @@ def joint_from_json_dict(obj: dict) -> JointDensity:
         raise DistributionError("the w field holds a number too large to represent") from e
     if w.shape != (nx, ny):
         raise DistributionError(f"w has shape {w.shape}, expected ({nx}, {ny})")
+    # NumPy reads true, false and numeric strings as numbers; JSON does not
+    if not {int, float}.issuperset(map(type, chain.from_iterable(obj["w"]))):
+        raise DistributionError("the w field holds an entry that is not a JSON number")
     total = _mass_total(w, "w")
     if total <= 0.0:
         raise DistributionError("w has nonpositive total mass")

@@ -19,7 +19,7 @@ divergence falls to `eps` or the step budget runs out. The measurements are
 kept as float64 columns (:class:`TraceRecords`), one entry per visited time.
 A :class:`TraceRecord` is built from them only when one is read; the
 certification checks read the columns, and `_fsio.table_chunks`, the verify
-JSON's writer too, writes the trace exports from them.
+JSON's writer too, writes the trace exports from them chunk by chunk.
 
 Every iterate after t=0 is a target conditional times one marginal, so `run`
 carries that one marginal, a plain vector (the Y marginal of p_t for even t,
@@ -41,12 +41,13 @@ single half-step would give. A block stacks at most `_BLOCK_VALUES` joint
 values, 20 half-steps at 28 x 28, and `run` states how far it looks ahead.
 
 Densities are validated where they enter the recursion, p0 and the target,
-and where a retained state leaves it, on lookup. The vectors in between are
-pmfs by construction, a pmf times a validated kernel over its positive total.
+and where a retained state leaves it. The vectors in between are pmfs by
+construction, a pmf times a validated kernel over its positive total.
 States are retained according to a :class:`RetainPolicy` so long traces stay
-memory-bounded. A retained state after t=0 keeps only its marginal; its joint
-is built, from the same product the one-step divergence used, and validated
-on the first lookup. `da_half_step` is the joint-based reference half-step.
+memory-bounded. A retained state after t=0 keeps only its marginal; its
+joint, the product the one-step divergence used, is composed and validated
+each time `DATrace.joints` stacks it, and once, then cached, on a `state_at`
+lookup. `da_half_step` is the joint-based reference half-step.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .dist import (
     Axis,
     JointDensity,
     Target,
+    _rescaled_rows,
     compose_raw,
     compose_with_drift,
     marginal,
@@ -229,13 +231,14 @@ def _composed(target: Target, v: np.ndarray, t: int, out: np.ndarray | None = No
 
 
 class _RetainedStates(Mapping[int, DAState]):
-    """Retained states keyed by time, each stored as what determines it: the
-    starting density at t=0, the marginal vector composed into the target's
-    conditional after that.
+    """Retained states keyed by time, each stored as what determines it: a
+    joint density, as the starting density at t=0 is, or the marginal vector
+    composed into the target's conditional after that.
 
     A lookup builds the state, validating its joint, on first use and caches
-    it. Length, iteration and membership build nothing. Two threads racing
-    on a first lookup may both build the state; they build equal values.
+    it; `joints` composes and validates on every call and caches nothing.
+    Length, iteration and membership build nothing. Two threads racing on a
+    first lookup may both build the state; they build equal values.
     """
 
     def __init__(self, target: Target, sources: dict[int, JointDensity | np.ndarray]) -> None:
@@ -243,11 +246,28 @@ class _RetainedStates(Mapping[int, DAState]):
         self._sources = sources
         self._built: dict[int, DAState] = {}
 
+    def joints(self, ts: Sequence[int]) -> np.ndarray:
+        """The weights of the states at the listed times, stacked along a new
+        first axis: a stored joint's, or the product `run` measured of a
+        stored marginal and the conditional refreshed at its time, validated
+        as a lookup validates it. A time not retained raises KeyError."""
+        out = np.empty((len(ts), *self._target.shape))
+        for row, t in zip(out, ts):
+            src = self._sources[t]
+            if isinstance(src, JointDensity):
+                row[...] = src.w
+            else:
+                _composed(self._target, src, t, row)
+        rows = out.reshape(len(ts), self._target.nx * self._target.ny)
+        for i, total in _rescaled_rows(rows, "joint density").items():
+            rows[i] /= total
+        return out
+
     def __getitem__(self, t: int) -> DAState:
         state = self._built.get(t)
         if state is None:
             src = self._sources[t]
-            density = src if t == 0 else JointDensity(_composed(self._target, src, t))
+            density = src if isinstance(src, JointDensity) else JointDensity(_composed(self._target, src, t))
             state = self._built[t] = DAState(t, density)
         return state
 
@@ -269,12 +289,12 @@ class DATrace:
     It takes its records as :class:`TraceRecords`, columns contiguous from
     t=0. States hold whatever the retain policy kept plus the final state.
     `run` returns a read-only mapping whose states are built on first
-    lookup.
+    lookup; `joints` stacks their weights without building or caching one.
     """
 
     target: Target
     records: TraceRecords
-    states: Mapping[int, DAState]
+    states: _RetainedStates
     stop_reason: StopReason
 
     @property
@@ -290,12 +310,23 @@ class DATrace:
         return sorted(self.states)
 
     def state_at(self, t: int) -> DAState:
+        return self._retained(self.states.__getitem__, t)
+
+    def joints(self, ts: Sequence[int]) -> np.ndarray:
+        """The weights of the retained states at the listed times, stacked and
+        validated, composed anew on every call (`_RetainedStates.joints`); a
+        time not retained raises `state_at`'s StateNotRetained."""
+        return self._retained(self.states.joints, ts)
+
+    def _retained(self, lookup: Callable, key):
+        """lookup(key), reporting the time it finds not retained as
+        StateNotRetained."""
         try:
-            return self.states[t]
-        except KeyError:
+            return lookup(key)
+        except KeyError as e:
             times = self.retained_times
             raise StateNotRetained(
-                f"state at t={t} was not retained ({len(times)} retained times in {times[0]}..{times[-1]})"
+                f"state at t={e.args[0]} was not retained ({len(times)} retained times in {times[0]}..{times[-1]})"
             ) from None
 
     def record_at(self, t: int) -> TraceRecord:
@@ -513,34 +544,54 @@ def _columns(records: TraceRecords, floats: Callable[[np.ndarray], list], absent
     return columns
 
 
-def trace_to_csv(trace: DATrace) -> str:
-    """Render records as CSV, one row per half-step.
+def trace_csv_chunks(trace: DATrace) -> Iterator[str]:
+    """Render records as CSV, one row per half-step: the header line, then
+    the rows in the chunks of `_fsio.table_chunks`, each with its line ends.
 
     Infinity prints as the literal `inf`; the final record's d_step and
     lemma1_residual columns are empty (no successor exists). Floats use
-    shortest round-trip notation, so output is bit-stable across runs. The
-    rows are written by `_fsio.table_chunks`, each chunk one ``%`` template
-    filled from the columns, which writes the text of `metrics.encode`
-    (``str`` of a float infinity is already ``inf``).
+    shortest round-trip notation, so output is bit-stable across runs. Each
+    chunk is one ``%`` template filled from the columns, which writes the
+    text of `metrics.encode` (``str`` of a float infinity is already ``inf``).
     """
+    yield f"{CSV_HEADER}\n"
     columns = partial(_columns, trace.records, np.ndarray.tolist, "")
-    rows = "\n".join(table_chunks(_CSV_ROW, "\n", len(trace.records), columns))
-    return f"{CSV_HEADER}\n{rows}\n"
+    for rows in table_chunks(_CSV_ROW, "\n", len(trace.records), columns):
+        yield f"{rows}\n"
 
 
-def trace_to_json(trace: DATrace) -> str:
+def trace_to_csv(trace: DATrace) -> str:
+    """The text of `trace_csv_chunks`, whole."""
+    return "".join(trace_csv_chunks(trace))
+
+
+def trace_json_chunks(trace: DATrace) -> Iterator[str]:
     """The trace as ``json.dumps(doc, indent=1) + "\\n"``, byte for byte,
     where doc holds nx, ny, stop_reason, half_steps, retained_times and one
     dict per record of `metrics.encode`'s values ("inf" for an infinity,
-    null for an absent field), written from the columns as the CSV's are."""
+    null for an absent field). Both lists are written in the chunks of
+    `_fsio.table_chunks`, the records from the columns as the CSV's are."""
     head = dumps_indent1({
         "nx": trace.target.nx,
         "ny": trace.target.ny,
         "stop_reason": trace.stop_reason.value,
         "half_steps": trace.last_t,
-        "retained_times": trace.retained_times,
     })
-    columns = partial(_columns, trace.records, _json_floats, "null")
-    rows = ",\n".join(table_chunks(_JSON_ROW, ",\n", len(trace.records), columns))
-    # head ends with the dict's closing "\n}"
-    return f'{head[:-2]},\n "records": [\n{rows}\n ]\n}}\n'
+    times, records = trace.retained_times, trace.records
+    lists = {
+        "retained_times": table_chunks("  %s", ",\n", len(times), lambda lo, hi: [times[lo:hi]]),
+        "records": table_chunks(_JSON_ROW, ",\n", len(records), partial(_columns, records, _json_floats, "null")),
+    }
+    # head ends with the dict's closing "\n}"; both lists are nonempty
+    yield head[:-2]
+    for key, chunks in lists.items():
+        yield f',\n "{key}": [\n'
+        for i, rows in enumerate(chunks):
+            yield f",\n{rows}" if i else rows
+        yield "\n ]"
+    yield "\n}\n"
+
+
+def trace_to_json(trace: DATrace) -> str:
+    """The text of `trace_json_chunks`, whole."""
+    return "".join(trace_json_chunks(trace))

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import daflow.cli as cli
 from daflow.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_HYPOTHESIS,
@@ -31,7 +33,7 @@ from daflow.diagnostics import (
     validate_instance,
 )
 from daflow.dist import Axis, JointDensity, load_joint, make_target, random_positive_target
-from daflow.engine import RetainPolicy, run
+from daflow.engine import RetainPolicy, run, trace_to_csv, trace_to_json
 from daflow.errors import DistributionError
 from daflow.sampler import DRAWS_CSV_BLOCK_ROWS, draws_to_csv, run_chains
 
@@ -43,6 +45,13 @@ def write_json(path, obj):
 
 def no_run(*args, **kwargs):
     raise AssertionError("the trace was built before the request was checked")
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """`run --gen 1,5,3 --p0 random:4 --eps 1e-300 --max-steps 100000`'s trace."""
+    p0 = random_positive_target(1, 5, seed=4).joint
+    return run(p0, random_positive_target(1, 5, seed=3), max_half_steps=100_000, eps=1e-300)
 
 
 @pytest.fixture
@@ -208,8 +217,10 @@ class TestRun:
         [
             ('{"nx": 1, "ny": 2, "w": [[1' + "0" * 400 + ", 1]]}", "the w field holds a number too large to represent"),
             ("[" * 100_000, "{path} nests its JSON too deeply to read"),
+            ('{"nx": 1, "ny": 2, "w": [[true, true]]}', "the w field holds an entry that is not a JSON number"),
+            ('{"nx": 1, "ny": 2, "w": [["0.5", "0.5"]]}', "the w field holds an entry that is not a JSON number"),
         ],
-        ids=["integer-beyond-float", "nested-100000"],
+        ids=["integer-beyond-float", "nested-100000", "booleans", "numeric-strings"],
     )
     def test_hostile_density_files_are_usage_errors(self, tmp_path, capsys, text, message):
         path = tmp_path / "hostile.json"
@@ -237,6 +248,24 @@ class TestRun:
         assert captured.out.startswith("stop_reason=MaxIters half_steps=50 ")
         rows = (tmp_path / "r.trace.csv").read_text().splitlines()
         assert rows[1].split(",")[1] == "243.87363224714622"
+
+    @pytest.mark.parametrize("fmt, whole", [("csv", trace_to_csv), ("json", trace_to_json)])
+    def test_trace_is_written_a_chunk_at_a_time(self, long_trace, tmp_path, monkeypatch, fmt, whole):
+        # 100,001 records: 6.4 MB of CSV or 18.6 MB of JSON, written 1,024
+        # records (65 or 190 kB) at a time
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: long_trace)
+        prefix = str(tmp_path / "long")
+        tracemalloc.start()
+        try:
+            code = main(["run", "--gen", "1,5,3", "--format", fmt, "--out-prefix", prefix])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CHECK_FAILURE
+        text = (tmp_path / f"long.trace.{fmt}").read_text()
+        assert text == whole(long_trace)
+        # a few chunks and the list of retained times, not the whole text
+        assert peak < len(text) / 4
 
     def test_degenerate_p0_accepted(self):
         assert main(["run", "--gen", "3,4,8", "--p0", "degenerate:1,2"]) == EXIT_OK

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import daflow._fsio as _fsio
 import daflow.diagnostics as diagnostics
+import daflow.engine as engine
 from conftest import gamma_weights
 from daflow._numeric import stable_sum
 from daflow.diagnostics import (
@@ -50,7 +51,7 @@ from daflow.dist import (
     make_target,
     random_positive_target,
 )
-from daflow.engine import DAState, DATrace, RetainPolicy, StopReason, TraceRecords, run
+from daflow.engine import DATrace, RetainPolicy, StopReason, TraceRecords, run
 from daflow.errors import (
     DimensionMismatch,
     DistributionError,
@@ -88,8 +89,8 @@ def hand_built_trace(target, weights: dict[int, list]) -> DATrace:
     with zero columns of records up to the last of those times."""
     n = max(weights) + 1
     records = TraceRecords(np.zeros(n), np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), np.zeros(n))
-    states = {t: DAState(t, JointDensity(np.array(w))) for t, w in weights.items()}
-    return DATrace(target, records, states, StopReason.CONVERGED)
+    sources = {t: JointDensity(np.array(w)) for t, w in weights.items()}
+    return DATrace(target, records, engine._RetainedStates(target, sources), StopReason.CONVERGED)
 
 
 def exported(report: LemmaReport) -> tuple:
@@ -223,7 +224,7 @@ class TestLemma3:
 
     def test_row_refuses_an_infinite_divergence_to_the_target(self):
         trace = make_trace(steps=6)
-        d = {1: ExtReal.finite(0.5), 2: ExtReal.pos_infinity()}
+        d = {1: 0.5, 2: math.inf}
         with pytest.raises(DistributionError, match=r"^lemma3_check needs finite divergences to the target$"):
             list(diagnostics._lemma3_rows(trace, [1, 2], d))
 
@@ -500,7 +501,8 @@ class TestReportPlumbing:
         ids=["both-infinite", "lhs-infinite", "rhs-infinite"],
     )
     def test_identity_value_of_infinite_sides(self, lhs, rhs, value, note):
-        assert diagnostics._identity_value(ExtReal(lhs), ExtReal(rhs)) == (value, note)
+        values, notes = diagnostics._identity_values(np.array([lhs]), np.array([rhs]))
+        assert (values.tolist(), notes) == ([value], (note,))
 
     def test_full_sweep_passes_and_summarizes(self):
         trace = converged_trace()
@@ -619,7 +621,7 @@ class TestLemma1Records:
         # the recorded d_step is the pairwise divergence of the retained
         # joints, so lemma1 certifies the value the trace exports
         trace = converged_trace() if case == "converged" else ROW_CASES[case]()
-        d = diagnostics._ToTarget(trace)
+        d = diagnostics._to_target(trace, trace.retained_times)
         ts = trace.retained_times[:-1]
         for t, report in zip(ts, diagnostics._lemma1_block(trace, ts, d).reports(), strict=True):
             p_t, p_next = trace.state_at(t).density, trace.state_at(t + 1).density
@@ -641,30 +643,33 @@ def lemma2_pair_reference(trace, t: int, n: int) -> LemmaReport:
             CheckName.LEMMA2_EVEN, t, n, lhs, rhs, rhs.value - lhs.value, diagnostics.INEQUALITY_TOL
         )
     rhs = relative_entropy(p[t], p[t + 1]) + relative_entropy(p[t + 1], p[t + n])
-    value, note = diagnostics._identity_value(lhs, rhs)
-    return LemmaReport(CheckName.LEMMA2_ODD, t, n, lhs, rhs, value, diagnostics.IDENTITY_TOL, note)
+    values, (note,) = diagnostics._identity_values(np.array([lhs.value]), np.array([rhs.value]))
+    return LemmaReport(CheckName.LEMMA2_ODD, t, n, lhs, rhs, values.tolist()[0], diagnostics.IDENTITY_TOL, note)
 
 
 class TestLemma2Records:
     @pytest.mark.parametrize("case", ["converged", *sorted(ROW_CASES)])
     def test_odd_identity_reads_the_recorded_step_divergence(self, case, monkeypatch):
         trace = converged_trace() if case == "converged" else ROW_CASES[case]()
-        time_of = {id(trace.state_at(k).density): k for k in trace.retained_times}
-        pairs = []
+        calls = []
 
-        def spy(p, q):
-            pairs.append((time_of[id(p)], time_of[id(q)]))
-            return relative_entropy(p, q)
+        def spy(p, qs, *args):
+            calls.append((p.copy(), qs.copy()))
+            return _rel_entropy_array(p, qs, *args)
 
-        monkeypatch.setattr(diagnostics, "relative_entropy", spy)
+        monkeypatch.setattr(diagnostics, "_rel_entropy_array", spy)
         reports = run_verification(trace, ("lemma2",))
-        # D(p_t || p_(t+n)) and one neighbour divergence per instance; the
-        # odd identity's D(p_t || p_(t+1)) comes from the trace's records
+        # D(p_t || p_(t+n)) and one neighbour divergence per instance, in one
+        # paired evaluation; the odd identity's D(p_t || p_(t+1)) comes from
+        # the trace's records
         expected = []
         for r in reports:
             t, n = r.t, r.n
             expected += [(t, t + n), (t, t + n - 1) if n % 2 == 0 else (t + 1, t + n)]
-        assert pairs == expected
+        w = {t: trace.state_at(t).density.w for pair in expected for t in pair}
+        assert len(calls) == 1
+        for side, got in enumerate(calls[0]):
+            npt.assert_array_equal(got, [w[pair[side]] for pair in expected])
         monkeypatch.undo()
         assert_same_reports(reports, [lemma2_pair_reference(trace, r.t, r.n) for r in reports])
 
@@ -680,13 +685,13 @@ class TestInstanceTimes:
             "lsc": lambda t, n: lsc_gap(trace, t, n),
         }[check]
         read = []
-        state_at = DATrace.state_at
+        joints = DATrace.joints
 
-        def spy(self, t):
-            read.append(t)
-            return state_at(self, t)
+        def spy(self, ts):
+            read.extend(ts)
+            return joints(self, ts)
 
-        monkeypatch.setattr(DATrace, "state_at", spy)
+        monkeypatch.setattr(DATrace, "joints", spy)
         checked = 0
         for t in range(5):
             for n in [None] if check == "lemma1" else range(6):
@@ -707,11 +712,20 @@ def block_times(monkeypatch, rows: int, cells: int) -> None:
     monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", max(rows * rows, 2 * rows * cells))
 
 
+def banded_trace(n: int, steps: int) -> DATrace:
+    """A run of `steps` half-steps from uniform to a slowly mixing banded
+    n x n target, retaining every state."""
+    i = np.arange(n)
+    w = np.exp(-2.0 * np.abs(i[:, None] - i[None, :]))
+    target = make_target(JointDensity(w / w.sum()))
+    return run(JointDensity(np.full((n, n), 1.0 / n**2)), target, max_half_steps=steps, eps=1e-300)
+
+
 def positions_trace(m: int):
-    """A trace stand-in whose time t has the one-cell weight array [t], for
-    t in 0..m-1: enough for `_pair_tiles` to stack and gather."""
-    weights = [np.array([float(t)]) for t in range(m)]
-    return SimpleNamespace(state_at=lambda t: SimpleNamespace(density=SimpleNamespace(w=weights[t])))
+    """A trace stand-in on a one-cell grid whose time t has the weight array
+    [t], for t in 0..m-1: enough for `_pair_tiles` to stack and gather."""
+    weights = np.arange(m, dtype=np.float64)[:, None]
+    return SimpleNamespace(target=SimpleNamespace(shape=(1, 1)), joints=lambda ts: weights[ts])
 
 
 class TestPairRows:
@@ -786,16 +800,11 @@ class TestPairRows:
 
     def test_sweep_allocates_one_block_of_rows(self):
         n, steps = 60, 299
-        i = np.arange(n)
-        w = np.exp(-2.0 * np.abs(i[:, None] - i[None, :]))  # slowly mixing
-        target = make_target(JointDensity(w / w.sum()))
-        trace = run(JointDensity(np.full((n, n), 1.0 / n**2)), target, max_half_steps=steps, eps=1e-300)
+        trace = banded_trace(n, steps)
         times = trace.retained_times
         assert len(times) == steps + 1
-        # the retained joints and their divergences to the target exist before the sweep
-        d = diagnostics._ToTarget(trace)
-        for t in times:
-            d[t]
+        # the divergences to the target exist before the sweep
+        d = diagnostics._to_target(trace, times)
         listed = [1, *times[2:]]
         stacked = (len(listed) - 1) * n * n * 8  # what stacking every later joint would take
         block = diagnostics._BLOCK_VALUES * 8
@@ -827,36 +836,78 @@ class TestPairRows:
         times = trace.retained_times
         assert len(times) == 61
         read = []
-        state_at = DATrace.state_at
+        joints = DATrace.joints
 
-        def spy(self, t):
-            read.append(t)
-            return state_at(self, t)
+        def spy(self, ts):
+            read.extend(ts)
+            return joints(self, ts)
 
-        monkeypatch.setattr(DATrace, "state_at", spy)
+        monkeypatch.setattr(DATrace, "joints", spy)
         run_verification(trace, (sweep,))
-        # lemma3 reads each state for its divergence to the target and for
-        # its row, cauchy for its row only; one lookup per pair would be
-        # about T^2 / 2 (1,770 here)
+        # lemma3 composes each joint for its divergence to the target and for
+        # its row, cauchy for its row only; one per pair would be about
+        # T^2 / 2 (1,770 here)
         per_time = 2 if sweep == "lemma3" else 1
         assert sorted(read) == sorted([t for t in times if t >= 1] * per_time)
 
     def test_divergence_to_target_once_per_time(self, monkeypatch):
         trace = converged_trace()
-        pi = trace.target.joint
-        original = diagnostics.relative_entropy
+        pi = trace.target.joint.w
         seen = []
 
-        def counted(p, q):
-            if q is pi:
-                seen.append(id(p))
-            return original(p, q)
+        def counted(p, qs, *args):
+            if (qs == pi).all():
+                seen.extend(p.copy())
+            return _rel_entropy_array(p, qs, *args)
 
-        monkeypatch.setattr(diagnostics, "relative_entropy", counted)
+        monkeypatch.setattr(diagnostics, "_rel_entropy_array", counted)
         reports = run_verification(trace, ("lemma1", "lemma3", "lsc"))
         assert {r.name for r in reports} == {CheckName.LEMMA1, CheckName.LEMMA3, CheckName.LSC}
-        expected = [id(trace.state_at(t).density) for t in trace.retained_times]
-        assert sorted(seen) == sorted(expected)
+        # each retained time's joint, once, in the order of the times
+        expected = [trace.state_at(t).density.w for t in trace.retained_times]
+        assert len(seen) == len(expected)
+        npt.assert_array_equal(seen, expected)
+
+
+class TestStackSource:
+    """Every check reads its joints from `DATrace.joints`, which composes and
+    validates them on each call and keeps none."""
+
+    @pytest.mark.parametrize("check", ["lemma1", "lemma2", "lemma3", "cauchy", "lsc"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (math.nan, "joint density contains NaN or infinite entries"),
+            (-0.25, "joint density contains negative mass"),
+        ],
+        ids=["nan", "negative"],
+    )
+    def test_a_corrupt_marginal_is_refused_as_state_at_refuses_it(self, check, entry, message):
+        trace = converged_trace()
+        # every family reads t=1: lemma1's first pair, lemma2's grid, the
+        # first row of lemma3 and cauchy, and lsc's anchor
+        trace.states._sources[1][1] = entry
+        for read in (lambda: trace.state_at(1), lambda: run_verification(trace, (check,))):
+            with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+                read()
+
+    def test_sweeps_hold_no_joint(self):
+        n = 60
+        trace = banded_trace(n, 299)
+        assert len(trace.retained_times) == 300
+        # every tenth iterate: full sweeps over all 300 take about ten seconds
+        listed = trace.retained_times[1::10]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            cauchy_check(trace, listed)
+            for _ in diagnostics._lemma3_rows(trace, listed, diagnostics._to_target(trace, listed)):
+                pass
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 30 joints the sweeps read take 864 kB; not one of them is held
+        assert after - before < n * n * 8
 
 
 def cauchy_loop_reference(trace, times=None) -> LemmaReport:
@@ -988,10 +1039,6 @@ class TestCauchyScan:
         trace = make_trace(1, 5, seed=3, steps=400)
         times = [t for t in trace.retained_times if t >= 1]
         assert len(times) == 400
-        # the retained joints are built before the scan, as a sweep's
-        # earlier families leave them
-        for t in times:
-            trace.state_at(t)
         tracemalloc.start()
         try:
             report = cauchy_check(trace)
@@ -1011,8 +1058,8 @@ class TestEarlyLscRefusal:
     def test_unconverged_trace_refused_before_any_family(self, monkeypatch):
         trace = make_trace(steps=6, eps=1e-300)
         assert not trace.converged
-        for name in ("_lemma1_block", "lemma2_check", "_lemma3_rows", "cauchy_check", "_lsc", "balance_check",
-                     "reconstruction_check"):
+        for name in ("_to_target", "_lemma1_block", "_lemma2_reports", "_lemma3_rows", "cauchy_check", "_lsc",
+                     "balance_check", "reconstruction_check"):
             monkeypatch.setattr(diagnostics, name, fail_if_called)
         with pytest.raises(NotConverged, match="lsc check needs a converged trace"):
             run_verification(trace, DEFAULT_CHECKS)
@@ -1057,7 +1104,7 @@ def summary_reference(reports) -> dict:
 def lemma3_pair_reference(trace, t: int, k: int, d) -> LemmaReport:
     """The lemma3 report on one pair, built from scalars one pair at a time."""
     lhs = relative_entropy(trace.state_at(t).density, trace.state_at(k).density)
-    rhs = ExtReal.finite(d[t].value - d[k].value)
+    rhs = ExtReal.finite(d[t] - d[k])
     if not lhs.is_finite:
         return LemmaReport(
             CheckName.LEMMA3, t, k - t, lhs, rhs, -math.inf, diagnostics.INEQUALITY_TOL,
@@ -1080,8 +1127,8 @@ class TestReportBlocks:
         trace = ROW_CASES[case]()
         # blocks of three times, so tiles split both the rows and the columns
         block_times(monkeypatch, 3, trace.target.joint.w.size)
-        d = diagnostics._ToTarget(trace)
         times = trace.retained_times
+        d = diagnostics._to_target(trace, times)
         infinite = 0
         # listed in reverse too, so each t meets the earlier times:
         # D(p_t || p_k) can be infinite only for k < t

@@ -444,6 +444,16 @@ class TestJsonInterchange:
         with pytest.raises(DistributionError, match="^the w field holds a number too large to represent$"):
             joint_from_json_dict({"nx": 1, "ny": 2, "w": w})
 
+    @pytest.mark.parametrize(
+        "w",
+        [[[True, False]], [[True, True]], [[1, True]], [["0.5", "0.5"]], [[0.5, "1"]], [[None, 1.0]]],
+        ids=["booleans", "true-true", "int-and-bool", "strings", "float-and-string", "null"],
+    )
+    def test_load_refuses_entries_that_are_not_json_numbers(self, w):
+        # NumPy reads each of these as floats (null as NaN)
+        with pytest.raises(DistributionError, match="^the w field holds an entry that is not a JSON number$"):
+            joint_from_json_dict({"nx": 1, "ny": 2, "w": w})
+
     def test_load_refuses_json_nested_past_the_recursion_limit(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)

@@ -32,8 +32,9 @@ def test_tiny_digest_repeats_line_for_line(monkeypatch, capsys):
     edge = [f"edge/run-chunk-edge-{steps}-{fmt}" for steps in (1024, 1025) for fmt in ("csv", "json")]
     assert [codes[label] for label in edge] == ["exit=1"] * 4
     assert codes["edge/refuse-1x1"] == codes["edge/refuse-10x10"] == codes["edge/refuse-seed"] == "exit=2"
-    refusals = [label for label in codes if label.startswith(("edge/refuse-conc", "edge/refuse-eps", "edge/refuse-huge", "edge/refuse-nested"))]
-    assert len(refusals) == 9 and all(codes[label] == "exit=2" for label in refusals)
+    hostile = ("conc", "eps", "huge", "nested", "bool", "string")
+    refusals = [label for label in codes if label.startswith(tuple(f"edge/refuse-{kind}" for kind in hostile))]
+    assert len(refusals) == 13 and all(codes[label] == "exit=2" for label in refusals)
     for line in first:
         fields = line.split()[2:]
         assert [f.split("=")[0] for f in fields] == ["stdout", "stderr", "files"]

@@ -50,7 +50,7 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # half-steps, exported as CSV and as JSON, budget stops of 1,025 and 1,026
 # records on each side of the table writer's 1,024-row chunk edge, as CSV and
 # as JSON, and refusals of gamma draws whose total overflows, of an infinite
-# eps and of the hostile files of EDGE_FILES
+# eps and of the hostile files of EDGE_FILES, as a target and as p0
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -139,6 +139,10 @@ EDGE_COMMANDS = {
     "refuse-huge-int-p0": ("run", "--gen", "1,2,1", "--p0", "file:huge_int.json"),
     "refuse-nested-target": ("run", "--target", "nested.json"),
     "refuse-nested-p0": ("run", "--gen", "1,2,1", "--p0", "file:nested.json"),
+    "refuse-bool-target": ("run", "--target", "bool_entries.json"),
+    "refuse-bool-p0": ("run", "--gen", "1,2,1", "--p0", "file:bool_entries.json"),
+    "refuse-string-target": ("run", "--target", "string_entries.json"),
+    "refuse-string-p0": ("run", "--gen", "1,2,1", "--p0", "file:string_entries.json"),
 }
 
 
@@ -154,11 +158,14 @@ def banded_target_json(n: int, beta: float) -> str:
 
 # files written into the edge directory before the edge commands run: a 3x3
 # target whose last row and middle column carry no mass, a weight written as
-# an integer beyond float range, 100,000 nested brackets and a banded target
+# an integer beyond float range, 100,000 nested brackets, weights written as
+# booleans and as numeric strings, and a banded target
 EDGE_FILES = {
     "zero.json": '{"nx": 3, "ny": 3, "w": [[1, 0, 1], [1, 0, 1], [0, 0, 0]]}\n',
     "huge_int.json": '{"nx": 1, "ny": 2, "w": [[1' + "0" * 400 + ', 1]]}\n',
     "nested.json": "[" * 100_000 + "\n",
+    "bool_entries.json": '{"nx": 1, "ny": 2, "w": [[true, true]]}\n',
+    "string_entries.json": '{"nx": 1, "ny": 2, "w": [["0.5", "0.5"]]}\n',
     "b40.json": banded_target_json(40, 0.9),
 }
 
