@@ -44,17 +44,17 @@ Densities are validated where they enter the recursion, p0 and the target,
 and where a retained state leaves it. The vectors in between are pmfs by
 construction, a pmf times a validated kernel over its positive total.
 States are retained according to a :class:`RetainPolicy` so long traces stay
-memory-bounded. A retained state after t=0 keeps only its marginal; its
-joint, the product the one-step divergence used, is composed and validated
-each time `DATrace.joints` stacks it, and once, then cached, on a `state_at`
-lookup. `da_half_step` is the joint-based reference half-step.
+memory-bounded. A retained state after t=0 keeps only its marginal, one row
+of an array; its joint, the product the one-step divergence used, is
+composed and validated each time `DATrace.joints` stacks it, which
+`state_at` calls too. `da_half_step` is the joint-based reference half-step.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -230,66 +230,56 @@ def _composed(target: Target, v: np.ndarray, t: int, out: np.ndarray | None = No
     return compose_raw(v, kernel, out)
 
 
-class _RetainedStates(Mapping[int, DAState]):
-    """Retained states keyed by time, each stored as what determines it: a
-    joint density, as the starting density at t=0 is, or the marginal vector
-    composed into the target's conditional after that.
+class _RetainedStates:
+    """Retained states, each stored as what determines it: the starting
+    density p0 for t=0, and after that the marginal composed into the
+    target's conditional at its time.
 
-    A lookup builds the state, validating its joint, on first use and caches
-    it; `joints` composes and validates on every call and caches nothing.
-    Length, iteration and membership build nothing. Two threads racing on a
-    first lookup may both build the state; they build equal values.
+    `times` holds the retained times as a sorted int64 array. Row i of
+    `rows`, a float64 array as wide as the grid's longer side, starts with
+    the marginal composed into the state at times[i]: a Y marginal for odd
+    times, an X marginal for even ones; the row of t=0 is not read. Only
+    `joints` composes a state, anew on every call; nothing is cached.
     """
 
-    def __init__(self, target: Target, sources: dict[int, JointDensity | np.ndarray]) -> None:
-        self._target = target
-        self._sources = sources
-        self._built: dict[int, DAState] = {}
+    def __init__(self, target: Target, p0: JointDensity, times: np.ndarray, rows: np.ndarray) -> None:
+        self._target, self._p0, self.times, self._rows = target, p0, times, rows
 
     def joints(self, ts: Sequence[int]) -> np.ndarray:
         """The weights of the states at the listed times, stacked along a new
-        first axis: a stored joint's, or the product `run` measured of a
-        stored marginal and the conditional refreshed at its time, validated
-        as a lookup validates it. A time not retained raises KeyError."""
-        out = np.empty((len(ts), *self._target.shape))
-        for row, t in zip(out, ts):
-            src = self._sources[t]
-            if isinstance(src, JointDensity):
-                row[...] = src.w
+        first axis: p0's, or the product `run` measured of a kept marginal
+        and the conditional refreshed at its time, validated as a
+        `JointDensity` is. A time not retained raises KeyError."""
+        target, times = self._target, self.times
+        out = np.empty((len(ts), *target.shape))
+        for row, t, i in zip(out, ts, np.searchsorted(times, ts).tolist()):
+            if i == len(times) or times[i] != t:
+                raise KeyError(t)
+            if t:
+                _composed(target, self._rows[i, : row.shape[t % 2]], t, row)
             else:
-                _composed(self._target, src, t, row)
-        rows = out.reshape(len(ts), self._target.nx * self._target.ny)
+                row[...] = self._p0.w
+        rows = out.reshape(len(ts), target.nx * target.ny)
         for i, total in _rescaled_rows(rows, "joint density").items():
             rows[i] /= total
         return out
 
-    def __getitem__(self, t: int) -> DAState:
-        state = self._built.get(t)
-        if state is None:
-            src = self._sources[t]
-            density = src if isinstance(src, JointDensity) else JointDensity(_composed(self._target, src, t))
-            state = self._built[t] = DAState(t, density)
-        return state
-
     def __contains__(self, t: object) -> bool:
-        return t in self._sources
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._sources)
+        return t in self.times
 
     def __len__(self) -> int:
-        return len(self._sources)
+        return len(self.times)
 
 
 @dataclass(frozen=True, eq=False)
 class DATrace:
     """A completed run: the target, one record per visited time, retained
-    states keyed by time, and why iteration stopped.
+    states, and why iteration stopped.
 
     It takes its records as :class:`TraceRecords`, columns contiguous from
-    t=0. States hold whatever the retain policy kept plus the final state.
-    `run` returns a read-only mapping whose states are built on first
-    lookup; `joints` stacks their weights without building or caching one.
+    t=0. States hold whatever the retain policy kept plus the final state;
+    `joints` stacks their weights, and `state_at` builds one state from
+    that stack, both anew on every call.
     """
 
     target: Target
@@ -307,22 +297,17 @@ class DATrace:
 
     @property
     def retained_times(self) -> list[int]:
-        return sorted(self.states)
+        return self.states.times.tolist()
 
     def state_at(self, t: int) -> DAState:
-        return self._retained(self.states.__getitem__, t)
+        return DAState(t, JointDensity(self.joints([t])[0]))
 
     def joints(self, ts: Sequence[int]) -> np.ndarray:
         """The weights of the retained states at the listed times, stacked and
         validated, composed anew on every call (`_RetainedStates.joints`); a
-        time not retained raises `state_at`'s StateNotRetained."""
-        return self._retained(self.states.joints, ts)
-
-    def _retained(self, lookup: Callable, key):
-        """lookup(key), reporting the time it finds not retained as
-        StateNotRetained."""
+        time not retained raises StateNotRetained."""
         try:
-            return lookup(key)
+            return self.states.joints(ts)
         except KeyError as e:
             times = self.retained_times
             raise StateNotRetained(
@@ -462,10 +447,7 @@ def run(
     d_cur = relative_entropy(p0, target.joint).value
     tv_cur = total_variation(p0, target.joint)
 
-    if d_cur == math.inf:
-        records = TraceRecords([d_cur], [tv_cur], [], [], [0.0])
-        return DATrace(target, records, _RetainedStates(target, {0: p0}), StopReason.INFINITE_INITIAL_DIVERGENCE)
-    if not target.strictly_positive:
+    if d_cur < math.inf and not target.strictly_positive:
         raise TargetNotPositive("cannot iterate toward a target with zero cells")
 
     rows_cap = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // p0.w.size))
@@ -475,18 +457,19 @@ def run(
     # per block: the one-step divergences, and the divergences, distances
     # and drifts of the states it reached; t=0 first
     blocks: list[tuple] = [((), [d_cur], [tv_cur], [0.0])]
-    sources: dict[int, JointDensity | np.ndarray] = {}
-    # p_t is determined by `src` and passes on the marginal v
-    t, src, block = 0, p0, 1
-    while d_cur > eps and t < max_half_steps:
+    # retained (time, marginal composed into its state) pairs, t=0 first,
+    # copied from `pending` into `kept`'s arrays once _BLOCK_ROWS gather
+    width = max(p0.shape)
+    kept, pending = [], [(0, v)] if retain.keeps(0) else []
+    t, block = 0, 1
+    while eps < d_cur < math.inf and t < max_half_steps:
         steps = min(block, max_half_steps - t)
-        vs, drifts = [v], []
+        vs, drifts = [v], np.empty(steps)
         try:
             for j in range(1, steps + 1):
                 _composed(target, vs[-1], t + j, joints[j])
-                v_next, drift = _renormalized_marginal(joints[j], Axis.Y if (t + j) % 2 == 0 else Axis.X)
+                v_next, drifts[j - 1] = _renormalized_marginal(joints[j], Axis.Y if (t + j) % 2 == 0 else Axis.X)
                 vs.append(v_next)
-                drifts.append(drift)
             d_step, d_next, tv_next = _measured(target, joints[: steps + 1], vs[:steps], t)
         except Exception:
             if steps == 1:
@@ -496,19 +479,36 @@ def run(
         # the block's half-steps up to the first that reaches eps
         k = next((j for j, d in enumerate(d_next.tolist(), 1) if d <= eps), steps)
         blocks.append((d_step[:k], d_next[:k], tv_next[:k], drifts[:k]))
-        for j in range(k):
-            if retain.keeps(t + j):
-                sources[t + j] = vs[j - 1] if j else src
-        t, src, d_cur = t + k, vs[k - 1], float(d_next[k - 1])
+        pending += [(t + j, vs[j - 1]) for j in range(1, k + 1) if retain.keeps(t + j)]
+        if len(pending) >= _BLOCK_ROWS:
+            kept.append(_kept(pending, width))
+            pending = []
+        t, d_cur = t + k, float(d_next[k - 1])
         joints[0] = joints[steps]
         v, block = vs[-1], min(2 * block, rows_cap)
 
     stop = StopReason.CONVERGED if d_cur <= eps else StopReason.MAX_ITERS
-    sources[t] = src
+    if d_cur == math.inf:
+        stop = StopReason.INFINITE_INITIAL_DIVERGENCE
+    if not retain.keeps(t):
+        # the final state, always retained, is the last block's last
+        pending.append((t, vs[k - 1] if t else v))
+    kept.append(_kept(pending, width))
+    states = _RetainedStates(target, p0, *(np.concatenate(c) for c in zip(*kept)))
     d_step, d_to_target, tv_to_target, drift = (np.concatenate(c) for c in zip(*blocks))
+    del kept, blocks
     residual = np.abs((d_to_target[:-1] - d_step) - d_to_target[1:])
     records = TraceRecords(d_to_target, tv_to_target, d_step, residual, drift)
-    return DATrace(target, records, _RetainedStates(target, sources), stop)
+    return DATrace(target, records, states, stop)
+
+
+def _kept(pairs: list[tuple[int, np.ndarray]], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The times of the (time, marginal) pairs as int64, and their marginals
+    as float64 rows of `width`, zero-padded."""
+    rows = np.zeros((len(pairs), width))
+    for row, (_, v) in zip(rows, pairs):
+        row[: len(v)] = v
+    return np.array([t for t, _ in pairs], dtype=np.int64), rows
 
 
 def fixed_point_residual(target: Target) -> float:
@@ -577,9 +577,9 @@ def trace_json_chunks(trace: DATrace) -> Iterator[str]:
         "stop_reason": trace.stop_reason.value,
         "half_steps": trace.last_t,
     })
-    times, records = trace.retained_times, trace.records
+    times, records = trace.states.times, trace.records
     lists = {
-        "retained_times": table_chunks("  %s", ",\n", len(times), lambda lo, hi: [times[lo:hi]]),
+        "retained_times": table_chunks("  %s", ",\n", len(times), lambda lo, hi: [times[lo:hi].tolist()]),
         "records": table_chunks(_JSON_ROW, ",\n", len(records), partial(_columns, records, _json_floats, "null")),
     }
     # head ends with the dict's closing "\n}"; both lists are nonempty

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import daflow._fsio as _fsio
 import daflow.diagnostics as diagnostics
-import daflow.engine as engine
 from conftest import gamma_weights
 from daflow._numeric import stable_sum
 from daflow.diagnostics import (
@@ -84,13 +83,21 @@ FULL22 = [[0.25, 0.25], [0.25, 0.25]]
 HOLE22 = [[0.5, 0.0], [0.25, 0.25]]
 
 
+class HandBuiltTrace(DATrace):
+    """A trace whose `joints` returns arbitrary joints, which no run could
+    keep: `states` maps each time to its joint's weights."""
+
+    def joints(self, ts):
+        return np.array([self.states[t] for t in ts])
+
+
 def hand_built_trace(target, weights: dict[int, list]) -> DATrace:
     """A converged trace holding a state of each listed joint at its time,
     with zero columns of records up to the last of those times."""
     n = max(weights) + 1
     records = TraceRecords(np.zeros(n), np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), np.zeros(n))
-    sources = {t: JointDensity(np.array(w)) for t, w in weights.items()}
-    return DATrace(target, records, engine._RetainedStates(target, sources), StopReason.CONVERGED)
+    states = {t: JointDensity(np.array(w)).w for t, w in weights.items()}
+    return HandBuiltTrace(target, records, states, StopReason.CONVERGED)
 
 
 def exported(report: LemmaReport) -> tuple:
@@ -886,7 +893,7 @@ class TestStackSource:
         trace = converged_trace()
         # every family reads t=1: lemma1's first pair, lemma2's grid, the
         # first row of lemma3 and cauchy, and lsc's anchor
-        trace.states._sources[1][1] = entry
+        trace.states._rows[1, 1] = entry  # the row of t=1: retain all keeps every time
         for read in (lambda: trace.state_at(1), lambda: run_verification(trace, (check,))):
             with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
                 read()

@@ -303,6 +303,17 @@ class TestRetention:
         assert trace.retained_times == [0, 7, 14, 20]
         assert trace.state_at(14).t == 14
 
+    def test_the_state_at_t0_is_p0_bit_for_bit(self):
+        target = random_positive_target(4, 4, seed=33)
+        p0 = JointDensity(gamma_weights(4, 4, seed=34))
+        for retain in (RetainPolicy.all(), RetainPolicy.thin(7)):
+            trace = run(p0, target, max_half_steps=20, eps=1e-300, retain=retain)
+            assert trace.state_at(0).density.w.tobytes() == p0.w.tobytes()
+        # a run that starts at the target stops at t=0, its final state
+        stopped = run(target.joint, target, max_half_steps=20, eps=1e-10, retain=RetainPolicy.none())
+        assert stopped.last_t == 0 and stopped.retained_times == [0]
+        assert stopped.state_at(0).density.w.tobytes() == target.joint.w.tobytes()
+
     def test_membership_of_retained_times(self):
         trace = self._trace(RetainPolicy.thin(7))
         assert [t for t in range(-1, 23) if t in trace.states] == [0, 7, 14, 20]
@@ -352,17 +363,18 @@ class TestValidationBoundary:
             assert trace.last_t == steps
             counts[steps] = calls[0]
         assert counts[50] == counts[200]
-        # each lookup of a state after t=0 builds and validates its joint once
+        # each lookup of a state after t=0 composes and validates its joint
+        # anew, once
         calls[0] = 0
         for t in (17, 17, 200):
             trace.state_at(t)
-        assert calls[0] == 2
+        assert calls[0] == 3
 
     def test_a_retained_lookup_validates_the_stored_marginal(self):
         target = random_positive_target(4, 4, seed=33)
         p0 = JointDensity(gamma_weights(4, 4, seed=34))
         trace = run(p0, target, max_half_steps=20, eps=1e-300, retain=RetainPolicy.all())
-        trace.states._sources[7][1] = np.nan
+        trace.states._rows[7, 1] = np.nan  # the row of t=7: retain all keeps every time
         with pytest.raises(DistributionError, match="^joint density contains NaN or infinite entries$"):
             trace.state_at(7)
         assert trace.state_at(8).density.strictly_positive
@@ -522,7 +534,7 @@ class TestMarginalStateRun:
         for t in trace.retained_times:
             state = trace.state_at(t)
             assert state.t == t and state.last_update is states[t].last_update
-            assert trace.state_at(t) is state
+            npt.assert_array_equal(trace.state_at(t).density.w, state.density.w)
             npt.assert_allclose(state.density.w, states[t].density.w, atol=1e-15, rtol=0)
         for r in trace.records[:-1]:
             between = relative_entropy(
@@ -600,6 +612,38 @@ class TestRunCost:
         assert peak - held < n * n * 8
 
 
+class TestRunMemory:
+    """A 1 x 5 target that never converges to eps 1e-300: 20,000 half-steps
+    whose records take 40 B each and whose marginals take 40 B or 8 B."""
+
+    @staticmethod
+    def _held_and_peak(retain: RetainPolicy) -> tuple[DATrace, int, int]:
+        target = random_positive_target(1, 5, seed=3)
+        p0 = random_positive_target(1, 5, seed=4).joint
+        tracemalloc.start()
+        try:
+            trace = run(p0, target, 20_000, 1e-300, retain)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.last_t == 20_000
+        return trace, held, peak
+
+    def test_a_retained_state_holds_its_time_and_one_marginal_row(self):
+        trace, held_all, peak_all = self._held_and_peak(RetainPolicy.all())
+        _, held_none, peak_none = self._held_and_peak(RetainPolicy.none())
+        assert len(trace.states) == 20_001
+        # an int64 time and a float64 row as wide as the longer side, 5
+        assert (held_all - held_none) / 20_000 <= 8 * 5 + 16
+        # while the run goes, a kept marginal waits in a bounded batch, and
+        # the rows are held twice only while they are joined
+        assert (peak_all - peak_none) / 20_000 <= 3 * (8 * 5 + 16)
+
+    def test_the_columns_are_assembled_without_holding_three_copies(self):
+        trace, _, peak = self._held_and_peak(RetainPolicy.none())
+        assert peak < 2.5 * 40 * len(trace.records)
+
+
 def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, retain=RetainPolicy.all()) -> DATrace:
     """`run` with every measurement taken one half-step at a time: the
     reference that the block evaluation must reproduce exactly. Each
@@ -609,8 +653,9 @@ def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, reta
     d_cur = relative_entropy(p0, target.joint)
     tv_cur = total_variation(p0, target.joint)
     target_marginal = {Axis.X: target.marg_x, Axis.Y: target.marg_y}
-    d_to_target, tv_to_target, d_steps, residuals, drifts, sources = [], [], [], [], [], {}
-    t, src, w, drift_cur = 0, p0, p0.w, 0.0
+    d_to_target, tv_to_target, d_steps, residuals, drifts, times, kept = [], [], [], [], [], [], []
+    # p_t is p0 or the marginal `src` composed into a target conditional
+    t, src, w, drift_cur = 0, np.zeros(0), p0.w, 0.0
     v, _ = engine._renormalized_marginal(w, Axis.Y)
     while True:
         d_to_target.append(d_cur.value)
@@ -630,14 +675,20 @@ def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, reta
         d_steps.append(d_step.value)
         residuals.append(abs(d_cur.value - d_step.value - d_next.value))
         if retain.keeps(t):
-            sources[t] = src
+            times.append(t)
+            kept.append(src)
         other = Axis.X if m.axis is Axis.Y else Axis.Y
         t, src, w = t + 1, v, w_next
         v, drift_cur = engine._renormalized_marginal(w, other)
         d_cur, tv_cur = d_next, tv_next
-    sources[t] = src
+    times.append(t)
+    kept.append(src)
+    rows = np.zeros((len(kept), max(target.shape)))
+    for row, marginal in zip(rows, kept):
+        row[: len(marginal)] = marginal
     records = TraceRecords(d_to_target, tv_to_target, d_steps, residuals, drifts)
-    return DATrace(target, records, engine._RetainedStates(target, sources), stop)
+    states = engine._RetainedStates(target, p0, np.array(times, dtype=np.int64), rows)
+    return DATrace(target, records, states, stop)
 
 
 def assert_same_trace(got: DATrace, expected: DATrace) -> None:

@@ -161,19 +161,20 @@ def half_step_case(m, n: int) -> Timed:
     return Timed(call := lambda: m.engine.da_half_step(state, target), digest(call().density.w))
 
 
-def run_case(m, n: int, beta: float | None, half_steps: int, eps: float = 1e-300) -> Timed:
+def run_case(m, n: int, beta: float | None, half_steps: int, eps: float = 1e-300, retain: str = "none") -> Timed:
     """``engine.run`` for at most `half_steps` half-steps or to `eps`, per
-    half-step run: from a corner to the banded target of `beta`, or, with
-    beta None, from uniform to the target ``gen`` draws at seed 1, retaining
-    every state, as the wide workload's ``verify`` runs it."""
+    half-step run, keeping the states of the policy `retain`: from a corner
+    to the banded target of `beta`, or, with beta None, from uniform to the
+    target ``gen`` draws at seed 1, as the wide workload's ``verify`` runs
+    it. The check digests the trace CSV and the retained joints."""
     if beta is None:
         target = m.dist.random_positive_target(n, n, seed=1)
         p0 = m.dist.JointDensity(np.full((n, n), 1.0 / (n * n)))
-        call = lambda: m.engine.run(p0, target, half_steps, eps, m.engine.RetainPolicy.all())
+        call = lambda: m.engine.run(p0, target, half_steps, eps, getattr(m.engine.RetainPolicy, retain)())
     else:
-        call = run_from_corner(m, n, beta, half_steps, eps)
+        call = run_from_corner(m, n, beta, half_steps, eps, retain)
     trace = call()
-    return Timed(call, digest(m.engine.trace_to_csv(trace)), trace.last_t)
+    return Timed(call, digest(m.engine.trace_to_csv(trace), trace.joints(trace.retained_times)), trace.last_t)
 
 
 def trace_export_case(m, fmt: str, n: int, beta: float, eps: float) -> Timed:
@@ -240,8 +241,10 @@ CASES = [
         {"rows": r, "entries": e} for r, e in ((8, 64), (16, 64), (64, 64), (10, 784), (1, 40_000))]),
     ("engine.run", run_case, [*({"n": n, "beta": b, "half_steps": s} for n, b, s in (
         (28, 0.9, 400), (100, 0.9, 60), (200, 0.9, 40), (500, 0.9, 10), (40, 2.0, 1000))),
+        # 1,000 kept states, as converge, certify and sample keep every one
+        {"n": 40, "beta": 2.0, "half_steps": 1000, "retain": "all"},
         # the wide workload's run: 10 half-steps from uniform on 120 x 120
-        {"n": 120, "beta": None, "half_steps": 10_000, "eps": 1e-16}]),
+        {"n": 120, "beta": None, "half_steps": 10_000, "eps": 1e-16, "retain": "all"}]),
     # the converge benchmark's trace, 746 half-steps
     ("engine.export", trace_export_case, [{"fmt": f, "n": 28, "beta": 0.9, "eps": 1e-10} for f in ("csv", "json")]),
     # the pair sweeps also on 150 retained 40 x 40 joints, which span several
