@@ -31,12 +31,12 @@ import numpy as np
 from ._fsio import atomic_write_chunks, dumps_indent1
 from .diagnostics import (
     DEFAULT_CHECKS,
-    LemmaReport,
+    ReportBlock,
+    _gather,
     lemma1_check,
     lemma2_check,
     lemma3_check,
     lsc_gap,
-    summarize,
     validate_checks,
     validate_instance,
     verification_chunks,
@@ -173,13 +173,13 @@ def _require_finite_start(trace: DATrace) -> None:
         )
 
 
-def _emit(out_prefix: str | None, kind: str, chunks: Iterable[str], summary: str) -> None:
+def _emit(out_prefix: str | None, kind: str, chunks: Iterable[str], summary: Callable[[], str]) -> None:
     """Write the document made of `chunks` to `<out_prefix>.<kind>.json` and
-    print `summary`, or write it to stdout when no prefix is given."""
+    then print `summary()`, or write it to stdout when no prefix is given."""
     if out_prefix:
         path = f"{out_prefix}.{kind}.json"
         atomic_write_chunks(path, chunks)
-        print(f"{summary} out={path}")
+        print(f"{summary()} out={path}")
     else:
         sys.stdout.writelines(chunks)
 
@@ -230,10 +230,10 @@ def _parse_checks(spec: str) -> tuple[str, ...]:
 SWEEP_NEEDS_HISTORY = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc")
 
 
-def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> Callable[[DATrace], Iterable[LemmaReport]]:
+def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> Callable[[DATrace], Iterable[ReportBlock]]:
     """Parse --checks and vet --retain, --t/--n and --max-steps against them,
     so a bad selection is refused before the trace is built; return the
-    evaluation that turns the finished trace into its reports."""
+    evaluation that turns the finished trace into its report blocks."""
     checks = _parse_checks(args.checks)
     if retain.kind == "none" and args.t is None:
         blocked = [c for c in checks if c in SWEEP_NEEDS_HISTORY]
@@ -256,15 +256,16 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> Callable
     if name == "lemma1":
         if n is not None:
             raise DistributionError("lemma1 checks one half-step; it does not take --n")
-        evaluate = lambda trace: [lemma1_check(trace, t)]
+        evaluate = lambda trace: _gather([lemma1_check(trace, t)])
     elif name == "lsc":
-        # without --n, the horizon is the steps left to the final state
-        evaluate = lambda trace: [lsc_gap(trace, t, trace.last_t - t if n is None else n)]
+        # without --n, the horizon is the steps left to the final state; past
+        # that state it is 0, so the missing state at t is refused
+        evaluate = lambda trace: _gather([lsc_gap(trace, t, max(trace.last_t - t, 0) if n is None else n)])
     else:
         if n is None:
             raise DistributionError(f"{name} with --t also needs --n")
         check = lemma2_check if name == "lemma2" else lemma3_check
-        evaluate = lambda trace: [check(trace, t, n)]
+        evaluate = lambda trace: _gather([check(trace, t, n)])
     *earlier, latest = validate_instance(name, t, n)
     if latest > args.max_steps:
         raise StateNotRetained(f"{name} reads the state at t={latest}, past --max-steps {args.max_steps}")
@@ -283,15 +284,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=retain)
     _require_finite_start(trace)
 
-    # every report exists before any output is written
-    reports = evaluate(trace)
-    summary = summarize(reports)
+    # every refusal comes before any output; the blocks are written as the
+    # families make them, and the summary is folded as they pass
+    summary: dict = {}
     _emit(
         args.out_prefix,
         "verify",
-        verification_chunks(reports, summary),
-        f"checks_run={summary['checks_run']} passes={summary['passes']} "
-        f"failures={summary['failures']}",
+        verification_chunks(evaluate(trace), summary),
+        lambda: f"checks_run={summary['checks_run']} passes={summary['passes']} failures={summary['failures']}",
     )
     return EXIT_OK if summary["failures"] == 0 else EXIT_CHECK_FAILURE
 
@@ -344,7 +344,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         args.out_prefix,
         "consistency",
         (dumps_indent1(report) + "\n",),
-        f"replicas={args.replicas} half_steps={half_steps} "
+        lambda: f"replicas={args.replicas} half_steps={half_steps} "
         f"all_within_bound={str(report['all_within_bound']).lower()}",
     )
     return EXIT_OK if report["all_within_bound"] else EXIT_CHECK_FAILURE

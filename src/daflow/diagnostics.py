@@ -50,14 +50,18 @@ reads the chunks as they come and keeps only the tightest pair. The grid
 covers every pair, so its cost is O(T^2); the joints are composed
 O(T^2 / B) times in all for blocks of B times.
 
-A sweep's reports are held as columns (:class:`ReportBlock`): lemma3 gives
-one block per row block of times and lemma1 one block, their t, n, sides,
+A sweep's reports are columns (:class:`ReportBlock`): lemma3 gives one
+block per row block of times and lemma1 one block, their t, n, sides,
 residuals or slacks and verdicts as arrays with no object per report, and
-the other families give blocks of the reports they return. `summarize`
-reduces the columns and `verification_chunks` writes the JSON from them
-through `_fsio.table_chunks`, the table writer the trace exports also use,
-one ``%`` template per block; a list of reports is gathered into blocks
-first, so both take one path.
+the other families give blocks of the reports they return.
+`verification_table` raises every refusal when it is called and then
+yields the blocks, each family evaluated as its blocks are read.
+`verification_chunks` writes each block as it arrives, through
+`_fsio.table_chunks`, the table writer the trace exports also use, one
+``%`` template per block, and the summary last, folded from the blocks'
+columns as they passed, so a sweep holds one block at a time. A list of
+reports is gathered into blocks first, so `summarize` and
+`verification_to_json` take the same path.
 
 Every check returns a :class:`LemmaReport`; identities pass when the
 absolute residual is at most the tolerance, inequalities when the slack is
@@ -221,24 +225,6 @@ def _gather(reports: Iterable[LemmaReport]) -> list[ReportBlock]:
         ints = np.array(t, dtype=np.int64), None if no_n else np.array(n, dtype=np.int64)
         blocks.append(ReportBlock(name, run[0].tolerance, *ints, *floats, notes))
     return blocks
-
-
-class ReportTable:
-    """Reports in order, held as blocks; iterating materializes them."""
-
-    def __init__(self, blocks: list[ReportBlock]) -> None:
-        self.blocks = blocks
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def __iter__(self) -> Iterator[LemmaReport]:
-        for block in self.blocks:
-            yield from block.reports()
-
-
-def _table(reports: ReportTable | Iterable[LemmaReport]) -> ReportTable:
-    return reports if isinstance(reports, ReportTable) else ReportTable(_gather(reports))
 
 
 # a tile of the pairwise sweeps stacks its two blocks of times in at most
@@ -408,31 +394,36 @@ _LEMMA3_NOTES = ("", "left side infinite with finite right side")
 def _lemma3_rows(trace: DATrace, times: list[int], d: dict[int, float]) -> Iterator[ReportBlock]:
     """The lemma3 reports from each listed time t but the last to the times
     after it in the list, in row-major order, one block per row block of
-    `_pair_tiles`: the divergences D(p_t || p_k) of its chunks, and the right
-    sides, slacks and verdicts as arrays. The divergences to the target are
-    read, and refused unless finite, once."""
+    `_pair_tiles`, each evaluated as it is read. The divergences to the
+    target are read, and refused unless finite, once, at the call."""
     to_target = np.array([d[t] for t in times])
     if not np.isfinite(to_target).all():
         raise DistributionError("lemma3_check needs finite divergences to the target")
-    ts, m = np.array(times, dtype=np.int64), len(times)
-    per_block = _block_times(math.prod(trace.target.shape))
-    for a0, chunks in groupby(_pair_tiles(trace, times, _rel_entropy_array), lambda chunk: chunk[0]):
-        # the row block's pairs in row-major order: row a's run from its
-        # first column a + 1, starting at `starts`; the tiles' chunks are
-        # written into their slots as they arrive
-        rows = np.arange(a0, min(a0 + per_block, m))
-        counts = m - 1 - rows
-        starts = np.cumsum(counts) - counts
-        a = np.repeat(rows, counts)
-        b = np.arange(counts.sum()) + np.repeat(rows + 1 - starts, counts)
-        lhs = np.empty(len(a))
-        for _, ca, cb, values in chunks:
-            lhs[starts[ca - a0] + cb - ca - 1] = values
-        rhs = to_target[a] - to_target[b]
-        # an infinite left side against a finite right side is a slack of -inf
-        slack = rhs - lhs
-        notes = tuple(map(_LEMMA3_NOTES.__getitem__, np.isinf(lhs).tolist()))
-        yield ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, ts[a], ts[b] - ts[a], lhs, rhs, slack, notes)
+    ts, per_block = np.array(times, dtype=np.int64), _block_times(math.prod(trace.target.shape))
+    tiles = groupby(_pair_tiles(trace, times, _rel_entropy_array), lambda chunk: chunk[0])
+    return (_lemma3_block(ts, to_target, a0, per_block, chunks) for a0, chunks in tiles)
+
+
+def _lemma3_block(ts: np.ndarray, to_target: np.ndarray, a0: int, per_block: int, chunks) -> ReportBlock:
+    """The row block from position a0: the D(p_t || p_k) of its chunks, and
+    the right sides, slacks and verdicts as arrays."""
+    m = len(ts)
+    # the row block's pairs in row-major order: row a's run from its first
+    # column a + 1, starting at `starts`; the tiles' chunks are written into
+    # their slots as they arrive
+    rows = np.arange(a0, min(a0 + per_block, m))
+    counts = m - 1 - rows
+    starts = np.cumsum(counts) - counts
+    a = np.repeat(rows, counts)
+    b = np.arange(counts.sum()) + np.repeat(rows + 1 - starts, counts)
+    lhs = np.empty(len(a))
+    for _, ca, cb, values in chunks:
+        lhs[starts[ca - a0] + cb - ca - 1] = values
+    rhs = to_target[a] - to_target[b]
+    # an infinite left side against a finite right side is a slack of -inf
+    slack = rhs - lhs
+    notes = tuple(map(_LEMMA3_NOTES.__getitem__, np.isinf(lhs).tolist()))
+    return ReportBlock(CheckName.LEMMA3, INEQUALITY_TOL, ts[a], ts[b] - ts[a], lhs, rhs, slack, notes)
 
 
 def cauchy_matrix(trace: DATrace, times: list[int]) -> np.ndarray:
@@ -648,17 +639,19 @@ def validate_checks(checks: tuple[str, ...]) -> None:
 
 def run_verification(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -> list[LemmaReport]:
     """The reports of `verification_table`, materialized."""
-    return list(verification_table(trace, checks))
+    return [report for block in verification_table(trace, checks) for report in block.reports()]
 
 
-def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -> ReportTable:
-    """Run the selected checks over a trace, adapting to its retained states.
+def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS) -> Iterator[ReportBlock]:
+    """The report blocks of the selected checks over a trace, each family
+    evaluated only when its blocks are read.
 
-    Instance grids (which t, which n) follow the retained times; a selected
-    check with no runnable instance raises :class:`StateNotRetained`, since
-    a silent skip would turn a config mistake into a vacuous pass. An
-    unconverged trace is refused up front when lsc is selected, before any
-    other family spends its work.
+    Instance grids (which t, which n) follow the retained times. Every
+    refusal is raised at the call, before any family spends its work: an
+    unconverged trace when lsc is selected; then, in `checks` order, a
+    selected check with no runnable instance (:class:`StateNotRetained`,
+    since a silent skip would turn a config mistake into a vacuous pass);
+    then lemma3's non-finite divergence to the target.
     """
     validate_checks(checks)
     if "lsc" in checks and not trace.converged:
@@ -668,45 +661,57 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
     lemma1_ts = (
         [t for t in times if retained.issuperset(validate_instance("lemma1", t, None))] if "lemma1" in checks else []
     )
+    instances = [
+        (t, n) for t in LEMMA2_DEFAULT_TS for n in LEMMA2_DEFAULT_NS
+        if retained.issuperset(validate_instance("lemma2", t, n))
+    ] if "lemma2" in checks else []
     iterates = [t for t in times if t >= 1]
     anchors = [t for t in iterates if t < last][:1]
+    grids = {
+        "lemma1": (lemma1_ts, "lemma1 needs a retained consecutive pair"),
+        "lemma2": (instances, "lemma2 found no runnable (t, n) instance"),
+        "lemma3": (len(iterates) > 1, "lemma3 needs two retained times with t >= 1"),
+        "cauchy": (len(iterates) > 1, "cauchy_check needs at least two retained times with t >= 1"),
+        "lsc": (anchors, "lsc needs a retained time t >= 1 before the final state"),
+    }
+    for runnable, message in (grids[c] for c in checks if c in grids):
+        if not runnable:
+            raise StateNotRetained(message)
     # the times whose D(p_t || target) the selected families read, each evaluated once
     reads = {"lemma1": lemma1_ts + [t + 1 for t in lemma1_ts], "lemma3": iterates, "lsc": anchors}
     d = _to_target(trace, sorted(set().union(*(reads[c] for c in checks if c in reads))))
-    blocks: list[ReportBlock] = []
-
-    for check in checks:
-        if check == "lemma1":
-            if not lemma1_ts:
-                raise StateNotRetained("lemma1 needs a retained consecutive pair")
-            blocks.append(_lemma1_block(trace, lemma1_ts, d))
-        elif check == "lemma2":
-            instances = [
-                (t, n) for t in LEMMA2_DEFAULT_TS for n in LEMMA2_DEFAULT_NS
-                if retained.issuperset(validate_instance("lemma2", t, n))
-            ]
-            if not instances:
-                raise StateNotRetained("lemma2 found no runnable (t, n) instance")
-            blocks += _gather(_lemma2_reports(trace, instances))
-        elif check == "lemma3":
-            if len(iterates) < 2:
-                raise StateNotRetained("lemma3 needs two retained times with t >= 1")
-            blocks += _lemma3_rows(trace, iterates, d)
-        elif check == "cauchy":
-            blocks += _gather([cauchy_check(trace)])
-        elif check == "lsc":
-            if not anchors:
-                raise StateNotRetained("lsc needs a retained time t >= 1 before the final state")
-            t = anchors[0]
-            blocks += _gather([_lsc(trace, t, last - t, d)])
-        elif check == "balance":
-            blocks += _gather([balance_check(trace.target, Axis.X), balance_check(trace.target, Axis.Y)])
-        elif check == "reconstruction":
-            blocks += _gather([reconstruction_check(trace.target)])
-    return ReportTable(blocks)
+    lemma3_rows = _lemma3_rows(trace, iterates, d) if "lemma3" in checks else ()
+    families = {
+        "lemma1": lambda: [_lemma1_block(trace, lemma1_ts, d)],
+        "lemma2": lambda: _gather(_lemma2_reports(trace, instances)),
+        "lemma3": lambda: lemma3_rows,
+        "cauchy": lambda: _gather([cauchy_check(trace, iterates)]),
+        "lsc": lambda: _gather([_lsc(trace, anchors[0], last - anchors[0], d)]),
+        "balance": lambda: _gather([balance_check(trace.target, Axis.X), balance_check(trace.target, Axis.Y)]),
+        "reconstruction": lambda: _gather([reconstruction_check(trace.target)]),
+    }
+    return (block for check in checks for block in families[check]())
 
 
-def summarize(reports: ReportTable | Iterable[LemmaReport]) -> dict:
+def _summarized(blocks: Iterable[ReportBlock], summary: dict) -> Iterator[ReportBlock]:
+    """Pass the blocks through and, once they are exhausted, fill `summary`
+    with theirs (see `summarize`), one reduction of each block's columns."""
+    worst: dict[str, float] = {}
+    checks_run = passes = 0
+    for block in blocks:
+        key = block.name.value
+        if _CHECK_KIND[block.name] == "identity":
+            worst[key] = max(worst.get(key, 0.0), float(np.abs(block.value).max()))
+        else:
+            worst[key] = min(worst.get(key, math.inf), float(block.value[np.argmin(block.value)]))
+        checks_run += len(block)
+        passes += int(block.passed.sum())
+        yield block
+    summary.update(checks_run=checks_run, passes=passes, failures=checks_run - passes)
+    summary["worst_residual_by_lemma"] = {k: encode(v) for k, v in worst.items()}
+
+
+def summarize(reports: Iterable[LemmaReport]) -> dict:
     """Aggregate counts and the worst residual or slack per check name.
 
     The worst value is the largest absolute residual for an identity and
@@ -714,24 +719,13 @@ def summarize(reports: ReportTable | Iterable[LemmaReport]) -> dict:
     a tie, as ``max`` and ``min`` over the reports pick it. It is in
     exported form (see `metrics.encode`), so an infinite residual or slack
     appears as "inf" or "-inf", never as a float infinity that strict JSON
-    cannot carry.
+    cannot carry. The reports are gathered into blocks and folded by the
+    pass that `verification_chunks` makes as it writes them.
     """
-    table = _table(reports)
-    worst: dict[str, float] = {}
-    for block in table.blocks:
-        key = block.name.value
-        if _CHECK_KIND[block.name] == "identity":
-            worst[key] = max(worst.get(key, 0.0), float(np.abs(block.value).max()))
-        else:
-            worst[key] = min(worst.get(key, math.inf), float(block.value[np.argmin(block.value)]))
-    checks_run = len(table)
-    passes = sum(int(block.passed.sum()) for block in table.blocks)
-    return {
-        "checks_run": checks_run,
-        "passes": passes,
-        "failures": checks_run - passes,
-        "worst_residual_by_lemma": {k: encode(v) for k, v in worst.items()},
-    }
+    summary: dict = {}
+    for _ in _summarized(_gather(reports), summary):
+        pass
+    return summary
 
 
 def report_to_json_dict(report: LemmaReport) -> dict:
@@ -768,28 +762,33 @@ def _block_columns(block: ReportBlock, lo: int, hi: int) -> list[list]:
     ]
 
 
-def verification_chunks(reports: ReportTable | Iterable[LemmaReport], summary: dict) -> Iterator[str]:
-    """The text of `verification_to_json(reports, summary)`, each block's
-    reports in the chunks of `_fsio.table_chunks`."""
-    blocks = _table(reports).blocks
-    yield '{\n "reports": [' + ("\n" if blocks else "")
-    for i, block in enumerate(blocks):
+def verification_chunks(blocks: Iterable[ReportBlock], summary: dict) -> Iterator[str]:
+    """The verification JSON of the report blocks: each block written as it
+    arrives, its reports in the chunks of `_fsio.table_chunks`, and `summary`
+    last. An empty `summary` is first filled from the blocks as they pass
+    (see `summarize`), so a caller that hands in ``{}`` reads it afterwards."""
+    if not summary:
+        blocks = _summarized(blocks, summary)
+    yield '{\n "reports": ['
+    # what goes before the next chunk: the reports' first newline, then the separator
+    sep = "\n"
+    for block in blocks:
         # one row template per block, its name, tolerance and a None n filled in
         name, tolerance = json.dumps(block.name.value), json.dumps(block.tolerance)
         n = "null" if block.n is None else "%s"
         row = _REPORT_JSON % (name, "%s", n, "%s", "%s", "%s", "%s", tolerance, "%s")
-        for j, text in enumerate(table_chunks(row, ",\n", len(block), partial(_block_columns, block))):
-            yield (",\n" if i or j else "") + text
-    yield ("\n ]" if blocks else "]") + ',\n "summary": ' + dumps_indent1(summary, 1) + "\n}\n"
+        for text in table_chunks(row, ",\n", len(block), partial(_block_columns, block)):
+            yield sep + text
+            sep = ",\n"
+    yield ("]" if sep == "\n" else "\n ]") + ',\n "summary": ' + dumps_indent1(summary, 1) + "\n}\n"
 
 
-def verification_to_json(reports: ReportTable | Iterable[LemmaReport], summary: dict | None = None) -> str:
+def verification_to_json(reports: Iterable[LemmaReport], summary: dict | None = None) -> str:
     """The reports and their summary as strict JSON, byte for byte
     ``json.dumps({"reports": [...], "summary": summary}, indent=1) + "\\n"``
     over `report_to_json_dict` of each report.
 
-    A caller that already holds ``summarize(reports)`` passes it as
-    `summary`, so the reports are not walked a second time.
+    Without `summary`, ``summarize(reports)`` is folded as the reports are
+    written, in the one walk.
     """
-    table = _table(reports)
-    return "".join(verification_chunks(table, summarize(table) if summary is None else summary))
+    return "".join(verification_chunks(_gather(reports), {} if summary is None else summary))

@@ -469,18 +469,19 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["reports"][0]["t"] == trace.last_t
 
     def test_reports_are_summarized_once(self, monkeypatch):
-        import daflow.cli
         import daflow.diagnostics
 
+        # the reports each fold passes on
         calls = []
-        original = daflow.diagnostics.summarize
+        original = daflow.diagnostics._summarized
 
-        def counted(reports):
-            calls.append(len(reports))
-            return original(reports)
+        def counted(blocks, summary):
+            calls.append(0)
+            for block in original(blocks, summary):
+                calls[-1] += len(block)
+                yield block
 
-        monkeypatch.setattr(daflow.cli, "summarize", counted)
-        monkeypatch.setattr(daflow.diagnostics, "summarize", counted)
+        monkeypatch.setattr(daflow.diagnostics, "_summarized", counted)
         assert main(["verify", "--gen", "3,3,9", "--checks", "balance,reconstruction"]) == EXIT_OK
         assert calls == [3]
 
@@ -488,8 +489,14 @@ class TestVerify:
         assert main(["verify", "--target", zero_cell_target]) == EXIT_HYPOTHESIS
 
     @pytest.mark.parametrize("prefixed", [True, False])
-    def test_a_family_that_raises_leaves_no_output(self, tmp_path, capsys, prefixed):
-        # lemma1 runs, then lemma3 finds a single iterate time on a 6x1 grid
+    def test_a_family_that_raises_leaves_no_output(self, monkeypatch, tmp_path, capsys, prefixed):
+        import daflow.diagnostics
+
+        # lemma3 finds a single iterate time on a 6x1 grid, and the sweep is
+        # refused before lemma1 runs or any divergence is evaluated
+        called = []
+        for name in ("_to_target", "_lemma1_block"):
+            monkeypatch.setattr(daflow.diagnostics, name, lambda *args, name=name: called.append(name))
         prefix = ["--out-prefix", str(tmp_path / "v")] if prefixed else []
         argv = ["verify", "--gen", "6,1,3", "--checks", "lemma1,lemma3", "--eps", "1e-300", "--max-steps", "8"]
         assert main([*argv, *prefix]) == EXIT_USAGE
@@ -497,6 +504,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: lemma3 needs two retained times with t >= 1\n"
         assert os.listdir(tmp_path) == []
+        assert called == []
+
+    def test_pinned_lsc_past_the_final_state_is_not_retained(self, capsys):
+        # the run stops at t=34; the default horizon, the steps left to the
+        # final state, is then 0, not negative
+        assert main(["verify", "--gen", "3,3,1", "--checks", "lsc", "--t", "500"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state at t=500 was not retained (35 retained times in 0..34)\n"
 
     @pytest.mark.parametrize("prefixed", [True, False])
     @pytest.mark.parametrize(

@@ -1163,9 +1163,11 @@ class TestReportBlocks:
         got = run_verification(trace, ("lemma3",))
         assert_same_reports(got, want)
         assert_same_reports([lemma3_check(trace, r.t, r.n) for r in want], want)
-        table = diagnostics.verification_table(trace, ("lemma3",))
-        assert len(table.blocks) == -(-(len(iterates) - 1) // 3)
-        assert json.dumps(summarize(table)) == json.dumps(summary_reference(want))
+        blocks = list(diagnostics.verification_table(trace, ("lemma3",)))
+        assert len(blocks) == -(-(len(iterates) - 1) // 3)
+        summary = {}
+        assert list(diagnostics._summarized(blocks, summary)) == blocks
+        assert json.dumps(summary) == json.dumps(summary_reference(want))
 
     def test_summary_keeps_the_first_tied_worst_value(self):
         def report(name, value, tolerance=1e-10):
@@ -1191,6 +1193,43 @@ class TestReportBlocks:
     def test_empty_report_list(self):
         text = verification_to_json([])
         assert text == json.dumps({"reports": [], "summary": summary_reference([])}, indent=1) + "\n"
+
+
+class TestOnePass:
+    """`verification_table` refuses at the call and evaluates each family
+    as its blocks are read; `verification_chunks` writes each block as it
+    arrives and holds none."""
+
+    def test_the_table_returns_before_the_pair_sweep_starts(self, monkeypatch):
+        trace = make_trace(steps=6)
+        entered = []
+
+        def tiles(*args):
+            entered.append(args)
+            yield from ()
+
+        monkeypatch.setattr(diagnostics, "_pair_tiles", tiles)
+        blocks = diagnostics.verification_table(trace, ("lemma3",))
+        assert entered == []
+        assert list(blocks) == [] and len(entered) == 1
+
+    def test_lemma3_json_holds_one_row_block_at_a_time(self, monkeypatch):
+        target = random_positive_target(1, 5, seed=3)
+        trace = run(random_positive_target(1, 5, seed=4).joint, target, max_half_steps=300, eps=1e-300)
+        iterates = [t for t in trace.retained_times if t >= 1]
+        assert len(iterates) == 300
+        block_times(monkeypatch, 3, target.joint.w.size)
+        tracemalloc.start()
+        try:
+            for _ in diagnostics.verification_chunks(diagnostics.verification_table(trace, ("lemma3",)), {}):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 44,850 reports staged as blocks take about 2.5 MB of columns
+        # (a sweep that builds them all before writing peaks at 3.0 MB);
+        # one row block of at most 897 reports and its text take about 0.9 MB
+        assert peak < 1.25e6
 
 
 # values at the edges of how JSON writes a float: signed zeros, the smallest
@@ -1245,19 +1284,21 @@ class TestBlockEncoder:
         expected = json.dumps(doc, indent=1) + "\n"
         assert verification_to_json(reports, summary) == expected
         assert verification_to_json(reports) == expected
-        table = diagnostics.ReportTable(diagnostics._gather(reports))
-        assert "".join(diagnostics.verification_chunks(table, summary)) == expected
-        assert_same_reports(list(table), reports)
+        blocks = diagnostics._gather(reports)
+        assert "".join(diagnostics.verification_chunks(blocks, summary)) == expected
+        # an empty summary is folded from the blocks as they pass
+        assert "".join(diagnostics.verification_chunks(iter(blocks), {})) == expected
+        assert_same_reports([r for block in blocks for r in block.reports()], reports)
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 7])
     def test_large_blocks_are_written_in_bounded_chunks(self, per_chunk, monkeypatch):
         trace = degenerate_trace(5, 4, (2, 3))
-        table = diagnostics.verification_table(trace, ("lemma1", "lemma3", "balance"))
-        reports = list(table)
-        summary = summarize(table)
+        blocks = list(diagnostics.verification_table(trace, ("lemma1", "lemma3", "balance")))
+        reports = [r for block in blocks for r in block.reports()]
+        summary = summarize(reports)
         doc = {"reports": [report_to_json_dict(r) for r in reports], "summary": summary}
         monkeypatch.setattr(_fsio, "TABLE_ROWS", per_chunk)
-        chunks = list(diagnostics.verification_chunks(table, summary))
+        chunks = list(diagnostics.verification_chunks(iter(blocks), {}))
         assert "".join(chunks) == json.dumps(doc, indent=1) + "\n"
         # every chunk but the opening and the summary holds at most per_chunk reports
         assert max(chunk.count('"name":') for chunk in chunks[1:-1]) == per_chunk

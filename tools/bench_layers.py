@@ -182,20 +182,35 @@ def trace_export_case(m, fmt: str, n: int, beta: float, eps: float) -> Timed:
     return Timed(call := lambda: getattr(m.engine, f"trace_to_{fmt}")(trace), digest(call()))
 
 
+def report_blocks(m) -> Callable:
+    """`verification_table` of (trace, checks) as a list of report blocks:
+    its stream listed, or the table's `blocks` on a tree that builds them
+    all before writing."""
+    table = m.diagnostics.verification_table
+    if hasattr(m.diagnostics, "ReportTable"):
+        return lambda trace, checks: table(trace, checks).blocks
+    return lambda trace, checks: list(table(trace, checks))
+
+
 def verify_case(m, check: str, n: int, beta: float, half_steps: int = 400) -> Timed:
-    """One verify family on the trace run to eps 1e-15 within `half_steps`,
-    by default the certify benchmark's. Each call composes the joints it
-    reads from the kept marginals; a tree that caches them on first lookup
-    (before the one stack source) times its later calls warm."""
-    trace = run_from_corner(m, n, beta, half_steps, 1e-15, "all")()
-    call = lambda: m.diagnostics.verification_table(trace, (check,))
-    return Timed(call, digest(m.diagnostics.verification_to_json(call())))
+    """One verify family's blocks on the trace run to eps 1e-15 within
+    `half_steps`, by default the certify benchmark's. Each call composes the
+    joints it reads from the kept marginals; a tree that caches them on
+    first lookup (before the one stack source) times its later calls warm."""
+    trace, blocks = run_from_corner(m, n, beta, half_steps, 1e-15, "all")(), report_blocks(m)
+    call = lambda: blocks(trace, (check,))
+    return Timed(call, digest(m.diagnostics.verification_to_json([r for b in call() for r in b.reports()])))
 
 
 def verify_export_case(m, n: int, beta: float) -> Timed:
-    table = m.diagnostics.verification_table(run_from_corner(m, n, beta, 400, 1e-15, "all")())
-    summary = m.diagnostics.summarize(table)
-    return Timed(call := lambda: m.diagnostics.verification_to_json(table, summary), digest(call()))
+    """The verify JSON of every check, from blocks made once: the summary
+    folded and the reports written, as `cmd_verify` does."""
+    blocks = report_blocks(m)(run_from_corner(m, n, beta, 400, 1e-15, "all")(), m.diagnostics.DEFAULT_CHECKS)
+    if hasattr(m.diagnostics, "ReportTable"):  # a tree that summarizes before it writes
+        call = lambda: m.diagnostics.verification_to_json(m.diagnostics.ReportTable(blocks))
+    else:
+        call = lambda: "".join(m.diagnostics.verification_chunks(blocks, {}))
+    return Timed(call, digest(call()))
 
 
 def run_chains_case(m, replicas: int, half_steps: int, n: int) -> Timed:
@@ -265,7 +280,10 @@ CASES = [
     ("cli.verify", cli_case, [
         {"argv": "verify --target target.json --p0 degenerate:2,7 --checks all --eps 1e-15 "
                  "--max-steps 400 --retain all --out-prefix v", "banded": [8, 0.9]},
-        {"argv": "verify --gen 120,120,1 --checks balance,reconstruction --out-prefix w"}]),
+        {"argv": "verify --gen 120,120,1 --checks balance,reconstruction --out-prefix w"},
+        # lemma3's 79,800 reports and cauchy's scan on a 1 x 5 target
+        {"argv": "verify --gen 1,5,3 --p0 random:4 --checks lemma3,cauchy --eps 1e-300 --max-steps 400 "
+                 "--out-prefix v"}]),
     ("cli.sample", cli_case, [{"argv": "sample --gen 20,20,1 --replicas 5000 --half-steps 20 --times 0,2,20 "
                                        "--seed 1 --draws-out d.csv --out-prefix s"}]),
 ]

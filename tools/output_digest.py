@@ -38,15 +38,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("converge", "certify", "sample", "wide")
 
-# the README commands, retention modes, degenerate grid shapes, pinned
-# checks (lemma3 at n = 0 among them, whose two listed times repeat), a
-# step-budget stop, a wide run, targets that need redraws or hold subnormal
-# cells, a target file with zero cells, and refusals (among them a zero-step
-# sample over its budget and a sweep whose grid is empty), a cauchy scan over
-# 1,000 retained times, lemma3 and cauchy stacks of 1,600-entry rows too
-# large for one pass of the exact row sums, lemma1, lemma3 and cauchy on a
-# banded 40x40 target whose 150 retained times span several tiles of the
-# pair sweeps, a run on that target whose stop falls inside a block of
+# the README commands, retention modes, degenerate grid shapes, pinned checks
+# (lemma3 at n = 0 among them, whose two listed times repeat), a step-budget
+# stop, a wide run, targets that need redraws or hold subnormal cells, a
+# target file with zero cells, and refusals (among them a zero-step sample
+# over its budget, sweeps whose grid is empty, one of them listed after a
+# family that could run, and an lsc pinned past the final state), a cauchy
+# scan over 1,000 retained times, lemma3 and cauchy stacks of 1,600-entry
+# rows too large for one pass of the exact row sums, lemma1, lemma3 and
+# cauchy on a banded 40x40 target whose 150 retained times span several tiles
+# of the pair sweeps, a run on that target whose stop falls inside a block of
 # half-steps, exported as CSV and as JSON, budget stops of 1,025 and 1,026
 # records on each side of the table writer's 1,024-row chunk edge, as CSV and
 # as JSON, and refusals of gamma draws whose total overflows, of an infinite
@@ -102,9 +103,13 @@ EDGE_COMMANDS = {
         "--retain", "thin:7", "--checks", "lemma1", "--t", "1",
     ),
     "pinned-lsc-negative": ("verify", "--gen", "6,6,1", "--checks", "lsc", "--t", "-1"),
+    "pinned-lsc-past-final": ("verify", "--gen", "3,3,1", "--checks", "lsc", "--t", "500"),
     "sample-zero-steps-budget": ("sample", "--gen", "2,2,1", "--replicas", "10", "--times", "0", "--budget", "5"),
     "empty-grid-lemma1": (
         "verify", "--gen", "4,4,1", "--eps", "1e-12", "--retain", "thin:1000", "--checks", "lemma1",
+    ),
+    "empty-grid-lemma3-after-lemma1": (
+        "verify", "--gen", "6,1,3", "--checks", "lemma1,lemma3", "--eps", "1e-300", "--max-steps", "8",
     ),
     "verify-cauchy-long": (
         "verify", "--gen", "1,5,3", "--p0", "random:4", "--checks", "cauchy", "--max-steps", "1000",
