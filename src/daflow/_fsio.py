@@ -1,9 +1,14 @@
-"""Text output: atomic file writes, the indent-1 JSON writer, and
-`table_chunks`, the one writer of the trace and verify tables."""
+"""Text output: atomic file writes, streamed a chunk at a time, and
+`table_chunks`, the one writer of the trace and verify tables.
+
+JSON documents are ``json.dumps(doc, indent=1)`` byte for byte. The small
+ones are that call; a document nested `depth` deep in another is its text
+with each newline followed by `depth` more spaces. The large lists (the
+trace's and verify's records, and the density's rows in `dist.save_joint`)
+are written in chunks in the same layout."""
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import tempfile
@@ -44,70 +49,18 @@ def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to `path` atomically (see `atomic_write_chunks`)."""
-    atomic_write_chunks(path, (text,))
-
-
-# members of these exact types are never containers; a container holding
-# anything else is walked member by member, which writes the same text
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-@functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """The C-accelerated encoder for containers at `depth`: its item
-    separator ends a line and indents the next member."""
-    return json.JSONEncoder(separators=(",\n" + " " * (depth + 1), ": "))
-
-
-def dumps_indent1(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=1)``, byte for byte; at `depth`, the text of
-    `obj` as a member nested that deep in such a document.
-
-    With `indent` set, CPython encodes in pure Python. Here a dict, list or
-    tuple with no container among its members is written by one call to the
-    C encoder, whose item separator already carries the newline and
-    indentation, and only the containers that nest others are walked in
-    Python.
-    """
-    parts: list[str] = []
-    _dump(obj, depth, parts)
-    return "".join(parts)
-
-
-def _dump(obj, depth: int, parts: list[str]) -> None:
-    enc = _encoder(depth)
-    is_dict = isinstance(obj, dict)
-    members = obj.values() if is_dict else obj if isinstance(obj, (list, tuple)) else None
-    if not members or _SCALARS.issuperset(map(type, members)):
-        text = enc.encode(obj)
-        if members:
-            # "{a,<sep>b}" -> "{<newline, indent>a,<sep>b<newline, outer indent>}"
-            text = f"{text[0]}{enc.item_separator[1:]}{text[1:-1]}\n{' ' * depth}{text[-1]}"
-        parts.append(text)
-        return
-    separator = enc.item_separator[1:]
-    parts.append("{" if is_dict else "[")
-    for key, member in obj.items() if is_dict else enumerate(obj):
-        parts.append(separator)
-        separator = enc.item_separator
-        if is_dict:
-            # the key as the encoder writes it, including json's key coercions
-            parts.append(enc.encode({key: 0})[1:-2])
-        _dump(member, depth + 1, parts)
-    parts.append(f"\n{' ' * depth}{'}' if is_dict else ']'}")
-
-
 # the table writer formats at most this many rows at a time (about 300 KB of
 # verify JSON), whatever the number of rows
 TABLE_ROWS = 1 << 10
 
 
 def record_template(keys: Iterable[str], depth: int) -> str:
-    """A dict of `keys` as `dumps_indent1` writes it as a list member `depth`
-    deep, indentation included, with a ``%s`` slot for each value."""
-    return " " * depth + dumps_indent1(dict.fromkeys(keys, "%s"), depth).replace('"%s"', "%s")
+    """A dict of `keys` as ``json.dumps(indent=1)`` writes it as a list
+    member `depth` deep, indentation included, with a ``%s`` slot for each
+    value."""
+    indent = " " * depth
+    text = json.dumps(dict.fromkeys(keys, "%s"), indent=1)
+    return indent + text.replace("\n", "\n" + indent).replace('"%s"', "%s")
 
 
 def table_chunks(row: str, sep: str, rows: int, columns: Callable[[int, int], Sequence[Sequence]]) -> Iterator[str]:

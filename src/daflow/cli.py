@@ -28,9 +28,10 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from ._fsio import atomic_write_chunks, dumps_indent1
+from ._fsio import atomic_write_chunks
 from .diagnostics import (
     DEFAULT_CHECKS,
+    SWEEP_NEEDS_HISTORY,
     ReportBlock,
     _gather,
     lemma1_check,
@@ -225,11 +226,6 @@ def _parse_checks(spec: str) -> tuple[str, ...]:
     return names
 
 
-# checks whose sweep reads a state before the final one, so `--retain none`
-# (which keeps only the final state) can never run them
-SWEEP_NEEDS_HISTORY = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc")
-
-
 def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> Callable[[DATrace], Iterable[ReportBlock]]:
     """Parse --checks and vet --retain, --t/--n and --max-steps against them,
     so a bad selection is refused before the trace is built; return the
@@ -343,7 +339,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _emit(
         args.out_prefix,
         "consistency",
-        (dumps_indent1(report) + "\n",),
+        (json.dumps(report, indent=1) + "\n",),
         lambda: f"replicas={args.replicas} half_steps={half_steps} "
         f"all_within_bound={str(report['all_within_bound']).lower()}",
     )

@@ -80,7 +80,7 @@ from itertools import groupby
 
 import numpy as np
 
-from ._fsio import dumps_indent1, record_template, table_chunks
+from ._fsio import record_template, table_chunks
 from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
@@ -622,6 +622,10 @@ def balance_check(target: Target, axis: Axis) -> LemmaReport:
 
 DEFAULT_CHECKS = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc", "balance", "reconstruction")
 
+# the families whose sweep reads a state before the final one, so a trace
+# that keeps only its final state (`--retain none`) gives them no instance
+SWEEP_NEEDS_HISTORY = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc")
+
 LEMMA2_DEFAULT_TS = (1, 2, 3)
 LEMMA2_DEFAULT_NS = tuple(range(1, 9))
 
@@ -667,13 +671,14 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
     ] if "lemma2" in checks else []
     iterates = [t for t in times if t >= 1]
     anchors = [t for t in iterates if t < last][:1]
-    grids = {
-        "lemma1": (lemma1_ts, "lemma1 needs a retained consecutive pair"),
-        "lemma2": (instances, "lemma2 found no runnable (t, n) instance"),
-        "lemma3": (len(iterates) > 1, "lemma3 needs two retained times with t >= 1"),
-        "cauchy": (len(iterates) > 1, "cauchy_check needs at least two retained times with t >= 1"),
-        "lsc": (anchors, "lsc needs a retained time t >= 1 before the final state"),
-    }
+    # each family of SWEEP_NEEDS_HISTORY, in its order: (runnable, refusal)
+    grids = dict(zip(SWEEP_NEEDS_HISTORY, (
+        (lemma1_ts, "lemma1 needs a retained consecutive pair"),
+        (instances, "lemma2 found no runnable (t, n) instance"),
+        (len(iterates) > 1, "lemma3 needs two retained times with t >= 1"),
+        (len(iterates) > 1, "cauchy_check needs at least two retained times with t >= 1"),
+        (anchors, "lsc needs a retained time t >= 1 before the final state"),
+    )))
     for runnable, message in (grids[c] for c in checks if c in grids):
         if not runnable:
             raise StateNotRetained(message)
@@ -780,7 +785,8 @@ def verification_chunks(blocks: Iterable[ReportBlock], summary: dict) -> Iterato
         for text in table_chunks(row, ",\n", len(block), partial(_block_columns, block)):
             yield sep + text
             sep = ",\n"
-    yield ("]" if sep == "\n" else "\n ]") + ',\n "summary": ' + dumps_indent1(summary, 1) + "\n}\n"
+    summary_text = json.dumps(summary, indent=1).replace("\n", "\n ")  # one deep
+    yield ("]" if sep == "\n" else "\n ]") + ',\n "summary": ' + summary_text + "\n}\n"
 
 
 def verification_to_json(reports: Iterable[LemmaReport], summary: dict | None = None) -> str:

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._fsio import atomic_write_text, dumps_indent1
+from ._fsio import atomic_write_chunks
 from ._numeric import readonly, stable_sum
 from .errors import DimensionMismatch, DistributionError, PositivityViolation
 
@@ -430,9 +430,16 @@ def joint_from_json_dict(obj: dict) -> JointDensity:
 
 
 def save_joint(path: str, p: JointDensity) -> None:
-    """Write a joint density as JSON, atomically."""
-    doc = dict(sorted(joint_to_json_dict(p).items()))
-    atomic_write_text(path, dumps_indent1(doc) + "\n")
+    """Write a joint density atomically as ``json.dumps(doc, indent=1)``
+    and a newline, doc being `joint_to_json_dict` with its keys sorted.
+
+    The rows of w are written one at a time, so the whole text is never
+    held, each by one call of the C encoder, whose item separator carries
+    indent 1's newline and indentation."""
+    encode_row = json.JSONEncoder(separators=(",\n   ", ": ")).encode
+    # a row "[a,<sep>b]" becomes "[<newline, indent>a,<sep>b<newline, outer indent>]" on a line of its own
+    rows = (f"{',' * (i > 0)}\n  [\n   {encode_row(row.tolist())[1:-1]}\n  ]" for i, row in enumerate(p.w))
+    atomic_write_chunks(path, chain([f'{{\n "nx": {p.nx},\n "ny": {p.ny},\n "w": ['], rows, ["\n ]\n}\n"]))
 
 
 def load_joint(path: str) -> JointDensity:

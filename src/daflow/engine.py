@@ -53,6 +53,7 @@ composed and validated each time `DATrace.joints` stacks it, which
 from __future__ import annotations
 
 import enum
+import json
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
@@ -60,7 +61,7 @@ from functools import partial
 
 import numpy as np
 
-from ._fsio import dumps_indent1, record_template, table_chunks
+from ._fsio import record_template, table_chunks
 from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
@@ -571,12 +572,12 @@ def trace_json_chunks(trace: DATrace) -> Iterator[str]:
     dict per record of `metrics.encode`'s values ("inf" for an infinity,
     null for an absent field). Both lists are written in the chunks of
     `_fsio.table_chunks`, the records from the columns as the CSV's are."""
-    head = dumps_indent1({
+    head = json.dumps({
         "nx": trace.target.nx,
         "ny": trace.target.ny,
         "stop_reason": trace.stop_reason.value,
         "half_steps": trace.last_t,
-    })
+    }, indent=1)
     times, records = trace.states.times, trace.records
     lists = {
         "retained_times": table_chunks("  %s", ",\n", len(times), lambda lo, hi: [times[lo:hi].tolist()]),

@@ -21,6 +21,8 @@ from daflow.cli import (
     main,
 )
 from daflow.diagnostics import (
+    DEFAULT_CHECKS,
+    SWEEP_NEEDS_HISTORY,
     balance_check,
     cauchy_check,
     lemma1_check,
@@ -31,10 +33,11 @@ from daflow.diagnostics import (
     report_to_json_dict,
     summarize,
     validate_instance,
+    verification_table,
 )
 from daflow.dist import Axis, JointDensity, load_joint, make_target, random_positive_target
 from daflow.engine import RetainPolicy, run, trace_to_csv, trace_to_json
-from daflow.errors import DistributionError
+from daflow.errors import DistributionError, StateNotRetained
 from daflow.sampler import DRAWS_CSV_BLOCK_ROWS, draws_to_csv, run_chains
 
 
@@ -342,6 +345,22 @@ class TestVerify:
         monkeypatch.setattr("daflow.cli.run", no_run)
         assert main(["verify", "--gen", "4,4,2", "--retain", "none", *selection]) == EXIT_USAGE
         assert "--retain none" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", DEFAULT_CHECKS)
+    def test_retain_none_refuses_exactly_the_sweeps_that_read_history(self, capsys, check):
+        # the CLI's refusal and verification_table's read the one tuple
+        needs_history = check in SWEEP_NEEDS_HISTORY
+        code = main(["verify", "--gen", "4,4,2", "--retain", "none", "--checks", check])
+        assert (code == EXIT_USAGE) == needs_history
+        assert ("--retain none" in capsys.readouterr().err) == needs_history
+        p0 = JointDensity(np.full((4, 4), 1 / 16))
+        trace = run(p0, random_positive_target(4, 4, 2), MAX_STEPS_DEFAULT, VERIFY_EPS_DEFAULT, RetainPolicy.none())
+        if needs_history:
+            with pytest.raises(StateNotRetained):
+                verification_table(trace, (check,))
+        else:
+            assert code == EXIT_OK
+            assert [r.name for block in verification_table(trace, (check,)) for r in block.reports()]
 
     @pytest.mark.parametrize(
         "selection, message",

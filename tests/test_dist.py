@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -477,3 +478,29 @@ class TestJsonInterchange:
         save_joint(str(path), p)
         obj = json.loads(path.read_text())
         assert obj["w"] == [[0.25, 0.25], [0.25, 0.25]]
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            *(gamma_weights(nx, ny, seed=nx + ny) for nx, ny in ((1, 1), (1, 300), (300, 1), (4, 7))),
+            np.array([[1e-320, 0.5], [0.25, 0.25]]),
+        ],
+        ids=["1x1", "1x300", "300x1", "4x7", "subnormal"],
+    )
+    def test_saved_file_is_json_dumps_indent_1(self, tmp_path, w):
+        p = JointDensity(w)
+        path = tmp_path / "t.json"
+        save_joint(str(path), p)
+        expected = json.dumps(dict(sorted(joint_to_json_dict(p).items())), indent=1) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_save_holds_one_row_at_a_time(self, tmp_path):
+        p = JointDensity(gamma_weights(300, 300, seed=1))
+        path = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            save_joint(str(path), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10

@@ -1,5 +1,4 @@
-"""Text output: atomic files, whole or nothing, also when streamed in chunks,
-and the indent-1 JSON writer."""
+"""Text output: atomic files, whole or nothing, also when streamed in chunks."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ import os
 
 import pytest
 
-from daflow._fsio import atomic_write_chunks, atomic_write_text, dumps_indent1
+from daflow._fsio import atomic_write_chunks, record_template
 
 
 def _failing_chunks(n_good: int):
@@ -26,7 +25,7 @@ def test_chunks_are_concatenated(tmp_path):
 
 def test_text_is_one_chunk(tmp_path):
     path = tmp_path / "out.txt"
-    atomic_write_text(str(path), "héllo\n")
+    atomic_write_chunks(str(path), ["héllo\n"])
     assert path.read_bytes() == "héllo\n".encode("utf-8")
 
 
@@ -67,7 +66,7 @@ def test_text_onto_a_directory_names_the_destination_and_leaves_no_temp_file(tmp
     path = tmp_path / "taken"
     path.mkdir()
     with pytest.raises(OSError) as info:
-        atomic_write_text(str(path), "text")
+        atomic_write_chunks(str(path), ["text"])
     assert info.value.filename == str(path) and info.value.filename2 is None
     assert str(path) in str(info.value)
     assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
@@ -86,32 +85,23 @@ def test_producer_that_removes_the_temp_file_raises_its_own_error(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-REPORT = {
-    "name": "Lemma3", "t": 1, "n": 4, "lhs": "inf", "rhs": 0.25,
-    "residual_or_slack": "-inf", "pass": False, "tolerance": 1e-10,
-    "note": 'left side "infinite" \\ with finite right side, déjà vu \u2264 \U0001d53c\n',
+RECORD_KEYS = {
+    "empty": (),
+    "one": ("t",),
+    "report": ("name", "t", "n", "lhs", "rhs", "residual_or_slack", "pass", "tolerance", "note"),
+    "escaped": ('say "hi"', "back\\slash", "d\u00e9j\u00e0", "\U0001d53c", "tab\t"),
 }
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"reports": [], "summary": {"checks_run": 0, "passes": 0, "failures": 0, "worst_residual_by_lemma": {}}},
-        {
-            "reports": [REPORT, dict(REPORT, lhs=1.5e-300, residual_or_slack=-0.0, note="")],
-            "summary": {"checks_run": 2, "worst_residual_by_lemma": {"Lemma1": "inf", "Lemma3": "-inf"}},
-        },
-        {"retained_times": list(range(12)), "records": [{"t": 0, "d_step": None}], "nested": [[1, [2, []]], {}]},
-        {"nx": 2, "ny": 3, "w": [[0.1, 0.2, 0.3], [0.4, 0.5, 1e-320]]},
-        {1: [1], 2.5: {"x": (1, 2)}, None: [], True: "t", "inf": float("inf")},
-        [], {}, [[]], [{}], 7, "déjà", None,
-    ],
-)
-def test_writer_matches_json_dumps_indent_1(obj):
-    assert dumps_indent1(obj) == json.dumps(obj, indent=1)
-
-
-def test_writer_rejects_what_json_rejects():
-    for obj in ({"a": [object()]}, {(1, 2): [1]}):
-        with pytest.raises(TypeError):
-            dumps_indent1(obj)
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("keys", RECORD_KEYS.values(), ids=RECORD_KEYS.keys())
+def test_record_template_is_the_json_dumps_layout_at_depth(keys, depth):
+    values = [1.5e-300, None, "inf", -0.0, True, "d\u00e9j\u00e0", 7, [], {}][: len(keys)]
+    record = dict(zip(keys, values))
+    # the record as the only member of lists nested `depth` deep
+    doc = record
+    for _ in range(depth):
+        doc = [doc]
+    lines = json.dumps(doc, indent=1).split("\n")
+    expected = "\n".join(lines[depth : len(lines) - depth])
+    assert record_template(keys, depth) % tuple(json.dumps(v) for v in values) == expected

@@ -597,7 +597,7 @@ class TestDifferentialOutputs:
 
 # ROADMAP aim 1's layers, under the names of the benchmark's per-layer metrics
 AIM1_LAYERS = {
-    "dist.validate", "numeric.stable_sum", "numeric.stable_row_sums", "dist.compose",
+    "dist.validate", "numeric.stable_sum", "numeric.stable_row_sums", "dist.compose", "dist.save_joint",
     "metrics.relative_entropy", "engine.half_step", "engine.run", "engine.export",
     *(f"diagnostics.{check}" for check in DEFAULT_CHECKS), "diagnostics.export",
     "sampler.run_chains", "sampler.draws_to_csv", "cli.gen", "cli.run", "cli.verify", "cli.sample",
@@ -608,6 +608,7 @@ TINY_SIZES = {
     "numeric.stable_sum": {"entries": 5, "data": "terms"},
     "numeric.stable_row_sums": {"rows": 2, "entries": 4},
     "dist.compose": {"n": 3},
+    "dist.save_joint": {"n": 3},
     "metrics.relative_entropy": {"n": 3},
     "engine.half_step": {"n": 3},
     "engine.run": {"n": 4, "beta": 1.0, "half_steps": 3},

@@ -213,6 +213,14 @@ def verify_export_case(m, n: int, beta: float) -> Timed:
     return Timed(call, digest(call()))
 
 
+def save_joint_case(m, n: int) -> Timed:
+    """`dist.save_joint` of the seeded n x n target that `gen` draws."""
+    p = m.dist.random_positive_target(n, n, seed=1).joint
+    call = lambda: m.dist.save_joint("t.json", p)
+    call()
+    return Timed(call, digest(Path("t.json").read_text()))
+
+
 def run_chains_case(m, replicas: int, half_steps: int, n: int) -> Timed:
     target = m.dist.random_positive_target(n, n, seed=n)
     call = lambda: m.sampler.run_chains(target, target.joint, replicas, half_steps, seed=1)
@@ -251,6 +259,8 @@ CASES = [
         {"entries": e, "data": d} for e, d in (
             (512, "terms"), (768, "terms"), (1023, "terms"), (1024, "terms"), (2048, "terms"), (784, "pmf"),
             (40_000, "pmf"), (40_000, "terms"), (250_000, "terms"), (250_000, "spread"))]),
+    # the wide workload's target file, and a large one
+    ("dist.save_joint", save_joint_case, [{"n": 120}, {"n": 500}]),
     # the certify grid's 64-entry rows, and `run`'s stacks at 28 x 28 and 200 x 200
     ("numeric.stable_row_sums", row_sums_case, [
         {"rows": r, "entries": e} for r, e in ((8, 64), (16, 64), (64, 64), (10, 784), (1, 40_000))]),
@@ -274,7 +284,7 @@ CASES = [
     *((layer, builder, [{"replicas": r, "half_steps": s, "n": n} for r, s, n in (
         (5000, 20, 5), (5000, 20, 20), (100_000, 4, 50))]) for layer, builder in (
         ("sampler.run_chains", run_chains_case), ("sampler.draws_to_csv", draws_csv_case))),
-    ("cli.gen", cli_case, [{"argv": "gen --nx 120 --ny 120 --seed 1 --out g.json"}]),
+    ("cli.gen", cli_case, [{"argv": f"gen --nx {n} --ny {n} --seed 1 --out g.json"} for n in (120, 500)]),
     ("cli.run", cli_case, [{"argv": "run --target target.json --p0 degenerate:9,27 --eps 1e-10 "
                                     "--max-steps 5000 --out-prefix r", "banded": [28, 0.9]}]),
     ("cli.verify", cli_case, [

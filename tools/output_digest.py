@@ -50,8 +50,9 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # of the pair sweeps, a run on that target whose stop falls inside a block of
 # half-steps, exported as CSV and as JSON, budget stops of 1,025 and 1,026
 # records on each side of the table writer's 1,024-row chunk edge, as CSV and
-# as JSON, and refusals of gamma draws whose total overflows, of an infinite
-# eps and of the hostile files of EDGE_FILES, as a target and as p0
+# as JSON, refusals of gamma draws whose total overflows, of an infinite eps
+# and of the hostile files of EDGE_FILES, as a target and as p0, and density
+# files of one cell, one row and one column, written a row at a time
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -148,6 +149,10 @@ EDGE_COMMANDS = {
     "refuse-bool-p0": ("run", "--gen", "1,2,1", "--p0", "file:bool_entries.json"),
     "refuse-string-target": ("run", "--target", "string_entries.json"),
     "refuse-string-p0": ("run", "--gen", "1,2,1", "--p0", "file:string_entries.json"),
+    **{
+        f"gen-{nx}x{ny}": ("gen", "--nx", str(nx), "--ny", str(ny), "--seed", "3", "--out", f"g{nx}x{ny}.json")
+        for nx, ny in ((1, 1), (1, 2000), (2000, 1))
+    },
 }
 
 
