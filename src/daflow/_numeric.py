@@ -160,8 +160,12 @@ def _settled(parts: list[np.ndarray], bound: np.ndarray) -> tuple[np.ndarray, np
     return total, exact | inside
 
 
-def readonly(a: np.ndarray) -> np.ndarray:
-    """Return a float64 copy of `a` with the write flag cleared."""
-    out = np.array(a, dtype=np.float64)
+def readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """`a` as a read-only array of `dtype`: kept as it is if it already is
+    one that owns its data, else copied, so an array the caller can still
+    write to is never shared."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out

@@ -421,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except PositivityViolation as e:
         print(f"hypothesis violation: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except DAError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as e:
+    except (DAError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:

@@ -186,22 +186,20 @@ class ConditionalKernel:
     defined_mask: np.ndarray
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.k, dtype=np.float64)
+        k = np.array(self.k, dtype=np.float64, order="C")
         if k.ndim != 2 or k.shape[0] < 1 or k.shape[1] < 1:
             raise DistributionError(f"kernel must be a nonempty 2-D matrix, got shape {k.shape}")
-        _check_entries(k, "kernel")
+        # each slice, a column of X_GIVEN_Y or a row of Y_GIVEN_X, under the module policy
+        slices = k.T if self.direction is Direction.X_GIVEN_Y else k
+        for i, total in _rescaled_rows(slices, "kernel").items():
+            slices[i] /= total
         mask = np.asarray(self.defined_mask, dtype=bool)
         if mask.shape != (self.n_slices_for(k.shape),):
             raise DistributionError(
                 f"defined_mask has shape {mask.shape}, expected ({self.n_slices_for(k.shape)},)"
             )
-        sums = k.sum(axis=0) if self.direction is Direction.X_GIVEN_Y else k.sum(axis=1)
-        err = np.abs(sums - 1.0)
-        if np.any(err > RENORM_TOL):
-            raise DistributionError("a kernel slice sums too far from 1 to renormalize")
-        if np.any(err > SUM_TOL):
-            k = k / sums[None, :] if self.direction is Direction.X_GIVEN_Y else k / sums[:, None]
-        object.__setattr__(self, "k", readonly(k))
+        k.setflags(write=False)
+        object.__setattr__(self, "k", k)
         mask = mask.copy()
         mask.setflags(write=False)
         object.__setattr__(self, "defined_mask", mask)

@@ -45,7 +45,8 @@ and where a retained state leaves it. The vectors in between are pmfs by
 construction, a pmf times a validated kernel over its positive total.
 States are retained according to a :class:`RetainPolicy` so long traces stay
 memory-bounded. A retained state after t=0 keeps only its marginal, one row
-of an array; its joint, the product the one-step divergence used, is
+of an array; `run` records the kept rows per block, beside the block's
+measurements. A state's joint, the product the one-step divergence used, is
 composed and validated each time `DATrace.joints` stacks it, which
 `state_at` calls too. `da_half_step` is the joint-based reference half-step.
 """
@@ -250,12 +251,14 @@ class _RetainedStates:
         """The weights of the states at the listed times, stacked along a new
         first axis: p0's, or the product `run` measured of a kept marginal
         and the conditional refreshed at its time, validated as a
-        `JointDensity` is. A time not retained raises KeyError."""
+        `JointDensity` is. A time not retained raises StateNotRetained."""
         target, times = self._target, self.times
         out = np.empty((len(ts), *target.shape))
         for row, t, i in zip(out, ts, np.searchsorted(times, ts).tolist()):
             if i == len(times) or times[i] != t:
-                raise KeyError(t)
+                raise StateNotRetained(
+                    f"state at t={t} was not retained ({len(times)} retained times in {times[0]}..{times[-1]})"
+                )
             if t:
                 _composed(target, self._rows[i, : row.shape[t % 2]], t, row)
             else:
@@ -307,13 +310,7 @@ class DATrace:
         """The weights of the retained states at the listed times, stacked and
         validated, composed anew on every call (`_RetainedStates.joints`); a
         time not retained raises StateNotRetained."""
-        try:
-            return self.states.joints(ts)
-        except KeyError as e:
-            times = self.retained_times
-            raise StateNotRetained(
-                f"state at t={e.args[0]} was not retained ({len(times)} retained times in {times[0]}..{times[-1]})"
-            ) from None
+        return self.states.joints(ts)
 
     def record_at(self, t: int) -> TraceRecord:
         self._check_time(t)
@@ -433,9 +430,10 @@ def run(
     run goes on that way, so it raises only on reaching the half-step that
     raises, as a per-step loop would.
 
-    A block's measurements stay float64 arrays: the stop is the first
-    half-step of the block whose divergence reaches eps, and the trace's
-    columns are the blocks' arrays joined, with the projection-identity
+    A block's measurements stay float64 arrays, recorded beside the times it
+    keeps and their `_kept` rows: the stop is the first half-step of the
+    block whose divergence reaches eps, and the trace's columns and kept
+    rows are the blocks' arrays joined, with the projection-identity
     residuals formed from them elementwise. No record is built.
     """
     if max_half_steps < 1:
@@ -455,13 +453,11 @@ def run(
     joints = np.empty((rows_cap + 1, *p0.shape))
     joints[0] = p0.w
     v, _ = _renormalized_marginal(p0.w, Axis.Y)
-    # per block: the one-step divergences, and the divergences, distances
-    # and drifts of the states it reached; t=0 first
-    blocks: list[tuple] = [((), [d_cur], [tv_cur], [0.0])]
-    # retained (time, marginal composed into its state) pairs, t=0 first,
-    # copied from `pending` into `kept`'s arrays once _BLOCK_ROWS gather
     width = max(p0.shape)
-    kept, pending = [], [(0, v)] if retain.keeps(0) else []
+    # per block, t=0 first: the one-step divergences; the divergences,
+    # distances and drifts of the states it reached; and the times of those
+    # it keeps with their `_kept` rows
+    blocks: list[tuple] = [((), [d_cur], [tv_cur], [0.0], *_kept([(0, v)] if retain.keeps(0) else [], width))]
     t, block = 0, 1
     while eps < d_cur < math.inf and t < max_half_steps:
         steps = min(block, max_half_steps - t)
@@ -479,11 +475,8 @@ def run(
             continue
         # the block's half-steps up to the first that reaches eps
         k = next((j for j, d in enumerate(d_next.tolist(), 1) if d <= eps), steps)
-        blocks.append((d_step[:k], d_next[:k], tv_next[:k], drifts[:k]))
-        pending += [(t + j, vs[j - 1]) for j in range(1, k + 1) if retain.keeps(t + j)]
-        if len(pending) >= _BLOCK_ROWS:
-            kept.append(_kept(pending, width))
-            pending = []
+        kept = [(t + j, vs[j - 1]) for j in range(1, k + 1) if retain.keeps(t + j)]
+        blocks.append((d_step[:k], d_next[:k], tv_next[:k], drifts[:k], *_kept(kept, width)))
         t, d_cur = t + k, float(d_next[k - 1])
         joints[0] = joints[steps]
         v, block = vs[-1], min(2 * block, rows_cap)
@@ -493,14 +486,18 @@ def run(
         stop = StopReason.INFINITE_INITIAL_DIVERGENCE
     if not retain.keeps(t):
         # the final state, always retained, is the last block's last
-        pending.append((t, vs[k - 1] if t else v))
-    kept.append(_kept(pending, width))
-    states = _RetainedStates(target, p0, *(np.concatenate(c) for c in zip(*kept)))
-    d_step, d_to_target, tv_to_target, drift = (np.concatenate(c) for c in zip(*blocks))
-    del kept, blocks
-    residual = np.abs((d_to_target[:-1] - d_step) - d_to_target[1:])
-    records = TraceRecords(d_to_target, tv_to_target, d_step, residual, drift)
-    return DATrace(target, records, states, stop)
+        blocks.append(((), (), (), (), *_kept([(t, vs[k - 1] if t else v)], width)))
+    # each column is joined and its pieces released before the next; the
+    # record columns are frozen in place, so `TraceRecords` keeps them
+    pieces = list(zip(*blocks))
+    del blocks
+    d_step, d_to_target, tv_to_target, drift, times, rows = (np.concatenate(pieces.pop(0)) for _ in range(6))
+    residual = d_to_target[:-1] - d_step
+    residual -= d_to_target[1:]
+    columns = (d_to_target, tv_to_target, d_step, np.abs(residual, out=residual), drift)
+    for column in columns:
+        column.setflags(write=False)
+    return DATrace(target, TraceRecords(*columns), _RetainedStates(target, p0, times, rows), stop)
 
 
 def _kept(pairs: list[tuple[int, np.ndarray]], width: int) -> tuple[np.ndarray, np.ndarray]:

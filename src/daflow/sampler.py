@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numeric import readonly
 from .dist import JointDensity, Target
 from .engine import DATrace
 from .errors import (
@@ -44,19 +45,11 @@ DEFAULT_BUDGET = 100_000_000
 
 
 def _frozen_indices(a: np.ndarray, bound: int, what: str) -> np.ndarray:
-    """`a`, nonempty, as a read-only int64 array of indices in [0, bound).
-
-    An int64 array that owns its data and is already read-only, as
-    `run_chains` hands over, is kept as it is; anything else is copied, so
-    an array the caller can still write to is never shared.
-    """
-    if a.dtype == np.int64 and a.flags.owndata and not a.flags.writeable:
-        out = a
-    else:
-        out = np.array(a, dtype=np.int64)
+    """`a`, nonempty, as a read-only int64 array of indices in [0, bound),
+    by `_numeric.readonly`, which keeps the array `run_chains` hands over."""
+    out = readonly(a, np.int64)
     if out.min() < 0 or out.max() >= bound:
         raise DistributionError(f"{what} indices fall outside [0, {bound})")
-    out.setflags(write=False)
     return out
 
 

@@ -169,6 +169,22 @@ class TestKernelValidation:
         with pytest.raises(DistributionError, match=f"^{message}$"):
             ConditionalKernel(Direction.Y_GIVEN_X, k, np.array([True, True]))
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_slices_follow_the_joint_policy(self, direction):
+        # a slice is a column of X_GIVEN_Y and a row of Y_GIVEN_X; one off by
+        # 1e-10 is divided by its correctly rounded total, the others kept
+        k = np.array([[0.5, 0.25], [0.5 + 1e-10, 0.75]])
+        k = k if direction is Direction.X_GIVEN_Y else k.T
+        slices = lambda a: a.T if direction is Direction.X_GIVEN_Y else a
+        kernel = ConditionalKernel(direction, k, np.array([True, True]))
+        npt.assert_array_equal(slices(kernel.k)[0], slices(k)[0] / math.fsum(slices(k)[0]))
+        npt.assert_array_equal(slices(kernel.k)[1], slices(k)[1])
+        assert kernel.k.flags.c_contiguous and not kernel.k.flags.writeable
+        bad = k.copy()
+        slices(bad)[1] *= 0.5
+        with pytest.raises(DistributionError, match=r"^kernel sums to 0\.5, too far from 1 to renormalize$"):
+            ConditionalKernel(direction, bad, np.array([True, True]))
+
     def test_rejects_bad_mask_shape(self):
         k = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(DistributionError):

@@ -325,6 +325,13 @@ class TestRetention:
             trace.state_at(5)
         assert str(raised.value) == "state at t=5 was not retained (4 retained times in 0..20)"
 
+    def test_the_store_refuses_a_missing_state_with_the_trace_message(self):
+        trace = self._trace(RetainPolicy.thin(7))
+        message = r"^state at t=5 was not retained \(4 retained times in 0\.\.20\)$"
+        for lookup in (trace.joints, trace.states.joints):
+            with pytest.raises(StateNotRetained, match=message):
+                lookup([0, 14, 5])
+
     def test_bad_policy_rejected(self):
         with pytest.raises(DistributionError):
             RetainPolicy("every-other")
@@ -642,6 +649,14 @@ class TestRunMemory:
     def test_the_columns_are_assembled_without_holding_three_copies(self):
         trace, _, peak = self._held_and_peak(RetainPolicy.none())
         assert peak < 2.5 * 40 * len(trace.records)
+
+    def test_the_join_holds_each_column_twice_only_while_it_is_joined(self):
+        # the blocks' pieces of a column go as soon as it is joined, and the
+        # trace keeps the joined columns, so no column is ever held three times
+        trace, _, peak = self._held_and_peak(RetainPolicy.none())
+        r = trace.records
+        columns = sum(getattr(r, name).nbytes for name in engine._FIELDS[1:])
+        assert peak < 1.75 * columns
 
 
 def per_step_run(p0: JointDensity, target, max_half_steps: int, eps: float, retain=RetainPolicy.all()) -> DATrace:
@@ -1059,6 +1074,22 @@ class TestTraceRecords:
         with pytest.raises(DistributionError, match=r"got \[0, 0, 0, 0, 0\]"):
             TraceRecords([], [], [], [], [])
         assert TraceRecords([math.inf], [1.0], [], [], [0.0])[0].d_step is None
+
+    def test_owned_read_only_columns_are_kept_and_caller_arrays_copied(self):
+        # as ChainDraws does: a float64 column that owns its data and is
+        # read-only, as run hands over, is kept; a writable array and a view
+        # are copied, so a later write by the caller reaches no trace
+        r = run_case("thin").records
+        names = engine._FIELDS[1:]
+        columns = [getattr(r, name) for name in names]
+        kept = TraceRecords(*columns)
+        assert all(getattr(kept, name) is column for name, column in zip(names, columns))
+        writable = [column.copy() for column in columns]
+        view = writable[0].view()
+        view.setflags(write=False)
+        copied = TraceRecords(view, *writable[1:])
+        writable[0][0] = writable[1][0] = 99.0
+        assert copied == r and not copied.tv_to_target.flags.writeable
 
     def test_columns_are_read_only_and_refuse_times_outside_the_trace(self):
         trace = run_case("max-steps-block-end")

@@ -182,35 +182,22 @@ def trace_export_case(m, fmt: str, n: int, beta: float, eps: float) -> Timed:
     return Timed(call := lambda: getattr(m.engine, f"trace_to_{fmt}")(trace), digest(call()))
 
 
-def report_blocks(m) -> Callable:
-    """`verification_table` of (trace, checks) as a list of report blocks:
-    its stream listed, or the table's `blocks` on a tree that builds them
-    all before writing."""
-    table = m.diagnostics.verification_table
-    if hasattr(m.diagnostics, "ReportTable"):
-        return lambda trace, checks: table(trace, checks).blocks
-    return lambda trace, checks: list(table(trace, checks))
-
-
 def verify_case(m, check: str, n: int, beta: float, half_steps: int = 400) -> Timed:
-    """One verify family's blocks on the trace run to eps 1e-15 within
-    `half_steps`, by default the certify benchmark's. Each call composes the
-    joints it reads from the kept marginals; a tree that caches them on
-    first lookup (before the one stack source) times its later calls warm."""
-    trace, blocks = run_from_corner(m, n, beta, half_steps, 1e-15, "all")(), report_blocks(m)
-    call = lambda: blocks(trace, (check,))
+    """One verify family's report blocks, its stream listed, on the trace
+    run to eps 1e-15 within `half_steps`, by default the certify
+    benchmark's. Each call composes the joints it reads from the kept
+    marginals."""
+    trace = run_from_corner(m, n, beta, half_steps, 1e-15, "all")()
+    call = lambda: list(m.diagnostics.verification_table(trace, (check,)))
     return Timed(call, digest(m.diagnostics.verification_to_json([r for b in call() for r in b.reports()])))
 
 
 def verify_export_case(m, n: int, beta: float) -> Timed:
     """The verify JSON of every check, from blocks made once: the summary
     folded and the reports written, as `cmd_verify` does."""
-    blocks = report_blocks(m)(run_from_corner(m, n, beta, 400, 1e-15, "all")(), m.diagnostics.DEFAULT_CHECKS)
-    if hasattr(m.diagnostics, "ReportTable"):  # a tree that summarizes before it writes
-        call = lambda: m.diagnostics.verification_to_json(m.diagnostics.ReportTable(blocks))
-    else:
-        call = lambda: "".join(m.diagnostics.verification_chunks(blocks, {}))
-    return Timed(call, digest(call()))
+    trace = run_from_corner(m, n, beta, 400, 1e-15, "all")()
+    blocks = list(m.diagnostics.verification_table(trace, m.diagnostics.DEFAULT_CHECKS))
+    return Timed(call := lambda: "".join(m.diagnostics.verification_chunks(blocks, {})), digest(call()))
 
 
 def save_joint_case(m, n: int) -> Timed:
@@ -285,8 +272,11 @@ CASES = [
         (5000, 20, 5), (5000, 20, 20), (100_000, 4, 50))]) for layer, builder in (
         ("sampler.run_chains", run_chains_case), ("sampler.draws_to_csv", draws_csv_case))),
     ("cli.gen", cli_case, [{"argv": f"gen --nx {n} --ny {n} --seed 1 --out g.json"} for n in (120, 500)]),
-    ("cli.run", cli_case, [{"argv": "run --target target.json --p0 degenerate:9,27 --eps 1e-10 "
-                                    "--max-steps 5000 --out-prefix r", "banded": [28, 0.9]}]),
+    ("cli.run", cli_case, [
+        {"argv": "run --target target.json --p0 degenerate:9,27 --eps 1e-10 --max-steps 5000 --out-prefix r",
+         "banded": [28, 0.9]},
+        # 20,000 half-steps of 40 B of records on a 1 x 5 target: the columns' join sets the peak
+        {"argv": "run --gen 1,5,3 --p0 random:4 --eps 1e-300 --max-steps 20000 --retain none --out-prefix r"}]),
     ("cli.verify", cli_case, [
         {"argv": "verify --target target.json --p0 degenerate:2,7 --checks all --eps 1e-15 "
                  "--max-steps 400 --retain all --out-prefix v", "banded": [8, 0.9]},
