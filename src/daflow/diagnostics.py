@@ -81,7 +81,7 @@ from itertools import groupby
 import numpy as np
 
 from ._fsio import record_template, table_chunks
-from ._numeric import readonly, stable_sum
+from ._numeric import readonly, stable_row_sums, stable_sum
 from .dist import (
     Axis,
     ConditionalKernel,
@@ -520,15 +520,16 @@ def reconstruct_from_conditionals(
 ) -> tuple[JointDensity, float]:
     """Rebuild a joint from its two conditional kernels.
 
-    For a reference row x0, the ratio cy(y | x0) / cx(x0 | y) is the Y
-    marginal up to normalization; composing it with cx yields the joint.
-    Returns the reconstruction at x0 = 0 together with a compatibility
-    residual: the largest L1 distance between reconstructions across all
-    reference choices. The residual sits at rounding level when the kernels
-    come from one joint and is substantially positive when they do not, so
-    it doubles as an incompatibility detector. Each reconstruction is a
-    weight array divided by its correctly rounded total, a pmf by
-    construction; only the returned one is validated, as a `JointDensity`.
+    Reference row x0 implies the Y marginal u_x0 = cy(. | x0) / cx(x0 | .),
+    normalized; composed with cx it yields the joint. Returns the
+    reconstruction at x0 = 0, divided by its correctly rounded total and
+    validated as a `JointDensity`, and a compatibility residual: the largest
+    L1 distance from it to the reconstruction at another row. Each column of
+    cx sums to one, so ||u_a cx - u_b cx||_1 = ||u_a - u_b||_1 for any pair
+    of kernels, and the residual takes two stacked row sums over nx * ny
+    entries instead of a joint per row. It sits at rounding level when the
+    kernels come from one joint and is substantially positive when they do
+    not, so it doubles as an incompatibility detector.
 
     Strict positivity of both kernels licenses the division; any zero entry
     raises :class:`ZeroConditional`.
@@ -540,18 +541,11 @@ def reconstruct_from_conditionals(
     if cx.k.min() <= 0.0 or cy.k.min() <= 0.0:
         raise ZeroConditional("reconstruction requires strictly positive kernels")
 
-    def rebuilt(x0: int) -> np.ndarray:
-        u = cy.k[x0, :] / cx.k[x0, :]
-        w = compose_raw(u / stable_sum(u), cx)
-        return w / stable_sum(w)
-
-    # each later reconstruction is compared with the first and dropped, so
-    # at most two joints are alive at once
-    first = rebuilt(0)
-    residual = 0.0
-    for x0 in range(1, cx.shape[0]):
-        residual = max(residual, _l1_rows(rebuilt(x0), first[None])[0])
-    return JointDensity(first), residual
+    u = cy.k / cx.k
+    u /= np.array(stable_row_sums(u))[:, None]
+    w = compose_raw(u[0], cx)
+    residual = max(_l1_rows(u[0], u[1:])) if len(u) > 1 else 0.0
+    return JointDensity(w / stable_sum(w)), residual
 
 
 def reconstruction_check(target: Target) -> LemmaReport:

@@ -45,10 +45,11 @@ and where a retained state leaves it. The vectors in between are pmfs by
 construction, a pmf times a validated kernel over its positive total.
 States are retained according to a :class:`RetainPolicy` so long traces stay
 memory-bounded. A retained state after t=0 keeps only its marginal, one row
-of an array; `run` records the kept rows per block, beside the block's
-measurements. A state's joint, the product the one-step divergence used, is
-composed and validated each time `DATrace.joints` stacks it, which
-`state_at` calls too. `da_half_step` is the joint-based reference half-step.
+of an array; `run` copies a block's kept rows from the stacks it measured,
+beside the block's measurements. A state's joint, the product the one-step
+divergence used, is composed and validated each time `DATrace.joints`
+stacks it, which `state_at` calls too. `da_half_step` is the joint-based
+reference half-step.
 """
 
 from __future__ import annotations
@@ -381,11 +382,11 @@ _BLOCK_ROWS = 64
 
 def _measured(
     target: Target, joints: np.ndarray, vs: list[np.ndarray], t: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """The columns D(p_s || p_(s+1)), D(p_(s+1) || target) and
     V(p_(s+1), target) for the half-steps from s = t on, where joints stacks
     the weights of p_t, ..., p_(t+k) and vs the k marginals composed between
-    them.
+    them, and the stacks vs[0::2] and vs[1::2].
 
     Each column is one stacked row evaluation: the one-step divergences
     pair the stacked joints, and the distances to the target pair every
@@ -394,8 +395,8 @@ def _measured(
     refused as an ExtReal refuses it.
     """
     d_next, tv_next = np.empty(len(vs)), np.empty(len(vs))
-    for first in range(min(2, len(vs))):
-        stack = np.array(vs[first::2])
+    stacks = [np.array(vs[first::2]) for first in range(min(2, len(vs)))]
+    for first, stack in enumerate(stacks):
         q = np.broadcast_to((target.marg_y, target.marg_x)[(t + first) % 2].v, stack.shape)
         d_next[first::2] = _rel_entropy_array(stack, q, "marginal_relative_entropy")
         tv_next[first::2] = _l1_rows(stack, q)
@@ -403,7 +404,7 @@ def _measured(
     # divergences are never -inf, so their total is NaN exactly when one is
     if math.isnan(sum(d_step.tolist()) + sum(d_next.tolist())):
         raise DistributionError("ExtReal cannot hold NaN")
-    return d_step, d_next, tv_next
+    return d_step, d_next, tv_next, stacks
 
 
 def run(
@@ -454,10 +455,11 @@ def run(
     joints[0] = p0.w
     v, _ = _renormalized_marginal(p0.w, Axis.Y)
     width = max(p0.shape)
+    nothing = _kept(0, [], [], width)
     # per block, t=0 first: the one-step divergences; the divergences,
     # distances and drifts of the states it reached; and the times of those
     # it keeps with their `_kept` rows
-    blocks: list[tuple] = [((), [d_cur], [tv_cur], [0.0], *_kept([(0, v)] if retain.keeps(0) else [], width))]
+    blocks: list[tuple] = [((), [d_cur], [tv_cur], [0.0], *_kept(0, [0] if retain.keeps(0) else [], [v[None]], width))]
     t, block = 0, 1
     while eps < d_cur < math.inf and t < max_half_steps:
         steps = min(block, max_half_steps - t)
@@ -467,7 +469,7 @@ def run(
                 _composed(target, vs[-1], t + j, joints[j])
                 v_next, drifts[j - 1] = _renormalized_marginal(joints[j], Axis.Y if (t + j) % 2 == 0 else Axis.X)
                 vs.append(v_next)
-            d_step, d_next, tv_next = _measured(target, joints[: steps + 1], vs[:steps], t)
+            d_step, d_next, tv_next, stacks = _measured(target, joints[: steps + 1], vs[:steps], t)
         except Exception:
             if steps == 1:
                 raise
@@ -475,8 +477,9 @@ def run(
             continue
         # the block's half-steps up to the first that reaches eps
         k = next((j for j, d in enumerate(d_next.tolist(), 1) if d <= eps), steps)
-        kept = [(t + j, vs[j - 1]) for j in range(1, k + 1) if retain.keeps(t + j)]
-        blocks.append((d_step[:k], d_next[:k], tv_next[:k], drifts[:k], *_kept(kept, width)))
+        offsets = [j for j in range(k) if retain.keeps(t + 1 + j)]
+        kept = _kept(t + 1, offsets, stacks, width) if offsets else nothing
+        blocks.append((d_step[:k], d_next[:k], tv_next[:k], drifts[:k], *kept))
         t, d_cur = t + k, float(d_next[k - 1])
         joints[0] = joints[steps]
         v, block = vs[-1], min(2 * block, rows_cap)
@@ -486,7 +489,7 @@ def run(
         stop = StopReason.INFINITE_INITIAL_DIVERGENCE
     if not retain.keeps(t):
         # the final state, always retained, is the last block's last
-        blocks.append(((), (), (), (), *_kept([(t, vs[k - 1] if t else v)], width)))
+        blocks.append(((), (), (), (), *_kept(t, [0], [(vs[k - 1] if t else v)[None]], width)))
     # each column is joined and its pieces released before the next; the
     # record columns are frozen in place, so `TraceRecords` keeps them
     pieces = list(zip(*blocks))
@@ -500,13 +503,14 @@ def run(
     return DATrace(target, TraceRecords(*columns), _RetainedStates(target, p0, times, rows), stop)
 
 
-def _kept(pairs: list[tuple[int, np.ndarray]], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The times of the (time, marginal) pairs as int64, and their marginals
-    as float64 rows of `width`, zero-padded."""
-    rows = np.zeros((len(pairs), width))
-    for row, (_, v) in zip(rows, pairs):
-        row[: len(v)] = v
-    return np.array([t for t, _ in pairs], dtype=np.int64), rows
+def _kept(t: int, offsets: list[int], stacks: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The times t + j of the offsets j as int64, and as zero-padded float64
+    rows of `width` the marginals at j in the parity `stacks` of `_measured`."""
+    rows = np.zeros((sum(map(len, stacks)), width))
+    for first, stack in enumerate(stacks):
+        rows[first::2, : stack.shape[1]] = stack
+    times = np.array([t + j for j in offsets], dtype=np.int64)
+    return times, rows if len(offsets) == len(rows) else rows.take(offsets, axis=0)
 
 
 def fixed_point_residual(target: Target) -> float:

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import daflow._fsio as _fsio
 import daflow.diagnostics as diagnostics
+import daflow.dist as dist
+import daflow.metrics as metrics
 from conftest import gamma_weights
 from daflow._numeric import stable_sum
 from daflow.diagnostics import (
@@ -382,10 +384,26 @@ class TestReconstruction:
         cx = random_positive_target(nx, ny, seed=seed_x).cond_x_given_y
         cy = random_positive_target(nx, ny, seed=seed_y).cond_y_given_x
         got, residual = reconstruct_from_conditionals(cx, cy)
-        want, want_residual = reconstruction_reference(cx, cy)
+        want, joint_residual = reconstruction_reference(cx, cy)
         assert type(got) is JointDensity
         assert got.w.tobytes() == want.w.tobytes()
-        assert repr(residual) == repr(want_residual)
+        assert repr(residual) == repr(marginal_residual_reference(cx, cy))
+        # the two forms are equal in exact arithmetic; each rounded product,
+        # quotient and total of the joint form is off by a few ulps of mass 1
+        assert abs(residual - joint_residual) <= 8 * math.ulp(1.0) * max(1.0, residual)
+
+    def test_sums_a_multiple_of_the_grid(self, monkeypatch):
+        # a joint per reference row would sum about 2 * nx * nx * ny entries
+        n, entries = 60, []
+        cx = random_positive_target(n, n, seed=2).cond_x_given_y
+        cy = random_positive_target(n, n, seed=3).cond_y_given_x
+        for module in (diagnostics, dist, metrics):
+            for name in ("stable_sum", "stable_row_sums"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda a, real=real: entries.append(np.size(a)) or real(a))
+        reconstruct_from_conditionals(cx, cy)
+        assert 0 < sum(entries) <= 4 * n * n
 
 
 class TestInducedKernels:
@@ -592,9 +610,9 @@ def reference_divergence(p, q):
 
 
 def reconstruction_reference(cx, cy):
-    """reconstruct_from_conditionals as it was written before it built its
-    reference joints as plain arrays: each one a validated `compose` of a
-    validated marginal, compared by `total_variation`."""
+    """The joint form of the reconstruction: each reference row's joint a
+    validated `compose` of a validated marginal, compared with the first by
+    `total_variation`."""
 
     def rebuilt(x0):
         u = cy.k[x0, :] / cx.k[x0, :]
@@ -605,6 +623,19 @@ def reconstruction_reference(cx, cy):
     for x0 in range(1, cx.shape[0]):
         residual = max(residual, total_variation(rebuilt(x0), first))
     return first, residual
+
+
+def marginal_residual_reference(cx, cy):
+    """The largest L1 distance between the Y marginal implied by reference
+    row 0 and that of each other row, each marginal normalized and each
+    distance summed by one `math.fsum`."""
+
+    def marginal(x0):
+        u = cy.k[x0, :] / cx.k[x0, :]
+        return u / math.fsum(u.tolist())
+
+    first = marginal(0)
+    return max((math.fsum(np.abs(marginal(x0) - first).tolist()) for x0 in range(1, cx.shape[0])), default=0.0)
 
 
 def degenerate_trace(nx, ny, cell, steps=12):

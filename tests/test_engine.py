@@ -864,6 +864,13 @@ class TestLookAhead:
         assert trace.converged
         assert trace.last_t <= calls[0] <= 2 * trace.last_t
 
+    def test_blocks_that_keep_nothing_copy_no_rows(self, monkeypatch):
+        # under retain none only the shared empty entry, t=0's entry and the
+        # final state reach `_kept`, however many blocks the run takes
+        calls = _counting(monkeypatch, "_kept")
+        trace = run_case("none")
+        assert trace.last_t > 10 and calls[0] == 3
+
     def test_small_grid_run_looks_ahead_by_at_most_what_it_did(self, monkeypatch):
         # a 4x4 grid admits blocks of 64 half-steps; a run of about 15
         # half-steps must not compute a whole one

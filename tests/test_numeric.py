@@ -545,8 +545,9 @@ class TestExtraction:
 
 def cli_outputs(workdir, monkeypatch, capsys) -> dict:
     """Every file, stdout, stderr and exit code of gen, verify with balance
-    and reconstruction at 60x60, 90x90 and 120x120, and run at 50x50, run in
-    `workdir` with relative paths."""
+    and reconstruction at 60x60, 90x90 and 120x120, verify with lemma3 over
+    30 half-steps at 60x60, and run at 50x50, run in `workdir` with relative
+    paths."""
     monkeypatch.chdir(workdir)
     out = {}
     for n, seed in ((60, 11), (90, 14), (120, 12), (50, 13)):
@@ -563,6 +564,11 @@ def cli_outputs(workdir, monkeypatch, capsys) -> dict:
             out[f"verify{n}"] = main(
                 ["verify", "--target", target, "--checks", "balance,reconstruction",
                  "--out-prefix", f"v{n}"]
+            )
+        if n == 60:
+            out[f"lemma3{n}"] = main(
+                ["verify", "--target", target, "--checks", "lemma3", "--eps", "1e-300", "--max-steps", "30",
+                 "--out-prefix", f"l{n}"]
             )
         out[f"std{n}"] = capsys.readouterr()
     for path in sorted(workdir.iterdir()):
@@ -591,7 +597,7 @@ class TestDifferentialOutputs:
         assert binned.keys() == reference.keys()
         for key in binned:
             assert binned[key] == reference[key], key
-        assert all(binned[f"verify{n}"] == 0 for n in (60, 90, 120))
+        assert all(binned[f"verify{n}"] == 0 for n in (60, 90, 120)) and binned["lemma360"] == 0
         assert binned["run50csv"] == 0
 
 

@@ -260,12 +260,14 @@ CASES = [
     # the converge benchmark's trace, 746 half-steps
     ("engine.export", trace_export_case, [{"fmt": f, "n": 28, "beta": 0.9, "eps": 1e-10} for f in ("csv", "json")]),
     # the pair sweeps also on 150 retained 40 x 40 joints, which span several
-    # tiles of times, and cauchy on 300 retained 60 x 60 joints, whose cached
-    # joints once dominated its peak
+    # tiles of times, cauchy on 300 retained 60 x 60 joints, whose cached
+    # joints once dominated its peak, and reconstruction, which reads only
+    # the target, at the wide workload's largest size
     *((f"diagnostics.{c}", verify_case, [
         {"check": c, "n": 8, "beta": 0.9},
         *([{"check": c, "n": 40, "beta": 0.9, "half_steps": 150}] if c in ("lemma3", "cauchy") else []),
-        *([{"check": c, "n": 60, "beta": 0.9, "half_steps": 299}] if c == "cauchy" else [])])
+        *([{"check": c, "n": 60, "beta": 0.9, "half_steps": 299}] if c == "cauchy" else []),
+        *([{"check": c, "n": 120, "beta": 0.9, "half_steps": 1}] if c == "reconstruction" else [])])
       for c in daflow.diagnostics.DEFAULT_CHECKS),
     ("diagnostics.export", verify_export_case, [{"n": 8, "beta": 0.9}]),
     *((layer, builder, [{"replicas": r, "half_steps": s, "n": n} for r, s, n in (
