@@ -63,7 +63,7 @@ from functools import partial
 
 import numpy as np
 
-from ._fsio import record_template, table_chunks
+from ._fsio import float_texts, record_template, table_chunks
 from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
@@ -378,6 +378,10 @@ def _renormalized_marginal(w: np.ndarray, axis: Axis) -> tuple[np.ndarray, float
 # than the stacking saves
 _BLOCK_VALUES = 1 << 14
 _BLOCK_ROWS = 64
+# `run` copies its blocks' values to the trace's columns this many blocks at
+# a time (at most 1,024 half-steps): a NumPy call per column and copy, where
+# a call per column and block cost about 4% of a 120 x 120 run
+_PENDING_BLOCKS = 16
 
 
 def _measured(
@@ -431,11 +435,12 @@ def run(
     run goes on that way, so it raises only on reaching the half-step that
     raises, as a per-step loop would.
 
-    A block's measurements stay float64 arrays, recorded beside the times it
-    keeps and their `_kept` rows: the stop is the first half-step of the
-    block whose divergence reaches eps, and the trace's columns and kept
-    rows are the blocks' arrays joined, with the projection-identity
-    residuals formed from them elementwise. No record is built.
+    A block's measurements stay float64 arrays, appended with the times it
+    keeps and their `_kept` rows to columns that grow in place (`_Column`):
+    the stop is the first half-step of the block whose divergence reaches
+    eps, and the trace's columns and kept rows are those columns, with the
+    projection-identity residuals formed from them elementwise. No record
+    is built, and no column is ever held twice.
     """
     if max_half_steps < 1:
         raise DistributionError(f"max_half_steps must be >= 1, got {max_half_steps}")
@@ -458,8 +463,22 @@ def run(
     nothing = _kept(0, [], [], width)
     # per block, t=0 first: the one-step divergences; the divergences,
     # distances and drifts of the states it reached; and the times of those
-    # it keeps with their `_kept` rows
-    blocks: list[tuple] = [((), [d_cur], [tv_cur], [0.0], *_kept(0, [0] if retain.keeps(0) else [], [v[None]], width))]
+    # it keeps with their `_kept` rows. The blocks wait in `pending` until
+    # `flush` appends them to the growing columns.
+    growing = tuple(_Column() for _ in range(6))
+    pending: list[tuple] = []
+
+    def flush() -> None:
+        for column, pieces in zip(growing, zip(*pending)):
+            column.extend(pieces)
+        pending.clear()
+
+    def record(*parts) -> None:
+        pending.append(parts)
+        if len(pending) == _PENDING_BLOCKS:
+            flush()
+
+    record((), [d_cur], [tv_cur], [0.0], *_kept(0, [0] if retain.keeps(0) else [], [v[None]], width))
     t, block = 0, 1
     while eps < d_cur < math.inf and t < max_half_steps:
         steps = min(block, max_half_steps - t)
@@ -479,7 +498,7 @@ def run(
         k = next((j for j, d in enumerate(d_next.tolist(), 1) if d <= eps), steps)
         offsets = [j for j in range(k) if retain.keeps(t + 1 + j)]
         kept = _kept(t + 1, offsets, stacks, width) if offsets else nothing
-        blocks.append((d_step[:k], d_next[:k], tv_next[:k], drifts[:k], *kept))
+        record(d_step[:k], d_next[:k], tv_next[:k], drifts[:k], *kept)
         t, d_cur = t + k, float(d_next[k - 1])
         joints[0] = joints[steps]
         v, block = vs[-1], min(2 * block, rows_cap)
@@ -489,18 +508,43 @@ def run(
         stop = StopReason.INFINITE_INITIAL_DIVERGENCE
     if not retain.keeps(t):
         # the final state, always retained, is the last block's last
-        blocks.append(((), (), (), (), *_kept(t, [0], [(vs[k - 1] if t else v)[None]], width)))
-    # each column is joined and its pieces released before the next; the
-    # record columns are frozen in place, so `TraceRecords` keeps them
-    pieces = list(zip(*blocks))
-    del blocks
-    d_step, d_to_target, tv_to_target, drift, times, rows = (np.concatenate(pieces.pop(0)) for _ in range(6))
+        record((), (), (), (), *_kept(t, [0], [(vs[k - 1] if t else v)[None]], width))
+    flush()
+    # the record columns are frozen in place, so `TraceRecords` keeps them
+    d_step, d_to_target, tv_to_target, drift, times, rows = (column.final() for column in growing)
     residual = d_to_target[:-1] - d_step
     residual -= d_to_target[1:]
     columns = (d_to_target, tv_to_target, d_step, np.abs(residual, out=residual), drift)
     for column in columns:
         column.setflags(write=False)
     return DATrace(target, TraceRecords(*columns), _RetainedStates(target, p0, times, rows), stop)
+
+
+class _Column:
+    """An array that `run` appends its blocks' values to: made from the
+    first nonempty ones, grown in place by a quarter of its length when
+    full, and cut to the values by `final`. NumPy grows and cuts an array
+    it owns with one reallocation, so the column is never held beside a copy
+    of itself (the C library moves a large array by remapping its pages)."""
+
+    def __init__(self) -> None:
+        self.values, self.n = np.empty(0), 0
+
+    def extend(self, pieces: Sequence) -> None:
+        if not self.n:
+            self.values = np.concatenate(pieces)
+            self.n = len(self.values)
+            return
+        end = self.n + sum(map(len, pieces))
+        if end > len(self.values):
+            self.values.resize((max(end, len(self.values) * 5 // 4), *self.values.shape[1:]), refcheck=False)
+        np.concatenate(pieces, out=self.values[self.n : end])
+        self.n = end
+
+    def final(self) -> np.ndarray:
+        if self.n < len(self.values):
+            self.values.resize((self.n, *self.values.shape[1:]), refcheck=False)
+        return self.values
 
 
 def _kept(t: int, offsets: list[int], stacks: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -553,11 +597,11 @@ def trace_csv_chunks(trace: DATrace) -> Iterator[str]:
     Infinity prints as the literal `inf`; the final record's d_step and
     lemma1_residual columns are empty (no successor exists). Floats use
     shortest round-trip notation, so output is bit-stable across runs. Each
-    chunk is one ``%`` template filled from the columns, which writes the
-    text of `metrics.encode` (``str`` of a float infinity is already ``inf``).
+    chunk is one ``%`` template filled from the columns' `_fsio.float_texts`,
+    the text of `metrics.encode` (``repr`` of an infinity is already ``inf``).
     """
     yield f"{CSV_HEADER}\n"
-    columns = partial(_columns, trace.records, np.ndarray.tolist, "")
+    columns = partial(_columns, trace.records, float_texts, "")
     for rows in table_chunks(_CSV_ROW, "\n", len(trace.records), columns):
         yield f"{rows}\n"
 

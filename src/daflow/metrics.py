@@ -21,9 +21,10 @@ it.
 
 `encode` fixes how an exported number is written. The trace CSV and JSON,
 the verify JSON and `run`'s stdout line all write its text: a single value
-goes through it, a column for JSON through `_json_floats`, and a column for
-CSV as floats, whose str is already its text, so an infinity reads "inf"
-everywhere.
+goes through it, and a column takes repr's text of each entry from
+`_fsio.float_texts`, which computes it column-wise. The CSV writes that
+text as it is, and `_json_floats` quotes the infinities for JSON, so an
+infinity reads "inf" everywhere.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fsio import float_texts
 from ._numeric import stable_row_sums, stable_sum
 from .errors import DimensionMismatch, DistributionError
 from .dist import Axis, JointDensity, MarginalDensity
@@ -114,13 +116,13 @@ def encode(x: ExtReal | float | int | None) -> float | int | str | None:
     return x
 
 
-def _json_floats(a: np.ndarray) -> list:
-    """A float column as `%s` writes `encode` of each entry into JSON:
-    finite entries as floats, whose str is their repr, and infinities as the
-    quoted strings "inf" and "-inf"."""
-    values = a.tolist()
+def _json_floats(a: np.ndarray) -> list[str]:
+    """A float column's text as `encode` of each entry writes it into JSON:
+    finite entries as their repr, from `_fsio.float_texts`, and infinities
+    as the quoted strings "inf" and "-inf"."""
+    values = float_texts(a)
     for i in np.flatnonzero(np.isinf(a)).tolist():
-        values[i] = '"inf"' if values[i] > 0 else '"-inf"'
+        values[i] = '"inf"' if a[i] > 0 else '"-inf"'
     return values
 
 

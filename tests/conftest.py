@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
+
+# values at the edges of how JSON writes a float: signed zeros, the smallest
+# subnormal, both sides of repr's switches to exponent notation at 1e-5 and
+# 1e16, and the infinities, which are written as strings
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-06, 1.0000000000000002e-05,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 1e-10, math.inf, -math.inf,
+)
 
 
 def gamma_weights(nx: int, ny: int, seed: int, concentration: float = 1.0) -> np.ndarray:

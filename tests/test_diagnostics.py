@@ -20,7 +20,7 @@ import daflow._fsio as _fsio
 import daflow.diagnostics as diagnostics
 import daflow.dist as dist
 import daflow.metrics as metrics
-from conftest import gamma_weights
+from conftest import EDGE_FLOATS, gamma_weights
 from daflow._numeric import stable_sum
 from daflow.diagnostics import (
     CheckName,
@@ -1263,13 +1263,6 @@ class TestOnePass:
         assert peak < 1.25e6
 
 
-# values at the edges of how JSON writes a float: signed zeros, the smallest
-# subnormal, both sides of repr's switches to exponent notation at 1e-5 and
-# 1e16, and the infinities, which are written as strings
-EDGE_FLOATS = (
-    0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-06, 1.0000000000000002e-05,
-    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 1e-10, math.inf, -math.inf,
-)
 NOTES = (
     "", "left side infinite with finite right side", 'a "quoted" note', "back\\slash and /",
     "naïve π ≤ ∞", "tab\tnewline\n and \x00", "100% of %s",

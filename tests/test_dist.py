@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 
 from conftest import gamma_weights, joint_weights_with_zeros, positive_joint_weights
 import daflow.dist as dist
+from daflow._fsio import FLOAT_TEXT_VALUES
 from daflow.dist import (
     Axis,
     ConditionalKernel,
@@ -410,6 +412,13 @@ class TestTargetDerivedFromJoint:
         ):
             make_target(zero_row_and_column_joint())
 
+def spread_weights(nx: int, ny: int, smallest: float) -> np.ndarray:
+    """Gamma weights scaled down from 1 to `smallest` along row-major order,
+    then normalized."""
+    w = gamma_weights(nx, ny, seed=nx * ny) * np.logspace(0.0, np.log10(smallest), nx * ny).reshape(nx, ny)
+    return w / w.sum()
+
+
 class TestJsonInterchange:
     def test_roundtrip_dict(self):
         p = JointDensity(gamma_weights(2, 3, seed=5))
@@ -500,8 +509,11 @@ class TestJsonInterchange:
         [
             *(gamma_weights(nx, ny, seed=nx + ny) for nx, ny in ((1, 1), (1, 300), (300, 1), (4, 7))),
             np.array([[1e-320, 0.5], [0.25, 0.25]]),
+            # more weights than one call of the float kernel takes, in fixed
+            # notation and with two- and three-digit exponents
+            spread_weights(40, 30, 1e-115),
         ],
-        ids=["1x1", "1x300", "300x1", "4x7", "subnormal"],
+        ids=["1x1", "1x300", "300x1", "4x7", "subnormal", "40x30-spread"],
     )
     def test_saved_file_is_json_dumps_indent_1(self, tmp_path, w):
         p = JointDensity(w)
@@ -509,6 +521,12 @@ class TestJsonInterchange:
         save_joint(str(path), p)
         expected = json.dumps(dict(sorted(joint_to_json_dict(p).items())), indent=1) + "\n"
         assert path.read_text(encoding="utf-8") == expected
+
+    def test_spread_weights_take_every_layout(self):
+        texts = [repr(v) for v in spread_weights(40, 30, 1e-115).ravel().tolist()]
+        assert len(texts) > FLOAT_TEXT_VALUES
+        for layout in (r"^0\.\d+$", r"^0\.000\d+$", r"e-\d\d$", r"e-\d\d\d$"):
+            assert any(re.search(layout, text) for text in texts)
 
     def test_save_holds_one_row_at_a_time(self, tmp_path):
         p = JointDensity(gamma_weights(300, 300, seed=1))

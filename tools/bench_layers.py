@@ -208,6 +208,20 @@ def save_joint_case(m, n: int) -> Timed:
     return Timed(call, digest(Path("t.json").read_text()))
 
 
+def float_texts_case(m, values: int, data: str) -> Timed:
+    """The text of a float column of `values` entries: gamma draws
+    normalized as ``gen`` draws them, or the residuals of lemma3's 5,460
+    reports on the certify benchmark's trace. A tree without
+    `_fsio.float_texts` takes repr of each entry, as its writers did."""
+    if data == "residuals":
+        trace = run_from_corner(m, 8, 0.9, 400, 1e-15, "all")()
+        a = np.concatenate([b.value for b in m.diagnostics.verification_table(trace, ("lemma3",))])[:values]
+    else:
+        a = sample_data(data, values, np.random.default_rng(values))
+    texts = getattr(m._fsio, "float_texts", lambda a: list(map(repr, a.tolist())))
+    return Timed(call := lambda: texts(a), digest(call()))
+
+
 def run_chains_case(m, replicas: int, half_steps: int, n: int) -> Timed:
     target = m.dist.random_positive_target(n, n, seed=n)
     call = lambda: m.sampler.run_chains(target, target.joint, replicas, half_steps, seed=1)
@@ -248,6 +262,9 @@ CASES = [
             (40_000, "pmf"), (40_000, "terms"), (250_000, "terms"), (250_000, "spread"))]),
     # the wide workload's target file, and a large one
     ("dist.save_joint", save_joint_case, [{"n": 120}, {"n": 500}]),
+    # one call of the float kernel and eight, and a certify job's lemma3 residuals
+    ("fsio.float_texts", float_texts_case, [
+        {"values": 1024, "data": "pmf"}, {"values": 8192, "data": "pmf"}, {"values": 5460, "data": "residuals"}]),
     # the certify grid's 64-entry rows, and `run`'s stacks at 28 x 28 and 200 x 200
     ("numeric.stable_row_sums", row_sums_case, [
         {"rows": r, "entries": e} for r, e in ((8, 64), (16, 64), (64, 64), (10, 784), (1, 40_000))]),
@@ -277,8 +294,10 @@ CASES = [
     ("cli.run", cli_case, [
         {"argv": "run --target target.json --p0 degenerate:9,27 --eps 1e-10 --max-steps 5000 --out-prefix r",
          "banded": [28, 0.9]},
-        # 20,000 half-steps of 40 B of records on a 1 x 5 target: the columns' join sets the peak
-        {"argv": "run --gen 1,5,3 --p0 random:4 --eps 1e-300 --max-steps 20000 --retain none --out-prefix r"}]),
+        # 20,000 half-steps of 40 B of records on a 1 x 5 target, and with its
+        # 48 B per kept state: the columns' growth sets the peak
+        *({"argv": f"run --gen 1,5,3 --p0 random:4 --eps 1e-300 --max-steps 20000 --retain {r} --out-prefix r"}
+          for r in ("none", "all"))]),
     ("cli.verify", cli_case, [
         {"argv": "verify --target target.json --p0 degenerate:2,7 --checks all --eps 1e-15 "
                  "--max-steps 400 --retain all --out-prefix v", "banded": [8, 0.9]},

@@ -51,8 +51,10 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # half-steps, exported as CSV and as JSON, budget stops of 1,025 and 1,026
 # records on each side of the table writer's 1,024-row chunk edge, as CSV and
 # as JSON, refusals of gamma draws whose total overflows, of an infinite eps
-# and of the hostile files of EDGE_FILES, as a target and as p0, and density
-# files of one cell, one row and one column, written a row at a time
+# and of the hostile files of EDGE_FILES, as a target and as p0, density
+# files of one cell, one row and one column, written a row at a time, and a
+# density file of concentration 0.02 whose weights take fixed notation and
+# two- and three-digit exponents, some too small for the float kernel
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -153,6 +155,7 @@ EDGE_COMMANDS = {
         f"gen-{nx}x{ny}": ("gen", "--nx", str(nx), "--ny", str(ny), "--seed", "3", "--out", f"g{nx}x{ny}.json")
         for nx, ny in ((1, 1), (1, 2000), (2000, 1))
     },
+    "gen-spread-30x30": ("gen", "--nx", "30", "--ny", "30", "--seed", "3", "--conc", "0.02", "--out", "spread.json"),
 }
 
 
