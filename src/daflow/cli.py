@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -38,6 +39,7 @@ from .diagnostics import (
     lemma2_check,
     lemma3_check,
     lsc_gap,
+    target_table,
     validate_checks,
     validate_instance,
     verification_chunks,
@@ -48,14 +50,15 @@ from .dist import (
     Target,
     load_joint,
     make_target,
+    random_positive_joint,
     random_positive_target,
     save_joint,
 )
 from .engine import (
     DATrace,
     RetainPolicy,
-    StopReason,
     run,
+    start_divergence,
     trace_csv_chunks,
     trace_json_chunks,
 )
@@ -127,7 +130,7 @@ def _resolve_p0(spec: str, target: Target) -> JointDensity:
             seed = int(spec[len("random:") :])
         except ValueError:
             raise DistributionError(f"--p0 random wants random:seed, got {spec!r}") from None
-        return random_positive_target(nx, ny, seed).joint
+        return random_positive_joint(nx, ny, seed)
     if spec.startswith("file:"):
         p0 = load_joint(spec[len("file:") :])
         if p0.shape != target.shape:
@@ -166,8 +169,9 @@ def _effective_budget(flag_value: int | None) -> int:
     return base
 
 
-def _require_finite_start(trace: DATrace) -> None:
-    if trace.stop_reason is StopReason.INFINITE_INITIAL_DIVERGENCE:
+def _require_finite_start(d0: float) -> None:
+    """Refuse a starting divergence D(p0 || target) that is infinite."""
+    if d0 == math.inf:
         raise PositivityViolation(
             "the starting density has infinite divergence to the target "
             "(the convergence theorem assumes D(p0 || target) < inf)"
@@ -186,12 +190,12 @@ def _emit(out_prefix: str | None, kind: str, chunks: Iterable[str], summary: Cal
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    target = random_positive_target(args.nx, args.ny, args.seed, args.conc)
-    save_joint(args.out, target.joint)
+    joint = random_positive_joint(args.nx, args.ny, args.seed, args.conc)
+    save_joint(args.out, joint)
     print(
         f"wrote {args.out} nx={args.nx} ny={args.ny} "
-        f"min_entry={target.joint.min_entry!r} "
-        f"strictly_positive={str(target.strictly_positive).lower()}"
+        f"min_entry={joint.min_entry!r} "
+        f"strictly_positive={str(joint.strictly_positive).lower()}"
     )
     return EXIT_OK
 
@@ -212,7 +216,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"stop_reason={trace.stop_reason.value} half_steps={trace.last_t} "
         f"final_d={encode(records.d_to_target[-1])} final_tv={encode(records.tv_to_target[-1])}{out_note}"
     )
-    _require_finite_start(trace)
+    _require_finite_start(records.d_to_target[0])
     return EXIT_OK if trace.converged else EXIT_CHECK_FAILURE
 
 
@@ -226,11 +230,12 @@ def _parse_checks(spec: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> Callable[[DATrace], Iterable[ReportBlock]]:
-    """Parse --checks and vet --retain, --t/--n and --max-steps against them,
-    so a bad selection is refused before the trace is built; return the
+def _parse_selection(
+    args: argparse.Namespace, checks: tuple[str, ...], retain: RetainPolicy
+) -> Callable[[DATrace], Iterable[ReportBlock]]:
+    """Vet --retain, --t/--n and --max-steps against the parsed --checks, so
+    a bad selection is refused before the trace is built; return the
     evaluation that turns the finished trace into its report blocks."""
-    checks = _parse_checks(args.checks)
     if retain.kind == "none" and args.t is None:
         blocked = [c for c in checks if c in SWEEP_NEEDS_HISTORY]
         if blocked:
@@ -273,12 +278,24 @@ def _parse_selection(args: argparse.Namespace, retain: RetainPolicy) -> Callable
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Certify the selected checks. A selection that reads the iterates runs
+    the recursion and evaluates the finished trace. A selection of only
+    balance and reconstruction reads the target alone (`target_table`): it
+    takes no half-step, but makes the start's refusals as `run` would
+    (`start_divergence`, then an infinite start), so --eps and --max-steps
+    are still vetted and every exit code is the same."""
     retain = _parse_retain(args.retain)
-    evaluate = _parse_selection(args, retain)
+    checks = _parse_checks(args.checks)
+    evaluate = _parse_selection(args, checks, retain)
     target = _resolve_target(args)
     p0 = _resolve_p0(args.p0, target)
-    trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=retain)
-    _require_finite_start(trace)
+    if set(checks).isdisjoint(SWEEP_NEEDS_HISTORY):
+        _require_finite_start(start_divergence(p0, target, args.max_steps, args.eps))
+        blocks = target_table(target, checks)
+    else:
+        trace = run(p0, target, max_half_steps=args.max_steps, eps=args.eps, retain=retain)
+        _require_finite_start(trace.records.d_to_target[0])
+        blocks = evaluate(trace)
 
     # every refusal comes before any output; the blocks are written as the
     # families make them, and the summary is folded as they pass
@@ -286,7 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(
         args.out_prefix,
         "verify",
-        verification_chunks(evaluate(trace), summary),
+        verification_chunks(blocks, summary),
         lambda: f"checks_run={summary['checks_run']} passes={summary['passes']} failures={summary['failures']}",
     )
     return EXIT_OK if summary["failures"] == 0 else EXIT_CHECK_FAILURE
@@ -322,7 +339,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         eps=1e-300,
         retain=RetainPolicy.all(),
     )
-    _require_finite_start(trace)
+    _require_finite_start(trace.records.d_to_target[0])
 
     draws = run_chains(
         target,

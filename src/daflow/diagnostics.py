@@ -19,15 +19,16 @@ finished trace:
     single joint;
   - detailed balance of the two induced single-coordinate Markov kernels.
 
-Checks read retained joints and the columns of the trace's records, and
-never recompute iterates. Every joint a check reads comes from one source,
-`DATrace.joints`, as a stack composed from the kept marginals and validated
-as `state_at` validates a state, cached nowhere; a missing state is
-reported as `StateNotRetained`, never silently filled in. lemma1 and
-lemma2's odd identity read the one-step divergence `d_step` that `run`
-recorded, summed over the joints. D(p_t || target) is the one value held
-twice. `run` records it from p_t's marginal by the chain rule, which is
-exact only because p_t carries the target's conditional; `_to_target`
+The last two read the target alone, so `target_table` evaluates them
+without a trace. The others read retained joints and the columns of the
+trace's records, and never recompute iterates. Every joint a check reads
+comes from one source, `DATrace.joints`, as a stack composed from the kept
+marginals and validated as `state_at` validates a state, cached nowhere; a
+missing state is reported as `StateNotRetained`, never silently filled in.
+lemma1 and lemma2's odd identity read the one-step divergence `d_step` that
+`run` recorded, summed over the joints. D(p_t || target) is the one value
+held twice. `run` records it from p_t's marginal by the chain rule, which
+is exact only because p_t carries the target's conditional; `_to_target`
 evaluates it on the joints, one stacked call per block of times. lemma1,
 lemma3 and lsc certify relations among the divergences of the iterates, so
 they read the joint value, evaluated once per sweep for the times they
@@ -620,6 +621,13 @@ DEFAULT_CHECKS = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc", "balance", "rec
 # that keeps only its final state (`--retain none`) gives them no instance
 SWEEP_NEEDS_HISTORY = ("lemma1", "lemma2", "lemma3", "cauchy", "lsc")
 
+# the families that read the target alone, no iterate: each as the blocks it
+# gives for a target
+_TARGET_FAMILIES = {
+    "balance": lambda target: _gather([balance_check(target, Axis.X), balance_check(target, Axis.Y)]),
+    "reconstruction": lambda target: _gather([reconstruction_check(target)]),
+}
+
 LEMMA2_DEFAULT_TS = (1, 2, 3)
 LEMMA2_DEFAULT_NS = tuple(range(1, 9))
 
@@ -650,6 +658,10 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
     selected check with no runnable instance (:class:`StateNotRetained`,
     since a silent skip would turn a config mistake into a vacuous pass);
     then lemma3's non-finite divergence to the target.
+
+    balance and reconstruction read the trace's target alone, through the
+    same functions as `target_table`, which needs no trace: `cmd_verify`
+    runs no recursion for a selection of only those two.
     """
     validate_checks(checks)
     if "lsc" in checks and not trace.converged:
@@ -686,10 +698,22 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
         "lemma3": lambda: lemma3_rows,
         "cauchy": lambda: _gather([cauchy_check(trace, iterates)]),
         "lsc": lambda: _gather([_lsc(trace, anchors[0], last - anchors[0], d)]),
-        "balance": lambda: _gather([balance_check(trace.target, Axis.X), balance_check(trace.target, Axis.Y)]),
-        "reconstruction": lambda: _gather([reconstruction_check(trace.target)]),
+        **{name: partial(family, trace.target) for name, family in _TARGET_FAMILIES.items()},
     }
     return (block for check in checks for block in families[check]())
+
+
+def target_table(target: Target, checks: tuple[str, ...]) -> Iterator[ReportBlock]:
+    """The report blocks of a selection of balance and reconstruction, the
+    families that read the target alone, each evaluated only when its blocks
+    are read: the blocks `verification_table` gives for them over any trace
+    toward `target`, with no trace needed. A family that reads the iterates
+    is refused at the call."""
+    validate_checks(checks)
+    history = [c for c in checks if c not in _TARGET_FAMILIES]
+    if history:
+        raise DistributionError(f"{history} read the iterates; target_table runs only {list(_TARGET_FAMILIES)}")
+    return (block for check in checks for block in _TARGET_FAMILIES[check](target))
 
 
 def _summarized(blocks: Iterable[ReportBlock], summary: dict) -> Iterator[ReportBlock]:

@@ -343,7 +343,12 @@ def make_target(p: JointDensity, require_positive: bool = True) -> Target:
 
 
 def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1.0) -> Target:
-    """Draw a strictly positive target, deterministically from the seed.
+    """The Target of `random_positive_joint`'s draw."""
+    return make_target(random_positive_joint(nx, ny, seed, concentration), require_positive=True)
+
+
+def random_positive_joint(nx: int, ny: int, seed: int, concentration: float = 1.0) -> JointDensity:
+    """Draw a strictly positive joint density, deterministically from the seed.
 
     Cells are iid gamma variates with the given shape parameter, normalized
     to total mass 1 (jointly a symmetric Dirichlet draw). Larger
@@ -370,7 +375,7 @@ def random_positive_target(nx: int, ny: int, seed: int, concentration: float = 1
             w = ws[i]
             total = _mass_total(w, f"a {nx}x{ny} draw at concentration {concentration!r}")
             if total > 0.0 and np.all(w / total > 0.0):
-                return make_target(JointDensity(w / total), require_positive=True)
+                return JointDensity(w / total)
     raise DistributionError(
         f"every {nx}x{ny} draw at concentration {concentration!r} in {TARGET_MAX_VARIATES} variates had a zero cell"
     )

@@ -411,6 +411,24 @@ def _measured(
     return d_step, d_next, tv_next, stacks
 
 
+def start_divergence(p0: JointDensity, target: Target, max_half_steps: int, eps: float) -> float:
+    """D(p0 || target), after the refusals `run` makes before its first
+    half-step, in this order: a budget below one half-step, an eps that is
+    not a positive real, a p0 whose shape is not the target's, and a finite
+    divergence to a target with a zero cell (TargetNotPositive). An infinite
+    divergence is returned, not refused: `run` records it and stops."""
+    if max_half_steps < 1:
+        raise DistributionError(f"max_half_steps must be >= 1, got {max_half_steps}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise DistributionError(f"eps must be a positive real, got {eps!r}")
+    if p0.shape != target.shape:
+        raise DimensionMismatch(f"p0 is {p0.shape}, target is {target.shape}")
+    d = relative_entropy(p0, target.joint).value
+    if d < math.inf and not target.strictly_positive:
+        raise TargetNotPositive("cannot iterate toward a target with zero cells")
+    return d
+
+
 def run(
     p0: JointDensity,
     target: Target,
@@ -419,7 +437,7 @@ def run(
     retain: RetainPolicy = RetainPolicy.all(),
 ) -> DATrace:
     """Iterate half-steps from p0 until D(p_t || target) <= eps or the budget
-    max_half_steps is spent.
+    max_half_steps is spent, after the refusals of `start_divergence`.
 
     A starting density with infinite divergence to the target violates the
     convergence hypothesis; the run stops immediately with
@@ -442,19 +460,8 @@ def run(
     projection-identity residuals formed from them elementwise. No record
     is built, and no column is ever held twice.
     """
-    if max_half_steps < 1:
-        raise DistributionError(f"max_half_steps must be >= 1, got {max_half_steps}")
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise DistributionError(f"eps must be a positive real, got {eps!r}")
-    if p0.shape != target.shape:
-        raise DimensionMismatch(f"p0 is {p0.shape}, target is {target.shape}")
-
-    d_cur = relative_entropy(p0, target.joint).value
+    d_cur = start_divergence(p0, target, max_half_steps, eps)
     tv_cur = total_variation(p0, target.joint)
-
-    if d_cur < math.inf and not target.strictly_positive:
-        raise TargetNotPositive("cannot iterate toward a target with zero cells")
-
     rows_cap = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // p0.w.size))
     joints = np.empty((rows_cap + 1, *p0.shape))
     joints[0] = p0.w

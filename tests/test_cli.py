@@ -33,6 +33,7 @@ from daflow.diagnostics import (
     report_to_json_dict,
     summarize,
     validate_instance,
+    verification_chunks,
     verification_table,
 )
 from daflow.dist import Axis, JointDensity, load_joint, make_target, random_positive_target
@@ -99,6 +100,20 @@ class TestGen:
         assert captured.out == ""
         assert captured.err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
         assert not out.exists()
+
+    def test_writes_the_draw_without_deriving_a_target(self, tmp_path, monkeypatch, capsys):
+        want = random_positive_target(6, 4, seed=2).joint
+
+        def no_target(*args, **kwargs):
+            raise AssertionError("gen derived a Target it never reads")
+
+        monkeypatch.setattr("daflow.dist.Target", no_target)
+        out = tmp_path / "t.json"
+        assert main(["gen", "--nx", "6", "--ny", "4", "--seed", "2", "--out", str(out)]) == EXIT_OK
+        assert load_joint(str(out)).w.tobytes() == want.w.tobytes()
+        assert capsys.readouterr().out == (
+            f"wrote {out} nx=6 ny=4 min_entry={want.min_entry!r} strictly_positive=true\n"
+        )
 
 
 class TestRun:
@@ -583,6 +598,53 @@ class TestVerify:
         ]
         doc = {"reports": [report_to_json_dict(r) for r in reports], "summary": summarize(reports)}
         assert (tmp_path / "band.verify.json").read_text() == json.dumps(doc, indent=1) + "\n"
+
+    @pytest.mark.parametrize("checks, iterates", [("balance,reconstruction", False), ("lemma1,balance", True)])
+    def test_only_a_selection_that_reads_the_iterates_takes_half_steps(self, monkeypatch, capsys, checks, iterates):
+        import daflow.engine
+
+        calls = []
+        composed = daflow.engine._composed
+        monkeypatch.setattr(daflow.engine, "_composed", lambda *args: calls.append(args) or composed(*args))
+        assert main(["verify", "--gen", "5,5,3", "--checks", checks]) == EXIT_OK
+        assert bool(calls) == iterates
+
+    @pytest.mark.parametrize("checks", ["balance", "reconstruction", "balance,reconstruction", "reconstruction,balance"])
+    def test_target_only_report_is_the_full_trace_report(self, capsys, checks):
+        assert main(["verify", "--gen", "5,5,3", "--checks", checks]) == EXIT_OK
+        p0 = JointDensity(np.full((5, 5), 1 / 25))
+        trace = run(p0, random_positive_target(5, 5, 3), MAX_STEPS_DEFAULT, VERIFY_EPS_DEFAULT, RetainPolicy.all())
+        blocks = verification_table(trace, tuple(checks.split(",")))
+        assert capsys.readouterr().out == "".join(verification_chunks(blocks, {}))
+
+    @pytest.mark.parametrize("checks", ["balance", "reconstruction", "balance,reconstruction"])
+    @pytest.mark.parametrize(
+        "inputs, code",
+        [
+            (["--gen", "4,4,1", "--eps", "0"], EXIT_USAGE),
+            (["--gen", "4,4,1", "--eps", "nan"], EXIT_USAGE),
+            (["--gen", "4,4,1", "--max-steps", "0"], EXIT_USAGE),
+            (["--gen", "4,4,1", "--p0", "file:other.json"], EXIT_USAGE),
+            # tools/output_digest.py's 3x3 target: an infinite start from
+            # uniform, a finite one from its positive corner
+            (["--target", "zero.json"], EXIT_HYPOTHESIS),
+            (["--target", "zero.json", "--p0", "degenerate:0,0"], EXIT_HYPOTHESIS),
+        ],
+        ids=["eps-0", "eps-nan", "max-steps-0", "p0-shape", "zero-uniform", "zero-degenerate"],
+    )
+    def test_target_only_selection_refuses_the_start_as_a_run_does(
+        self, monkeypatch, tmp_path, capsys, checks, inputs, code
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "other.json", {"nx": 2, "ny": 2, "w": [[0.25, 0.25], [0.25, 0.25]]})
+        write_json(tmp_path / "zero.json", {"nx": 3, "ny": 3, "w": [[1, 0, 1], [1, 0, 1], [0, 0, 0]]})
+        outcomes = []
+        for selection in ("lemma1", checks):
+            outcomes.append((main(["verify", *inputs, "--checks", selection]), capsys.readouterr()))
+        (want_code, want), (got_code, got) = outcomes
+        assert want_code == got_code == code
+        assert got.out == want.out == ""
+        assert got.err == want.err
 
 
 class TestSample:

@@ -1244,6 +1244,16 @@ class TestOnePass:
         assert entered == []
         assert list(blocks) == [] and len(entered) == 1
 
+    def test_the_target_table_is_the_trace_table_of_the_target_families(self):
+        trace = make_trace(steps=6)
+        checks = ("reconstruction", "balance")
+        want = list(diagnostics.verification_chunks(diagnostics.verification_table(trace, checks), {}))
+        assert list(diagnostics.verification_chunks(diagnostics.target_table(trace.target, checks), {})) == want
+        with pytest.raises(DistributionError, match=r"\['lemma1'\] read the iterates"):
+            diagnostics.target_table(trace.target, ("balance", "lemma1"))
+        with pytest.raises(DistributionError, match="listed more than once"):
+            diagnostics.target_table(trace.target, ("balance", "balance"))
+
     def test_lemma3_json_holds_one_row_block_at_a_time(self, monkeypatch):
         target = random_positive_target(1, 5, seed=3)
         trace = run(random_positive_target(1, 5, seed=4).joint, target, max_half_steps=300, eps=1e-300)

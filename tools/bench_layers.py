@@ -302,6 +302,9 @@ CASES = [
         {"argv": "verify --target target.json --p0 degenerate:2,7 --checks all --eps 1e-15 "
                  "--max-steps 400 --retain all --out-prefix v", "banded": [8, 0.9]},
         {"argv": "verify --gen 120,120,1 --checks balance,reconstruction --out-prefix w"},
+        # the wide workload's verify, reading its target through `load_joint`
+        {"argv": "verify --target target.json --checks balance,reconstruction --out-prefix w",
+         "banded": [120, 0.9]},
         # lemma3's 79,800 reports and cauchy's scan on a 1 x 5 target
         {"argv": "verify --gen 1,5,3 --p0 random:4 --checks lemma3,cauchy --eps 1e-300 --max-steps 400 "
                  "--out-prefix v"}]),

@@ -41,9 +41,11 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # the README commands, retention modes, degenerate grid shapes, pinned checks
 # (lemma3 at n = 0 among them, whose two listed times repeat), a step-budget
 # stop, a wide run, targets that need redraws or hold subnormal cells, a
-# target file with zero cells, and refusals (among them a zero-step sample
-# over its budget, sweeps whose grid is empty, one of them listed after a
-# family that could run, and an lsc pinned past the final state), a cauchy
+# target file with zero cells, verify selections that read the target alone
+# (balance and reconstruction), with the start refusals they still make, and
+# refusals (among them a zero-step sample over its budget, sweeps whose grid
+# is empty, one of them listed after a family that could run, and an lsc
+# pinned past the final state), a cauchy
 # scan over 1,000 retained times, lemma3 and cauchy stacks of 1,600-entry
 # rows too large for one pass of the exact row sums, lemma1, lemma3 and
 # cauchy on a banded 40x40 target whose 150 retained times span several tiles
@@ -81,6 +83,13 @@ EDGE_COMMANDS = {
     "zero-run-degenerate": ("run", "--target", "zero.json", "--p0", "degenerate:0,0", "--out-prefix", "z1"),
     "zero-verify-balance": ("verify", "--target", "zero.json", "--checks", "balance", "--out-prefix", "z2"),
     "zero-sample": ("sample", "--target", "zero.json"),
+    "target-only-verify": (
+        "verify", "--target", "target.json", "--checks", "balance,reconstruction", "--out-prefix", "tonly",
+    ),
+    "zero-verify-reconstruction-degenerate": (
+        "verify", "--target", "zero.json", "--p0", "degenerate:0,0", "--checks", "reconstruction",
+    ),
+    "target-only-eps-zero": ("verify", "--target", "target.json", "--checks", "balance", "--eps", "0"),
     "refuse-1x1": ("run", "--gen", "1,1,1,1e-300"),
     "refuse-10x10": ("run", "--gen", "10,10,1,0.001"),
     "refuse-seed": ("gen", "--nx", "2", "--ny", "2", "--seed", "-5", "--out", "x.json"),
