@@ -1,5 +1,5 @@
 """The shortest round-trip text of float columns, as ``repr`` writes it,
-computed column-wise with NumPy: the kernel of `_fsio.float_texts` and
+computed column-wise with NumPy: the kernel of `_fsio.table_chunks` and
 `_fsio.float_chunks`, which load it on first use.
 
 `shortest_rows` finds repr's digits as the shortest decimal in each value's

@@ -52,17 +52,18 @@ covers every pair, so its cost is O(T^2); the joints are composed
 O(T^2 / B) times in all for blocks of B times.
 
 A sweep's reports are columns (:class:`ReportBlock`): lemma3 gives one
-block per row block of times and lemma1 one block, their t, n, sides,
+block per row block of times, lemma1 one block and lemma2 one block, its
+two check names and their tolerances given per report, their t, n, sides,
 residuals or slacks and verdicts as arrays with no object per report, and
 the other families give blocks of the reports they return.
 `verification_table` raises every refusal when it is called and then
 yields the blocks, each family evaluated as its blocks are read.
 `verification_chunks` writes each block as it arrives, through
-`_fsio.table_chunks`, the table writer the trace exports also use, one
-``%`` template per block, and the summary last, folded from the blocks'
-columns as they passed, so a sweep holds one block at a time. A list of
-reports is gathered into blocks first, so `summarize` and
-`verification_to_json` take the same path.
+`_fsio.table_chunks`, the table writer the trace exports also use, which
+lays a chunk of reports out as byte columns in NumPy, and the summary
+last, folded from the blocks' columns as they passed, so a sweep holds one
+block at a time. A list of reports is gathered into blocks first, so
+`summarize` and `verification_to_json` take the same path.
 
 Every check returns a :class:`LemmaReport`; identities pass when the
 absolute residual is at most the tolerance, inequalities when the slack is
@@ -81,7 +82,7 @@ from itertools import groupby
 
 import numpy as np
 
-from ._fsio import record_template, table_chunks
+from ._fsio import JSON_SPECIALS, record_template, table_chunks
 from ._numeric import readonly, stable_row_sums, stable_sum
 from .dist import (
     Axis,
@@ -102,7 +103,6 @@ from .errors import (
 )
 from .metrics import (
     ExtReal,
-    _json_floats,
     _l1_rows,
     _rel_entropy_array,
     encode,
@@ -177,16 +177,18 @@ def _verdict(name: CheckName, value, tolerance: float):
 
 @dataclass(frozen=True, eq=False)
 class ReportBlock:
-    """Consecutive reports of one check name and tolerance, as columns.
+    """Consecutive reports, as columns.
 
-    `t`, `lhs`, `rhs` and `value` (the residual or slack) hold one entry per
-    report, and `notes` one note per report; `n` does too, or is None when
-    every report carries n=None. Infinite sides are float infinities. The
-    verdicts `passed` are computed from the values, which must not be NaN.
+    `name` and `tolerance` are shared by every report, or are tuples of one
+    per report. `t`, `lhs`, `rhs` and `value` (the residual or slack) hold
+    one entry per report, and `notes` one note per report; `n` does too, or
+    is None when every report carries n=None. Infinite sides are float
+    infinities. The verdicts `passed` are computed from the values, which
+    must not be NaN.
     """
 
-    name: CheckName
-    tolerance: float
+    name: CheckName | tuple[CheckName, ...]
+    tolerance: float | tuple[float, ...]
     t: np.ndarray
     n: np.ndarray | None
     lhs: np.ndarray
@@ -198,19 +200,38 @@ class ReportBlock:
     def __post_init__(self) -> None:
         if np.isnan(self.value).any():
             raise DistributionError("report residual must not be NaN")
-        object.__setattr__(self, "passed", _verdict(self.name, self.value, self.tolerance))
+        if isinstance(self.name, CheckName):
+            passed = _verdict(self.name, self.value, self.tolerance)
+        else:
+            passed = np.array(list(map(_verdict, self.name, self.value.tolist(), self.tolerance)), dtype=bool)
+        object.__setattr__(self, "passed", passed)
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def _per_report(self, column):
+        """A name or tolerance column as one entry per report."""
+        return column if isinstance(column, tuple) else (column,) * len(self)
 
     def reports(self) -> list[LemmaReport]:
         """The block's rows as reports, in order."""
         ns = [None] * len(self) if self.n is None else self.n.tolist()
         columns = (self.lhs.tolist(), self.rhs.tolist(), self.value.tolist())
         return [
-            LemmaReport(self.name, t, n, ExtReal(lhs), ExtReal(rhs), value, self.tolerance, note)
-            for t, n, lhs, rhs, value, note in zip(self.t.tolist(), ns, *columns, self.notes)
+            LemmaReport(name, t, n, ExtReal(lhs), ExtReal(rhs), value, tolerance, note)
+            for name, tolerance, t, n, lhs, rhs, value, note in zip(
+                self._per_report(self.name), self._per_report(self.tolerance), self.t.tolist(), ns, *columns, self.notes
+            )
         ]
+
+    def values_by_name(self) -> Iterator[tuple[CheckName, np.ndarray]]:
+        """Each check name of the block, in order of first report, and the
+        values of its reports."""
+        if isinstance(self.name, CheckName):
+            yield self.name, self.value
+            return
+        for name in dict.fromkeys(self.name):
+            yield name, self.value[np.array([n is name for n in self.name])]
 
 
 def _gather(reports: Iterable[LemmaReport]) -> list[ReportBlock]:
@@ -351,13 +372,18 @@ def lemma2_check(trace: DATrace, t: int, n: int) -> LemmaReport:
     D(p_t || p_(t+n)) = D(p_t || p_(t+1)) + D(p_(t+1) || p_(t+n)).
     """
     validate_instance("lemma2", t, n)
-    return _lemma2_reports(trace, [(t, n)])[0]
+    return _lemma2_reports(trace, [(t, n)]).reports()[0]
 
 
-def _lemma2_reports(trace: DATrace, instances: list[tuple[int, int]]) -> list[LemmaReport]:
-    """The lemma2 reports at the listed (t, n), from one stack of the joints
-    they read and one paired evaluation of their divergences: each
-    instance's D(p_t || p_(t+n)), then D(p_t || p_(t+n-1)) for even n or
+# an even lemma2 instance's note when both its sides are infinite
+_LEMMA2_VACUOUS = "both sides infinite; inequality holds vacuously"
+
+
+def _lemma2_reports(trace: DATrace, instances: list[tuple[int, int]]) -> ReportBlock:
+    """The lemma2 reports at the listed (t, n) as one block, a name and a
+    tolerance per report, from one stack of the joints they read and one
+    paired evaluation of their divergences: each instance's
+    D(p_t || p_(t+n)), then D(p_t || p_(t+n-1)) for even n or
     D(p_(t+1) || p_(t+n)) for odd n, which the odd identity's right side
     adds to the recorded d_step."""
     pairs = [p for t, n in instances for p in ((t, t + n), (t + 1, t + n) if n % 2 else (t, t + n - 1))]
@@ -366,19 +392,20 @@ def _lemma2_reports(trace: DATrace, instances: list[tuple[int, int]]) -> list[Le
     p, q = zip(*((row[a], row[b]) for a, b in pairs))
     d = _rel_entropy_array(w[list(p)], w[list(q)])
     lhs, other = d[0::2], d[1::2]
-    odd = np.array([n % 2 for _, n in instances], dtype=bool)
-    rhs = np.where(odd, trace.column("d_step", [t for t, _ in instances]) + other, other)
-    residuals, notes = _identity_values(lhs, rhs)
-    reports = []
-    for (t, n), a, b, residual, note in zip(instances, lhs.tolist(), rhs.tolist(), residuals.tolist(), notes):
-        if n % 2:
-            name, value, tolerance = CheckName.LEMMA2_ODD, residual, IDENTITY_TOL
-        else:
-            vacuous = math.isinf(a) and math.isinf(b)
-            note = "both sides infinite; inequality holds vacuously" if vacuous else ""
-            name, value, tolerance = CheckName.LEMMA2_EVEN, 0.0 if vacuous else b - a, INEQUALITY_TOL
-        reports.append(LemmaReport(name, t, n, ExtReal(a), ExtReal(b), value, tolerance, note))
-    return reports
+    ts, ns = (np.array(c, dtype=np.int64) for c in zip(*instances))
+    odd = (ns % 2).astype(bool)
+    rhs = np.where(odd, trace.column("d_step", ts.tolist()) + other, other)
+    residuals, identity_notes = _identity_values(lhs, rhs)
+    vacuous = np.isinf(lhs) & np.isinf(rhs)
+    with np.errstate(invalid="ignore"):
+        value = np.where(odd, residuals, np.where(vacuous, 0.0, rhs - lhs))
+    kinds = [
+        (CheckName.LEMMA2_ODD, IDENTITY_TOL, note) if o
+        else (CheckName.LEMMA2_EVEN, INEQUALITY_TOL, _LEMMA2_VACUOUS if v else "")
+        for o, v, note in zip(odd.tolist(), vacuous.tolist(), identity_notes)
+    ]
+    names, tolerances, notes = zip(*kinds)
+    return ReportBlock(names, tolerances, ts, ns, lhs, rhs, value, notes)
 
 
 def lemma3_check(trace: DATrace, t: int, n: int) -> LemmaReport:
@@ -694,7 +721,7 @@ def verification_table(trace: DATrace, checks: tuple[str, ...] = DEFAULT_CHECKS)
     lemma3_rows = _lemma3_rows(trace, iterates, d) if "lemma3" in checks else ()
     families = {
         "lemma1": lambda: [_lemma1_block(trace, lemma1_ts, d)],
-        "lemma2": lambda: _gather(_lemma2_reports(trace, instances)),
+        "lemma2": lambda: [_lemma2_reports(trace, instances)],
         "lemma3": lambda: lemma3_rows,
         "cauchy": lambda: _gather([cauchy_check(trace, iterates)]),
         "lsc": lambda: _gather([_lsc(trace, anchors[0], last - anchors[0], d)]),
@@ -722,11 +749,12 @@ def _summarized(blocks: Iterable[ReportBlock], summary: dict) -> Iterator[Report
     worst: dict[str, float] = {}
     checks_run = passes = 0
     for block in blocks:
-        key = block.name.value
-        if _CHECK_KIND[block.name] == "identity":
-            worst[key] = max(worst.get(key, 0.0), float(np.abs(block.value).max()))
-        else:
-            worst[key] = min(worst.get(key, math.inf), float(block.value[np.argmin(block.value)]))
+        for name, values in block.values_by_name():
+            key = name.value
+            if _CHECK_KIND[name] == "identity":
+                worst[key] = max(worst.get(key, 0.0), float(np.abs(values).max()))
+            else:
+                worst[key] = min(worst.get(key, math.inf), float(values[np.argmin(values)]))
         checks_run += len(block)
         passes += int(block.passed.sum())
         yield block
@@ -765,24 +793,24 @@ def report_to_json_dict(report: LemmaReport) -> dict:
     }
 
 
-# one report as `json.dumps(doc, indent=1)` writes it inside doc["reports"]
-_REPORT_JSON = record_template(("name", "t", "n", "lhs", "rhs", "residual_or_slack", "pass", "tolerance", "note"), 2)
+# one report as `json.dumps(doc, indent=1)` writes it inside doc["reports"],
+# around its values
+_REPORT_PIECES = record_template(
+    ("name", "t", "n", "lhs", "rhs", "residual_or_slack", "pass", "tolerance", "note"), 2
+).split("%s")
 
 
-def _block_columns(block: ReportBlock, lo: int, hi: int) -> list[list]:
-    """The `%s` arguments of reports lo to hi of the block that its row
-    template leaves open, one list per slot."""
-    notes = block.notes[lo:hi]
-    quoted = {note: json.dumps(note) for note in set(notes)}
-    return [
-        block.t[lo:hi].tolist(),
-        *([] if block.n is None else [block.n[lo:hi].tolist()]),
-        _json_floats(block.lhs[lo:hi]),
-        _json_floats(block.rhs[lo:hi]),
-        _json_floats(block.value[lo:hi]),
-        [("false", "true")[p] for p in block.passed[lo:hi].tolist()],
-        [quoted[note] for note in notes],
-    ]
+def _text_column(values, text: Callable[[object], str]) -> str | tuple[list[str], np.ndarray]:
+    """A block's column as a `_fsio.table_chunks` column: the text of a
+    value every report shares, else the texts of the distinct values and
+    each report's code."""
+    if not isinstance(values, tuple):
+        return text(values)
+    distinct = dict.fromkeys(values)
+    if len(distinct) == 1:
+        return text(values[0])
+    code = {value: i for i, value in enumerate(distinct)}
+    return [text(value) for value in distinct], np.fromiter(map(code.__getitem__, values), np.intp, len(values))
 
 
 def verification_chunks(blocks: Iterable[ReportBlock], summary: dict) -> Iterator[str]:
@@ -793,18 +821,25 @@ def verification_chunks(blocks: Iterable[ReportBlock], summary: dict) -> Iterato
     if not summary:
         blocks = _summarized(blocks, summary)
     yield '{\n "reports": ['
-    # what goes before the next chunk: the reports' first newline, then the separator
-    sep = "\n"
+    # what goes before the next report: the list's first newline, then the separator
+    first = "\n"
     for block in blocks:
-        # one row template per block, its name, tolerance and a None n filled in
-        name, tolerance = json.dumps(block.name.value), json.dumps(block.tolerance)
-        n = "null" if block.n is None else "%s"
-        row = _REPORT_JSON % (name, "%s", n, "%s", "%s", "%s", "%s", tolerance, "%s")
-        for text in table_chunks(row, ",\n", len(block), partial(_block_columns, block)):
-            yield sep + text
-            sep = ",\n"
+        columns = (
+            _text_column(block.name, lambda name: json.dumps(name.value)),
+            block.t,
+            "null" if block.n is None else block.n,
+            block.lhs,
+            block.rhs,
+            block.value,
+            (("false", "true"), block.passed.view(np.int8)),
+            _text_column(block.tolerance, json.dumps),
+            _text_column(block.notes, json.dumps),
+        )
+        yield from table_chunks(_REPORT_PIECES, columns, len(block), first, ",\n", JSON_SPECIALS)
+        if len(block):
+            first = ",\n"
     summary_text = json.dumps(summary, indent=1).replace("\n", "\n ")  # one deep
-    yield ("]" if sep == "\n" else "\n ]") + ',\n "summary": ' + summary_text + "\n}\n"
+    yield ("]" if first == "\n" else "\n ]") + ',\n "summary": ' + summary_text + "\n}\n"
 
 
 def verification_to_json(reports: Iterable[LemmaReport], summary: dict | None = None) -> str:

@@ -19,7 +19,8 @@ divergence falls to `eps` or the step budget runs out. The measurements are
 kept as float64 columns (:class:`TraceRecords`), one entry per visited time.
 A :class:`TraceRecord` is built from them only when one is read; the
 certification checks read the columns, and `_fsio.table_chunks`, the verify
-JSON's writer too, writes the trace exports from them chunk by chunk.
+JSON's writer too, writes the trace exports from them, a chunk of rows at
+a time laid out as byte columns in NumPy.
 
 Every iterate after t=0 is a target conditional times one marginal, so `run`
 carries that one marginal, a plain vector (the Y marginal of p_t for even t,
@@ -57,13 +58,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
-from ._fsio import float_texts, record_template, table_chunks
+from ._fsio import JSON_SPECIALS, record_template, table_chunks
 from ._numeric import readonly, stable_sum
 from .dist import (
     Axis,
@@ -77,7 +77,6 @@ from .dist import (
 from .errors import DimensionMismatch, DistributionError, StateNotRetained, TargetNotPositive
 from .metrics import (
     ExtReal,
-    _json_floats,
     _l1_rows,
     _rel_entropy_array,
     relative_entropy,
@@ -582,19 +581,14 @@ def fixed_point_residual(target: Target) -> float:
 CSV_HEADER = ",".join(_FIELDS)
 
 # one record as a CSV row and as `json.dumps(doc, indent=1)` writes it inside
-# doc["records"]
-_CSV_ROW = ",".join(["%s"] * len(_FIELDS))
-_JSON_ROW = record_template(_FIELDS, 2)
+# doc["records"], around its values
+_CSV_PIECES = ["", *[","] * (len(_FIELDS) - 1), "\n"]
+_JSON_PIECES = record_template(_FIELDS, 2).split("%s")
 
 
-def _columns(records: TraceRecords, floats: Callable[[np.ndarray], list], absent: str, lo: int, hi: int) -> list:
-    """The `%s` arguments of records lo to hi, one list per field: `floats`
-    of each float column, and `absent` for the final record's d_step and
-    lemma1_residual, which it lacks."""
-    columns = [range(lo, hi), *(floats(getattr(records, name)[lo:hi]) for name in _FIELDS[1:])]
-    for values in columns[1:]:
-        values += [absent] * (hi - lo - len(values))
-    return columns
+def _record_columns(records: TraceRecords) -> list:
+    """The records' columns in `_FIELDS` order, t first, as a range."""
+    return [range(len(records)), *(getattr(records, name) for name in _FIELDS[1:])]
 
 
 def trace_csv_chunks(trace: DATrace) -> Iterator[str]:
@@ -603,14 +597,11 @@ def trace_csv_chunks(trace: DATrace) -> Iterator[str]:
 
     Infinity prints as the literal `inf`; the final record's d_step and
     lemma1_residual columns are empty (no successor exists). Floats use
-    shortest round-trip notation, so output is bit-stable across runs. Each
-    chunk is one ``%`` template filled from the columns' `_fsio.float_texts`,
-    the text of `metrics.encode` (``repr`` of an infinity is already ``inf``).
+    shortest round-trip notation, so output is bit-stable across runs: the
+    text of `metrics.encode` (``repr`` of an infinity is already ``inf``).
     """
     yield f"{CSV_HEADER}\n"
-    columns = partial(_columns, trace.records, float_texts, "")
-    for rows in table_chunks(_CSV_ROW, "\n", len(trace.records), columns):
-        yield f"{rows}\n"
+    yield from table_chunks(_CSV_PIECES, _record_columns(trace.records), len(trace.records))
 
 
 def trace_to_csv(trace: DATrace) -> str:
@@ -623,7 +614,7 @@ def trace_json_chunks(trace: DATrace) -> Iterator[str]:
     where doc holds nx, ny, stop_reason, half_steps, retained_times and one
     dict per record of `metrics.encode`'s values ("inf" for an infinity,
     null for an absent field). Both lists are written in the chunks of
-    `_fsio.table_chunks`, the records from the columns as the CSV's are."""
+    `_fsio.table_chunks`, the records from the same columns as the CSV's."""
     head = json.dumps({
         "nx": trace.target.nx,
         "ny": trace.target.ny,
@@ -632,15 +623,16 @@ def trace_json_chunks(trace: DATrace) -> Iterator[str]:
     }, indent=1)
     times, records = trace.states.times, trace.records
     lists = {
-        "retained_times": table_chunks("  %s", ",\n", len(times), lambda lo, hi: [times[lo:hi].tolist()]),
-        "records": table_chunks(_JSON_ROW, ",\n", len(records), partial(_columns, records, _json_floats, "null")),
+        "retained_times": table_chunks(["  ", ""], [times], len(times), sep=",\n"),
+        "records": table_chunks(
+            _JSON_PIECES, _record_columns(records), len(records), sep=",\n", specials=JSON_SPECIALS
+        ),
     }
     # head ends with the dict's closing "\n}"; both lists are nonempty
     yield head[:-2]
     for key, chunks in lists.items():
         yield f',\n "{key}": [\n'
-        for i, rows in enumerate(chunks):
-            yield f",\n{rows}" if i else rows
+        yield from chunks
         yield "\n ]"
     yield "\n}\n"
 

@@ -21,10 +21,10 @@ it.
 
 `encode` fixes how an exported number is written. The trace CSV and JSON,
 the verify JSON and `run`'s stdout line all write its text: a single value
-goes through it, and a column takes repr's text of each entry from
-`_fsio.float_texts`, which computes it column-wise. The CSV writes that
-text as it is, and `_json_floats` quotes the infinities for JSON, so an
-infinity reads "inf" everywhere.
+goes through it, and a column is written by `_fsio.table_chunks`, which
+computes repr's text of its entries column-wise. An infinity is `inf` in
+CSV (`_fsio.CSV_SPECIALS`) and the quoted string "inf" in JSON
+(`_fsio.JSON_SPECIALS`), so it reads "inf" everywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fsio import float_texts
 from ._numeric import stable_row_sums, stable_sum
 from .errors import DimensionMismatch, DistributionError
 from .dist import Axis, JointDensity, MarginalDensity
@@ -114,16 +113,6 @@ def encode(x: ExtReal | float | int | None) -> float | int | str | None:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
-
-
-def _json_floats(a: np.ndarray) -> list[str]:
-    """A float column's text as `encode` of each entry writes it into JSON:
-    finite entries as their repr, from `_fsio.float_texts`, and infinities
-    as the quoted strings "inf" and "-inf"."""
-    values = float_texts(a)
-    for i in np.flatnonzero(np.isinf(a)).tolist():
-        values[i] = '"inf"' if a[i] > 0 else '"-inf"'
-    return values
 
 
 def _rel_entropy_array(p: np.ndarray, qs: np.ndarray, what: str = "relative_entropy") -> np.ndarray:

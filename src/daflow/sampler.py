@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fsio import digit_fields
 from ._numeric import readonly
 from .dist import JointDensity, Target
 from .engine import DATrace
@@ -309,20 +310,6 @@ DRAWS_CSV_HEADER = "replica,t,x,y"
 DRAWS_CSV_BLOCK_ROWS = 4096
 
 
-def _digit_fields(values: np.ndarray, width: int) -> np.ndarray:
-    """Each nonnegative value's decimal digits as ASCII, right-aligned in
-    `width` bytes behind zero bytes, one void item of that width per value."""
-    digits = np.empty((values.size, width), dtype=np.uint8)
-    rest, last = np.divmod(values, 10)
-    digits[:, -1] = last + ord("0")
-    for column in range(width - 2, -1, -1):
-        # once a value's digits run out its rest and digit are 0: a zero byte
-        written = rest > 0
-        rest, digit = np.divmod(rest, 10)
-        digits[:, column] = digit + ord("0") * written
-    return digits.view(f"V{width}").ravel()
-
-
 def draws_csv_blocks(draws: ChainDraws) -> Iterator[str]:
     """The draws CSV as consecutive text blocks: the header line, then rows
     (replica, t, x, y) in replica-major order, DRAWS_CSV_BLOCK_ROWS per block,
@@ -330,9 +317,10 @@ def draws_csv_blocks(draws: ChainDraws) -> Iterator[str]:
 
     A block is encoded as fixed-width records: each value is a field as wide
     as its column's largest value, its digits taken from a table of the
-    values the block holds, followed by its comma or newline byte. Dropping
-    the zero bytes that pad the fields leaves the rows' text, so scratch
-    memory is O(block rows x record width + nx + ny) for any run size.
+    values the block holds (`_fsio.digit_fields`), followed by its comma or
+    newline byte. Dropping the zero bytes that pad the fields leaves the
+    rows' text, so scratch memory is O(block rows x record width + nx + ny)
+    for any run size.
     """
     yield DRAWS_CSV_HEADER + "\n"
     steps = draws.half_steps + 1
@@ -347,16 +335,17 @@ def draws_csv_blocks(draws: ChainDraws) -> Iterator[str]:
     for column in width:
         records[column + "_end"] = ord(",")
     records["y_end"] = ord("\n")
-    x_fields = _digit_fields(np.arange(draws.nx), width["x"])
-    y_fields = _digit_fields(np.arange(draws.ny), width["y"])
+    x_fields = digit_fields(np.arange(draws.nx), width["x"])
+    y_fields = digit_fields(np.arange(draws.ny), width["y"])
+    # times repeat with period `steps`, so a block's first min(steps, rows)
+    # times hold each of its times once, row i's at i % steps
+    phase = np.arange(len(records)) % steps
     for start in range(0, total, DRAWS_CSV_BLOCK_ROWS):
         stop = min(start + DRAWS_CSV_BLOCK_ROWS, total)
         block = records[: stop - start]
         r, t = np.divmod(np.arange(start, stop), steps)
-        block["replica"] = _digit_fields(np.arange(r[0], r[-1] + 1), width["replica"])[r - r[0]]
-        # times repeat with period `steps`, so the block's first min(steps,
-        # rows) times hold each of its times once, row i's at i % steps
-        block["t"] = _digit_fields(t[:steps], width["t"])[np.arange(stop - start) % steps]
+        block["replica"] = digit_fields(np.arange(r[0], r[-1] + 1), width["replica"])[r - r[0]]
+        block["t"] = digit_fields(t[:steps], width["t"])[phase[: stop - start]]
         block["x"] = x_fields[xs[start:stop]]
         block["y"] = y_fields[ys[start:stop]]
         chars = block.view(np.uint8)

@@ -9,8 +9,10 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gamma_weights
+from conftest import EDGE_FLOATS, gamma_weights
 from daflow.dist import (
     Axis,
     Direction,
@@ -1063,6 +1065,46 @@ class TestColumnExport:
         assert built[0] == 0
         # reading a record builds it, so the counter sees construction
         assert trace.records[-1].d_step is None and built[0] == 1
+
+
+def export_floats(allow_negative_infinity: bool) -> st.SearchStrategy[float]:
+    """The values the float kernel leaves to repr (zeros, subnormals, powers
+    of two, edges and infinities) and 17-digit values; a divergence column
+    holds no -inf."""
+    edges = st.sampled_from([x for x in EDGE_FLOATS if allow_negative_infinity or x != -math.inf])
+    twos = st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e))
+    return st.one_of(edges, twos, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def edge_records(draw) -> TraceRecords:
+    """Records of 17-digit values with edge values drawn into some of their
+    cells; 45 records or more hold enough nonzero values for the float
+    kernel, so its text and repr's meet in one block."""
+    n = draw(st.one_of(st.integers(1, 5), st.integers(45, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for name in engine._FIELDS[1:]:
+        column = rng.gamma(1.0, size=n - 1 if name in ("d_step", "lemma1_residual") else n) / 7.0
+        for i in draw(st.lists(st.integers(0, max(len(column) - 1, 0)), max_size=6 if len(column) else 0)):
+            column[i] = draw(export_floats(name not in ("d_to_target", "d_step")))
+        columns.append(column)
+    return TraceRecords(*columns)
+
+
+class TestEdgeValueExport:
+    @settings(max_examples=60, deadline=None)
+    @given(records=edge_records())
+    def test_exports_equal_the_per_record_encoder(self, records):
+        base = run_case("thin")
+        trace = DATrace(base.target, records, base.states, base.stop_reason)
+        # chunks of one and three rows, and the default, whose one chunk
+        # mixes the kernel's text with repr's
+        for rows in (1, 3, _fsio.TABLE_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_fsio, "TABLE_ROWS", rows)
+                assert trace_to_csv(trace) == reference_csv(trace)
+                assert trace_to_json(trace) == reference_json(trace)
 
 
 class TestTraceRecords:

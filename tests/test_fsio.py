@@ -21,7 +21,6 @@ from daflow._fsio import (
     FLOAT_TEXT_VALUES,
     atomic_write_chunks,
     float_chunks,
-    float_texts,
     record_template,
 )
 
@@ -142,11 +141,11 @@ def kernel_texts(values) -> tuple[list[str], np.ndarray]:
 
 
 def assert_repr(values, most_decided: bool = True) -> None:
-    """float_texts equals repr on the column, and so does the kernel on every
-    value it decides, which is every normal float that is not a power of
-    two but for a few near ties and edges."""
+    """float_chunks writes repr of each value of the column, and so does the
+    kernel on every value it decides, which is every normal float that is
+    not a power of two but for a few near ties and edges."""
     a = np.asarray(values, dtype=np.float64)
-    assert float_texts(a) == [repr(v) for v in a.tolist()]
+    assert "".join(float_chunks(a, "\n", 1, "\n", "\n")) == "".join(f"{v!r}\n" for v in a.tolist())
     texts, late = kernel_texts(a)
     padded = np.resize(a, len(texts))
     expected = [repr(v) for v in padded.tolist()]

@@ -31,6 +31,8 @@ def test_tiny_digest_repeats_line_for_line(monkeypatch, capsys):
     # budget stops at the table writer's chunk edge: MaxIters after 1,025 and 1,026 records
     edge = [f"edge/run-chunk-edge-{steps}-{fmt}" for steps in (1024, 1025) for fmt in ("csv", "json")]
     assert [codes[label] for label in edge] == ["exit=1"] * 4
+    # lemma3 blocks of 990 and 1,035 reports, one chunk and two
+    assert codes["edge/verify-chunk-edge-45"] == codes["edge/verify-chunk-edge-46"] == "exit=0"
     assert codes["edge/refuse-1x1"] == codes["edge/refuse-10x10"] == codes["edge/refuse-seed"] == "exit=2"
     hostile = ("conc", "eps", "huge", "nested", "bool", "string")
     refusals = [label for label in codes if label.startswith(tuple(f"edge/refuse-{kind}" for kind in hostile))]

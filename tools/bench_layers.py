@@ -209,17 +209,16 @@ def save_joint_case(m, n: int) -> Timed:
 
 
 def float_texts_case(m, values: int, data: str) -> Timed:
-    """The text of a float column of `values` entries: gamma draws
-    normalized as ``gen`` draws them, or the residuals of lemma3's 5,460
-    reports on the certify benchmark's trace. A tree without
-    `_fsio.float_texts` takes repr of each entry, as its writers did."""
+    """The text of a float column of `values` entries, a value per line, as
+    `_fsio.float_chunks` writes it: gamma draws normalized as ``gen`` draws
+    them, or the residuals of lemma3's 5,460 reports on the certify
+    benchmark's trace."""
     if data == "residuals":
         trace = run_from_corner(m, 8, 0.9, 400, 1e-15, "all")()
         a = np.concatenate([b.value for b in m.diagnostics.verification_table(trace, ("lemma3",))])[:values]
     else:
         a = sample_data(data, values, np.random.default_rng(values))
-    texts = getattr(m._fsio, "float_texts", lambda a: list(map(repr, a.tolist())))
-    return Timed(call := lambda: texts(a), digest(call()))
+    return Timed(call := lambda: "".join(m._fsio.float_chunks(a, "\n", 1, "\n", "\n")), digest(call()))
 
 
 def run_chains_case(m, replicas: int, half_steps: int, n: int) -> Timed:

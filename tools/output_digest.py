@@ -52,11 +52,13 @@ WORKLOADS = ("converge", "certify", "sample", "wide")
 # of the pair sweeps, a run on that target whose stop falls inside a block of
 # half-steps, exported as CSV and as JSON, budget stops of 1,025 and 1,026
 # records on each side of the table writer's 1,024-row chunk edge, as CSV and
-# as JSON, refusals of gamma draws whose total overflows, of an infinite eps
-# and of the hostile files of EDGE_FILES, as a target and as p0, density
-# files of one cell, one row and one column, written a row at a time, and a
-# density file of concentration 0.02 whose weights take fixed notation and
-# two- and three-digit exponents, some too small for the float kernel
+# as JSON, lemma3 blocks of 990 and 1,035 reports on each side of that edge
+# in the verify JSON, refusals of gamma draws whose total overflows, of an
+# infinite eps and of the hostile files of EDGE_FILES, as a target and as
+# p0, density files of one cell, one row and one column, written a row at a
+# time, and a density file of concentration 0.02 whose weights take fixed
+# notation and two- and three-digit exponents, some too small for the float
+# kernel
 EDGE_COMMANDS = {
     "readme-gen": ("gen", "--nx", "4", "--ny", "5", "--seed", "7", "--out", "target.json"),
     "readme-run": ("run", "--target", "target.json", "--p0", "uniform", "--out-prefix", "demo"),
@@ -146,6 +148,13 @@ EDGE_COMMANDS = {
         )
         for steps in (1024, 1025)
         for fmt in ("csv", "json")
+    },
+    **{
+        f"verify-chunk-edge-{steps}": (
+            "verify", "--gen", "1,5,3", "--p0", "random:4", "--checks", "lemma3", "--eps", "1e-300",
+            "--max-steps", str(steps), "--out-prefix", f"vce{steps}",
+        )
+        for steps in (45, 46)
     },
     "refuse-conc-overflow-run": ("run", "--gen", "2,2,1,1e308"),
     "refuse-conc-overflow-100x100": ("run", "--gen", "100,100,1,1e305"),
